@@ -66,6 +66,12 @@ class LocalEstimate:
         return self.theta_star.size
 
 
+def server_order(item) -> tuple:
+    """Sort key for anything carrying a ``server_id``: integer ids ascending,
+    then string ids ascending."""
+    return (isinstance(item.server_id, str), item.server_id)
+
+
 @dataclass(frozen=True)
 class HuberConfig:
     """Tuning constant and solver controls for the robust aggregation."""
@@ -127,7 +133,7 @@ def _sorted_estimates(estimates) -> list[LocalEstimate]:
     for e in ests:
         if e.p != p:
             raise DimensionError("local estimates disagree on parameter dimension")
-    return sorted(ests, key=lambda e: (isinstance(e.server_id, str), e.server_id))
+    return sorted(ests, key=server_order)
 
 
 def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:

@@ -400,6 +400,26 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     check("chi2 quantile dof=2", abs(numkit.chi2_quantile(2, 0.05) - (-2.0 * math.log(0.05))) < 1e-9)
 
+    # The central processor screens and standardizes all servers with stacked
+    # eigh/solve calls; its output is reproducible only if this LAPACK returns
+    # the same bits for a stack as for one matrix at a time.
+    a = rng.standard_normal((6, 3, 3))
+    stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    rhs = rng.standard_normal((6, 3))
+    values, vectors = np.linalg.eigh(stack)
+    sols = np.linalg.solve(stack, rhs[..., None])[..., 0]
+    shared = np.linalg.solve(np.broadcast_to(stack[0], stack.shape), rhs[..., None])[..., 0]
+    check(
+        "stacked eigh and solve equal per-matrix calls bit for bit",
+        all(
+            np.array_equal(values[k], np.linalg.eigh(stack[k])[0])
+            and np.array_equal(vectors[k], np.linalg.eigh(stack[k])[1])
+            and np.array_equal(sols[k], np.linalg.solve(stack[k], rhs[k]))
+            and np.array_equal(shared[k], np.linalg.solve(stack[0], rhs[k]))
+            for k in range(len(stack))
+        ),
+    )
+
     if failures:
         print(f"{len(failures)} self-test(s) failed")
         return 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from . import numkit
-from .aggregate import LocalEstimate
+from .aggregate import LocalEstimate, server_order
 
 DEFAULT_ALPHA = 0.05
 
@@ -89,10 +89,10 @@ class DetectionReport:
         return buf.getvalue()
 
 
-def _quad_form(diff: np.ndarray, sigma: np.ndarray) -> float:
-    """diff^T sigma^{-1} diff, clipped at zero against rounding."""
-    sol = np.linalg.solve(sigma, diff)
-    return max(float(diff @ sol), 0.0)
+def _distance(n_k: int, diff: np.ndarray, sol: np.ndarray) -> float:
+    """sqrt{n_k diff^T sol} for sol = Sigma^{-1} diff, the quadratic form
+    clipped at zero against rounding."""
+    return math.sqrt(n_k * max(float(diff @ sol), 0.0))
 
 
 def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
@@ -104,22 +104,18 @@ def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
         raise DimensionError("theta_hat dimension does not match the estimate")
     if sigma_hat.shape != (est.p, est.p):
         raise DimensionError("sigma_hat dimension does not match the estimate")
-    smallest = numkit.min_eigenvalue(sigma_hat)
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            "sigma_hat must be positive definite for the detection distance",
-            eigenvalue=smallest,
-        )
+    sigma_hat = _checked_sigma_hat(sigma_hat)
     diff = est.theta_star - theta_hat
-    return math.sqrt(est.n_k * _quad_form(diff, numkit.symmetrize(sigma_hat)))
+    return _distance(est.n_k, diff, np.linalg.solve(sigma_hat, diff))
 
 
 def mahalanobis_d2(est: LocalEstimate, theta_hat) -> float | None:
     """Same distance but standardized by the server's own variance matrix.
 
     Returns None when the transmitted matrix is not symmetric positive
-    definite (including singular), which the caller treats as contamination
-    evidence rather than a numeric distance.
+    definite, or is positive definite by its eigenvalues but singular to the
+    LU solve; the caller treats either as contamination evidence rather than
+    a numeric distance.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     if theta_hat.size != est.p:
@@ -131,7 +127,85 @@ def mahalanobis_d2(est: LocalEstimate, theta_hat) -> float | None:
     if numkit.min_eigenvalue(s) <= 0.0:
         return None
     diff = est.theta_star - theta_hat
-    return math.sqrt(est.n_k * _quad_form(diff, s))
+    try:
+        sol = np.linalg.solve(s, diff)
+    except np.linalg.LinAlgError:
+        return None
+    return _distance(est.n_k, diff, sol)
+
+
+def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
+    """The symmetrized ``sigma_hat``; raises unless it is positive definite."""
+    smallest = numkit.min_eigenvalue(sigma_hat)
+    if smallest <= 0.0:
+        raise NotPositiveDefiniteError(
+            "sigma_hat must be positive definite for the detection distance",
+            eigenvalue=smallest,
+        )
+    return numkit.symmetrize(sigma_hat)
+
+
+def _step1(ests: list, theta_hat: np.ndarray, sigma_hat: np.ndarray) -> list:
+    """:func:`mahalanobis_d1` of every server, or the DimensionError or
+    LinAlgError it raised.
+
+    ``sigma_hat`` is checked and symmetrized once, and the servers of the
+    common dimension share one stacked ``solve`` against it, which returns
+    the same bits as one solve per server.  A stacked solve that raises
+    falls back to one call per server.
+    """
+    p = ests[0].p
+    out: list = [None] * len(ests)
+    if theta_hat.size == p and sigma_hat.shape == (p, p):
+        sym = _checked_sigma_hat(sigma_hat)
+        same = [i for i, e in enumerate(ests) if e.p == p]
+        diffs = np.stack([ests[i].theta_star for i in same]) - theta_hat
+        try:
+            sols = np.linalg.solve(
+                np.broadcast_to(sym, (len(same), p, p)), diffs[..., None]
+            )[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            for i, diff, sol in zip(same, diffs, sols):
+                out[i] = _distance(ests[i].n_k, diff, sol)
+    for i, e in enumerate(ests):
+        if out[i] is not None:
+            continue
+        try:
+            out[i] = mahalanobis_d1(e, theta_hat, sigma_hat)
+        except NotPositiveDefiniteError:
+            raise  # a bad sigma_hat invalidates the whole report
+        except (DimensionError, np.linalg.LinAlgError) as exc:
+            out[i] = exc
+    return out
+
+
+def _step2(ests: list, theta_hat: np.ndarray) -> list:
+    """:func:`mahalanobis_d2` of every given server.
+
+    The PD screen runs as one stacked ``eigh`` and the distances of the
+    servers that pass it as one stacked ``solve``.  A stacked solve raises
+    for the whole stack if one matrix is singular, so it then falls back to
+    one call per server.
+    """
+    out: list = [None] * len(ests)
+    if not ests:
+        return out
+    pd, sym = numkit.screen_positive_definite([e.sigma_star for e in ests])
+    idx = np.flatnonzero(pd)
+    if idx.size == 0:
+        return out
+    diffs = np.stack([ests[i].theta_star for i in idx]) - theta_hat
+    try:
+        sols = np.linalg.solve(sym[idx], diffs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for i in idx:
+            out[i] = mahalanobis_d2(ests[i], theta_hat)
+        return out
+    for i, diff, sol in zip(idx, diffs, sols):
+        out[i] = _distance(ests[i].n_k, diff, sol)
+    return out
 
 
 def detect(
@@ -148,21 +222,24 @@ def detect(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    ests = sorted(
-        list(estimates), key=lambda e: (isinstance(e.server_id, str), e.server_id)
-    )
+    ests = sorted(estimates, key=server_order)
     if not ests:
         raise ValueError("at least one local estimate is required")
     p = ests[0].p
     threshold = math.sqrt(numkit.chi2_quantile(p, alpha))
+    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
+    sigma_hat = np.asarray(sigma_hat, dtype=float)
+
+    d1s = _step1(ests, theta_hat, sigma_hat)
+    # Step 2 runs only for servers that step 1 neither failed nor flagged.
+    passed = [
+        i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and not d1 > threshold
+    ]
+    d2s = dict(zip(passed, _step2([ests[i] for i in passed], theta_hat)))
 
     records = []
-    for e in ests:
-        try:
-            d1 = mahalanobis_d1(e, theta_hat, sigma_hat)
-        except NotPositiveDefiniteError:
-            raise  # a bad sigma_hat invalidates the whole report
-        except (DimensionError, np.linalg.LinAlgError) as exc:
+    for i, (e, d1) in enumerate(zip(ests, d1s)):
+        if isinstance(d1, Exception):
             records.append(
                 ServerDetection(
                     server_id=e.server_id,
@@ -171,16 +248,12 @@ def detect(
                     d2=None,
                     theta_flagged=False,
                     sigma_flagged=False,
-                    error=str(exc),
+                    error=str(d1),
                 )
             )
             continue
         theta_flagged = d1 > threshold
-        d2 = None
-        sigma_flagged = False
-        if not theta_flagged:
-            d2 = mahalanobis_d2(e, theta_hat)
-            sigma_flagged = d2 is None or d2 > threshold
+        d2 = d2s.get(i)
         records.append(
             ServerDetection(
                 server_id=e.server_id,
@@ -188,7 +261,7 @@ def detect(
                 d1=d1,
                 d2=d2,
                 theta_flagged=theta_flagged,
-                sigma_flagged=sigma_flagged,
+                sigma_flagged=not theta_flagged and (d2 is None or d2 > threshold),
             )
         )
     return DetectionReport(records=records, alpha=alpha, threshold=threshold, p=p)

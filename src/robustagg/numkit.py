@@ -9,6 +9,7 @@ symmetry, so near-symmetric inputs are symmetrized rather than rejected).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,11 +78,11 @@ class EigDecomp:
     vectors: np.ndarray
 
 
-def sym_eig(a) -> EigDecomp:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a = ensure_symmetric(a)
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` (eigenvalues ascending) with non-convergence
+    reported as :class:`NumericalError`."""
     try:
-        values, vectors = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         try:
             cond = float(np.linalg.cond(a))
@@ -91,12 +92,18 @@ def sym_eig(a) -> EigDecomp:
             f"symmetric eigendecomposition did not converge: {exc}",
             condition_estimate=cond,
         ) from exc
+
+
+def sym_eig(a) -> EigDecomp:
+    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    values, vectors = _eigh(ensure_symmetric(a))
     order = np.argsort(values)[::-1]
     return EigDecomp(values=values[order], vectors=vectors[:, order])
 
 
 def min_eigenvalue(a) -> float:
-    return float(sym_eig(a).values[-1])
+    """Smallest eigenvalue of a (near-)symmetric matrix."""
+    return float(_eigh(ensure_symmetric(a))[0][0])
 
 
 def is_positive_definite(a, rtol: float = SYM_RTOL) -> bool:
@@ -104,7 +111,35 @@ def is_positive_definite(a, rtol: float = SYM_RTOL) -> bool:
     a = _as_square(a)
     if not is_symmetric(a, rtol):
         return False
-    return min_eigenvalue(a) > 0.0
+    return float(_eigh(symmetrize(a))[0][0]) > 0.0
+
+
+def screen_positive_definite(stack, rtol: float = SYM_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`is_positive_definite` of every matrix in a ``(K, p, p)`` stack.
+
+    Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
+    The symmetry test is exact elementwise work, and the matrices that pass
+    it share one stacked ``eigh``, which returns the same bits as one call
+    per matrix.  If the stacked call raises, the matrices are decomposed one
+    at a time, so the failure surfaces as :func:`is_positive_definite`
+    reports it.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise DimensionError(f"expected a stack of square matrices, got shape {stack.shape}")
+    transposed = stack.transpose(0, 2, 1)
+    sym = (stack + transposed) / 2.0
+    ok = np.zeros(stack.shape[0], dtype=bool)
+    scale = np.abs(stack).max(axis=(1, 2))
+    asym = np.abs(stack - transposed).max(axis=(1, 2))
+    symmetric = np.flatnonzero((scale == 0.0) | (asym <= rtol * scale))
+    if symmetric.size:
+        try:
+            smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
+        except np.linalg.LinAlgError:
+            smallest = np.array([_eigh(a)[0][0] for a in sym[symmetric]])
+        ok[symmetric] = smallest > 0.0
+    return ok, sym
 
 
 def inv_sqrt_pd(a) -> np.ndarray:
@@ -137,13 +172,20 @@ def sqrt_pd(a) -> np.ndarray:
     return symmetrize(b)
 
 
+@functools.lru_cache(maxsize=32)
+def triu_indices(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(p, k)``, built once per (p, k) and read-only."""
+    rows, cols = np.triu_indices(p, k)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def vech(a) -> np.ndarray:
     """Stack the lower triangle (diagonal included) column by column."""
     a = ensure_symmetric(a)
-    p = a.shape[0]
-    iu = np.triu_indices(p)
     # Column-major lower triangle of A == row-major upper triangle of A^T.
-    return a.T[iu].copy()
+    return a.T[triu_indices(a.shape[0])].copy()
 
 
 def vech_len(p: int) -> int:
@@ -168,9 +210,8 @@ def vech_inv(v, p: int) -> np.ndarray:
             f"vech vector has length {v.size}, expected {vech_len(p)} for p={p}"
         )
     a = np.zeros((p, p))
-    iu = np.triu_indices(p)
-    a.T[iu] = v
-    upper = np.triu_indices(p, k=1)
+    a.T[triu_indices(p)] = v
+    upper = triu_indices(p, 1)
     a[upper] = a.T[upper]
     return a
 

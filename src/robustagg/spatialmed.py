@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, NumericalError
 from . import numkit
+from .aggregate import server_order
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -224,23 +225,22 @@ def aggregate_sigma(
     input to the median is PD and the median lies in their convex hull, the
     output is PD; that is asserted before returning.
     """
-    ests = sorted(
-        list(estimates), key=lambda e: (isinstance(e.server_id, str), e.server_id)
-    )
+    ests = sorted(estimates, key=server_order)
     if not ests:
         raise ValueError("at least one local estimate is required")
     p = ests[0].p
+    if any(e.sigma_star.shape != (p, p) for e in ests):
+        raise DimensionError("variance matrices disagree on dimension")
 
-    points = []
-    for e in ests:
-        s = e.sigma_star
-        if s.shape != (p, p):
-            raise DimensionError("variance matrices disagree on dimension")
-        if numkit.is_symmetric(s) and numkit.min_eigenvalue(numkit.symmetrize(s)) > 0.0:
-            kept = s
-        else:
-            kept = numkit.pd_project(s, eps)
-        points.append(WeightedPoint(value=numkit.vech(kept), weight=math.sqrt(e.n_k)))
+    pd, sym = numkit.screen_positive_definite([e.sigma_star for e in ests])
+    # numkit.vech of every kept matrix at once; the others are repaired first.
+    rows, cols = numkit.triu_indices(p)
+    vechs = sym[:, cols, rows]
+    for k in np.flatnonzero(~pd):
+        vechs[k] = numkit.vech(numkit.pd_project(ests[k].sigma_star, eps))
+    points = [
+        WeightedPoint(value=v, weight=math.sqrt(e.n_k)) for e, v in zip(ests, vechs)
+    ]
 
     result = spatial_median(points, tol=tol, max_iter=max_iter)
     sigma = numkit.vech_inv(result.eta, p)

@@ -15,6 +15,16 @@ from robustagg.detect import (
 from robustagg.errors import NotPositiveDefiniteError
 
 
+# Sent by a contaminated desk-scale server: eigh gives it a smallest
+# eigenvalue of 9.77e-4 > 0, yet LU factorization finds it exactly singular.
+LU_SINGULAR = np.array(
+    [
+        [13027255262208.805, -13027708157195.771],
+        [-13027708157195.771, 13028161067927.719],
+    ]
+)
+
+
 def est(sid, n_k, theta, sigma):
     return LocalEstimate(sid, n_k, np.asarray(theta, float), np.asarray(sigma, float))
 
@@ -82,6 +92,11 @@ class TestD2:
         e = est(1, 100, [2.1, 1.0], np.diag([1.0, -1.0]))
         assert mahalanobis_d2(e, [2.0, 1.0]) is None
 
+    def test_pd_but_lu_singular_sigma_is_sentinel(self):
+        e = est(1, 1000, [2.001, 1.001], LU_SINGULAR)
+        assert numkit.is_positive_definite(LU_SINGULAR)
+        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+
 
 def clean_estimates(rng, k=12, n_k=400, theta=(2.0, 1.0), sigma=None):
     """Estimates drawn from the asymptotic law around theta."""
@@ -137,6 +152,19 @@ class TestDetect:
         assert rec.sigma_flagged
         assert rec.d2 is None
         assert not rec.theta_flagged
+
+    def test_pd_but_lu_singular_sigma_flags_sigma(self):
+        # Such a server passes step 1 with a theta near the aggregate; its
+        # step-2 solve fails, which flags it instead of aborting the screen.
+        rng = np.random.default_rng(23)
+        ests = clean_estimates(rng)
+        ests[1] = est(2, 1000, [2.001, 1.001], LU_SINGULAR)
+        report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
+        rec = report.records[1]
+        assert not rec.theta_flagged
+        assert rec.d2 is None and rec.sigma_flagged
+        others = [r for r in report.records if r.server_id != 2]
+        assert all(r.d2 is not None for r in others if not r.theta_flagged)
 
     def test_gating_invariant(self):
         # sigma can only be questioned for servers whose estimate passed.
