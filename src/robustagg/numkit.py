@@ -43,13 +43,17 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _symmetric_mask(a: np.ndarray, rtol: float) -> np.ndarray:
+    """The symmetry test of :func:`is_symmetric` for a matrix or for each
+    matrix of a ``(..., p, p)`` stack."""
+    scale = np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return (scale == 0.0) | (asym <= rtol * scale)
+
+
 def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
     """True when the asymmetry of ``a`` is below ``rtol`` relative to its scale."""
-    a = _as_square(a)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return True
-    return float(np.abs(a - a.T).max()) <= rtol * scale
+    return bool(_symmetric_mask(_as_square(a), rtol))
 
 
 def ensure_symmetric(a, rtol: float = SYM_RTOL) -> np.ndarray:
@@ -106,33 +110,27 @@ def min_eigenvalue(a) -> float:
     return float(_eigh(ensure_symmetric(a))[0][0])
 
 
-def is_positive_definite(a, rtol: float = SYM_RTOL) -> bool:
+def is_positive_definite(a) -> bool:
     """True when ``a`` is (near-)symmetric with all eigenvalues > 0."""
-    a = _as_square(a)
-    if not is_symmetric(a, rtol):
-        return False
-    return float(_eigh(symmetrize(a))[0][0]) > 0.0
+    return bool(screen_positive_definite(_as_square(a)[None])[0][0])
 
 
-def screen_positive_definite(stack, rtol: float = SYM_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     """:func:`is_positive_definite` of every matrix in a ``(K, p, p)`` stack.
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
     The symmetry test is exact elementwise work, and the matrices that pass
     it share one stacked ``eigh``, which returns the same bits as one call
     per matrix.  If the stacked call raises, the matrices are decomposed one
-    at a time, so the failure surfaces as :func:`is_positive_definite`
-    reports it.
+    at a time, so a failure is reported as :class:`NumericalError` for the
+    matrix that caused it.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise DimensionError(f"expected a stack of square matrices, got shape {stack.shape}")
-    transposed = stack.transpose(0, 2, 1)
-    sym = (stack + transposed) / 2.0
+    sym = (stack + stack.swapaxes(-1, -2)) / 2.0
     ok = np.zeros(stack.shape[0], dtype=bool)
-    scale = np.abs(stack).max(axis=(1, 2))
-    asym = np.abs(stack - transposed).max(axis=(1, 2))
-    symmetric = np.flatnonzero((scale == 0.0) | (asym <= rtol * scale))
+    symmetric = np.flatnonzero(_symmetric_mask(stack, SYM_RTOL))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
@@ -183,9 +181,14 @@ def triu_indices(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def vech(a) -> np.ndarray:
     """Stack the lower triangle (diagonal included) column by column."""
-    a = ensure_symmetric(a)
+    return vech_stack(ensure_symmetric(a))
+
+
+def vech_stack(sym: np.ndarray) -> np.ndarray:
+    """:func:`vech` of a symmetric matrix, or of each matrix of a
+    ``(..., p, p)`` stack of symmetric matrices, without the symmetry check."""
     # Column-major lower triangle of A == row-major upper triangle of A^T.
-    return a.T[triu_indices(a.shape[0])].copy()
+    return sym.swapaxes(-1, -2)[(..., *triu_indices(sym.shape[-1]))]
 
 
 def vech_len(p: int) -> int:

@@ -233,9 +233,8 @@ def aggregate_sigma(
         raise DimensionError("variance matrices disagree on dimension")
 
     pd, sym = numkit.screen_positive_definite([e.sigma_star for e in ests])
-    # numkit.vech of every kept matrix at once; the others are repaired first.
-    rows, cols = numkit.triu_indices(p)
-    vechs = sym[:, cols, rows]
+    # vech of every kept matrix at once; the others are repaired first.
+    vechs = numkit.vech_stack(sym)
     for k in np.flatnonzero(~pd):
         vechs[k] = numkit.vech(numkit.pd_project(ests[k].sigma_star, eps))
     points = [

@@ -29,6 +29,26 @@ def est(sid, n_k, theta, sigma):
     return LocalEstimate(sid, n_k, np.asarray(theta, float), np.asarray(sigma, float))
 
 
+# A PD matrix that the patched solve below treats as LU-singular, so the
+# singular-solve branches run whatever this LAPACK's rounding does with
+# LU_SINGULAR.
+FORCED_SINGULAR = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+
+def solve_rejecting(monkeypatch, chosen):
+    """Make np.linalg.solve raise, as LAPACK does for a singular matrix, on
+    any input that is ``chosen`` or a stack containing it."""
+    real = np.linalg.solve
+
+    def solve(a, b):
+        stack = np.asarray(a).reshape(-1, *chosen.shape)
+        if (stack == chosen).all(axis=(1, 2)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+
+
 class TestD1:
     def test_zero_at_aggregate(self):
         e = est(1, 50, [2.0, 1.0], np.eye(2))
@@ -95,6 +115,12 @@ class TestD2:
     def test_pd_but_lu_singular_sigma_is_sentinel(self):
         e = est(1, 1000, [2.001, 1.001], LU_SINGULAR)
         assert numkit.is_positive_definite(LU_SINGULAR)
+        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+
+    def test_failed_solve_is_sentinel(self, monkeypatch):
+        e = est(1, 1000, [2.001, 1.001], FORCED_SINGULAR)
+        assert mahalanobis_d2(e, [2.0, 1.0]) is not None
+        solve_rejecting(monkeypatch, FORCED_SINGULAR)
         assert mahalanobis_d2(e, [2.0, 1.0]) is None
 
 
@@ -165,6 +191,22 @@ class TestDetect:
         assert rec.d2 is None and rec.sigma_flagged
         others = [r for r in report.records if r.server_id != 2]
         assert all(r.d2 is not None for r in others if not r.theta_flagged)
+
+    def test_failed_step2_solve_flags_only_that_server(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        ests = clean_estimates(rng)
+        ests[4] = est(5, 1000, [2.001, 1.001], FORCED_SINGULAR)
+        ests[7] = est(8, 400, [-1e6, -1e6], np.eye(2))  # flagged in step 1
+        expected = {e.server_id: mahalanobis_d2(e, [2.0, 1.0]) for e in ests}
+        solve_rejecting(monkeypatch, FORCED_SINGULAR)
+        report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
+        rec = report.records[4]
+        assert not rec.theta_flagged
+        assert rec.d2 is None and rec.sigma_flagged
+        assert report.records[7].theta_flagged and report.records[7].d2 is None
+        for r in report.records:
+            if r.server_id != 5 and not r.theta_flagged:
+                assert r.d2 == expected[r.server_id]  # the same bits
 
     def test_gating_invariant(self):
         # sigma can only be questioned for servers whose estimate passed.

@@ -117,15 +117,38 @@ def screen_cases(rng, p):
     return cases + ([NEAR_SINGULAR] if p == 2 else [])
 
 
+def is_symmetric_reference(m):
+    """Symmetric within SYM_RTOL of the largest entry, tested on one matrix."""
+    scale = float(np.abs(m).max())
+    return scale == 0.0 or float(np.abs(m - m.T).max()) <= numkit.SYM_RTOL * scale
+
+
+def is_pd_reference(m):
+    """Symmetric, and the smallest eigenvalue of one eigh call > 0."""
+    return is_symmetric_reference(m) and float(np.linalg.eigh((m + m.T) / 2.0)[0][0]) > 0.0
+
+
 class TestPositiveDefiniteScreen:
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_matches_per_matrix_decisions(self, p):
         rng = np.random.default_rng(400 + p)
         mats = screen_cases(rng, p) + [random_pd(rng, p) for _ in range(20)]
         ok, sym = numkit.screen_positive_definite(np.stack(mats))
-        assert ok.tolist() == [numkit.is_positive_definite(m) for m in mats]
+        expected = [is_pd_reference(m) for m in mats]
+        assert ok.tolist() == expected
+        assert [numkit.is_positive_definite(m) for m in mats] == expected
+        assert [numkit.is_symmetric(m) for m in mats] == [
+            is_symmetric_reference(m) for m in mats
+        ]
         for m, s in zip(mats, sym):
             assert np.array_equal(s, numkit.symmetrize(m), equal_nan=True)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_vech_stack_matches_per_matrix_vech(self, p):
+        rng = np.random.default_rng(450 + p)
+        sym = np.stack([numkit.symmetrize(rng.standard_normal((p, p))) for _ in range(7)])
+        got = numkit.vech_stack(sym)
+        assert np.array_equal(got, np.stack([numkit.vech(m) for m in sym]))
 
     def test_near_singular_matrix_is_kept(self):
         ok, _ = numkit.screen_positive_definite(NEAR_SINGULAR[None])
