@@ -420,6 +420,25 @@ def cmd_check(args: argparse.Namespace) -> int:
         ),
     )
 
+    # Every sandwich variance is summed by exact_column_means; its bits equal
+    # fsum's only if this numpy adds and rounds doubles as IEEE 754 says.
+    n = 2000
+    half = rng.standard_normal(n // 2) * 1e8
+    cancelling = np.concatenate([half, -half[::-1]])
+    cancelling[7] += 1e-9
+    mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    beyond_guard = np.array([1e308, -1e308] * (n // 2))  # summed by fsum itself
+    beyond_guard[0] = 1.0
+    products = rng.standard_normal(n) * rng.standard_normal(n)
+    cols = np.stack([cancelling, mixed, beyond_guard, products], axis=1)
+    check(
+        "exact column sums equal math.fsum bit for bit",
+        np.array_equal(
+            numkit.exact_column_means(cols),
+            [math.fsum(col) / n for col in cols.T.tolist()],
+        ),
+    )
+
     if failures:
         print(f"{len(failures)} self-test(s) failed")
         return 1

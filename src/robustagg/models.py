@@ -16,7 +16,15 @@ reduction is acceptable only where it returns the same doubles.  Measured
 with numpy 2.4 and OpenBLAS 0.3:
 
 * Same bits: one ``math.fsum`` per entry over the ``tolist()`` of a product
-  column, however the product array is laid out; the three-operand Hessian
+  column, however the product array is laid out; error-free extraction,
+  ``numkit.exact_column_means``, which the sandwich uses.  Its passes split
+  every entry exactly at ``sigma = 2**(ceil(log2(n + 2)) + E)``, with
+  ``2**E >= max|p|``, into a part whose row sums numpy computes exactly in
+  any order and a remainder that the next pass splits again; ``fsum`` over
+  the few exact pass sums then rounds the true column sum as ``fsum`` over
+  the column does.  Below 1,500 entries per call it is slower than
+  ``fsum`` and calls ``fsum`` instead; n=1000, p=2 is above the crossover,
+  n=50, p=5 below it.  The three-operand Hessian
   ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry in observation
   order; and, in the central processor, stacked ``eigh`` and stacked
   ``solve`` with one right-hand side per matrix (see README.md).
@@ -30,7 +38,6 @@ with numpy 2.4 and OpenBLAS 0.3:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -199,25 +206,33 @@ def _per_obs_gradients(model: ModelSpec, data: Observations, theta) -> np.ndarra
     return (data.y - expit(eta))[:, None] * data.X
 
 
-def _fsum_mean_outer(rows: np.ndarray) -> np.ndarray:
-    """Exactly rounded mean of the outer products of the given row vectors.
+def _outer_columns(rows: np.ndarray) -> np.ndarray:
+    """The products ``rows[:, j] * rows[:, k]`` for ``j <= k``, as columns in
+    ``numkit.triu_indices`` order."""
+    iu = numkit.triu_indices(rows.shape[1])
+    return rows[:, iu[0]] * rows[:, iu[1]]
 
-    ``math.fsum`` yields the correctly rounded sum irrespective of the order
-    of the terms, which makes the result invariant under row permutation.
-    """
-    p = rows.shape[1]
+
+def _sym_from_upper(means: np.ndarray, p: int) -> np.ndarray:
+    """The symmetric p x p matrix whose upper triangle, in
+    ``numkit.triu_indices`` order, is ``means``."""
     iu = numkit.triu_indices(p)
-    means = _fsum_column_means(rows[:, iu[0]] * rows[:, iu[1]])
     out = np.empty((p, p))
     out[iu] = means
     out.T[iu] = means
     return out
 
 
-def _fsum_column_means(a: np.ndarray) -> np.ndarray:
-    """Exactly rounded column means of a 2-D array, one ``math.fsum`` each."""
-    n = a.shape[0]
-    return np.array([math.fsum(col) / n for col in a.T.tolist()])
+def _mean_outer(rows: np.ndarray) -> np.ndarray:
+    """Exactly rounded mean of the outer products of the given row vectors.
+
+    Every entry is the correctly rounded sum of its products (the double
+    ``math.fsum`` returns) over n, whatever the order of the rows, which
+    makes the result invariant under row permutation.
+    """
+    return _sym_from_upper(
+        numkit.exact_column_means(_outer_columns(rows)), rows.shape[1]
+    )
 
 
 def sandwich_variance(
@@ -235,16 +250,25 @@ def sandwich_variance(
     _check_data(model, data)
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
 
+    p = model.p
     grads = _per_obs_gradients(model, data, theta_hat)
-    gbar = _fsum_column_means(grads)
-    v_hat = _fsum_mean_outer(grads - gbar)
-
     if model.kind is ModelKind.LINEAR:
-        u_hat = 2.0 * _fsum_mean_outer(data.X)
+        u_rows = data.X
     else:
         w = expit(data.X @ theta_hat)
         w = w * (1.0 - w)
-        u_hat = _fsum_mean_outer(np.sqrt(w)[:, None] * data.X)
+        u_rows = np.sqrt(w)[:, None] * data.X
+    # U does not depend on the mean gradient, so its sums share one call
+    # with those of gbar; V is centered at gbar and needs a second call.
+    # Each column is still summed on its own, so the bits are unchanged.
+    means = numkit.exact_column_means(
+        np.concatenate((grads, _outer_columns(u_rows)), axis=1)
+    )
+    gbar = means[:p]
+    u_hat = _sym_from_upper(means[p:], p)
+    if model.kind is ModelKind.LINEAR:
+        u_hat = 2.0 * u_hat
+    v_hat = _mean_outer(grads - gbar)
 
     if allow_singular:
         u_inv = _pinv_sym(u_hat)

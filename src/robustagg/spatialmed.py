@@ -67,6 +67,66 @@ def _objective(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
     return math.fsum((w * dist).tolist())
 
 
+def _rounding_floor(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
+    """Rounding error of the first-order residual ``sum_k w_k u_k`` at ``eta``.
+
+    Each difference ``x_k - eta`` carries an error of about
+    ``eps * (||x_k|| + ||eta||)``, which its unit vector ``u_k`` inherits
+    divided by ``||x_k - eta||``.  A residual below the weighted sum of those
+    errors cannot be told from zero in double precision.
+    """
+    eps = np.finfo(float).eps
+    dist = np.linalg.norm(x - eta, axis=1)
+    spread = np.linalg.norm(x, axis=1) + np.linalg.norm(eta)
+    return eps * float(np.sum(w * spread / dist))
+
+
+def _first_order(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray):
+    """``(diff, dist, residual)`` at ``eta``, or None when ``eta`` sits on a
+    data point (within the anchor tolerance), where the residual is undefined."""
+    diff = x - eta
+    dist = np.linalg.norm(diff, axis=1)
+    if (dist <= _ANCHOR_ATOL * scale).any():
+        return None
+    return diff, dist, (w / dist) @ diff
+
+
+def _settle(
+    x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """What Weiszfeld's best iterate ``eta`` settles to at the iteration cap.
+
+    Returns ``eta`` itself if its residual is within the rounding floor, or
+    else one Newton step from it if the residual there is within
+    ``max(tol, floor)``; None if neither is.  The Newton step serves the
+    case where the optimum sits just off a data point: the Weiszfeld step
+    length, ``1 / sum_k w_k / d_k``, is then set by that point, and the
+    iterates crawl along the direction to it, while Newton's Hessian
+    ``sum_k (w_k / d_k) (I - u_k u_k^T)`` scales each direction by its own
+    curvature.  One step is enough only from an iterate already close to the
+    optimum, so a run that has really not converged still raises.
+    """
+    first = _first_order(x, w, scale, eta)
+    if first is None:
+        return None
+    diff, dist, foc = first
+    if float(np.linalg.norm(foc)) <= _rounding_floor(x, w, eta):
+        return eta
+    inv = w / dist
+    u = diff / dist[:, None]
+    hess = inv.sum() * np.eye(eta.size) - (u * inv[:, None]).T @ u
+    try:
+        cand = eta + np.linalg.solve(hess, foc)
+    except np.linalg.LinAlgError:
+        return None
+    first = _first_order(x, w, scale, cand)
+    if first is None:
+        return None
+    if float(np.linalg.norm(first[2])) <= max(tol, _rounding_floor(x, w, cand)):
+        return cand
+    return None
+
+
 def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse exactly equal rows, summing their weights."""
     uniq, inverse = np.unique(x, axis=0, return_inverse=True)
@@ -88,7 +148,11 @@ def spatial_median(
     weighted sum of unit vectors toward the non-coincident points has norm
     <= ``tol``, or the iterate sits on a data point whose weight dominates
     the pull of all the others (the subgradient condition for an anchored
-    optimum).
+    optimum).  If neither happens within ``max_iter`` iterations, the best
+    iterate is still returned when its residual is within the rounding
+    floor of the unit-vector sum (see :func:`_rounding_floor`), which for
+    far-apart points can exceed ``tol``; otherwise
+    :class:`NonConvergenceError` is raised.
     """
     pts = list(points)
     if not pts:
@@ -201,6 +265,14 @@ def spatial_median(
             prev_delta = delta
 
         if iterations >= max_iter:
+            settled = _settle(x, w, scale, best_eta, tol)
+            if settled is not None:
+                return SpatialMedianResult(
+                    eta=settled,
+                    iterations=iterations,
+                    objective=_objective(x, w, settled),
+                    anchored=False,
+                )
             raise NonConvergenceError(
                 f"spatial median did not converge in {max_iter} iterations",
                 best=best_eta,

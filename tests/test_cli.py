@@ -285,6 +285,16 @@ class TestSmallCommands:
         assert main(["check"]) == 0
         assert "all self-tests passed" in capsys.readouterr().out
 
+    def test_check_reports_inexact_column_sums(self, monkeypatch, capsys):
+        from robustagg import numkit
+
+        exact = numkit.exact_column_means
+        monkeypatch.setattr(
+            numkit, "exact_column_means", lambda a: np.nextafter(exact(a), np.inf)
+        )
+        assert main(["check"]) == 1
+        assert "FAIL exact column sums equal math.fsum" in capsys.readouterr().out
+
     def test_workers_env_default(self, monkeypatch):
         from robustagg.distsim import default_workers
 

@@ -215,6 +215,21 @@ class TestRunReplicate:
         assert np.abs(rec.theta_wa - (-250_000)).max() <= 1000
         assert rec.detection_ratio == 1.0
 
+    @pytest.mark.parametrize("base_seed,index", [(102008, 5), (203000, 5), (306041, 9)])
+    def test_weiszfeld_stall_completes(self, base_seed, index):
+        # Desk omniscient replicates whose variance median used to fail with
+        # NonConvergenceError: the first two stall at the rounding floor
+        # (best residuals 1.244e-10 and 3.257e-10 against tol = 1e-10), the
+        # third crawls next to a data point (1.06e-7 after 500 iterations).
+        cfg = StudyConfig(
+            contamination=ContaminationSpec(kind=ContaminationKind.OMNISCIENT),
+            base_seed=base_seed,
+            replicates=10,
+        )
+        rec = run_replicate(cfg, index)
+        assert np.abs(rec.theta_huber - [2.0, 1.0]).max() <= 0.2
+        assert {1, 2} <= set(rec.flagged_ids)
+
 
 class TestRunStudy:
     def test_two_replicates_arithmetic(self):

@@ -18,9 +18,9 @@ from robustagg.errors import DimensionError
 from robustagg.models import (
     ModelSpec,
     Observations,
-    _fsum_column_means,
-    _fsum_mean_outer,
+    _mean_outer,
     criterion_eval,
+    sandwich_variance,
 )
 from robustagg.spatialmed import WeightedPoint, aggregate_sigma, spatial_median
 
@@ -67,7 +67,7 @@ class TestSandwichSums:
         rng = np.random.default_rng(100 + p)
         for n in (1, 2, 7, 50, 333, 1999):
             rows = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8.0, 8.0, p)
-            assert np.array_equal(_fsum_mean_outer(rows), mean_outer_reference(rows))
+            assert np.array_equal(_mean_outer(rows), mean_outer_reference(rows))
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_column_means_match_per_column_fsum(self, p):
@@ -75,7 +75,35 @@ class TestSandwichSums:
         for n in (1, 3, 64, 1001):
             a = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-8.0, 8.0, p)
             expected = np.array([math.fsum(a[:, j].tolist()) / n for j in range(p)])
-            assert np.array_equal(_fsum_column_means(a), expected)
+            assert np.array_equal(numkit.exact_column_means(a), expected)
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("p,n", [(2, 50), (2, 1000), (4, 100), (4, 300), (1, 1200), (5, 1600)])
+    def test_sandwich_matches_per_entry_fsum(self, kind, p, n):
+        # Shapes on both sides of the exact-sum crossover: at (2, 50) and
+        # (4, 100) both calls of the sandwich sum with fsum, at (1, 1200)
+        # only the second does, and the others extract in both.
+        rng = np.random.default_rng(400 + 10 * p + n)
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2.0, 2.0, p)
+        theta = rng.standard_normal(p) / np.abs(X).max(axis=0)
+        if kind == "linear":
+            model = ModelSpec.linear(p)
+            y = X @ theta + rng.standard_normal(n)
+            grads = 2.0 * (y - X @ theta)[:, None] * X
+            u_hat = 2.0 * mean_outer_reference(X)
+        else:
+            model = ModelSpec.logistic(p)
+            y = (rng.random(n) < expit(X @ theta)).astype(float)
+            grads = (y - expit(X @ theta))[:, None] * X
+            w = expit(X @ theta)
+            w = w * (1.0 - w)
+            u_hat = mean_outer_reference(np.sqrt(w)[:, None] * X)
+        gbar = np.array([math.fsum(grads[:, j].tolist()) / n for j in range(p)])
+        v_hat = mean_outer_reference(grads - gbar)
+        half = np.linalg.solve(u_hat, v_hat)
+        expected = numkit.symmetrize(np.linalg.solve(u_hat, half.T).T)
+        got = sandwich_variance(model, Observations(y, X), theta)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_logistic_hessian_is_three_operand_einsum(self, p):

@@ -7,12 +7,75 @@ from scipy.optimize import minimize
 from robustagg import numkit
 from robustagg.aggregate import LocalEstimate
 from robustagg.spatialmed import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     SpatialMedianResult,
     WeightedPoint,
+    _rounding_floor,
     aggregate_sigma,
     spatial_median,
     weighted_median,
 )
+
+# Variance aggregation of the desk omniscient design (K=20, n=1000) at base
+# seed 102008, replicate 5: the two corrupted servers' repaired matrices and
+# 18 honest ones, each weighted sqrt(1000).
+STALL_WEIGHT = 31.622776601683793
+STALL_POINTS = [
+    (1e-05, 0.0, 1e-05),
+    (1e-05, 0.0, 1e-05),
+    (16.501424320590488, 4.041142767434273, 8.849428801353566),
+    (19.865669550929766, 7.225481208323417, 10.909969520511513),
+    (14.875537987734594, 3.854548172380417, 9.069694244180399),
+    (17.270548711810935, 4.60546305875828, 8.93409585865572),
+    (15.238062647378193, 4.738508192697606, 8.786473316539738),
+    (17.46407430786258, 3.7000868398429434, 8.315075114952624),
+    (17.467103264163157, 5.402628389488984, 9.245907309297946),
+    (15.88531722454154, 4.172497937651611, 7.943691644335262),
+    (16.377473319792994, 3.364576093928898, 9.238185285863441),
+    (19.70693912391762, 4.92524140475069, 9.224378436438897),
+    (20.280469192514403, 5.900072289349732, 10.913770799350711),
+    (20.15790088000809, 4.3172567545036795, 7.855288284215765),
+    (18.306119733992663, 5.759902771952292, 9.909672344802587),
+    (13.76961265767904, 3.856343198203254, 7.986930027948407),
+    (19.324847712432913, 6.555020016470913, 10.09822903700545),
+    (17.57251325805396, 4.980001972106363, 8.922085482332728),
+    (18.43998946180087, 4.12281265000564, 8.595342075714125),
+    (19.14269989718057, 3.808241241410275, 8.012776479178362),
+]
+
+# The same design at base seed 306041, replicate 9.  The optimum sits 1.6e-5
+# from the honest point (17.048..., 4.847..., 9.751...), so Weiszfeld crawls:
+# its residual is still 1.06e-7 after 500 iterations (floor 1.77e-8) and
+# reaches the floor only after ~20,000.
+CRAWL_POINTS = STALL_POINTS[:2] + [
+    (19.648119301116868, 5.643912339613571, 9.425114805223357),
+    (23.08850474678054, 6.129303303685358, 11.23600708195954),
+    (18.904288038453938, 5.390152263050455, 10.396343334151274),
+    (17.1867396331733, 4.00746376288683, 9.17436919251492),
+    (13.460909770478095, 3.3182681903944795, 8.147688859512108),
+    (20.10526038188553, 5.304925637536467, 9.341392067241962),
+    (16.053545900561197, 5.2613479785217985, 10.384185864809588),
+    (17.889073097422802, 5.407943476497085, 10.489701812208247),
+    (15.271027036269453, 4.402028573326418, 9.130501364817635),
+    (16.01582755415451, 4.16752700128067, 9.07583171764413),
+    (15.494773130267136, 5.444022564434471, 11.78075167377312),
+    (18.300805677900193, 5.209549227739174, 9.235173518995138),
+    (17.04814024044802, 4.847509821343461, 9.751947945945838),
+    (19.692952771382974, 6.347897665295369, 10.985107627493178),
+    (15.331985072603729, 4.228722757499355, 9.062871177316998),
+    (24.240700483236257, 7.194861674216704, 10.174146757308918),
+    (13.285782805190175, 3.80216175261803, 8.387476195699737),
+    (21.205559558923632, 8.447688769821713, 13.077562490186585),
+]
+
+
+def residual_and_floor(points, eta):
+    x = np.array(points)
+    w = np.full(len(x), STALL_WEIGHT)
+    diff = x - eta
+    foc = float(np.linalg.norm((STALL_WEIGHT / np.linalg.norm(diff, axis=1)) @ diff))
+    return foc, _rounding_floor(x, w, eta)
 
 
 def wp(values, weight=1.0):
@@ -149,6 +212,41 @@ class TestSpatialMedian:
         with pytest.raises(NonConvergenceError) as excinfo:
             spatial_median(pts, max_iter=0)
         assert excinfo.value.best is not None
+
+    def test_rounding_stall_returns_best_iterate(self):
+        # The vech points of desk omniscient replicate 5 at base seed 102008.
+        # Weiszfeld's residual bottoms out at 1.24e-10 > tol = 1e-10, below
+        # its own rounding floor of 2.80e-10, so the cap returns the best
+        # iterate instead of raising.
+        pts = [wp(v, STALL_WEIGHT) for v in STALL_POINTS]
+        res = spatial_median(pts)
+        assert res.iterations == DEFAULT_MAX_ITER
+        assert not res.anchored
+        foc, floor = residual_and_floor(STALL_POINTS, res.eta)
+        assert DEFAULT_TOL < foc <= floor
+        assert res.objective == pytest.approx(objective(pts, res.eta), rel=1e-14)
+
+    def test_crawl_next_to_a_data_point_ends_with_a_newton_step(self):
+        pts = [wp(v, STALL_WEIGHT) for v in CRAWL_POINTS]
+        res = spatial_median(pts)
+        assert res.iterations == DEFAULT_MAX_ITER
+        assert not res.anchored
+        foc, floor = residual_and_floor(CRAWL_POINTS, res.eta)
+        assert foc <= floor
+        # Weiszfeld itself gets there only with 40 times the budget.
+        slow = spatial_median(pts, max_iter=40 * DEFAULT_MAX_ITER)
+        assert np.abs(res.eta - slow.eta).max() <= 1e-9
+        assert res.objective <= slow.objective * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("points", [STALL_POINTS, CRAWL_POINTS])
+    def test_unconverged_iterate_still_raises(self, points):
+        from robustagg.errors import NonConvergenceError
+
+        pts = [wp(v, STALL_WEIGHT) for v in points]
+        with pytest.raises(NonConvergenceError) as excinfo:
+            spatial_median(pts, max_iter=1)
+        foc, floor = residual_and_floor(points, excinfo.value.best)
+        assert foc == pytest.approx(excinfo.value.residual) and foc > floor
 
     def test_result_type(self):
         res = spatial_median([wp([0.0]), wp([1.0]), wp([2.0])])
