@@ -40,16 +40,7 @@ from .models import (
     fit_local,
     sandwich_variance,
 )
-from .numkit import (
-    EigDecomp,
-    chi2_quantile,
-    inv_sqrt_pd,
-    pd_project,
-    std_normal,
-    sym_eig,
-    vech,
-    vech_inv,
-)
+from .numkit import inv_sqrt_pd, pd_project, vech, vech_inv
 from .spatialmed import SpatialMedianResult, WeightedPoint, aggregate_sigma, spatial_median
 
 __version__ = "0.1.0"

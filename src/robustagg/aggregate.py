@@ -29,6 +29,8 @@ DEFAULT_HUBER_C = 1.345
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class LocalEstimate:
@@ -120,7 +122,7 @@ def tau_c(c: float) -> float:
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
     b = math.erf(c / math.sqrt(2.0))
-    pdf_c, _ = numkit.std_normal(c)
+    pdf_c = _INV_SQRT_2PI * math.exp(-0.5 * c * c)  # standard normal density
     sigma2 = b - 2.0 * c * pdf_c + c * c * (1.0 - b)
     return b * b / sigma2
 

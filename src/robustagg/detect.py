@@ -8,7 +8,8 @@ even positive definite is itself evidence of contamination, since an
 uncontaminated sandwich estimate is PD by construction.  Both distances are
 asymptotically sqrt(chi-squared) with p degrees of freedom for clean
 servers, so the common threshold is sqrt of the upper-alpha chi-squared
-quantile.
+quantile, ``scipy.special.chdtri(p, alpha)`` (the function behind
+``scipy.stats.chi2.isf``, without the import cost of ``scipy.stats``).
 
 The per-server tests are applied exactly as stated, once per server; no
 multiplicity correction across the K servers is attempted (none is part of
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from . import numkit
@@ -226,7 +228,7 @@ def detect(
     if not ests:
         raise ValueError("at least one local estimate is required")
     p = ests[0].p
-    threshold = math.sqrt(numkit.chi2_quantile(p, alpha))
+    threshold = math.sqrt(float(special.chdtri(p, alpha)))
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     sigma_hat = np.asarray(sigma_hat, dtype=float)
 

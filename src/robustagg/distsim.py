@@ -242,12 +242,42 @@ def contaminate(
 # Wire format: versioned, line-oriented text record
 #   v1|server_id|n_k|p|theta:csv|vech_sigma:csv|crc32hex
 # Floats are printed with 17 significant digits so decode(encode(x)) is
-# bit-identical.
+# bit-identical.  An int server id is sent in canonical decimal; a str id is
+# sent as itself, behind a leading "'" when it would otherwise read back as
+# an int (or starts with "'"), so both type and text round-trip.
 # ---------------------------------------------------------------------------
+
+_STR_ID_MARK = "'"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _is_int_text(text: str) -> bool:
+    """True when ``text`` is how ``str`` prints some int."""
+    try:
+        return str(int(text)) == text
+    except ValueError:
+        return False
+
+
+def _encode_id(server_id) -> str:
+    if isinstance(server_id, bool) or not isinstance(server_id, (int, str)):
+        raise TypeError(f"server id must be an int or a str, got {server_id!r}")
+    if isinstance(server_id, int):
+        return str(server_id)
+    if "|" in server_id:
+        raise ValueError(f"server id {server_id!r} contains the field separator '|'")
+    if _is_int_text(server_id) or server_id.startswith(_STR_ID_MARK):
+        return _STR_ID_MARK + server_id
+    return server_id
+
+
+def _decode_id(text: str) -> int | str:
+    if text.startswith(_STR_ID_MARK):
+        return text[1:]
+    return int(text) if _is_int_text(text) else text
 
 
 def encode_message(est: LocalEstimate) -> bytes:
@@ -256,7 +286,7 @@ def encode_message(est: LocalEstimate) -> bytes:
     theta_txt = ",".join(_fmt(v) for v in est.theta_star)
     sigma_txt = ",".join(_fmt(v) for v in numkit.vech(est.sigma_star))
     body = "|".join(
-        [PROTOCOL_VERSION, str(est.server_id), str(est.n_k), str(est.p), theta_txt, sigma_txt]
+        [PROTOCOL_VERSION, _encode_id(est.server_id), str(est.n_k), str(est.p), theta_txt, sigma_txt]
     )
     crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
     return f"{body}|{crc:08x}".encode("ascii")
@@ -298,19 +328,12 @@ def decode_message(payload: bytes) -> LocalEstimate:
         raise TruncatedMessageError(
             "declared dimension does not match the payload lengths"
         )
-    server_id: int | str = int(sid_txt) if _is_int(sid_txt) else sid_txt
     return LocalEstimate(
-        server_id=server_id,
+        server_id=_decode_id(sid_txt),
         n_k=n_k,
         theta_star=theta,
         sigma_star=numkit.vech_inv(sigma_vec, p),
     )
-
-
-def _is_int(text: str) -> bool:
-    if text and (text[0] in "+-"):
-        return text[1:].isdigit()
-    return text.isdigit()
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +357,25 @@ class ReplicateRecord:
     error: str | None = None
 
 
+def process(received, c: float, alpha: float, sigma_hat=None):
+    """The central processor, run on the payloads it received.
+
+    Aggregates the variance matrices by spatial median (unless a matrix
+    ``sigma_hat``, such as a trusted server's, is given), solves the Huber
+    aggregation with tuning constant ``c``, forms the weighted average, and
+    screens every server at level ``alpha``.  Returns ``(result, theta_bar,
+    se_wa, report)``: the :class:`AggregationResult`, the weighted average,
+    its standard errors and the :class:`DetectionReport`.
+    """
+    if sigma_hat is None:
+        sigma_hat = aggregate_sigma(received)
+    result = huber_aggregate(received, sigma_hat, HuberConfig(c=c))
+    theta_bar, sigma_bar = weighted_average(received)
+    se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
+    report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)
+    return result, theta_bar, se_wa, report
+
+
 def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     """Execute one end-to-end replicate; deterministic in (base_seed, index)."""
     root = np.random.SeedSequence((config.base_seed, replicate_index))
@@ -351,16 +393,12 @@ def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     # Transport: everything the processor sees went over the wire.
     received = [decode_message(encode_message(e)) for e in estimates]
 
-    sigma_s = aggregate_sigma(received)
-    result = huber_aggregate(received, sigma_s, HuberConfig(c=config.c))
-    theta_bar, sigma_bar = weighted_average(received)
-    se_wa = standard_errors(sigma_bar, config.total_size, 1.0)
+    result, theta_bar, se_wa, report = process(received, config.c, config.alpha)
 
     theta0 = np.asarray(config.theta0, dtype=float)
     cover_huber = np.abs(result.theta_hat - theta0) <= _Z_95 * result.se
     cover_wa = np.abs(theta_bar - theta0) <= _Z_95 * se_wa
 
-    report = detect(received, result.theta_hat, sigma_s, alpha=config.alpha)
     flagged = tuple(report.flagged_theta_ids())
     count = config.contamination.resolved_count(config.n_servers)
     if count > 0:

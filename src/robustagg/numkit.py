@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra and the special functions used everywhere else.
+"""Dense symmetric linear algebra and exact column sums.
 
 All functions are pure: they never mutate their inputs and hold no state, so
 they are safe to call from any number of concurrent workers.  Matrices are
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionError, NotPositiveDefiniteError, NumericalError
 
@@ -23,9 +21,6 @@ SYM_RTOL = 1e-12
 
 # Eigenvalue floor used when projecting onto the positive definite cone.
 PD_EPSILON = 1e-5
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _as_square(a) -> np.ndarray:
@@ -70,18 +65,6 @@ def ensure_symmetric(a, rtol: float = SYM_RTOL) -> np.ndarray:
     return symmetrize(a)
 
 
-@dataclass(frozen=True)
-class EigDecomp:
-    """Spectral decomposition A = Q diag(values) Q^T.
-
-    ``values`` are sorted in descending order and ``vectors`` holds the
-    corresponding orthonormal eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` (eigenvalues ascending) with non-convergence
     reported as :class:`NumericalError`."""
@@ -98,11 +81,16 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def sym_eig(a) -> EigDecomp:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
+def _eig_descending(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a (near-)symmetric matrix, eigenvalues descending.
+
+    ``eigh``'s ascending pairs reversed by view.  The order matters: it is
+    the order of the sums in the matrix products built from the pairs, so
+    :func:`inv_sqrt_pd` and :func:`sqrt_pd` return the bits they returned
+    when the pairs were sorted by ``argsort``.
+    """
     values, vectors = _eigh(ensure_symmetric(a))
-    order = np.argsort(values)[::-1]
-    return EigDecomp(values=values[order], vectors=vectors[:, order])
+    return values[::-1], vectors[:, ::-1]
 
 
 def min_eigenvalue(a) -> float:
@@ -146,27 +134,27 @@ def inv_sqrt_pd(a) -> np.ndarray:
     Raises :class:`NotPositiveDefiniteError` naming the offending eigenvalue
     when ``a`` is not positive definite.
     """
-    dec = sym_eig(a)
-    smallest = float(dec.values[-1])
+    values, vectors = _eig_descending(a)
+    smallest = float(values[-1])
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
             "matrix is not positive definite; inverse square root undefined",
             eigenvalue=smallest,
         )
-    b = (dec.vectors / np.sqrt(dec.values)) @ dec.vectors.T
+    b = (vectors / np.sqrt(values)) @ vectors.T
     return symmetrize(b)
 
 
 def sqrt_pd(a) -> np.ndarray:
     """Symmetric square root of a positive definite matrix."""
-    dec = sym_eig(a)
-    smallest = float(dec.values[-1])
+    values, vectors = _eig_descending(a)
+    smallest = float(values[-1])
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
             "matrix is not positive definite; square root undefined",
             eigenvalue=smallest,
         )
-    b = (dec.vectors * np.sqrt(dec.values)) @ dec.vectors.T
+    b = (vectors * np.sqrt(values)) @ vectors.T
     return symmetrize(b)
 
 
@@ -313,50 +301,3 @@ def pd_project(a, eps: float = PD_EPSILON) -> np.ndarray:
         return a
     clipped = np.maximum(values, eps)
     return symmetrize((vectors * clipped) @ vectors.T)
-
-
-def std_normal(u: float) -> tuple[float, float]:
-    """Standard normal density and distribution function at ``u``.
-
-    Returns ``(pdf, cdf)``.  The cdf is evaluated through ``erfc`` so there
-    is no cancellation in either tail.
-    """
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError("u must be finite")
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * u * u)
-    cdf = 0.5 * math.erfc(-u / _SQRT2)
-    return pdf, cdf
-
-
-def chi2_quantile(dof: int, alpha: float) -> float:
-    """Upper-alpha quantile t of the chi-squared law: P(chi2_dof > t) = alpha.
-
-    Inverts the regularized incomplete gamma with a safeguarded root search
-    bracketed around the Wilson-Hilferty approximation.
-    """
-    if dof < 1 or int(dof) != dof:
-        raise ValueError("dof must be a positive integer")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    dof = int(dof)
-    k = dof / 2.0
-
-    # f(t) = P(k, t/2) - (1 - alpha); increasing, f(0) < 0 < f(inf).
-    target = 1.0 - alpha
-
-    def f(t: float) -> float:
-        return special.gammainc(k, t / 2.0) - target
-
-    # Wilson-Hilferty initial guess for the bracket.
-    z = float(special.ndtri(target))
-    wh = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-    hi = max(wh, 1e-8)
-    while f(hi) < 0.0:
-        hi *= 2.0
-
-    from scipy.optimize import brentq
-
-    # f(0) = -(1 - alpha) < 0, so [0, hi] always brackets the root.
-    t = brentq(f, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
-    return float(t)

@@ -290,8 +290,11 @@ def aggregate_sigma(
 ) -> np.ndarray:
     """Robustly aggregate the transmitted variance matrices.
 
-    Any received matrix that is asymmetric or not positive definite is first
-    repaired by symmetrizing and clipping its eigenvalues at ``eps``; the
+    A matrix with a non-finite entry cannot be repaired and is left out
+    (detection sigma-flags it, since it fails the PD screen); if no finite
+    matrix remains, :class:`NumericalError` is raised.  Any other received
+    matrix that is asymmetric or not positive definite is first repaired by
+    symmetrizing and clipping its eigenvalues at ``eps``; the
     half-vectorized matrices are then combined by the weighted spatial
     median (weights sqrt(n_k)) and the result is rebuilt.  Because every
     input to the median is PD and the median lies in their convex hull, the
@@ -303,8 +306,13 @@ def aggregate_sigma(
     p = ests[0].p
     if any(e.sigma_star.shape != (p, p) for e in ests):
         raise DimensionError("variance matrices disagree on dimension")
+    stack = np.stack([e.sigma_star for e in ests])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.any():
+        raise NumericalError("no variance matrix with finite entries to aggregate")
+    ests = [e for e, ok in zip(ests, finite) if ok]
 
-    pd, sym = numkit.screen_positive_definite([e.sigma_star for e in ests])
+    pd, sym = numkit.screen_positive_definite(stack[finite])
     # vech of every kept matrix at once; the others are repaired first.
     vechs = numkit.vech_stack(sym)
     for k in np.flatnonzero(~pd):

@@ -1,10 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustagg
 from robustagg.cli import main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, generate_dataset, partition
 from robustagg.errors import ConfigError
@@ -294,6 +298,25 @@ class TestSmallCommands:
         )
         assert main(["check"]) == 1
         assert "FAIL exact column sums equal math.fsum" in capsys.readouterr().out
+
+    def test_simulate_loads_neither_scipy_optimize_nor_stats(self, tmp_path):
+        # Either module costs ~20 MB of resident memory in a run.
+        code = (
+            "import sys\n"
+            "from robustagg.cli import main\n"
+            "assert main(['simulate', '--K', '4', '--n', '100', '--replicates', '2',\n"
+            "             '--contamination', 'omniscient', '--count', '1',\n"
+            f"             '--out-dir', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+        )
+        src = str(Path(robustagg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_workers_env_default(self, monkeypatch):
         from robustagg.distsim import default_workers

@@ -142,7 +142,7 @@ class TestDetect:
         assert report.flagged_theta_ids() == []
         assert report.flagged_sigma_ids() == []
         assert report.threshold == pytest.approx(
-            math.sqrt(numkit.chi2_quantile(2, 0.05))
+            math.sqrt(-2.0 * math.log(0.05))
         )
 
     def test_extreme_server_flagged(self):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from robustagg import numkit
-from robustagg.aggregate import LocalEstimate
+from robustagg.aggregate import (
+    HuberConfig,
+    LocalEstimate,
+    huber_aggregate,
+    standard_errors,
+    weighted_average,
+)
+from robustagg.detect import detect
 from robustagg.distsim import (
     ContaminationKind,
     ContaminationSpec,
@@ -14,6 +21,7 @@ from robustagg.distsim import (
     encode_message,
     generate_dataset,
     partition,
+    process,
     run_replicate,
     run_study,
     study_metrics_to_csv,
@@ -25,6 +33,7 @@ from robustagg.errors import (
     VersionMismatchError,
 )
 from robustagg.models import ModelKind, ModelSpec, fit_local, sandwich_variance
+from robustagg.spatialmed import aggregate_sigma
 
 
 class TestGenerate:
@@ -175,10 +184,83 @@ class TestTransport:
         back = decode_message(encode_message(est))
         assert back.server_id == "airline_aa"
 
+    def test_existing_ids_keep_their_wire_text(self):
+        for server_id, text in ((3, b"v1|3|"), ("shard07", b"v1|shard07|")):
+            est = LocalEstimate(server_id, 50, np.array([2.0]), np.array([[1.0]]))
+            assert encode_message(est).startswith(text)
+
+    @pytest.mark.parametrize(
+        "server_id", ["01", "+1", "1", "-3", "'quoted", "", " 2", 0, 7, -2, 10**30]
+    )
+    def test_server_id_type_and_text_round_trip(self, server_id):
+        est = LocalEstimate(server_id, 50, np.array([2.0]), np.array([[1.0]]))
+        back = decode_message(encode_message(est)).server_id
+        assert type(back) is type(server_id)
+        assert back == server_id
+
+    @pytest.mark.parametrize("server_id", ["a|b", True, 1.5])
+    def test_id_the_format_cannot_carry_rejected_at_encode(self, server_id):
+        est = LocalEstimate(server_id, 50, np.array([2.0]), np.array([[1.0]]))
+        with pytest.raises((ValueError, TypeError)):
+            encode_message(est)
+
     def test_asymmetric_sigma_not_encodable(self):
         est = LocalEstimate(1, 50, np.array([2.0, 1.0]), np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ValueError):
             encode_message(est)
+
+
+def process_reference(received, c, alpha, sigma_hat=None):
+    """The central processor as the four calls it stands for."""
+    if sigma_hat is None:
+        sigma_hat = aggregate_sigma(received)
+    result = huber_aggregate(received, sigma_hat, HuberConfig(c=c))
+    theta_bar, sigma_bar = weighted_average(received)
+    se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
+    report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)
+    return result, theta_bar, se_wa, report
+
+
+class TestProcess:
+    @pytest.fixture(scope="class")
+    def received(self):
+        cfg = StudyConfig(
+            n_servers=8,
+            shard_size=300,
+            contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN, count=2),
+        )
+        model = ModelSpec(cfg.model, cfg.p)
+        shards = partition(generate_dataset(cfg.model, cfg.theta0, cfg.total_size, 5), 8)
+        fits = [fit_local(model, s, server_id=k + 1) for k, s in enumerate(shards)]
+        ests = contaminate(model, fits, shards, cfg.contamination, 6)
+        received = [decode_message(encode_message(e)) for e in ests]
+        assert sum(e.n_k for e in received) == cfg.total_size
+        return received
+
+    @pytest.mark.parametrize("trusted", [None, 4])
+    def test_equals_the_four_calls_bit_for_bit(self, received, trusted):
+        sigma_hat = None
+        if trusted is not None:
+            sigma_hat = numkit.ensure_symmetric(received[trusted - 1].sigma_star)
+        got = process(received, 1.345, 0.05, sigma_hat)
+        want = process_reference(received, 1.345, 0.05, sigma_hat)
+        for g, w in zip(got[0].__dict__.values(), want[0].__dict__.values()):
+            assert np.array_equal(g, w)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert got[3].to_csv_string() == want[3].to_csv_string()
+        assert got[3].threshold == want[3].threshold
+
+    def test_non_finite_variance_is_flagged_not_fatal(self, received):
+        bad = received[5]
+        sigma = bad.sigma_star.copy()
+        sigma[0, 1] = np.nan
+        payloads = received[:5] + [
+            LocalEstimate(bad.server_id, bad.n_k, bad.theta_star, sigma)
+        ] + received[6:]
+        result, _, _, report = process(payloads, 1.345, 0.05)
+        assert np.isfinite(result.theta_hat).all()
+        assert bad.server_id in report.flagged_sigma_ids()
 
 
 class TestRunReplicate:

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import expit
 
 from robustagg import numkit
 from robustagg.aggregate import LocalEstimate, server_order
 from robustagg.detect import detect, mahalanobis_d1, mahalanobis_d2
-from robustagg.errors import DimensionError
+from robustagg.errors import DimensionError, NumericalError
 from robustagg.models import (
     ModelSpec,
     Observations,
@@ -218,17 +219,28 @@ class TestAggregateSigma:
             rng.shuffle(ests)
             assert np.array_equal(aggregate_sigma(ests), aggregate_sigma_reference(ests))
 
-    def test_nan_matrix_fails_as_before(self):
+    def test_non_finite_matrices_left_out(self):
+        # A matrix with a nan or an inf entry cannot be repaired to PD, so the
+        # median is taken over the other servers, and the screen flags the
+        # servers that sent them by their variance.
         rng = np.random.default_rng(7)
+        clean = [est(sid, 100, [0.0, 0.0], random_pd(rng, 2)) for sid in range(1, 6)]
         nan = random_pd(rng, 2)
         nan[1, 0] = np.nan
-        ests = [est(sid, 100, [0.0, 0.0], random_pd(rng, 2)) for sid in range(1, 6)]
-        ests.append(est(6, 100, [0.0, 0.0], nan))
-        with pytest.raises(ValueError) as expected:
-            aggregate_sigma_reference(ests)
-        with pytest.raises(ValueError) as got:
-            aggregate_sigma(ests)
-        assert str(got.value) == str(expected.value)
+        inf = random_pd(rng, 2)
+        inf[0, 0] = np.inf
+        ests = clean + [est(6, 100, [0.0, 0.0], nan), est(7, 100, [0.0, 0.0], inf)]
+        sigma = aggregate_sigma(ests)
+        assert np.array_equal(sigma, aggregate_sigma(clean))
+        assert np.array_equal(sigma, aggregate_sigma_reference(clean))
+        report = detect(ests, [0.0, 0.0], sigma)
+        assert report.flagged_theta_ids() == []
+        assert report.flagged_sigma_ids() == [6, 7]
+
+    def test_no_finite_matrix_raises(self):
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(NumericalError):
+            aggregate_sigma([est(sid, 100, [0.0, 0.0], nan) for sid in (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ class TestAggregateSigma:
 def detect_reference(estimates, theta_hat, sigma_hat, alpha=0.05):
     """The two-step screen as one d1 and one d2 call per server."""
     ests = sorted(estimates, key=server_order)
-    threshold = math.sqrt(numkit.chi2_quantile(ests[0].p, alpha))
+    threshold = math.sqrt(float(special.chdtri(ests[0].p, alpha)))
     rows = []
     for e in ests:
         try:

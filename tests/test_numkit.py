@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from robustagg import numkit
+from robustagg.aggregate import LocalEstimate
+from robustagg.detect import detect
 from robustagg.errors import DimensionError, NotPositiveDefiniteError
 
 
@@ -16,20 +18,22 @@ def random_pd(rng, p, cond=100.0):
 
 
 class TestSymEig:
+    """The descending eigenpairs behind inv_sqrt_pd and sqrt_pd."""
+
     def test_identity(self):
-        dec = numkit.sym_eig(np.eye(2))
-        assert np.allclose(dec.values, [1.0, 1.0])
+        values, _ = numkit._eig_descending(np.eye(2))
+        assert np.allclose(values, [1.0, 1.0])
 
     def test_diagonal_sorted_descending(self):
-        dec = numkit.sym_eig(np.diag([4.0, 9.0]))
-        assert np.allclose(dec.values, [9.0, 4.0])
+        values, _ = numkit._eig_descending(np.diag([4.0, 9.0]))
+        assert np.allclose(values, [9.0, 4.0])
 
     def test_two_by_two_hand_algebra(self):
         # [[2,1],[1,2]]: characteristic polynomial (2-l)^2 - 1 = 0 -> l = 3, 1
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        dec = numkit.sym_eig(a)
-        assert np.allclose(dec.values, [3.0, 1.0], atol=1e-12)
-        v = dec.vectors[:, 0]
+        values, vectors = numkit._eig_descending(a)
+        assert np.allclose(values, [3.0, 1.0], atol=1e-12)
+        v = vectors[:, 0]
         assert np.allclose(np.abs(v), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_characteristic_polynomial_oracle_2x2(self):
@@ -40,23 +44,33 @@ class TestSymEig:
             m = np.array([[a, b], [b, d]])
             disc = math.sqrt((a - d) ** 2 + 4 * b * b)
             expected = np.array([(a + d + disc) / 2, (a + d - disc) / 2])
-            dec = numkit.sym_eig(m)
-            assert np.allclose(dec.values, expected, atol=1e-12)
+            values, _ = numkit._eig_descending(m)
+            assert np.allclose(values, expected, atol=1e-12)
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(3)
         for p in (1, 2, 5, 12):
             a = rng.standard_normal((p, p))
             a = (a + a.T) / 2
-            dec = numkit.sym_eig(a)
-            rebuilt = (dec.vectors * dec.values) @ dec.vectors.T
+            values, vectors = numkit._eig_descending(a)
+            rebuilt = (vectors * values) @ vectors.T
             norm = np.linalg.norm(a) or 1.0
             assert np.linalg.norm(rebuilt - a) <= 1e-10 * norm
-            assert np.abs(dec.vectors.T @ dec.vectors - np.eye(p)).max() <= 1e-10
+            assert np.abs(vectors.T @ vectors - np.eye(p)).max() <= 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            numkit.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            numkit._eig_descending(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def sorted_root_reference(a, inverse):
+    """The (inverse) square root from eigenpairs sorted descending by
+    argsort, as it was built before the pairs were reversed by view."""
+    values, vectors = np.linalg.eigh(numkit.symmetrize(a))
+    order = np.argsort(values)[::-1]
+    values, vectors = values[order], vectors[:, order]
+    scaled = vectors / np.sqrt(values) if inverse else vectors * np.sqrt(values)
+    return numkit.symmetrize(scaled @ vectors.T)
 
 
 class TestInvSqrt:
@@ -85,6 +99,25 @@ class TestInvSqrt:
         with pytest.raises(NotPositiveDefiniteError) as excinfo:
             numkit.inv_sqrt_pd(np.diag([1.0, -3.0]))
         assert excinfo.value.eigenvalue == pytest.approx(-3.0)
+
+    @pytest.mark.parametrize("root", [numkit.inv_sqrt_pd, numkit.sqrt_pd])
+    def test_rejects_asymmetric(self, root):
+        with pytest.raises(ValueError):
+            root(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_same_bits_as_argsort_order(self):
+        # Reordering the eigenpairs reorders the sums of the matrix product,
+        # so only the descending order keeps the bits; ties included.
+        rng = np.random.default_rng(19)
+        for p in range(1, 7):
+            for _ in range(40):
+                a = random_pd(rng, p, cond=10 ** rng.uniform(0, 8))
+                assert np.array_equal(numkit.inv_sqrt_pd(a), sorted_root_reference(a, True))
+                assert np.array_equal(numkit.sqrt_pd(a), sorted_root_reference(a, False))
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            tied = (q * np.repeat([3.0, 1.0], (p + 1) // 2)[:p]) @ q.T
+            assert np.array_equal(numkit.inv_sqrt_pd(tied), sorted_root_reference(tied, True))
+            assert np.array_equal(numkit.sqrt_pd(tied), sorted_root_reference(tied, False))
 
 
 class TestVech:
@@ -139,77 +172,46 @@ class TestPdProject:
         assert out[0, 1] == pytest.approx(0.3)
 
 
-class TestStdNormal:
-    def test_at_zero(self):
-        pdf, cdf = numkit.std_normal(0.0)
-        assert pdf == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-16)
-        assert cdf == 0.5
-
-    def test_tail_limit(self):
-        _, cdf = numkit.std_normal(8.0)
-        assert cdf >= 1 - 1e-15
-
-    def test_against_quadrature_oracle(self):
-        # Independent oracle: integrate the density numerically up to u.
-        def phi(t):
-            return math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
-
-        for u in (1.345, -0.7, 2.5):
-            oracle, err = integrate.quad(phi, -10.0, u, epsabs=1e-13)
-            assert err < 1e-9
-            _, cdf = numkit.std_normal(u)
-            assert cdf == pytest.approx(oracle, abs=1e-11)
-        # Frozen value from the quadrature oracle at 1.345.
-        assert numkit.std_normal(1.345)[1] == pytest.approx(0.91068738, abs=5e-7)
-
-    def test_symmetry_property(self):
-        rng = np.random.default_rng(17)
-        for u in rng.uniform(-8, 8, size=200):
-            _, c1 = numkit.std_normal(u)
-            _, c2 = numkit.std_normal(-u)
-            assert abs(c1 + c2 - 1.0) <= 1e-12
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            numkit.std_normal(float("nan"))
+def threshold_squared(dof, alpha):
+    """The squared detection threshold, read from a screen of one server."""
+    server = LocalEstimate(1, 100, np.zeros(dof), np.eye(dof))
+    return detect([server], np.zeros(dof), np.eye(dof), alpha=alpha).threshold ** 2
 
 
 class TestChi2Quantile:
+    """The upper-alpha chi-squared quantile of the detection threshold."""
+
     def test_dof2_analytic(self):
         # P(chi2_2 > t) = exp(-t/2), so t = -2 ln(alpha).
-        assert numkit.chi2_quantile(2, 0.05) == pytest.approx(
-            -2.0 * math.log(0.05), abs=1e-9
-        )
+        assert threshold_squared(2, 0.05) == pytest.approx(-2.0 * math.log(0.05), abs=1e-9)
 
     def test_alpha_near_one_limit(self):
-        assert numkit.chi2_quantile(2, 1 - 1e-12) == pytest.approx(0.0, abs=1e-9)
+        assert threshold_squared(2, 1 - 1e-12) == pytest.approx(0.0, abs=1e-9)
 
     def test_dof23_monte_carlo_oracle(self):
         # Oracle 1: empirical tail frequency of chi-squared draws.
-        t = numkit.chi2_quantile(23, 0.05)
+        t = threshold_squared(23, 0.05)
         rng = np.random.default_rng(29)
         draws = rng.chisquare(23, size=1_000_000)
         freq = float((draws > t).mean())
         assert freq == pytest.approx(0.05, abs=1e-3)
-        # Oracle 2: scipy's independent inverse survival function.
+        # Oracle 2: scipy's inverse survival function.
         assert t == pytest.approx(stats.chi2.isf(0.05, 23), abs=1e-9)
         assert t == pytest.approx(35.17, abs=0.01)
 
     def test_survival_round_trip(self):
         for dof in (1, 2, 5, 23, 100):
             for alpha in (0.9, 0.5, 0.1, 0.05, 0.001):
-                t = numkit.chi2_quantile(dof, alpha)
+                t = threshold_squared(dof, alpha)
                 assert stats.chi2.sf(t, dof) == pytest.approx(alpha, rel=1e-9)
 
     def test_strictly_decreasing_in_alpha(self):
         grid = [0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.8, 0.99]
-        values = [numkit.chi2_quantile(5, a) for a in grid]
+        values = [threshold_squared(5, a) for a in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            numkit.chi2_quantile(2, 0.0)
+            threshold_squared(2, 0.0)
         with pytest.raises(ValueError):
-            numkit.chi2_quantile(2, 1.0)
-        with pytest.raises(ValueError):
-            numkit.chi2_quantile(0, 0.5)
+            threshold_squared(2, 1.0)
