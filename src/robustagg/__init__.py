@@ -38,6 +38,7 @@ from .models import (
     Observations,
     criterion_eval,
     fit_local,
+    fit_shards,
     sandwich_variance,
 )
 from .numkit import inv_sqrt_pd, pd_project, vech, vech_inv

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, NotPositiveDefiniteError
+from .errors import DimensionError, NonConvergenceError, NotPositiveDefiniteError, NumericalError
 from . import numkit
 
 DEFAULT_HUBER_C = 1.345
@@ -180,9 +180,17 @@ def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -
     theta <- theta + t * Sigma^{1/2} residual is taken instead.  Iteration
     starts from the coordinate-wise median of the received estimates so the
     start point cannot be hijacked by contaminated servers.
+
+    A server whose estimate has a non-finite entry is left out, as
+    ``aggregate_sigma`` leaves out a non-finite variance matrix (detection
+    flags it, since its d1 is not finite); if no server is left,
+    :class:`NumericalError` is raised.
     """
     ests = _sorted_estimates(estimates)
     p = ests[0].p
+    ests = [e for e in ests if np.isfinite(e.theta_star).all()]
+    if not ests:
+        raise NumericalError("no estimate with finite entries to aggregate")
     n_total = sum(e.n_k for e in ests)
 
     sigma_hat = np.asarray(sigma_hat, dtype=float)

@@ -41,7 +41,7 @@ from .distsim import (
     run_study,
     study_metrics_to_csv,
 )
-from .models import ModelKind, ModelSpec, Observations, fit_local
+from .models import ModelKind, ModelSpec, Observations, fit_local, fit_shards
 
 _CONFIG_KEYS = {
     "model": str,
@@ -437,6 +437,26 @@ def cmd_check(args: argparse.Namespace) -> int:
             [math.fsum(col) / n for col in cols.T.tolist()],
         ),
     )
+
+    # A replicate fits its equal-size shards in one stacked pass; that gives
+    # the published bits only if the stacked einsum, matmul, solve and eigh
+    # of this numpy and LAPACK equal one call per shard.
+    stacked_equal = True
+    for model, n in ((ModelSpec.linear(3), 50), (ModelSpec.logistic(2), 300)):
+        X = rng.standard_normal((6 * n, model.p))
+        eta = X @ np.linspace(1.0, -0.5, model.p)
+        y = eta + rng.standard_normal(6 * n)
+        if model.kind is ModelKind.LOGISTIC:
+            y = (rng.random(6 * n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        shards = [Observations(y[k * n : (k + 1) * n], X[k * n : (k + 1) * n]) for k in range(6)]
+        singles = [fit_local(model, shard) for shard in shards]
+        for one, fit in zip(singles, fit_shards(model, shards)):
+            stacked_equal &= (
+                np.array_equal(one.theta_hat, fit.theta_hat)
+                and np.array_equal(one.sigma_hat, fit.sigma_hat)
+                and one.grad_norm == fit.grad_norm
+            )
+    check("stacked local fits equal per-shard fits bit for bit", stacked_equal)
 
     if failures:
         print(f"{len(failures)} self-test(s) failed")

@@ -234,8 +234,10 @@ def detect(
 
     d1s = _step1(ests, theta_hat, sigma_hat)
     # Step 2 runs only for servers that step 1 neither failed nor flagged.
+    # A non-finite d1 (a payload with an infinite or NaN coordinate) fails
+    # ``d1 <= threshold`` and so is flagged.
     passed = [
-        i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and not d1 > threshold
+        i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and d1 <= threshold
     ]
     d2s = dict(zip(passed, _step2([ests[i] for i in passed], theta_hat)))
 
@@ -254,7 +256,7 @@ def detect(
                 )
             )
             continue
-        theta_flagged = d1 > threshold
+        theta_flagged = not d1 <= threshold
         d2 = d2s.get(i)
         records.append(
             ServerDetection(

@@ -42,7 +42,7 @@ from .aggregate import (
     weighted_average,
 )
 from .detect import detect
-from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_local, sandwich_variance
+from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_shards, sandwich_variance
 from .spatialmed import aggregate_sigma
 
 PROTOCOL_VERSION = "v1"
@@ -384,10 +384,7 @@ def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     model = ModelSpec(config.model, config.p)
     data = generate_dataset(config.model, config.theta0, config.total_size, data_seed)
     shards = partition(data, config.n_servers)
-    fits = [
-        fit_local(model, shard, server_id=k + 1)
-        for k, shard in enumerate(shards)
-    ]
+    fits = fit_shards(model, shards, server_ids=range(1, len(shards) + 1))
     estimates = contaminate(model, fits, shards, config.contamination, contam_seed)
 
     # Transport: everything the processor sees went over the wire.

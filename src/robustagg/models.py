@@ -24,15 +24,28 @@ with numpy 2.4 and OpenBLAS 0.3:
   the few exact pass sums then rounds the true column sum as ``fsum`` over
   the column does.  Below 1,500 entries per call it is slower than
   ``fsum`` and calls ``fsum`` instead; n=1000, p=2 is above the crossover,
-  n=50, p=5 below it.  The three-operand Hessian
+  n=50, p=5 below it, but one call over all K=400 shards of that size is
+  far above it.  The three-operand Hessian
   ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry in observation
   order; and, in the central processor, stacked ``eigh`` and stacked
   ``solve`` with one right-hand side per matrix (see README.md).
+* Same bits, stacked over K equal-size shards (:func:`fit_shards`): X'X as
+  ``einsum("kij,kil->kjl", X, X)``; X'y as ``X.swapaxes(-1, -2) @ y[...,
+  None]`` and the linear predictor as ``X @ theta[..., None]`` (stacked
+  ``matmul``); the linear gradient as ``einsum("ki,kij->kj", resid, X)``;
+  stacked ``solve`` for theta and for both sides of the sandwich; per
+  pass, one ``exact_column_means`` call for every shard's gbar and U sums
+  and one for V; the PD screen.  ``grad_norm`` stays the 1-D ``np.linalg.norm`` of
+  each shard's gradient.
 * Different bits, so not used: ``(w[:, None] * X).T @ X`` (BLAS, 291 of 300
   random shards differ); one 1-D ``add.reduce`` per Hessian entry (pairwise
   summation, 300 of 300); and the two-operand ``einsum("ij,ik->jk",
   w[:, None] * X, X)``, which agrees for p >= 2 but at p = 1 switches to a
-  vectorized reduction (188 of 200 shards differ).
+  vectorized reduction (188 of 200 shards differ).  Of 4,000 linear shards
+  (K=400, n=50, p=5, ten datasets): ``einsum("kij,ki->kj", X, y)`` for X'y
+  differed from ``X.T @ y`` in 3,990; ``einsum("ij,j->i", X, theta)`` for
+  the linear predictor from ``X @ theta`` in 4,000; and
+  ``np.linalg.norm(grads, axis=1)`` from the 1-D norm in 479.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from .errors import (
     DimensionError,
     NonConvergenceError,
     RankDeficiencyError,
+    RobustAggError,
     SeparationError,
     SingularMatrixError,
 )
@@ -64,6 +78,13 @@ _DIVERGENCE_RATIO = 1e4
 # probability within ~1e-6 of its label: the likelihood has no interior
 # maximizer and the gradient tolerance was reached only through saturation.
 _SATURATED_MARGIN = 13.8
+
+
+# Sandwich product entries (n * (p + p(p+1)/2) per shard) in one stacked
+# pass of fit_shards.  The stacked arrays of a pass are a few copies of that
+# many doubles, so this bounds the memory a pass adds, while every pass's
+# exact-sum calls stay far above numkit.EXACT_SUM_MIN_ENTRIES.
+STACK_ENTRIES = 1 << 15
 
 
 class ModelKind(Enum):
@@ -198,41 +219,97 @@ def criterion_eval(model: ModelSpec, data: Observations, theta):
     return value, grad, numkit.symmetrize(hess)
 
 
-def _per_obs_gradients(model: ModelSpec, data: Observations, theta) -> np.ndarray:
-    """Matrix whose i-th row is grad m(Z_i; theta)."""
-    eta = data.X @ np.asarray(theta, dtype=float).ravel()
-    if model.kind is ModelKind.LINEAR:
-        return 2.0 * (data.y - eta)[:, None] * data.X
-    return (data.y - expit(eta))[:, None] * data.X
+def _outer_rows(cols: np.ndarray) -> np.ndarray:
+    """The products ``cols[..., j, :] * cols[..., k, :]`` for ``j <= k``, as
+    rows in ``numkit.triu_indices`` order.
 
-
-def _outer_columns(rows: np.ndarray) -> np.ndarray:
-    """The products ``rows[:, j] * rows[:, k]`` for ``j <= k``, as columns in
-    ``numkit.triu_indices`` order."""
-    iu = numkit.triu_indices(rows.shape[1])
-    return rows[:, iu[0]] * rows[:, iu[1]]
+    ``cols`` holds one coordinate per row, a ``(K, p, n)`` stack of the
+    transposed observation vectors, so every product runs over contiguous
+    memory; each entry is one product, whatever the layout.
+    """
+    iu = numkit.triu_indices(cols.shape[-2])
+    return cols[..., iu[0], :] * cols[..., iu[1], :]
 
 
 def _sym_from_upper(means: np.ndarray, p: int) -> np.ndarray:
     """The symmetric p x p matrix whose upper triangle, in
-    ``numkit.triu_indices`` order, is ``means``."""
+    ``numkit.triu_indices`` order, is ``means`` (or one such matrix for
+    each row of a 2-D ``means``)."""
     iu = numkit.triu_indices(p)
-    out = np.empty((p, p))
-    out[iu] = means
-    out.T[iu] = means
+    out = np.empty(means.shape[:-1] + (p, p))
+    out[..., iu[0], iu[1]] = means
+    out[..., iu[1], iu[0]] = means
     return out
 
 
-def _mean_outer(rows: np.ndarray) -> np.ndarray:
-    """Exactly rounded mean of the outer products of the given row vectors.
+def _row_means(stack: np.ndarray) -> np.ndarray:
+    """Exactly rounded row means of every matrix of a ``(K, m, n)`` stack.
+
+    All K*m rows go to one ``numkit.exact_column_means`` call, which sums
+    each on its own, so the means are the bits of one call per matrix; a
+    stack of small shards reaches the extraction crossover that none of its
+    shards reaches alone.
+    """
+    k, m, n = stack.shape
+    return numkit.exact_column_means(stack.reshape(k * m, n).T).reshape(k, m)
+
+
+def _mean_outer(cols: np.ndarray) -> np.ndarray:
+    """Exactly rounded mean of the outer products of the observation
+    vectors, given one coordinate per row as a ``(K, p, n)`` stack.
 
     Every entry is the correctly rounded sum of its products (the double
-    ``math.fsum`` returns) over n, whatever the order of the rows, which
-    makes the result invariant under row permutation.
+    ``math.fsum`` returns) over n, whatever the order of the observations,
+    which makes the result invariant under their permutation.
     """
-    return _sym_from_upper(
-        numkit.exact_column_means(_outer_columns(rows)), rows.shape[1]
-    )
+    return _sym_from_upper(_row_means(_outer_rows(cols)), cols.shape[-2])
+
+
+def _stacked_sandwich(
+    model: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray, allow_singular: bool
+) -> np.ndarray:
+    """:func:`sandwich_variance` of K equal-size shards, ``(K, n, p)``
+    designs ``X`` and ``(K, n)`` responses ``y`` at the ``(K, p)`` estimates
+    ``thetas``, as one ``(K, p, p)`` stack.
+
+    Every step is a stacked form that returns the bits of one call per shard:
+    a stacked ``matmul`` for the linear predictor, elementwise products, two
+    :func:`_row_means` calls over all shards' sums and two stacked
+    ``solve`` calls.  If one shard's U is singular the stacked ``solve``
+    raises for the whole stack.
+    """
+    p = model.p
+    eta = (X @ thetas[..., None])[..., 0]
+    cols = np.ascontiguousarray(X.swapaxes(-1, -2))
+    if model.kind is ModelKind.LINEAR:
+        grads = 2.0 * (y - eta)[:, None, :] * cols
+        u_cols = cols
+    else:
+        pi = expit(eta)
+        grads = (y - pi)[:, None, :] * cols
+        w = pi * (1.0 - pi)
+        u_cols = np.sqrt(w)[:, None, :] * cols
+    # U does not depend on the mean gradient, so its sums share one call
+    # with those of gbar; V is centered at gbar and needs a second call.
+    # Each row is still summed on its own, so the bits are unchanged.
+    means = _row_means(np.concatenate((grads, _outer_rows(u_cols)), axis=1))
+    gbar = means[:, :p]
+    u_hat = _sym_from_upper(means[:, p:], p)
+    if model.kind is ModelKind.LINEAR:
+        u_hat = 2.0 * u_hat
+    v_hat = _mean_outer(grads - gbar[:, :, None])
+
+    if allow_singular:
+        sigma = np.stack([u_inv @ v @ u_inv for u_inv, v in zip(map(_pinv_sym, u_hat), v_hat)])
+    else:
+        try:
+            half = np.linalg.solve(u_hat, v_hat)
+            sigma = np.linalg.solve(u_hat, half.swapaxes(-1, -2)).swapaxes(-1, -2)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(
+                "averaged Hessian is singular; sandwich variance undefined"
+            ) from None
+    return (sigma + sigma.swapaxes(-1, -2)) / 2.0
 
 
 def sandwich_variance(
@@ -249,39 +326,9 @@ def sandwich_variance(
     """
     _check_data(model, data)
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-
-    p = model.p
-    grads = _per_obs_gradients(model, data, theta_hat)
-    if model.kind is ModelKind.LINEAR:
-        u_rows = data.X
-    else:
-        w = expit(data.X @ theta_hat)
-        w = w * (1.0 - w)
-        u_rows = np.sqrt(w)[:, None] * data.X
-    # U does not depend on the mean gradient, so its sums share one call
-    # with those of gbar; V is centered at gbar and needs a second call.
-    # Each column is still summed on its own, so the bits are unchanged.
-    means = numkit.exact_column_means(
-        np.concatenate((grads, _outer_columns(u_rows)), axis=1)
-    )
-    gbar = means[:p]
-    u_hat = _sym_from_upper(means[p:], p)
-    if model.kind is ModelKind.LINEAR:
-        u_hat = 2.0 * u_hat
-    v_hat = _mean_outer(grads - gbar)
-
-    if allow_singular:
-        u_inv = _pinv_sym(u_hat)
-        sigma = u_inv @ v_hat @ u_inv
-    else:
-        try:
-            half = np.linalg.solve(u_hat, v_hat)
-            sigma = np.linalg.solve(u_hat, half.T).T
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "averaged Hessian is singular; sandwich variance undefined"
-            ) from None
-    return numkit.symmetrize(sigma)
+    return _stacked_sandwich(
+        model, data.X[None], data.y[None], theta_hat[None], allow_singular
+    )[0]
 
 
 def _pinv_sym(a: np.ndarray) -> np.ndarray:
@@ -301,6 +348,117 @@ def _pinv_sym(a: np.ndarray) -> np.ndarray:
     return numkit.symmetrize((vectors * inv) @ vectors.T)
 
 
+def _newton(model: ModelSpec, data: Observations, tol: float, max_iter: int):
+    """Logistic Newton-Raphson from the zero vector with step halving.
+
+    Returns ``(theta, iterations, gradient)``.
+    """
+    classes = np.unique(data.y)
+    if classes.size < 2:
+        raise SeparationError(
+            "only one response class present; logistic MLE does not exist"
+        )
+    theta = np.zeros(model.p)
+    value, grad, hess = criterion_eval(model, data, theta)
+    iters = 0
+    first_step_norm = None
+    converged = float(np.linalg.norm(grad)) <= tol
+    while not converged:
+        if iters >= max_iter:
+            raise NonConvergenceError(
+                f"logistic fit did not converge in {max_iter} iterations",
+                best=theta,
+                residual=float(np.linalg.norm(grad)),
+            )
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError(
+                "logistic Hessian is singular at the current iterate"
+            ) from None
+        # Step halving: keep the criterion from decreasing.
+        scale = 1.0
+        for _ in range(60):
+            cand = theta + scale * step
+            cand_value, cand_grad, cand_hess = criterion_eval(model, data, cand)
+            if cand_value >= value - 1e-14 * abs(value):
+                break
+            scale /= 2.0
+        theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
+        iters += 1
+        norm = float(np.linalg.norm(theta))
+        if first_step_norm is None:
+            first_step_norm = norm
+        if norm > _DIVERGENCE_RATIO * max(1.0, first_step_norm):
+            raise SeparationError(
+                "logistic step norms diverged; data appear completely separated"
+            )
+        converged = float(np.linalg.norm(grad)) <= tol
+    margins = (2.0 * data.y - 1.0) * (data.X @ theta)
+    if float(margins.min()) > _SATURATED_MARGIN:
+        raise SeparationError(
+            "every observation is classified with saturated probability; "
+            "the data are completely separated"
+        )
+    return theta, iters, grad
+
+
+def _fit_group(
+    model: ModelSpec, shards: list, tol: float, max_iter: int, server_ids: list
+) -> list[LocalFit]:
+    """Fit shards of one size in one stacked pass.
+
+    The linear fit is closed form: stacked ``einsum`` for X'X, stacked
+    ``matmul`` for X'y and the linear predictor, and a stacked ``solve``.
+    Logistic shards run Newton one at a time.  Both then share one
+    :func:`_stacked_sandwich` and one PD screen.  For a single shard this is
+    :func:`fit_local`, errors included; for more, a stacked step that raises
+    does so for the whole group.
+    """
+    for data in shards:
+        _check_data(model, data)
+        if data.n < model.p:
+            raise DimensionError(
+                f"need at least p={model.p} observations, shard has {data.n}"
+            )
+    X = np.stack([data.X for data in shards])
+    y = np.stack([data.y for data in shards])
+
+    if model.kind is ModelKind.LINEAR:
+        xtx = np.einsum("kij,kil->kjl", X, X)
+        xty = X.swapaxes(-1, -2) @ y[..., None]
+        try:
+            thetas = np.linalg.solve(xtx, xty)[..., 0]
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError(
+                "design matrix is rank deficient; least squares has no unique solution"
+            ) from None
+        # The gradient of criterion_eval, for every shard at once.
+        resid = y - (X @ thetas[..., None])[..., 0]
+        grads = 2.0 * np.einsum("ki,kij->kj", resid, X) / X.shape[1]
+        iters = [0] * len(shards)
+    else:
+        runs = [_newton(model, data, tol, max_iter) for data in shards]
+        thetas = np.stack([theta for theta, _, _ in runs])
+        iters = [it for _, it, _ in runs]
+        grads = [grad for _, _, grad in runs]
+
+    sigmas = _stacked_sandwich(model, X, y, thetas, allow_singular=False)
+    pd = numkit.screen_positive_definite(sigmas)[0]
+    return [
+        LocalFit(
+            theta_hat=thetas[k],
+            sigma_hat=sigmas[k],
+            n_k=shards[k].n,
+            server_id=server_ids[k],
+            newton_iters=iters[k],
+            grad_norm=float(np.linalg.norm(grads[k])),
+            sigma_pd=bool(pd[k]),
+        )
+        for k in range(len(shards))
+    ]
+
+
 def fit_local(
     model: ModelSpec,
     data: Observations,
@@ -316,79 +474,48 @@ def fit_local(
     only one response class is present), :class:`RankDeficiencyError` for a
     singular Hessian, and :class:`NonConvergenceError` at the iteration cap.
     """
-    _check_data(model, data)
-    if data.n < model.p:
-        raise DimensionError(
-            f"need at least p={model.p} observations, shard has {data.n}"
-        )
+    return _fit_group(model, [data], tol, max_iter, [server_id])[0]
 
-    if model.kind is ModelKind.LINEAR:
-        xtx = np.einsum("ij,ik->jk", data.X, data.X)
-        xty = data.X.T @ data.y
-        try:
-            theta = np.linalg.solve(xtx, xty)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "design matrix is rank deficient; least squares has no unique solution"
-            ) from None
-        _, grad, _ = criterion_eval(model, data, theta)
-        iters = 0
-    else:
-        classes = np.unique(data.y)
-        if classes.size < 2:
-            raise SeparationError(
-                "only one response class present; logistic MLE does not exist"
-            )
-        theta = np.zeros(model.p)
-        value, grad, hess = criterion_eval(model, data, theta)
-        iters = 0
-        first_step_norm = None
-        converged = float(np.linalg.norm(grad)) <= tol
-        while not converged:
-            if iters >= max_iter:
-                raise NonConvergenceError(
-                    f"logistic fit did not converge in {max_iter} iterations",
-                    best=theta,
-                    residual=float(np.linalg.norm(grad)),
-                )
+
+def fit_shards(
+    model: ModelSpec,
+    shards,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    server_ids=None,
+) -> list[LocalFit]:
+    """:func:`fit_local` of every shard, with the shards of each size fitted
+    in one stacked pass.
+
+    ``server_ids`` defaults to the shard positions.  The fits are the bits
+    of one :func:`fit_local` call per shard.  If a stacked step raises, the
+    shards of that size are refit one :func:`fit_local` call at a time, in
+    shard order once every size has been tried, so the error raised is the
+    one the first failing shard raises on its own.
+    """
+    shards = list(shards)
+    server_ids = list(range(len(shards)) if server_ids is None else server_ids)
+    if len(server_ids) != len(shards):
+        raise DimensionError("shards and server_ids must align one-to-one")
+    groups: dict[int, list[int]] = {}
+    for i, data in enumerate(shards):
+        groups.setdefault(data.n, []).append(i)
+    fits: list = [None] * len(shards)
+    for n, same_size in groups.items():
+        per_pass = max(1, STACK_ENTRIES // (n * (model.p + numkit.vech_len(model.p))))
+        for start in range(0, len(same_size), per_pass):
+            idx = same_size[start : start + per_pass]
+            if len(idx) < 2:
+                continue
             try:
-                step = np.linalg.solve(-hess, grad)
-            except np.linalg.LinAlgError:
-                raise RankDeficiencyError(
-                    "logistic Hessian is singular at the current iterate"
-                ) from None
-            # Step halving: keep the criterion from decreasing.
-            scale = 1.0
-            for _ in range(60):
-                cand = theta + scale * step
-                cand_value, cand_grad, cand_hess = criterion_eval(model, data, cand)
-                if cand_value >= value - 1e-14 * abs(value):
-                    break
-                scale /= 2.0
-            theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
-            iters += 1
-            norm = float(np.linalg.norm(theta))
-            if first_step_norm is None:
-                first_step_norm = norm
-            if norm > _DIVERGENCE_RATIO * max(1.0, first_step_norm):
-                raise SeparationError(
-                    "logistic step norms diverged; data appear completely separated"
+                group = _fit_group(
+                    model, [shards[i] for i in idx], tol, max_iter, [server_ids[i] for i in idx]
                 )
-            converged = float(np.linalg.norm(grad)) <= tol
-        margins = (2.0 * data.y - 1.0) * (data.X @ theta)
-        if data.n > 0 and float(margins.min()) > _SATURATED_MARGIN:
-            raise SeparationError(
-                "every observation is classified with saturated probability; "
-                "the data are completely separated"
-            )
-
-    sigma = sandwich_variance(model, data, theta)
-    return LocalFit(
-        theta_hat=theta.copy(),
-        sigma_hat=sigma,
-        n_k=data.n,
-        server_id=server_id,
-        newton_iters=iters,
-        grad_norm=float(np.linalg.norm(grad)),
-        sigma_pd=numkit.is_positive_definite(sigma),
-    )
+            except (RobustAggError, ValueError):
+                continue
+            for i, fit in zip(idx, group):
+                fits[i] = fit
+    return [
+        fit if fit is not None else fit_local(model, shards[i], tol, max_iter, server_ids[i])
+        for i, fit in enumerate(fits)
+    ]

@@ -14,7 +14,7 @@ from robustagg.aggregate import (
     tau_c,
     weighted_average,
 )
-from robustagg.errors import NonConvergenceError, NotPositiveDefiniteError
+from robustagg.errors import NonConvergenceError, NotPositiveDefiniteError, NumericalError
 
 
 def make_estimates(rng, k, p, n_lo=1, n_hi=50, spread=1.0):
@@ -209,6 +209,23 @@ class TestHuberAggregate:
             perm = rng.permutation(len(ests))
             res = huber_aggregate([ests[i] for i in perm], sigma, HuberConfig(c=1.0))
             assert np.abs(res.theta_hat - base.theta_hat).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, np.nan]])
+    def test_non_finite_theta_left_out(self, bad):
+        rng = np.random.default_rng(43)
+        ests = make_estimates(rng, 9, 2)
+        sigma = np.array([[1.5, 0.2], [0.2, 0.8]])
+        clean = huber_aggregate(ests[:4] + ests[5:], sigma)
+        ests[4] = LocalEstimate(ests[4].server_id, ests[4].n_k, bad, ests[4].sigma_star)
+        res = huber_aggregate(ests, sigma)
+        assert np.isfinite(res.theta_hat).all()
+        for got, want in zip(res.__dict__.values(), clean.__dict__.values()):
+            assert np.array_equal(got, want)
+
+    def test_no_finite_theta_raises(self):
+        ests = [LocalEstimate(k, 10, [np.nan, 1.0], np.eye(2)) for k in (1, 2)]
+        with pytest.raises(NumericalError, match="no estimate with finite entries"):
+            huber_aggregate(ests, np.eye(2))
 
     def test_non_pd_sigma_mentions_projection(self):
         ests = [LocalEstimate(1, 3, np.array([1.0, 2.0]), np.eye(2))]

@@ -152,6 +152,20 @@ class TestDetect:
         report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
         assert report.flagged_theta_ids() == [1]
 
+    @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0]])
+    def test_non_finite_theta_flagged(self, bad):
+        # d1 comes out NaN for both payloads; ``nan > threshold`` is False,
+        # so the screen must flag on ``not d1 <= threshold``.
+        rng = np.random.default_rng(7)
+        ests = clean_estimates(rng)
+        ests[2] = est(3, ests[2].n_k, bad, ests[2].sigma_star)
+        report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
+        record = next(r for r in report.records if r.server_id == 3)
+        assert not record.d1 <= report.threshold
+        assert record.theta_flagged and not record.sigma_flagged
+        assert record.d2 is None
+        assert report.flagged_theta_ids() == [3]
+
     def test_shrunken_variance_flagged_via_d2(self):
         # Dividing a server's variance by 100 inflates its d2 tenfold, so a
         # server that was comfortably inside the threshold crosses it.

@@ -251,6 +251,16 @@ class TestProcess:
         assert got[3].to_csv_string() == want[3].to_csv_string()
         assert got[3].threshold == want[3].threshold
 
+    def test_nan_theta_is_flagged_and_left_out(self, received):
+        bad = received[2]
+        payloads = received[:2] + [
+            LocalEstimate(bad.server_id, bad.n_k, [np.nan, 1.0], bad.sigma_star)
+        ] + received[3:]
+        result, _, _, report = process(payloads, 1.345, 0.05)
+        assert np.isfinite(result.theta_hat).all()
+        assert result.iterations > 0
+        assert bad.server_id in report.flagged_theta_ids()
+
     def test_non_finite_variance_is_flagged_not_fatal(self, received):
         bad = received[5]
         sigma = bad.sigma_star.copy()
