@@ -290,8 +290,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     model = ModelSpec(model_kind, len(covariates))
     estimates = []
-    for path, obs in zip(shard_paths, shards):
-        fit = fit_local(model, obs, server_id=path.stem)
+    for fit in fit_shards(model, shards, server_ids=[path.stem for path in shard_paths]):
         est = LocalEstimate(
             server_id=fit.server_id,
             n_k=fit.n_k,

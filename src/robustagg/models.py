@@ -309,7 +309,7 @@ def _stacked_sandwich(
             raise SingularMatrixError(
                 "averaged Hessian is singular; sandwich variance undefined"
             ) from None
-    return (sigma + sigma.swapaxes(-1, -2)) / 2.0
+    return numkit.symmetrize(sigma)
 
 
 def sandwich_variance(
@@ -477,13 +477,7 @@ def fit_local(
     return _fit_group(model, [data], tol, max_iter, [server_id])[0]
 
 
-def fit_shards(
-    model: ModelSpec,
-    shards,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    server_ids=None,
-) -> list[LocalFit]:
+def fit_shards(model: ModelSpec, shards, server_ids=None) -> list[LocalFit]:
     """:func:`fit_local` of every shard, with the shards of each size fitted
     in one stacked pass.
 
@@ -509,13 +503,17 @@ def fit_shards(
                 continue
             try:
                 group = _fit_group(
-                    model, [shards[i] for i in idx], tol, max_iter, [server_ids[i] for i in idx]
+                    model,
+                    [shards[i] for i in idx],
+                    DEFAULT_TOL,
+                    DEFAULT_MAX_ITER,
+                    [server_ids[i] for i in idx],
                 )
             except (RobustAggError, ValueError):
                 continue
             for i, fit in zip(idx, group):
                 fits[i] = fit
     return [
-        fit if fit is not None else fit_local(model, shards[i], tol, max_iter, server_ids[i])
+        fit if fit is not None else fit_local(model, shards[i], server_id=server_ids[i])
         for i, fit in enumerate(fits)
     ]

@@ -32,10 +32,18 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _as_square_stack(stack) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise DimensionError(f"expected a stack of square matrices, got shape {stack.shape}")
+    return stack
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A^T)/2."""
-    a = _as_square(a)
-    return (a + a.T) / 2.0
+    """Return (A + A^T)/2, or that of every matrix of a ``(K, p, p)`` stack."""
+    a = np.asarray(a, dtype=float)
+    a = _as_square_stack(a) if a.ndim == 3 else _as_square(a)
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def _symmetric_mask(a: np.ndarray, rtol: float) -> np.ndarray:
@@ -113,10 +121,8 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     at a time, so a failure is reported as :class:`NumericalError` for the
     matrix that caused it.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise DimensionError(f"expected a stack of square matrices, got shape {stack.shape}")
-    sym = (stack + stack.swapaxes(-1, -2)) / 2.0
+    stack = _as_square_stack(stack)
+    sym = symmetrize(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
     symmetric = np.flatnonzero(_symmetric_mask(stack, SYM_RTOL))
     if symmetric.size:

@@ -12,6 +12,7 @@ import robustagg
 from robustagg.cli import main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, generate_dataset, partition
 from robustagg.errors import ConfigError
+from robustagg import models
 from robustagg.models import ModelKind
 
 
@@ -275,6 +276,36 @@ class TestPipelineCommand:
             ]
         )
         assert rc == 1
+
+    @staticmethod
+    def run_pipeline(paths, out, capsys):
+        rc = main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        return rc, files, capsys.readouterr().err
+
+    def test_stacked_fits_write_the_per_shard_bytes(self, tmp_path, capsys, monkeypatch):
+        # Three 300-row shards share a stacked pass; the trimmed one is
+        # fitted alone.  A one-shard pass limit fits every shard alone.
+        paths = make_shards(tmp_path, k=4, n=300, seed=41)
+        lines = paths[2].read_text().splitlines(keepends=True)
+        paths[2].write_text("".join(lines[:201]))
+        stacked = self.run_pipeline(paths, tmp_path / "stacked", capsys)
+        monkeypatch.setattr(models, "STACK_ENTRIES", 0)
+        alone = self.run_pipeline(paths, tmp_path / "alone", capsys)
+        assert stacked[0] == 0 and stacked == alone
+
+    def test_failing_shard_in_a_stacked_pass_reports_its_own_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        paths = make_shards(tmp_path, k=4, n=300, seed=43)
+        lines = paths[1].read_text().splitlines(keepends=True)
+        one_class = [lines[0]] + ["1.0" + line[line.index(","):] for line in lines[1:]]
+        paths[1].write_text("".join(one_class))
+        stacked = self.run_pipeline(paths, tmp_path / "stacked", capsys)
+        monkeypatch.setattr(models, "STACK_ENTRIES", 0)
+        alone = self.run_pipeline(paths, tmp_path / "alone", capsys)
+        assert stacked[0] == 1 and "response class" in stacked[2]
+        assert stacked == alone
 
 
 class TestSmallCommands:

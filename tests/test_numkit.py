@@ -172,6 +172,20 @@ class TestPdProject:
         assert out[0, 1] == pytest.approx(0.3)
 
 
+class TestSymmetrize:
+    def test_stack_equals_one_call_per_matrix(self):
+        rng = np.random.default_rng(17)
+        for p in (1, 2, 5):
+            stack = rng.standard_normal((7, p, p))
+            want = np.stack([numkit.symmetrize(a) for a in stack])
+            assert np.array_equal(numkit.symmetrize(stack), want)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (3, 0, 0), (2, 2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionError):
+            numkit.symmetrize(np.zeros(shape))
+
+
 def threshold_squared(dof, alpha):
     """The squared detection threshold, read from a screen of one server."""
     server = LocalEstimate(1, 100, np.zeros(dof), np.eye(dof))
