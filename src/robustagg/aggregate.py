@@ -157,7 +157,13 @@ def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standard_errors(sigma, n_total: int, tau: float) -> np.ndarray:
-    """Per-coefficient standard errors sqrt(Sigma_jj / (N * tau))."""
+    """Per-coefficient standard errors sqrt(Sigma_jj / (N * tau)).
+
+    A negative or zero diagonal entry raises ``ValueError``; a NaN one does
+    not (it compares false) and gives a NaN standard error.  That is the
+    intended outcome for the weighted average, which is the naive
+    comparator: like a NaN estimate, a NaN variance propagates into it.
+    """
     sigma = np.asarray(sigma, dtype=float)
     if n_total < 1:
         raise ValueError("N must be >= 1")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -221,7 +222,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_shard(path: Path, expected_header: list[str] | None):
-    """Parse one server's CSV shard; returns (header, observations)."""
+    """Parse one server's CSV shard; returns (header, observations).
+
+    Cells are read as ``float()`` reads them; a ragged row or non-numeric
+    cell raises ``ConfigError`` for the first such defect in file order.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -234,33 +239,56 @@ def _read_shard(path: Path, expected_header: list[str] | None):
             raise ConfigError(f"{path}: shard file is empty") from None
         if "y" not in header:
             raise ConfigError(f"{path}: header must contain a 'y' column")
+        if header.count("y") > 1:
+            raise ConfigError(f"{path}: header names the 'y' column more than once")
         if expected_header is not None and header != expected_header:
             raise ConfigError(
                 f"{path}: header {header} does not match first shard {expected_header}"
             )
-        y_idx = header.index("y")
-        ys, rows = [], []
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}:{rowno}: row has {len(row)} cells, header has {len(header)}"
-                )
-            numbers = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    numbers.append(float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
-                        f"is not numeric: {cell!r}"
-                    ) from None
-            ys.append(numbers[y_idx])
-            rows.append([v for i, v in enumerate(numbers) if i != y_idx])
+        records = []
+        try:
+            records.extend(reader)
+        except (csv.Error, UnicodeDecodeError):
+            # A defect in the rows read before the failure is reported
+            # first, as a reader that stops at the first defect would.
+            _raise_first_defect(path, header, records)
+            raise
+    rows = [row for row in records if row]
     if not rows:
         raise ConfigError(f"{path}: shard contains no observations")
-    return header, Observations(np.array(ys), np.array(rows))
+    # numpy converts each str cell with Python's float(), so one conversion
+    # accepts and reads exactly what a per-cell float() loop would.
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != len(header):
+        _raise_first_defect(path, header, records)
+        raise AssertionError(f"{path}: numpy rejected a shard that float() accepts")
+    y_idx = header.index("y")
+    x_cols = [i for i in range(len(header)) if i != y_idx]
+    return header, Observations(table[:, y_idx], table[:, x_cols])
+
+
+def _raise_first_defect(path: Path, header: list[str], records: list[list[str]]) -> None:
+    """Raise the ConfigError for the first ragged row or non-numeric cell of
+    a shard's records, in file order (a ragged row before its own cells);
+    return if there is none."""
+    for rowno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path}:{rowno}: row has {len(row)} cells, header has {len(header)}"
+            )
+        for colno, cell in enumerate(row, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
+                    f"is not numeric: {cell!r}"
+                ) from None
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -416,6 +444,17 @@ def cmd_check(args: argparse.Namespace) -> int:
             and np.array_equal(shared[k], np.linalg.solve(stack[0], rhs[k]))
             for k in range(len(stack))
         ),
+    )
+
+    # fit-aggregate-detect converts each shard's csv cells with one numpy
+    # call; it reads the doubles float() reads only if this numpy parses a
+    # str cell as float() does.
+    shard = f'y,x1,x2\n1,{0.1!r},{5e-324!r}\n0,"{math.pi!r}",1_0\n1, {-2 / 3!r} ,{1e300 / 7!r}\n'
+    rows = list(csv.reader(io.StringIO(shard)))[1:]
+    check(
+        "shard parser equals float() bit for bit",
+        np.array(rows, dtype=float).tobytes()
+        == np.array([[float(cell) for cell in row] for row in rows]).tobytes(),
     )
 
     # Every sandwich variance is summed by exact_column_means; its bits equal

@@ -366,6 +366,11 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     screens every server at level ``alpha``.  Returns ``(result, theta_bar,
     se_wa, report)``: the :class:`AggregationResult`, the weighted average,
     its standard errors and the :class:`DetectionReport`.
+
+    The Huber result and the report leave out or flag a server whose payload
+    has a non-finite entry; the weighted average does not, as the naive
+    comparator: a non-finite estimate entry carries into ``theta_bar`` and
+    a non-finite variance diagonal entry into ``se_wa``.
     """
     if sigma_hat is None:
         sigma_hat = aggregate_sigma(received)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import robustagg
-from robustagg.cli import main, make_study_config, parse_config_file
+from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, generate_dataset, partition
 from robustagg.errors import ConfigError
 from robustagg import models
@@ -227,6 +229,56 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert "3" in err and "x1" in err and "oops" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,0.5\n0.0,oops\n1.0\n", "3: column 2 ('x1') is not numeric: 'oops'"),
+            ("1.0,0.5\n1.0\n0.0,oops\n", "3: row has 1 cells, header has 2"),
+            ("1.0,0.5\nno,1,2\n", "3: row has 3 cells, header has 2"),
+            ("\n1.0,0.5\n\nno,0.1\n", "5: column 1 ('y') is not numeric: 'no'"),
+            ("1.0,0.5\r\n0.0,\r\n", "3: column 2 ('x1') is not numeric: ''"),
+        ],
+    )
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("y,x1\n" + body).encode())
+        assert main(["fit-aggregate-detect", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+    def test_defect_before_an_undecodable_byte_is_reported_first(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("y,x1\n0.0,oops\n" + "1.0,0.5\n" * 2000).encode() + b"\xff\n")
+        assert main(["fit-aggregate-detect", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: column 2 ('x1') is not numeric: 'oops'\n"
+
+    def test_header_naming_y_twice_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("y,x1,y\n1.0,0.5,1.0\n0.0,0.1,0.0\n")
+        assert main(["fit-aggregate-detect", str(path), "--dry-run"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: header names the 'y' column more than once\n"
+        )
+
+    def test_cell_spellings_float_accepts_write_the_same_bytes(self, tmp_path, capsys):
+        # Quoted cells, padded cells, 1_0, CRLF endings and blank lines read
+        # the doubles of the plain spelling.
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "spelled").mkdir()
+        plain = make_shards(tmp_path / "plain", k=3, n=200, seed=47)
+        for path in plain:
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            rows[0][2] = "10.0"
+            path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+            rows[0][2] = "1_0"
+            spelled = [header] + [[f'"{y}"', f" {x1} ", x2] for y, x1, x2 in rows]
+            lines = [",".join(row) + ("\r\n\r\n" if i % 50 == 0 else "\r\n")
+                     for i, row in enumerate(spelled)]
+            (tmp_path / "spelled" / path.name).write_bytes("".join(lines).encode())
+        spelled = sorted((tmp_path / "spelled").glob("*.csv"))
+        want = self.run_pipeline(plain, tmp_path / "plain_out", capsys)
+        got = self.run_pipeline(spelled, tmp_path / "spelled_out", capsys)
+        assert want[0] == 0 and got == want
+
     def test_missing_file(self, tmp_path):
         rc = main(["fit-aggregate-detect", str(tmp_path / "nope.csv")])
         assert rc == 1
@@ -306,6 +358,50 @@ class TestPipelineCommand:
         alone = self.run_pipeline(paths, tmp_path / "alone", capsys)
         assert stacked[0] == 1 and "response class" in stacked[2]
         assert stacked == alone
+
+
+SPELLINGS = (repr, "{:.17g}".format, "{:.12e}".format, "{:.3g}".format)
+
+
+@st.composite
+def shard_texts(draw):
+    """A shard's text and the cell strings csv hands to the parser."""
+    p = draw(st.integers(0, 3))
+    header = [f"x{j + 1}" for j in range(p)]
+    header.insert(draw(st.integers(0, p)), "y")
+    cells = [
+        [
+            " " * draw(st.integers(0, 2))
+            + draw(st.sampled_from(SPELLINGS))(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            + " " * draw(st.integers(0, 2))
+            for _ in header
+        ]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    quoted = [[f'"{c}"' if draw(st.booleans()) else c for c in row] for row in cells]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(row) for row in [header, *quoted]) + newline
+    return header, cells, text
+
+
+class TestShardParser:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shard_texts())
+    def test_reads_the_bits_of_float_per_cell(self, tmp_path, shard):
+        header, cells, text = shard
+        path = tmp_path / "shard.csv"
+        path.write_bytes(text.encode())
+        table = np.array([[float(c) for c in row] for row in cells])
+        y_idx = header.index("y")
+        if not np.isfinite(table).all():
+            with pytest.raises(ValueError, match="finite"):
+                _read_shard(path, None)
+            return
+        got_header, obs = _read_shard(path, None)
+        assert got_header == header
+        assert obs.y.tobytes() == table[:, y_idx].tobytes()
+        assert obs.X.tobytes() == np.delete(table, y_idx, axis=1).tobytes()
 
 
 class TestSmallCommands:

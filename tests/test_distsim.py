@@ -272,6 +272,20 @@ class TestProcess:
         assert np.isfinite(result.theta_hat).all()
         assert bad.server_id in report.flagged_sigma_ids()
 
+    def test_nan_variance_diagonal_stands_in_the_weighted_average(self, received):
+        # The weighted average is the naive comparator: it keeps the server.
+        bad = received[5]
+        sigma = bad.sigma_star.copy()
+        sigma[0, 0] = np.nan
+        payloads = received[:5] + [
+            LocalEstimate(bad.server_id, bad.n_k, bad.theta_star, sigma)
+        ] + received[6:]
+        result, theta_bar, se_wa, report = process(payloads, 1.345, 0.05)
+        assert np.isnan(se_wa[0]) and np.isfinite(se_wa[1:]).all()
+        assert np.isfinite(theta_bar).all()
+        assert np.isfinite(result.theta_hat).all() and np.isfinite(result.se).all()
+        assert bad.server_id in report.flagged_sigma_ids()
+
 
 class TestRunReplicate:
     def test_deterministic(self):
