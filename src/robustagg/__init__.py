@@ -8,7 +8,6 @@ median, and screens the transmissions for contamination.
 
 from .aggregate import (
     AggregationResult,
-    HuberConfig,
     LocalEstimate,
     huber_aggregate,
     huber_psi,

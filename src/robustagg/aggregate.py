@@ -74,19 +74,6 @@ def server_order(item) -> tuple:
     return (isinstance(item.server_id, str), item.server_id)
 
 
-@dataclass(frozen=True)
-class HuberConfig:
-    """Tuning constant and solver controls for the robust aggregation."""
-
-    c: float = DEFAULT_HUBER_C
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("tuning constant c must be positive")
-
-
 @dataclass
 class AggregationResult:
     theta_hat: np.ndarray
@@ -175,8 +162,12 @@ def standard_errors(sigma, n_total: int, tau: float) -> np.ndarray:
     return np.sqrt(diag / (n_total * tau))
 
 
-def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -> AggregationResult:
+def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> AggregationResult:
     """Solve the clipped, whitened estimating equations for the combined estimate.
+
+    ``c`` is the tuning constant (``math.inf`` gives the weighted average);
+    the Newton iteration stops at residual ``DEFAULT_TOL`` and raises
+    :class:`NonConvergenceError` after ``DEFAULT_MAX_ITER`` iterations.
 
     Uses damped Newton steps on the piecewise-linear estimating function;
     the Jacobian on the current linearity piece is -diag(s) W where W is the
@@ -192,6 +183,8 @@ def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -
     flags it, since its d1 is not finite); if no server is left,
     :class:`NumericalError` is raised.
     """
+    if not c > 0.0:
+        raise ValueError("tuning constant c must be positive")
     ests = _sorted_estimates(estimates)
     p = ests[0].p
     ests = [e for e in ests if np.isfinite(e.theta_star).all()]
@@ -213,7 +206,7 @@ def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -
             eigenvalue=smallest,
         )
 
-    if math.isinf(config.c):
+    if math.isinf(c):
         theta_bar, _ = weighted_average(ests)
         whiten = numkit.inv_sqrt_pd(sigma_hat)
         resid = np.zeros(p)
@@ -230,7 +223,6 @@ def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -
 
     whiten = numkit.inv_sqrt_pd(sigma_hat)
     color = numkit.sqrt_pd(sigma_hat)
-    c = config.c
     thetas = np.stack([e.theta_star for e in ests])        # (K, p)
     roots = np.array([math.sqrt(e.n_k) for e in ests])     # sqrt(n_k)
     shares = np.array([e.n_k / n_total for e in ests])     # n_k / N
@@ -248,10 +240,10 @@ def huber_aggregate(estimates, sigma_hat, config: HuberConfig = HuberConfig()) -
     iterations = 0
     best_theta, best_res = theta, res
 
-    while res > config.tol:
-        if iterations >= config.max_iter:
+    while res > DEFAULT_TOL:
+        if iterations >= DEFAULT_MAX_ITER:
             raise NonConvergenceError(
-                f"robust aggregation did not converge in {config.max_iter} iterations",
+                f"robust aggregation did not converge in {DEFAULT_MAX_ITER} iterations",
                 best=best_theta,
                 residual=best_res,
             )

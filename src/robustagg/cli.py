@@ -225,7 +225,9 @@ def _read_shard(path: Path, expected_header: list[str] | None):
     """Parse one server's CSV shard; returns (header, observations).
 
     Cells are read as ``float()`` reads them; a ragged row or non-numeric
-    cell raises ``ConfigError`` for the first such defect in file order.
+    cell raises ``ConfigError`` for the first such defect in file order, and
+    so does text that ``csv`` cannot split or the file's encoding cannot
+    decode.
     """
     try:
         fh = open(path, newline="")
@@ -237,6 +239,8 @@ def _read_shard(path: Path, expected_header: list[str] | None):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ConfigError(f"{path}: shard file is empty") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read shard: {exc}") from None
         if "y" not in header:
             raise ConfigError(f"{path}: header must contain a 'y' column")
         if header.count("y") > 1:
@@ -248,11 +252,11 @@ def _read_shard(path: Path, expected_header: list[str] | None):
         records = []
         try:
             records.extend(reader)
-        except (csv.Error, UnicodeDecodeError):
+        except (csv.Error, UnicodeDecodeError) as exc:
             # A defect in the rows read before the failure is reported
             # first, as a reader that stops at the first defect would.
             _raise_first_defect(path, header, records)
-            raise
+            raise ConfigError(f"{path}: cannot read shard: {exc}") from None
     rows = [row for row in records if row]
     if not rows:
         raise ConfigError(f"{path}: shard contains no observations")
@@ -405,7 +409,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     b = numkit.inv_sqrt_pd(pd)
     check("inverse square root identity", np.abs(b @ pd @ b - np.eye(5)).max() < 1e-8)
 
-    check("pd projection floor", numkit.min_eigenvalue(numkit.pd_project(sym, 1e-5)) >= 1e-5 - 1e-12)
+    check("pd projection floor", numkit.min_eigenvalue(numkit.pd_project(sym)) >= numkit.PD_EPSILON - 1e-12)
 
     check("tau_c(1.345) ~ 0.95", abs(tau_c(1.345) - 0.950) < 1e-3)
     check("tau_c(inf) = 1", tau_c(math.inf) == 1.0)

@@ -97,43 +97,25 @@ def _distance(n_k: int, diff: np.ndarray, sol: np.ndarray) -> float:
     return math.sqrt(n_k * max(float(diff @ sol), 0.0))
 
 
-def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
-    """Distance of the transmitted estimate from the aggregate, standardized
-    by the (robust) aggregated variance: sqrt{n_k (t - th)^T Sigma^{-1} (t - th)}."""
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if theta_hat.size != est.p:
-        raise DimensionError("theta_hat dimension does not match the estimate")
-    if sigma_hat.shape != (est.p, est.p):
-        raise DimensionError("sigma_hat dimension does not match the estimate")
-    sigma_hat = _checked_sigma_hat(sigma_hat)
-    diff = est.theta_star - theta_hat
-    return _distance(est.n_k, diff, np.linalg.solve(sigma_hat, diff))
+def _solve_each(mats: np.ndarray, diffs: np.ndarray) -> list:
+    """The solution of ``mats[i] x = diffs[i]`` for every row, or the
+    ``LinAlgError`` its solve raised.
 
-
-def mahalanobis_d2(est: LocalEstimate, theta_hat) -> float | None:
-    """Same distance but standardized by the server's own variance matrix.
-
-    Returns None when the transmitted matrix is not symmetric positive
-    definite, or is positive definite by its eigenvalues but singular to the
-    LU solve; the caller treats either as contamination evidence rather than
-    a numeric distance.
+    One stacked ``solve``, which returns the same bits as one solve per
+    row.  It raises for the whole stack if one matrix is singular, so it is
+    then retried one row at a time.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    if theta_hat.size != est.p:
-        raise DimensionError("theta_hat dimension does not match the estimate")
-    s = est.sigma_star
-    if not numkit.is_symmetric(s):
-        return None
-    s = numkit.symmetrize(s)
-    if numkit.min_eigenvalue(s) <= 0.0:
-        return None
-    diff = est.theta_star - theta_hat
     try:
-        sol = np.linalg.solve(s, diff)
+        return list(np.linalg.solve(mats, diffs[..., None])[..., 0])
     except np.linalg.LinAlgError:
-        return None
-    return _distance(est.n_k, diff, sol)
+        pass
+    out: list = []
+    for a, b in zip(mats, diffs):
+        try:
+            out.append(np.linalg.solve(a, b))
+        except np.linalg.LinAlgError as exc:
+            out.append(exc)
+    return out
 
 
 def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
@@ -147,49 +129,40 @@ def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
     return numkit.symmetrize(sigma_hat)
 
 
-def _step1(ests: list, theta_hat: np.ndarray, sigma_hat: np.ndarray) -> list:
-    """:func:`mahalanobis_d1` of every server, or the DimensionError or
-    LinAlgError it raised.
+def _dimension_error(p: int, theta_hat: np.ndarray, sigma_hat: np.ndarray):
+    """The DimensionError of a server of dimension ``p``, or None if it fits."""
+    if theta_hat.size != p:
+        return DimensionError("theta_hat dimension does not match the estimate")
+    if sigma_hat.shape != (p, p):
+        return DimensionError("sigma_hat dimension does not match the estimate")
+    return None
 
-    ``sigma_hat`` is checked and symmetrized once, and the servers of the
-    common dimension share one stacked ``solve`` against it, which returns
-    the same bits as one solve per server.  A stacked solve that raises
-    falls back to one call per server.
+
+def _step1(ests: list, theta_hat: np.ndarray, sigma_hat: np.ndarray) -> list:
+    """d1 of every server, or the DimensionError or LinAlgError that
+    replaces it.
+
+    ``sigma_hat`` is checked and symmetrized once (a ``sigma_hat`` that is
+    not positive definite raises, since it invalidates the whole report),
+    and the servers of its dimension share one stacked solve against it.
     """
-    p = ests[0].p
-    out: list = [None] * len(ests)
-    if theta_hat.size == p and sigma_hat.shape == (p, p):
+    out = [_dimension_error(e.p, theta_hat, sigma_hat) for e in ests]
+    same = [i for i, err in enumerate(out) if err is None]
+    if same:
         sym = _checked_sigma_hat(sigma_hat)
-        same = [i for i, e in enumerate(ests) if e.p == p]
         diffs = np.stack([ests[i].theta_star for i in same]) - theta_hat
-        try:
-            sols = np.linalg.solve(
-                np.broadcast_to(sym, (len(same), p, p)), diffs[..., None]
-            )[..., 0]
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            for i, diff, sol in zip(same, diffs, sols):
-                out[i] = _distance(ests[i].n_k, diff, sol)
-    for i, e in enumerate(ests):
-        if out[i] is not None:
-            continue
-        try:
-            out[i] = mahalanobis_d1(e, theta_hat, sigma_hat)
-        except NotPositiveDefiniteError:
-            raise  # a bad sigma_hat invalidates the whole report
-        except (DimensionError, np.linalg.LinAlgError) as exc:
-            out[i] = exc
+        sols = _solve_each(np.broadcast_to(sym, (len(same),) + sym.shape), diffs)
+        for i, diff, sol in zip(same, diffs, sols):
+            out[i] = sol if isinstance(sol, Exception) else _distance(ests[i].n_k, diff, sol)
     return out
 
 
 def _step2(ests: list, theta_hat: np.ndarray) -> list:
-    """:func:`mahalanobis_d2` of every given server.
+    """d2 of every given server, or None where its variance matrix is not
+    symmetric positive definite or is singular to the solve.
 
     The PD screen runs as one stacked ``eigh`` and the distances of the
-    servers that pass it as one stacked ``solve``.  A stacked solve raises
-    for the whole stack if one matrix is singular, so it then falls back to
-    one call per server.
+    servers that pass it as one stacked solve.
     """
     out: list = [None] * len(ests)
     if not ests:
@@ -199,15 +172,38 @@ def _step2(ests: list, theta_hat: np.ndarray) -> list:
     if idx.size == 0:
         return out
     diffs = np.stack([ests[i].theta_star for i in idx]) - theta_hat
-    try:
-        sols = np.linalg.solve(sym[idx], diffs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in idx:
-            out[i] = mahalanobis_d2(ests[i], theta_hat)
-        return out
-    for i, diff, sol in zip(idx, diffs, sols):
-        out[i] = _distance(ests[i].n_k, diff, sol)
+    for i, diff, sol in zip(idx, diffs, _solve_each(sym[idx], diffs)):
+        if not isinstance(sol, Exception):
+            out[i] = _distance(ests[i].n_k, diff, sol)
     return out
+
+
+def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
+    """Distance of the transmitted estimate from the aggregate, standardized
+    by the (robust) aggregated variance: sqrt{n_k (t - th)^T Sigma^{-1} (t - th)}.
+
+    The one-server call of detection's step 1.
+    """
+    d1 = _step1(
+        [est], np.asarray(theta_hat, dtype=float).ravel(), np.asarray(sigma_hat, dtype=float)
+    )[0]
+    if isinstance(d1, Exception):
+        raise d1
+    return d1
+
+
+def mahalanobis_d2(est: LocalEstimate, theta_hat) -> float | None:
+    """Same distance but standardized by the server's own variance matrix.
+
+    Returns None when the transmitted matrix is not symmetric positive
+    definite, or is positive definite by its eigenvalues but singular to the
+    LU solve; the caller treats either as contamination evidence rather than
+    a numeric distance.  The one-server call of detection's step 2.
+    """
+    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
+    if theta_hat.size != est.p:
+        raise DimensionError("theta_hat dimension does not match the estimate")
+    return _step2([est], theta_hat)[0]
 
 
 def detect(

@@ -35,7 +35,6 @@ from .errors import (
 )
 from . import aggregate, numkit
 from .aggregate import (
-    HuberConfig,
     LocalEstimate,
     huber_aggregate,
     standard_errors,
@@ -374,7 +373,7 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     """
     if sigma_hat is None:
         sigma_hat = aggregate_sigma(received)
-    result = huber_aggregate(received, sigma_hat, HuberConfig(c=c))
+    result = huber_aggregate(received, sigma_hat, c)
     theta_bar, sigma_bar = weighted_average(received)
     se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
     report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)

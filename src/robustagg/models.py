@@ -348,7 +348,7 @@ def _pinv_sym(a: np.ndarray) -> np.ndarray:
     return numkit.symmetrize((vectors * inv) @ vectors.T)
 
 
-def _newton(model: ModelSpec, data: Observations, tol: float, max_iter: int):
+def _newton(model: ModelSpec, data: Observations):
     """Logistic Newton-Raphson from the zero vector with step halving.
 
     Returns ``(theta, iterations, gradient)``.
@@ -362,11 +362,11 @@ def _newton(model: ModelSpec, data: Observations, tol: float, max_iter: int):
     value, grad, hess = criterion_eval(model, data, theta)
     iters = 0
     first_step_norm = None
-    converged = float(np.linalg.norm(grad)) <= tol
+    converged = float(np.linalg.norm(grad)) <= DEFAULT_TOL
     while not converged:
-        if iters >= max_iter:
+        if iters >= DEFAULT_MAX_ITER:
             raise NonConvergenceError(
-                f"logistic fit did not converge in {max_iter} iterations",
+                f"logistic fit did not converge in {DEFAULT_MAX_ITER} iterations",
                 best=theta,
                 residual=float(np.linalg.norm(grad)),
             )
@@ -393,7 +393,7 @@ def _newton(model: ModelSpec, data: Observations, tol: float, max_iter: int):
             raise SeparationError(
                 "logistic step norms diverged; data appear completely separated"
             )
-        converged = float(np.linalg.norm(grad)) <= tol
+        converged = float(np.linalg.norm(grad)) <= DEFAULT_TOL
     margins = (2.0 * data.y - 1.0) * (data.X @ theta)
     if float(margins.min()) > _SATURATED_MARGIN:
         raise SeparationError(
@@ -403,9 +403,7 @@ def _newton(model: ModelSpec, data: Observations, tol: float, max_iter: int):
     return theta, iters, grad
 
 
-def _fit_group(
-    model: ModelSpec, shards: list, tol: float, max_iter: int, server_ids: list
-) -> list[LocalFit]:
+def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFit]:
     """Fit shards of one size in one stacked pass.
 
     The linear fit is closed form: stacked ``einsum`` for X'X, stacked
@@ -438,7 +436,7 @@ def _fit_group(
         grads = 2.0 * np.einsum("ki,kij->kj", resid, X) / X.shape[1]
         iters = [0] * len(shards)
     else:
-        runs = [_newton(model, data, tol, max_iter) for data in shards]
+        runs = [_newton(model, data) for data in shards]
         thetas = np.stack([theta for theta, _, _ in runs])
         iters = [it for _, it, _ in runs]
         grads = [grad for _, _, grad in runs]
@@ -459,22 +457,17 @@ def _fit_group(
     ]
 
 
-def fit_local(
-    model: ModelSpec,
-    data: Observations,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    server_id: int | str = 0,
-) -> LocalFit:
+def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) -> LocalFit:
     """Maximize the local criterion on one shard.
 
     Linear regression solves the normal equations in closed form; logistic
-    regression runs Newton-Raphson from the zero vector with step halving.
+    regression runs Newton-Raphson from the zero vector with step halving,
+    to gradient norm ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.
     Raises :class:`SeparationError` when the logistic iterates diverge (or
     only one response class is present), :class:`RankDeficiencyError` for a
     singular Hessian, and :class:`NonConvergenceError` at the iteration cap.
     """
-    return _fit_group(model, [data], tol, max_iter, [server_id])[0]
+    return _fit_group(model, [data], [server_id])[0]
 
 
 def fit_shards(model: ModelSpec, shards, server_ids=None) -> list[LocalFit]:
@@ -503,11 +496,7 @@ def fit_shards(model: ModelSpec, shards, server_ids=None) -> list[LocalFit]:
                 continue
             try:
                 group = _fit_group(
-                    model,
-                    [shards[i] for i in idx],
-                    DEFAULT_TOL,
-                    DEFAULT_MAX_ITER,
-                    [server_ids[i] for i in idx],
+                    model, [shards[i] for i in idx], [server_ids[i] for i in idx]
                 )
             except (RobustAggError, ValueError):
                 continue

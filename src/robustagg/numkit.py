@@ -46,29 +46,29 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _symmetric_mask(a: np.ndarray, rtol: float) -> np.ndarray:
+def _symmetric_mask(a: np.ndarray) -> np.ndarray:
     """The symmetry test of :func:`is_symmetric` for a matrix or for each
     matrix of a ``(..., p, p)`` stack."""
     scale = np.abs(a).max(axis=(-2, -1))
     asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return (scale == 0.0) | (asym <= rtol * scale)
+    return (scale == 0.0) | (asym <= SYM_RTOL * scale)
 
 
-def is_symmetric(a, rtol: float = SYM_RTOL) -> bool:
-    """True when the asymmetry of ``a`` is below ``rtol`` relative to its scale."""
-    return bool(_symmetric_mask(_as_square(a), rtol))
+def is_symmetric(a) -> bool:
+    """True when the asymmetry of ``a`` is below ``SYM_RTOL`` relative to its scale."""
+    return bool(_symmetric_mask(_as_square(a)))
 
 
-def ensure_symmetric(a, rtol: float = SYM_RTOL) -> np.ndarray:
+def ensure_symmetric(a) -> np.ndarray:
     """Validate near-symmetry and return the symmetrized matrix.
 
     Raises :class:`DimensionError` for non-square input and ``ValueError``
-    when the asymmetry exceeds the tolerance.
+    when the asymmetry exceeds ``SYM_RTOL``.
     """
     a = _as_square(a)
-    if not is_symmetric(a, rtol):
+    if not is_symmetric(a):
         raise ValueError(
-            f"matrix is not symmetric within relative tolerance {rtol:g}"
+            f"matrix is not symmetric within relative tolerance {SYM_RTOL:g}"
         )
     return symmetrize(a)
 
@@ -106,13 +106,9 @@ def min_eigenvalue(a) -> float:
     return float(_eigh(ensure_symmetric(a))[0][0])
 
 
-def is_positive_definite(a) -> bool:
-    """True when ``a`` is (near-)symmetric with all eigenvalues > 0."""
-    return bool(screen_positive_definite(_as_square(a)[None])[0][0])
-
-
 def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`is_positive_definite` of every matrix in a ``(K, p, p)`` stack.
+    """Which matrices of a ``(K, p, p)`` stack are (near-)symmetric with all
+    eigenvalues > 0.
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
     The symmetry test is exact elementwise work, and the matrices that pass
@@ -124,7 +120,7 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     stack = _as_square_stack(stack)
     sym = symmetrize(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    symmetric = np.flatnonzero(_symmetric_mask(stack, SYM_RTOL))
+    symmetric = np.flatnonzero(_symmetric_mask(stack))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
@@ -268,14 +264,6 @@ def vech_len(p: int) -> int:
     return p * (p + 1) // 2
 
 
-def vech_dim(length: int) -> int:
-    """Matrix dimension p such that p(p+1)/2 == length."""
-    p = int(round((math.sqrt(8 * length + 1) - 1) / 2))
-    if vech_len(p) != length:
-        raise DimensionError(f"{length} is not a valid vech length")
-    return p
-
-
 def vech_inv(v, p: int) -> np.ndarray:
     """Inverse of :func:`vech`: rebuild the p x p symmetric matrix."""
     v = np.asarray(v, dtype=float).ravel()
@@ -292,18 +280,16 @@ def vech_inv(v, p: int) -> np.ndarray:
     return a
 
 
-def pd_project(a, eps: float = PD_EPSILON) -> np.ndarray:
-    """Project a (near-)symmetric matrix onto { eigenvalues >= eps }.
+def pd_project(a) -> np.ndarray:
+    """Project a (near-)symmetric matrix onto { eigenvalues >= PD_EPSILON }.
 
-    Symmetrizes first, then clips each eigenvalue at ``eps`` and rebuilds.
-    A matrix whose smallest eigenvalue already is >= eps is returned
-    unchanged (no reconstruction round-off is introduced).
+    Symmetrizes first, then clips each eigenvalue at ``PD_EPSILON`` and
+    rebuilds.  A matrix whose smallest eigenvalue already is >= PD_EPSILON
+    is returned unchanged (no reconstruction round-off is introduced).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     a = symmetrize(a)
     values, vectors = np.linalg.eigh(a)
-    if values[0] >= eps:
+    if values[0] >= PD_EPSILON:
         return a
-    clipped = np.maximum(values, eps)
+    clipped = np.maximum(values, PD_EPSILON)
     return symmetrize((vectors * clipped) @ vectors.T)

@@ -92,14 +92,14 @@ def _first_order(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarra
 
 
 def _settle(
-    x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray, tol: float
+    x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray
 ) -> np.ndarray | None:
     """What Weiszfeld's best iterate ``eta`` settles to at the iteration cap.
 
     Returns ``eta`` itself if its residual is within the rounding floor, or
     else one Newton step from it if the residual there is within
-    ``max(tol, floor)``; None if neither is.  The Newton step serves the
-    case where the optimum sits just off a data point: the Weiszfeld step
+    ``max(DEFAULT_TOL, floor)``; None if neither is.  The Newton step serves
+    the case where the optimum sits just off a data point: the Weiszfeld step
     length, ``1 / sum_k w_k / d_k``, is then set by that point, and the
     iterates crawl along the direction to it, while Newton's Hessian
     ``sum_k (w_k / d_k) (I - u_k u_k^T)`` scales each direction by its own
@@ -122,7 +122,7 @@ def _settle(
     first = _first_order(x, w, scale, cand)
     if first is None:
         return None
-    if float(np.linalg.norm(first[2])) <= max(tol, _rounding_floor(x, w, cand)):
+    if float(np.linalg.norm(first[2])) <= max(DEFAULT_TOL, _rounding_floor(x, w, cand)):
         return cand
     return None
 
@@ -137,21 +137,17 @@ def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uniq, merged_w
 
 
-def spatial_median(
-    points,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpatialMedianResult:
+def spatial_median(points) -> SpatialMedianResult:
     """Minimize the weighted sum of Euclidean distances to the given points.
 
     Convergence is declared when the first-order condition holds: either the
     weighted sum of unit vectors toward the non-coincident points has norm
-    <= ``tol``, or the iterate sits on a data point whose weight dominates
-    the pull of all the others (the subgradient condition for an anchored
-    optimum).  If neither happens within ``max_iter`` iterations, the best
-    iterate is still returned when its residual is within the rounding
+    <= ``DEFAULT_TOL``, or the iterate sits on a data point whose weight
+    dominates the pull of all the others (the subgradient condition for an
+    anchored optimum).  If neither happens within ``DEFAULT_MAX_ITER`` iterations, the
+    best iterate is still returned when its residual is within the rounding
     floor of the unit-vector sum (see :func:`_rounding_floor`), which for
-    far-apart points can exceed ``tol``; otherwise
+    far-apart points can exceed ``DEFAULT_TOL``; otherwise
     :class:`NonConvergenceError` is raised.
     """
     pts = list(points)
@@ -235,7 +231,7 @@ def spatial_median(
             foc_norm = float(np.linalg.norm(foc))
             if foc_norm < best_foc:
                 best_eta, best_foc = eta.copy(), foc_norm
-            if foc_norm <= tol:
+            if foc_norm <= DEFAULT_TOL:
                 return SpatialMedianResult(
                     eta=eta,
                     iterations=iterations,
@@ -264,8 +260,8 @@ def spatial_median(
                             delta = None
             prev_delta = delta
 
-        if iterations >= max_iter:
-            settled = _settle(x, w, scale, best_eta, tol)
+        if iterations >= DEFAULT_MAX_ITER:
+            settled = _settle(x, w, scale, best_eta)
             if settled is not None:
                 return SpatialMedianResult(
                     eta=settled,
@@ -274,7 +270,7 @@ def spatial_median(
                     anchored=False,
                 )
             raise NonConvergenceError(
-                f"spatial median did not converge in {max_iter} iterations",
+                f"spatial median did not converge in {DEFAULT_MAX_ITER} iterations",
                 best=best_eta,
                 residual=best_foc,
             )
@@ -282,19 +278,14 @@ def spatial_median(
         iterations += 1
 
 
-def aggregate_sigma(
-    estimates,
-    eps: float = numkit.PD_EPSILON,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def aggregate_sigma(estimates) -> np.ndarray:
     """Robustly aggregate the transmitted variance matrices.
 
     A matrix with a non-finite entry cannot be repaired and is left out
     (detection sigma-flags it, since it fails the PD screen); if no finite
     matrix remains, :class:`NumericalError` is raised.  Any other received
     matrix that is asymmetric or not positive definite is first repaired by
-    symmetrizing and clipping its eigenvalues at ``eps``; the
+    symmetrizing and clipping its eigenvalues at ``numkit.PD_EPSILON``; the
     half-vectorized matrices are then combined by the weighted spatial
     median (weights sqrt(n_k)) and the result is rebuilt.  Because every
     input to the median is PD and the median lies in their convex hull, the
@@ -316,12 +307,12 @@ def aggregate_sigma(
     # vech of every kept matrix at once; the others are repaired first.
     vechs = numkit.vech_stack(sym)
     for k in np.flatnonzero(~pd):
-        vechs[k] = numkit.vech(numkit.pd_project(ests[k].sigma_star, eps))
+        vechs[k] = numkit.vech(numkit.pd_project(ests[k].sigma_star))
     points = [
         WeightedPoint(value=v, weight=math.sqrt(e.n_k)) for e, v in zip(ests, vechs)
     ]
 
-    result = spatial_median(points, tol=tol, max_iter=max_iter)
+    result = spatial_median(points)
     sigma = numkit.vech_inv(result.eta, p)
     smallest = numkit.min_eigenvalue(sigma)
     if smallest <= 0.0:

@@ -13,7 +13,6 @@ from scipy.optimize import minimize
 
 from robustagg import numkit
 from robustagg.aggregate import (
-    HuberConfig,
     LocalEstimate,
     huber_aggregate,
     tau_c,
@@ -66,7 +65,7 @@ def test_criterion_2_reduction_to_weighted_average():
                 )
             )
         whiten_sigma = np.eye(p) * rng.uniform(0.5, 3.0)
-        res = huber_aggregate(ests, whiten_sigma, HuberConfig(c=math.inf))
+        res = huber_aggregate(ests, whiten_sigma, math.inf)
         theta_bar, _ = weighted_average(ests)
         worst = max(worst, float(np.abs(res.theta_hat - theta_bar).max()))
     ok = worst <= 1e-8

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from robustagg import aggregate
 from robustagg.aggregate import (
     AggregationResult,
-    HuberConfig,
     LocalEstimate,
     huber_aggregate,
     huber_psi,
@@ -139,7 +139,7 @@ class TestHuberAggregate:
     def test_identical_estimates_exact(self):
         t = np.array([3.0, -1.0])
         ests = [LocalEstimate(sid, 5, t, np.eye(2)) for sid in range(1, 8)]
-        res = huber_aggregate(ests, 2.0 * np.eye(2), HuberConfig(c=1.0))
+        res = huber_aggregate(ests, 2.0 * np.eye(2), 1.0)
         assert np.array_equal(res.theta_hat, t)
         assert res.residual_norm <= 1e-10
 
@@ -153,7 +153,7 @@ class TestHuberAggregate:
             LocalEstimate(i, 1, np.array([v]), np.array([[1.0]]))
             for i, v in enumerate((0.0, 0.0, 100.0), start=1)
         ]
-        res = huber_aggregate(ests, np.array([[1.0]]), HuberConfig(c=1.0))
+        res = huber_aggregate(ests, np.array([[1.0]]), 1.0)
         assert res.theta_hat[0] == pytest.approx(oracle, abs=1e-10)
 
     def test_infinite_c_reduces_to_weighted_average(self):
@@ -163,7 +163,7 @@ class TestHuberAggregate:
             p = int(rng.integers(1, 6))
             ests = make_estimates(rng, k, p)
             sigma = np.eye(p) * rng.uniform(0.5, 3.0)
-            res = huber_aggregate(ests, sigma, HuberConfig(c=math.inf))
+            res = huber_aggregate(ests, sigma, math.inf)
             theta_bar, _ = weighted_average(ests)
             assert np.abs(res.theta_hat - theta_bar).max() <= 1e-8
             assert res.tau == 1.0
@@ -173,12 +173,12 @@ class TestHuberAggregate:
         ests = make_estimates(rng, 12, 3)
         sigma = np.eye(3)
         shift = np.array([10.0, -4.0, 0.5])
-        base = huber_aggregate(ests, sigma, HuberConfig(c=1.345))
+        base = huber_aggregate(ests, sigma, 1.345)
         shifted = [
             LocalEstimate(e.server_id, e.n_k, e.theta_star + shift, e.sigma_star)
             for e in ests
         ]
-        res = huber_aggregate(shifted, sigma, HuberConfig(c=1.345))
+        res = huber_aggregate(shifted, sigma, 1.345)
         assert np.abs(res.theta_hat - (base.theta_hat + shift)).max() <= 1e-9
 
     def test_bounded_influence_vs_weighted_average(self):
@@ -191,7 +191,7 @@ class TestHuberAggregate:
             ests = clean + [
                 LocalEstimate(10, 10, np.array([mag, mag]), np.eye(2))
             ]
-            res = huber_aggregate(ests, sigma, HuberConfig(c=1.345))
+            res = huber_aggregate(ests, sigma, 1.345)
             norms.append(float(np.linalg.norm(res.theta_hat)))
             theta_bar, _ = weighted_average(ests)
             wa_first.append(theta_bar[0])
@@ -204,10 +204,10 @@ class TestHuberAggregate:
         rng = np.random.default_rng(31)
         ests = make_estimates(rng, 15, 3)
         sigma = np.eye(3)
-        base = huber_aggregate(ests, sigma, HuberConfig(c=1.0))
+        base = huber_aggregate(ests, sigma, 1.0)
         for _ in range(5):
             perm = rng.permutation(len(ests))
-            res = huber_aggregate([ests[i] for i in perm], sigma, HuberConfig(c=1.0))
+            res = huber_aggregate([ests[i] for i in perm], sigma, 1.0)
             assert np.abs(res.theta_hat - base.theta_hat).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, np.nan]])
@@ -227,23 +227,30 @@ class TestHuberAggregate:
         with pytest.raises(NumericalError, match="no estimate with finite entries"):
             huber_aggregate(ests, np.eye(2))
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_nonpositive_c_rejected(self, c):
+        ests = [LocalEstimate(1, 3, np.array([1.0, 2.0]), np.eye(2))]
+        with pytest.raises(ValueError, match="tuning constant c must be positive"):
+            huber_aggregate(ests, np.eye(2), c)
+
     def test_non_pd_sigma_mentions_projection(self):
         ests = [LocalEstimate(1, 3, np.array([1.0, 2.0]), np.eye(2))]
         with pytest.raises(NotPositiveDefiniteError, match="pd_project"):
-            huber_aggregate(ests, np.diag([1.0, -1.0]), HuberConfig(c=1.0))
+            huber_aggregate(ests, np.diag([1.0, -1.0]), 1.0)
 
-    def test_iteration_cap_carries_best_iterate(self):
+    def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(41)
         ests = make_estimates(rng, 8, 2)
+        monkeypatch.setattr(aggregate, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(NonConvergenceError) as excinfo:
-            huber_aggregate(ests, np.eye(2), HuberConfig(c=1.0, max_iter=0))
+            huber_aggregate(ests, np.eye(2), 1.0)
         assert excinfo.value.best is not None
         assert excinfo.value.residual > 0
 
     def test_diagnostics_populated(self):
         rng = np.random.default_rng(37)
         ests = make_estimates(rng, 10, 2)
-        res = huber_aggregate(ests, np.eye(2), HuberConfig(c=0.5))
+        res = huber_aggregate(ests, np.eye(2), 0.5)
         assert isinstance(res, AggregationResult)
         assert res.residual_norm <= 1e-10
         assert res.iterations >= 1

@@ -251,6 +251,23 @@ class TestPipelineCommand:
         assert main(["fit-aggregate-detect", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:2: column 2 ('x1') is not numeric: 'oops'\n"
 
+    def test_cell_over_the_csv_field_limit_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("y,x1\n1.0,0.5\n0.0," + "1" * 200_000 + "\n")
+        assert main(["fit-aggregate-detect", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot read shard: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("head", [b"y,x1\n1.0,0.5\n", b""])
+    def test_undecodable_byte_is_a_config_error(self, tmp_path, capsys, head):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(head + b"0.0,0.\xff\n")
+        assert main(["fit-aggregate-detect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read shard: ")
+        assert "can't decode byte 0xff" in err
+
     def test_header_naming_y_twice_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "twice.csv"
         path.write_text("y,x1,y\n1.0,0.5,1.0\n0.0,0.1,0.0\n")

@@ -114,7 +114,7 @@ class TestD2:
 
     def test_pd_but_lu_singular_sigma_is_sentinel(self):
         e = est(1, 1000, [2.001, 1.001], LU_SINGULAR)
-        assert numkit.is_positive_definite(LU_SINGULAR)
+        assert numkit.screen_positive_definite(LU_SINGULAR[None])[0].tolist() == [True]
         assert mahalanobis_d2(e, [2.0, 1.0]) is None
 
     def test_failed_solve_is_sentinel(self, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from robustagg import numkit
 from robustagg.aggregate import (
-    HuberConfig,
     LocalEstimate,
     huber_aggregate,
     standard_errors,
@@ -214,7 +213,7 @@ def process_reference(received, c, alpha, sigma_hat=None):
     """The central processor as the four calls it stands for."""
     if sigma_hat is None:
         sigma_hat = aggregate_sigma(received)
-    result = huber_aggregate(received, sigma_hat, HuberConfig(c=c))
+    result = huber_aggregate(received, sigma_hat, c)
     theta_bar, sigma_bar = weighted_average(received)
     se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
     report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)

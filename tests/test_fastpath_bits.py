@@ -14,7 +14,7 @@ from scipy.special import expit
 
 from robustagg import numkit
 from robustagg.aggregate import LocalEstimate, server_order
-from robustagg.detect import detect, mahalanobis_d1, mahalanobis_d2
+from robustagg.detect import detect
 from robustagg.errors import DimensionError, NumericalError
 from robustagg.models import (
     ModelSpec,
@@ -165,7 +165,7 @@ class TestPositiveDefiniteScreen:
         ok, sym = numkit.screen_positive_definite(np.stack(mats))
         expected = [is_pd_reference(m) for m in mats]
         assert ok.tolist() == expected
-        assert [numkit.is_positive_definite(m) for m in mats] == expected
+        assert [bool(numkit.screen_positive_definite(m[None])[0][0]) for m in mats] == expected
         assert [numkit.is_symmetric(m) for m in mats] == [
             is_symmetric_reference(m) for m in mats
         ]
@@ -188,7 +188,7 @@ class TestPositiveDefiniteScreen:
         assert ok.shape == (0,) and sym.shape == (0, 3, 3)
 
 
-def aggregate_sigma_reference(estimates, eps=numkit.PD_EPSILON):
+def aggregate_sigma_reference(estimates):
     """The variance aggregation with one PD test and one vech per server."""
     ests = sorted(estimates, key=server_order)
     points = []
@@ -197,7 +197,7 @@ def aggregate_sigma_reference(estimates, eps=numkit.PD_EPSILON):
         if numkit.is_symmetric(s) and numkit.min_eigenvalue(numkit.symmetrize(s)) > 0.0:
             kept = s
         else:
-            kept = numkit.pd_project(s, eps)
+            kept = numkit.pd_project(s)
         points.append(WeightedPoint(value=numkit.vech(kept), weight=math.sqrt(e.n_k)))
     return numkit.vech_inv(spatial_median(points).eta, ests[0].p)
 
@@ -248,19 +248,47 @@ class TestAggregateSigma:
 # ---------------------------------------------------------------------------
 
 
+def distance_reference(e, theta_hat, sigma):
+    """sqrt{n_k d^T Sigma^{-1} d} by one 1-D solve against the symmetrized
+    ``sigma``; raises the solve's LinAlgError."""
+    diff = e.theta_star - theta_hat
+    sol = np.linalg.solve((sigma + sigma.T) / 2.0, diff)
+    return math.sqrt(e.n_k * max(float(diff @ sol), 0.0))
+
+
+def d1_reference(e, theta_hat, sigma_hat):
+    if theta_hat.size != e.p:
+        raise DimensionError("theta_hat dimension does not match the estimate")
+    if sigma_hat.shape != (e.p, e.p):
+        raise DimensionError("sigma_hat dimension does not match the estimate")
+    assert is_pd_reference(sigma_hat)
+    return distance_reference(e, theta_hat, sigma_hat)
+
+
+def d2_reference(e, theta_hat):
+    if not is_pd_reference(e.sigma_star):
+        return None
+    try:
+        return distance_reference(e, theta_hat, e.sigma_star)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def detect_reference(estimates, theta_hat, sigma_hat, alpha=0.05):
-    """The two-step screen as one d1 and one d2 call per server."""
+    """The two-step screen, computed one server at a time."""
     ests = sorted(estimates, key=server_order)
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    sigma_hat = np.asarray(sigma_hat, dtype=float)
     threshold = math.sqrt(float(special.chdtri(ests[0].p, alpha)))
     rows = []
     for e in ests:
         try:
-            d1 = mahalanobis_d1(e, theta_hat, sigma_hat)
+            d1 = d1_reference(e, theta_hat, sigma_hat)
         except (DimensionError, np.linalg.LinAlgError) as exc:
             rows.append((e.server_id, None, None, False, False, str(exc)))
             continue
         flagged = d1 > threshold
-        d2 = None if flagged else mahalanobis_d2(e, theta_hat)
+        d2 = None if flagged else d2_reference(e, theta_hat)
         sigma_flagged = not flagged and (d2 is None or d2 > threshold)
         rows.append((e.server_id, d1, d2, flagged, sigma_flagged, None))
     return rows
@@ -308,6 +336,26 @@ class TestDetect:
         report = detect(ests, [0.0, 0.0], NEAR_SINGULAR)
         assert report_rows(report) == detect_reference(ests, [0.0, 0.0], NEAR_SINGULAR)
         assert all(r.error is not None for r in report.records)
+
+    def test_first_server_of_another_dimension(self):
+        # The first server in id order does not match theta_hat; the servers
+        # after it are still screened together.
+        rng = np.random.default_rng(650)
+        theta_hat = rng.standard_normal(2)
+        sigma_hat = random_pd(rng, 2)
+        ests = [LocalEstimate(1, 100, np.zeros(3), np.eye(3))]
+        ests += [
+            est(sid, int(rng.integers(20, 2000)), theta_hat + rng.standard_normal(2) / 20.0,
+                random_pd(rng, 2))
+            for sid in range(2, 12)
+        ]
+        ests += [est(12, 100, theta_hat + 1e3, np.eye(2)), est(13, 100, theta_hat, -np.eye(2))]
+        rng.shuffle(ests)
+        report = detect(ests, theta_hat, sigma_hat)
+        assert report_rows(report) == detect_reference(ests, theta_hat, sigma_hat)
+        assert report.records[0].error == "theta_hat dimension does not match the estimate"
+        assert 12 in report.flagged_theta_ids()
+        assert 13 in report.flagged_sigma_ids()
 
     def test_every_server_flagged_in_step_one(self):
         ests = [est(sid, 100, [-1e6, -1e6], np.zeros((2, 2))) for sid in (3, 1, 2)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from robustagg import numkit
+from robustagg import models, numkit
 from robustagg.errors import (
     DimensionError,
     SeparationError,
@@ -183,14 +183,15 @@ class TestFitLocal:
         with pytest.raises(DimensionError):
             fit_local(LINEAR2, make_obs([1.0], [[1.0, 2.0]]))
 
-    def test_iteration_cap_reports_last_iterate(self):
+    def test_iteration_cap_reports_last_iterate(self, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
         rng = np.random.default_rng(61)
         X = rng.standard_normal((80, 2))
         y = (rng.random(80) < expit(X @ [2.0, 1.0])).astype(float)
+        monkeypatch.setattr(models, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            fit_local(LOGISTIC2, make_obs(y, X), max_iter=1)
+            fit_local(LOGISTIC2, make_obs(y, X))
         assert excinfo.value.best is not None
         assert excinfo.value.residual > 0
 

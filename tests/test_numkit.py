@@ -147,14 +147,14 @@ class TestVech:
 
 class TestPdProject:
     def test_already_pd_untouched(self):
-        assert np.array_equal(numkit.pd_project(np.eye(2), 1e-5), np.eye(2))
+        assert np.array_equal(numkit.pd_project(np.eye(2)), np.eye(2))
 
     def test_clips_negative(self):
-        out = numkit.pd_project(np.diag([1.0, -1.0]), 1e-5)
+        out = numkit.pd_project(np.diag([1.0, -1.0]))
         assert np.allclose(out, np.diag([1.0, 1e-5]))
 
     def test_clips_zero(self):
-        out = numkit.pd_project(np.diag([0.0, 2.0]), 1e-5)
+        out = numkit.pd_project(np.diag([0.0, 2.0]))
         assert np.allclose(out, np.diag([1e-5, 2.0]))
 
     def test_min_eigenvalue_floor_random(self):
@@ -162,12 +162,12 @@ class TestPdProject:
         for _ in range(100):
             p = int(rng.integers(1, 7))
             a = rng.standard_normal((p, p))
-            out = numkit.pd_project((a + a.T) / 2, 1e-5)
+            out = numkit.pd_project((a + a.T) / 2)
             assert numkit.min_eigenvalue(out) >= 1e-5 - 1e-12
 
     def test_symmetrizes_first(self):
         a = np.array([[1.0, 0.5], [0.1, 1.0]])
-        out = numkit.pd_project(a, 1e-5)
+        out = numkit.pd_project(a)
         assert np.array_equal(out, out.T)
         assert out[0, 1] == pytest.approx(0.3)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from robustagg import numkit
+from robustagg import numkit, spatialmed
 from robustagg.aggregate import LocalEstimate
 from robustagg.spatialmed import (
     DEFAULT_MAX_ITER,
@@ -202,15 +202,16 @@ class TestSpatialMedian:
         with pytest.raises(ValueError):
             spatial_median([])
 
-    def test_iteration_cap_carries_best_iterate(self):
+    def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
         pts = [
             wp([math.cos(a), math.sin(a)])
             for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
         ]
+        monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(NonConvergenceError) as excinfo:
-            spatial_median(pts, max_iter=0)
+            spatial_median(pts)
         assert excinfo.value.best is not None
 
     def test_rounding_stall_returns_best_iterate(self):
@@ -226,7 +227,7 @@ class TestSpatialMedian:
         assert DEFAULT_TOL < foc <= floor
         assert res.objective == pytest.approx(objective(pts, res.eta), rel=1e-14)
 
-    def test_crawl_next_to_a_data_point_ends_with_a_newton_step(self):
+    def test_crawl_next_to_a_data_point_ends_with_a_newton_step(self, monkeypatch):
         pts = [wp(v, STALL_WEIGHT) for v in CRAWL_POINTS]
         res = spatial_median(pts)
         assert res.iterations == DEFAULT_MAX_ITER
@@ -234,17 +235,19 @@ class TestSpatialMedian:
         foc, floor = residual_and_floor(CRAWL_POINTS, res.eta)
         assert foc <= floor
         # Weiszfeld itself gets there only with 40 times the budget.
-        slow = spatial_median(pts, max_iter=40 * DEFAULT_MAX_ITER)
+        monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 40 * DEFAULT_MAX_ITER)
+        slow = spatial_median(pts)
         assert np.abs(res.eta - slow.eta).max() <= 1e-9
         assert res.objective <= slow.objective * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("points", [STALL_POINTS, CRAWL_POINTS])
-    def test_unconverged_iterate_still_raises(self, points):
+    def test_unconverged_iterate_still_raises(self, points, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
         pts = [wp(v, STALL_WEIGHT) for v in points]
+        monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            spatial_median(pts, max_iter=1)
+            spatial_median(pts)
         foc, floor = residual_and_floor(points, excinfo.value.best)
         assert foc == pytest.approx(excinfo.value.residual) and foc > floor
 
@@ -296,7 +299,7 @@ class TestAggregateSigma:
         assert np.array_equal(out, out.T)
         assert out[0, 1] == pytest.approx(0.3)
 
-    def test_non_convergence_propagates(self):
+    def test_non_convergence_propagates(self, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
         # Three matrices whose vech points form a triangle: the optimum is
@@ -306,8 +309,9 @@ class TestAggregateSigma:
             LocalEstimate(sid, 10, np.zeros(2), s)
             for sid, s in enumerate(sigmas, start=1)
         ]
+        monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(NonConvergenceError):
-            aggregate_sigma(ests, max_iter=0)
+            aggregate_sigma(ests)
 
     def test_pd_preservation_randomized(self):
         rng = np.random.default_rng(17)
