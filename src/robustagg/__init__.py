@@ -24,7 +24,9 @@ from .distsim import (
     StudyMetrics,
     contaminate,
     decode_message,
+    decode_messages,
     encode_message,
+    encode_messages,
     generate_dataset,
     partition,
     run_replicate,

@@ -165,7 +165,8 @@ def standard_errors(sigma, n_total: int, tau: float) -> np.ndarray:
 def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> AggregationResult:
     """Solve the clipped, whitened estimating equations for the combined estimate.
 
-    ``c`` is the tuning constant (``math.inf`` gives the weighted average);
+    ``c`` is the tuning constant (``math.inf`` clips nothing, and the same
+    iteration then solves for the weighted average, up to rounding);
     the Newton iteration stops at residual ``DEFAULT_TOL`` and raises
     :class:`NonConvergenceError` after ``DEFAULT_MAX_ITER`` iterations.
 
@@ -204,21 +205,6 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
         raise NotPositiveDefiniteError(
             "sigma_hat is not positive definite; apply pd_project first",
             eigenvalue=smallest,
-        )
-
-    if math.isinf(c):
-        theta_bar, _ = weighted_average(ests)
-        whiten = numkit.inv_sqrt_pd(sigma_hat)
-        resid = np.zeros(p)
-        for e in ests:
-            resid += (e.n_k / n_total) * (whiten @ (e.theta_star - theta_bar))
-        return AggregationResult(
-            theta_hat=theta_bar,
-            sigma_used=sigma_hat,
-            tau=1.0,
-            se=standard_errors(sigma_hat, n_total, 1.0),
-            iterations=0,
-            residual_norm=float(np.linalg.norm(resid)),
         )
 
     whiten = numkit.inv_sqrt_pd(sigma_hat)

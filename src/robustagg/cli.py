@@ -36,9 +36,11 @@ from .distsim import (
     ContaminationSpec,
     StudyConfig,
     decode_message,
+    decode_messages,
     default_workers,
     detection_rates_to_csv,
     encode_message,
+    encode_messages,
     run_study,
     study_metrics_to_csv,
 )
@@ -321,16 +323,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return 0
 
     model = ModelSpec(model_kind, len(covariates))
-    estimates = []
-    for fit in fit_shards(model, shards, server_ids=[path.stem for path in shard_paths]):
-        est = LocalEstimate(
-            server_id=fit.server_id,
-            n_k=fit.n_k,
-            theta_star=fit.theta_hat,
-            sigma_star=fit.sigma_hat,
-        )
-        # Exercise the same wire codec the distributed system would use.
-        estimates.append(decode_message(encode_message(est)))
+    fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
+    # Exercise the same wire codec the distributed system would use.
+    estimates = decode_messages(
+        encode_messages(LocalEstimate(f.server_id, f.n_k, f.theta_hat, f.sigma_hat) for f in fits)
+    )
 
     sigma_hat = None
     if args.trusted_server is not None:
@@ -416,6 +413,26 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     est = LocalEstimate(server_id=3, n_k=17, theta_star=rng.standard_normal(3), sigma_star=pd[:3, :3])
     check("wire codec round trip", decode_message(encode_message(est)).theta_star.tolist() == est.theta_star.tolist())
+
+    # A round goes over the wire as one batch; it must carry the bytes and
+    # bits of one payload at a time, whatever its mix of ids and dimensions.
+    sym_pd = numkit.symmetrize(pd)
+    batch = [
+        LocalEstimate(sid, 10 + k, rng.standard_normal(p), sym_pd[:p, :p])
+        for k, (sid, p) in enumerate(((4, 2), ("s07", 3), ("12", 2), (-1, 3), ("'q", 3)))
+    ]
+    wire = encode_messages(batch)
+    check(
+        "batched wire codec equals one payload at a time, bit for bit",
+        wire == [encode_message(e) for e in batch]
+        and all(
+            type(b.server_id) is type(e.server_id)
+            and b.server_id == e.server_id
+            and b.theta_star.tobytes() == e.theta_star.tobytes()
+            and b.sigma_star.tobytes() == e.sigma_star.tobytes()
+            for b, e in zip(decode_messages(wire), batch)
+        ),
+    )
 
     # tau_c against E psi_c(Z)^2 by the midpoint rule, which checks the
     # standard normal density inside its closed form.

@@ -223,10 +223,10 @@ def detect(
     ests = sorted(estimates, key=server_order)
     if not ests:
         raise ValueError("at least one local estimate is required")
-    p = ests[0].p
-    threshold = math.sqrt(float(special.chdtri(p, alpha)))
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     sigma_hat = np.asarray(sigma_hat, dtype=float)
+    p = theta_hat.size
+    threshold = math.sqrt(float(special.chdtri(p, alpha)))
 
     d1s = _step1(ests, theta_hat, sigma_hat)
     # Step 2 runs only for servers that step 1 neither failed nor flagged.

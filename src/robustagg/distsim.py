@@ -14,6 +14,7 @@ workers execute it or in which order replicates finish.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import time
@@ -244,13 +245,13 @@ def contaminate(
 # bit-identical.  An int server id is sent in canonical decimal; a str id is
 # sent as itself, behind a leading "'" when it would otherwise read back as
 # an int (or starts with "'"), so both type and text round-trip.
+#
+# A round of payloads is encoded and decoded in one call; the one-payload
+# calls are that call on a list of one.  A batch returns what the one-payload
+# calls return, and raises what the first payload to fail would raise alone.
 # ---------------------------------------------------------------------------
 
 _STR_ID_MARK = "'"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _is_int_text(text: str) -> bool:
@@ -279,25 +280,68 @@ def _decode_id(text: str) -> int | str:
     return int(text) if _is_int_text(text) else text
 
 
+@functools.lru_cache(maxsize=32)
+def _numbers_format(p: int) -> str:
+    """The %-format of the theta and vech(sigma) fields of a p-dimensional
+    payload; ``"%.17g" % x`` prints the text of ``format(x, ".17g")``."""
+    return ",".join(["%.17g"] * p) + "|" + ",".join(["%.17g"] * numkit.vech_len(p))
+
+
+def _by_dimension(dims) -> dict:
+    """Positions of each dimension in ``dims``, in order."""
+    groups: dict = {}
+    for i, p in enumerate(dims):
+        groups.setdefault(p, []).append(i)
+    return groups
+
+
+def encode_messages(estimates) -> list[bytes]:
+    """The wire payload of every estimate, in order.
+
+    The wire format carries vech(sigma), so only (near-)symmetric matrices
+    are encodable; a symmetric matrix round-trips bit-identically.  The
+    estimates of each dimension share one stacked symmetry test and one
+    ``tolist``, and each payload is printed by one %-format.
+    """
+    ests = list(estimates)
+    symmetric = np.zeros(len(ests), dtype=bool)
+    numbers: list = [None] * len(ests)
+    for p, idx in _by_dimension(e.p for e in ests).items():
+        if p < 1:
+            continue  # ensure_symmetric raises the DimensionError below
+        sigmas = np.stack([ests[i].sigma_star for i in idx])
+        symmetric[idx] = numkit.symmetric_mask(sigmas)
+        thetas = np.stack([ests[i].theta_star for i in idx])
+        rows = np.concatenate([thetas, numkit.vech_stack(numkit.symmetrize(sigmas))], axis=1)
+        for i, row in zip(idx, rows.tolist()):
+            numbers[i] = row
+    out = []
+    for e, ok, row in zip(ests, symmetric, numbers):
+        if not ok:
+            numkit.ensure_symmetric(e.sigma_star)  # raises its error for this matrix
+        body = "|".join(
+            [PROTOCOL_VERSION, _encode_id(e.server_id), str(e.n_k), str(e.p),
+             _numbers_format(e.p) % tuple(row)]
+        )
+        crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
+        out.append(f"{body}|{crc:08x}".encode("ascii"))
+    return out
+
+
 def encode_message(est: LocalEstimate) -> bytes:
-    # The wire format carries vech(sigma), so only (near-)symmetric matrices
-    # are encodable; a symmetric matrix round-trips bit-identically.
-    theta_txt = ",".join(_fmt(v) for v in est.theta_star)
-    sigma_txt = ",".join(_fmt(v) for v in numkit.vech(est.sigma_star))
-    body = "|".join(
-        [PROTOCOL_VERSION, _encode_id(est.server_id), str(est.n_k), str(est.p), theta_txt, sigma_txt]
-    )
-    crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
-    return f"{body}|{crc:08x}".encode("ascii")
+    """The wire payload of one estimate: :func:`encode_messages` of one."""
+    return encode_messages([est])[0]
 
 
-def decode_message(payload: bytes) -> LocalEstimate:
+def _checked_fields(payload: bytes) -> tuple:
+    """``(server id text, n_k, p, theta text, vech text)`` of a payload whose
+    version, field count and checksum hold."""
     try:
         text = payload.decode("ascii")
     except (UnicodeDecodeError, AttributeError) as exc:
         raise TruncatedMessageError(f"message is not ascii text: {exc}") from None
     parts = text.split("|")
-    if parts and parts[0] != PROTOCOL_VERSION:
+    if parts[0] != PROTOCOL_VERSION:
         raise VersionMismatchError(
             f"unsupported protocol version {parts[0]!r} (expected {PROTOCOL_VERSION!r})"
         )
@@ -317,22 +361,83 @@ def decode_message(payload: bytes) -> LocalEstimate:
         )
     _, sid_txt, nk_txt, p_txt, theta_txt, sigma_txt = parts[:6]
     try:
-        n_k = int(nk_txt)
-        p = int(p_txt)
-        theta = np.array([float(v) for v in theta_txt.split(",")])
-        sigma_vec = np.array([float(v) for v in sigma_txt.split(",")])
+        return sid_txt, int(nk_txt), int(p_txt), theta_txt, sigma_txt
     except ValueError as exc:
         raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
-    if theta.size != p or sigma_vec.size != numkit.vech_len(p):
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    """``float()`` of every comma-separated field of ``text`` (numpy converts
+    a str with ``float()``)."""
+    try:
+        return np.array(text.split(","), dtype=float)
+    except ValueError as exc:
+        raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
+
+
+def _while_ok(fn, items, error=None) -> tuple[list, RobustAggError | None]:
+    """``fn`` of each item up to the first that raises; returns the results
+    and that error, or ``error`` if every item passed."""
+    out = []
+    for item in items:
+        try:
+            out.append(fn(item))
+        except RobustAggError as exc:
+            return out, exc
+    return out, error
+
+
+def _checked_dimension(fields: tuple) -> tuple:
+    """The fields of a payload whose numbers match its declared dimension."""
+    _, _, p, theta_txt, sigma_txt = fields
+    if theta_txt.count(",") + 1 != p or sigma_txt.count(",") + 1 != numkit.vech_len(p):
         raise TruncatedMessageError(
             "declared dimension does not match the payload lengths"
         )
-    return LocalEstimate(
-        server_id=_decode_id(sid_txt),
-        n_k=n_k,
-        theta_star=theta,
-        sigma_star=numkit.vech_inv(sigma_vec, p),
-    )
+    return fields
+
+
+def decode_messages(payloads) -> list[LocalEstimate]:
+    """The estimate of every wire payload, in order.
+
+    A payload is checked in stages: version, field count and checksum, then
+    its numbers, then its declared dimension, then the estimate it builds.
+    Each stage runs over the payloads that passed the stages before, up to
+    its first failure, so the error raised is the one the first failing
+    payload raises alone.  All numbers of the round are parsed by one numpy
+    conversion and the matrices of each dimension rebuilt by one stacked
+    ``vech_inv``.
+    """
+    fields, error = _while_ok(_checked_fields, payloads)
+    texts = [f"{theta_txt},{sigma_txt}" for _, _, _, theta_txt, sigma_txt in fields]
+    try:
+        values = _parse_floats(",".join(texts)) if texts else np.empty(0)
+    except TruncatedMessageError:
+        parsed, error = _while_ok(_parse_floats, texts, error)
+        fields = fields[: len(parsed)]
+        values = np.concatenate(parsed) if parsed else np.empty(0)
+    fields, error = _while_ok(_checked_dimension, fields, error)
+
+    dims = [p for _, _, p, _, _ in fields]
+    starts = np.cumsum([0] + [p + numkit.vech_len(p) for p in dims])
+    thetas: list = [None] * len(fields)
+    sigmas: list = [None] * len(fields)
+    for p, idx in _by_dimension(dims).items():
+        block = values[starts[idx][:, None] + np.arange(p + numkit.vech_len(p))]
+        for i, theta, sigma in zip(idx, block[:, :p], numkit.vech_inv_stack(block[:, p:], p)):
+            thetas[i], sigmas[i] = theta, sigma
+    out = [
+        LocalEstimate(server_id=_decode_id(sid_txt), n_k=n_k, theta_star=theta, sigma_star=sigma)
+        for (sid_txt, n_k, _, _, _), theta, sigma in zip(fields, thetas, sigmas)
+    ]
+    if error is not None:
+        raise error
+    return out
+
+
+def decode_message(payload: bytes) -> LocalEstimate:
+    """The estimate of one wire payload: :func:`decode_messages` of one."""
+    return decode_messages([payload])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +497,7 @@ def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     estimates = contaminate(model, fits, shards, config.contamination, contam_seed)
 
     # Transport: everything the processor sees went over the wire.
-    received = [decode_message(encode_message(e)) for e in estimates]
+    received = decode_messages(encode_messages(estimates))
 
     result, theta_bar, se_wa, report = process(received, config.c, config.alpha)
 

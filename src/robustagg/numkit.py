@@ -46,7 +46,7 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _symmetric_mask(a: np.ndarray) -> np.ndarray:
+def symmetric_mask(a: np.ndarray) -> np.ndarray:
     """The symmetry test of :func:`is_symmetric` for a matrix or for each
     matrix of a ``(..., p, p)`` stack."""
     scale = np.abs(a).max(axis=(-2, -1))
@@ -56,7 +56,7 @@ def _symmetric_mask(a: np.ndarray) -> np.ndarray:
 
 def is_symmetric(a) -> bool:
     """True when the asymmetry of ``a`` is below ``SYM_RTOL`` relative to its scale."""
-    return bool(_symmetric_mask(_as_square(a)))
+    return bool(symmetric_mask(_as_square(a)))
 
 
 def ensure_symmetric(a) -> np.ndarray:
@@ -120,7 +120,7 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     stack = _as_square_stack(stack)
     sym = symmetrize(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    symmetric = np.flatnonzero(_symmetric_mask(stack))
+    symmetric = np.flatnonzero(symmetric_mask(stack))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
@@ -189,10 +189,14 @@ def exact_column_means(a) -> np.ndarray:
     of ``q`` is such a multiple below ``n * 2**E < sigma`` in magnitude,
     which is a double: numpy's pairwise row sum is exact in whatever order
     it adds.  The pass leaves ``|p| <= 2**(k + E - 53)``, which is the next
-    pass's ``2**E``; once every ``p`` is zero (about three passes for
+    pass's ``2**E``; once every ``p`` is zero (two or three passes for
     sandwich products) the pass sums add up exactly to the column sum, and
-    ``math.fsum`` over them rounds that real number correctly, as ``fsum``
-    over the column does.
+    the finish rounds that real number correctly, as ``fsum`` over the
+    column does.  One pass sum is the sum itself.  Two are added by one
+    IEEE addition, which rounds their exact sum to nearest, ties to even,
+    exactly as ``fsum`` of two doubles does; a pass sum is never ``-0.0``
+    (``q`` is ``+0.0`` or nonzero) and stays below ``sigma <= 2**1021``, so
+    the addition cannot overflow.  Three or more go to ``math.fsum``.
 
     Columns with a non-finite entry, or with ``k + E`` above
     ``_MAX_SIGMA_EXP`` (where ``sigma`` or ``p + sigma`` could overflow), go
@@ -230,12 +234,17 @@ def exact_column_means(a) -> np.ndarray:
         sigma = np.ldexp(1.0, exp)[:, None]
         np.add(rows, sigma, out=q)
         q -= sigma
-        passes.append(q.sum(axis=1).tolist())
+        passes.append(q.sum(axis=1))
         rows -= q
         if not rows.any():
             break
         exp = np.maximum(exp + (k - 53), k - 1074)
-    sums[live] = [math.fsum(col) for col in zip(*passes)]
+    if len(passes) == 1:
+        sums[live] = passes[0]
+    elif len(passes) == 2:
+        sums[live] = passes[0] + passes[1]
+    else:
+        sums[live] = [math.fsum(col) for col in np.stack(passes, axis=1).tolist()]
     return sums / n
 
 
@@ -273,10 +282,16 @@ def vech_inv(v, p: int) -> np.ndarray:
         raise DimensionError(
             f"vech vector has length {v.size}, expected {vech_len(p)} for p={p}"
         )
-    a = np.zeros((p, p))
-    a.T[triu_indices(p)] = v
-    upper = triu_indices(p, 1)
-    a[upper] = a.T[upper]
+    return vech_inv_stack(v, p)
+
+
+def vech_inv_stack(v: np.ndarray, p: int) -> np.ndarray:
+    """:func:`vech_inv` of a vector, or of each row of a ``(..., vech_len(p))``
+    array, without the length checks."""
+    a = np.zeros(v.shape[:-1] + (p, p))
+    a.swapaxes(-1, -2)[(..., *triu_indices(p))] = v
+    upper = (..., *triu_indices(p, 1))
+    a[upper] = a.swapaxes(-1, -2)[upper]
     return a
 
 

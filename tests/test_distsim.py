@@ -1,7 +1,10 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustagg import numkit
 from robustagg.aggregate import (
@@ -17,7 +20,9 @@ from robustagg.distsim import (
     StudyConfig,
     contaminate,
     decode_message,
+    decode_messages,
     encode_message,
+    encode_messages,
     generate_dataset,
     partition,
     process,
@@ -207,6 +212,226 @@ class TestTransport:
         est = LocalEstimate(1, 50, np.array([2.0, 1.0]), np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ValueError):
             encode_message(est)
+
+
+# ---------------------------------------------------------------------------
+# The batched codec against the wire spec and against one payload at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_symmetrized(sigma) -> list:
+    a = np.asarray(sigma).tolist()
+    return [[(a[i][j] + a[j][i]) / 2 for j in range(len(a))] for i in range(len(a))]
+
+
+def reference_encode(est) -> bytes:
+    """``v1|id|n_k|p|theta|vech(sigma)|crc32``, written from the wire spec:
+    17 significant digits per number, vech column by column over the lower
+    triangle of (sigma + sigma^T) / 2, and a str id that reads as an int or
+    starts with "'" sent behind a "'"."""
+    sid = est.server_id
+    if isinstance(sid, str):
+        try:
+            looks_int = str(int(sid)) == sid
+        except ValueError:
+            looks_int = False
+        sid = "'" + sid if looks_int or sid.startswith("'") else sid
+    p = est.theta_star.size
+    sym = reference_symmetrized(est.sigma_star)
+    vech = [sym[i][j] for j in range(p) for i in range(j, p)]
+    body = "|".join(
+        [
+            "v1",
+            str(sid),
+            str(est.n_k),
+            str(p),
+            ",".join(format(x, ".17g") for x in est.theta_star.tolist()),
+            ",".join(format(x, ".17g") for x in vech),
+        ]
+    )
+    return f"{body}|{zlib.crc32(body.encode('ascii')):08x}".encode("ascii")
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.0**-1022,
+    1e308, -1e308, 1.7976931348623157e308, 8.98846567431158e307, 1.0 / 3.0,
+]
+SIGMA_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)
+)
+# The wire text of every NaN is "nan", so a NaN's sign and payload bits do
+# not travel; the canonical NaN is the one a payload can carry bit for bit.
+THETA_ENTRIES = st.one_of(SIGMA_ENTRIES, st.sampled_from([math.inf, -math.inf, math.nan]))
+SERVER_IDS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="|"), max_size=8),
+    st.sampled_from(["01", "+1", "-3", "1", "'", "'7", "''x", " 2", "1_0", ""]),
+)
+
+
+@st.composite
+def wire_estimates(draw):
+    p = draw(st.integers(1, 6))
+    theta = draw(st.lists(THETA_ENTRIES, min_size=p, max_size=p))
+    vech = draw(st.lists(SIGMA_ENTRIES, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
+    sigma = numkit.vech_inv(vech, p)
+    if p >= 2 and abs(sigma[1, 0]) >= 2.0**-1000 and draw(st.booleans()):
+        # Near-symmetric within SYM_RTOL: one normal entry an ulp nearer zero.
+        sigma[1, 0] = np.nextafter(sigma[1, 0], 0.0)
+    return LocalEstimate(draw(SERVER_IDS), draw(st.integers(1, 10**18)), theta, sigma)
+
+
+def ten_payloads():
+    """Ten estimates of mixed dimension and id type."""
+    rng = np.random.default_rng(41)
+    ests = []
+    for k in range(10):
+        p = 1 + k % 3
+        a = rng.standard_normal((p, p))
+        sid = k + 1 if k % 2 else f"shard{k:02d}"
+        ests.append(LocalEstimate(sid, 50 + k, rng.standard_normal(p), a @ a.T + np.eye(p)))
+    return ests
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` returns, or the class and message of what it raises."""
+    try:
+        return ("ok", fn(arg))
+    except Exception as exc:  # noqa: BLE001 - the class is the point
+        return (type(exc), str(exc))
+
+
+def with_crc(body: str) -> bytes:
+    return f"{body}|{zlib.crc32(body.encode('ascii')):08x}".encode("ascii")
+
+
+def refield(payload: bytes, index: int, text: str) -> bytes:
+    """The payload with one field replaced, under a valid checksum."""
+    fields = payload.decode("ascii").split("|")[:6]
+    fields[index] = text
+    return with_crc("|".join(fields))
+
+
+def flip_digit(payload: bytes) -> bytes:
+    body, crc = payload.rsplit(b"|", 1)
+    last = body[-1] - ord("0")
+    return body[:-1] + bytes([ord("0") + (last + 1) % 10]) + b"|" + crc
+
+
+DECODE_DEFECTS = {
+    "flipped byte": flip_digit,
+    "truncated": lambda w: w[: len(w) // 2],
+    "wrong version": lambda w: b"v9" + w[2:],
+    "not ascii": lambda w: w + b"\xff",
+    "not bytes": lambda w: w.decode("ascii"),
+    "extra field": lambda w: with_crc(w.decode("ascii").rsplit("|", 1)[0] + "|x"),
+    "checksum not hex": lambda w: w.rsplit(b"|", 1)[0] + b"|zzzzzzzz",
+    "malformed n_k": lambda w: refield(w, 2, "5x"),
+    "malformed number": lambda w: refield(w, 4, "1.0.0"),
+    "empty number": lambda w: refield(w, 5, w.decode("ascii").split("|")[5] + ","),
+    "wrong dimension": lambda w: refield(w, 3, str(int(w.split(b"|")[3]) + 1)),
+    # Two defects in one payload: the number is parsed before the length
+    # is compared, so the parse error is the one reported.
+    "malformed number, wrong length": lambda w: refield(w, 4, "1.0.0,2,3,4"),
+    "zero n_k": lambda w: refield(w, 2, "0"),
+}
+
+ENCODE_DEFECTS = {
+    "asymmetric sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0, 1.0], [[1.0, 0.5], [0.1, 1.0]]),
+    "nan sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0], [[math.nan]]),
+    "inf sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0, 1.0], [[math.inf, 0.0], [0.0, 1.0]]),
+    "no dimension": lambda e: LocalEstimate(e.server_id, e.n_k, np.zeros(0), np.zeros((0, 0))),
+    "separator in id": lambda e: LocalEstimate("a|b", e.n_k, e.theta_star, e.sigma_star),
+    "bool id": lambda e: LocalEstimate(True, e.n_k, e.theta_star, e.sigma_star),
+    "float id": lambda e: LocalEstimate(1.5, e.n_k, e.theta_star, e.sigma_star),
+    "non-ascii id": lambda e: LocalEstimate("café", e.n_k, e.theta_star, e.sigma_star),
+    # Two defects in one estimate: the matrix is checked before the id.
+    "asymmetric sigma, separator in id": lambda e: LocalEstimate(
+        "a|b", e.n_k, [2.0, 1.0], [[1.0, 0.5], [0.1, 1.0]]
+    ),
+}
+
+
+class TestBatchedTransport:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(wire_estimates(), min_size=1, max_size=10))
+    def test_batch_equals_spec_and_single_calls(self, batch):
+        wire = encode_messages(batch)
+        assert wire == [reference_encode(e) for e in batch]
+        assert wire == [encode_message(e) for e in batch]
+        back = decode_messages(wire)
+        assert len(back) == len(batch)
+        for got, sent, payload in zip(back, batch, wire):
+            single = decode_message(payload)
+            for b in (got, single):
+                assert type(b.server_id) is type(sent.server_id)
+                assert b.server_id == sent.server_id
+                assert b.n_k == sent.n_k
+                assert b.theta_star.tobytes() == sent.theta_star.tobytes()
+                assert b.sigma_star.tobytes() == np.array(reference_symmetrized(sent.sigma_star)).tobytes()
+
+    def test_symmetric_sigma_arrives_as_sent(self):
+        ests = ten_payloads()
+        for got, sent in zip(decode_messages(encode_messages(ests)), ests):
+            assert got.sigma_star.tobytes() == sent.sigma_star.tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="numkit.symmetrize forms a + a.T, which overflows beyond half the largest double",
+    )
+    def test_sigma_beyond_half_the_largest_double_arrives_as_sent(self):
+        est = LocalEstimate(1, 50, [0.0], [[1e308]])
+        assert decode_message(encode_message(est)).sigma_star[0, 0] == 1e308
+
+    def test_malformed_number_reported_before_wrong_length(self):
+        wire = refield(encode_message(ten_payloads()[0]), 4, "1.0.0,2,3,4")
+        with pytest.raises(TruncatedMessageError, match="malformed numeric field: .*'1.0.0'"):
+            decode_message(wire)
+
+    def test_asymmetric_sigma_reported_before_bad_id(self):
+        est = ENCODE_DEFECTS["asymmetric sigma, separator in id"](ten_payloads()[0])
+        with pytest.raises(ValueError, match="not symmetric"):
+            encode_message(est)
+
+    def test_empty_round(self):
+        assert encode_messages([]) == []
+        assert decode_messages([]) == []
+
+    @pytest.mark.parametrize("defect", sorted(DECODE_DEFECTS))
+    def test_decode_error_is_that_of_the_failing_payload(self, defect):
+        wire = encode_messages(ten_payloads())
+        wire[3] = DECODE_DEFECTS[defect](wire[3])
+        want = outcome(decode_message, wire[3])
+        assert want[0] != "ok"
+        assert outcome(decode_messages, wire) == want
+
+    @pytest.mark.parametrize("defect", sorted(ENCODE_DEFECTS))
+    def test_encode_error_is_that_of_the_failing_estimate(self, defect):
+        ests = ten_payloads()
+        ests[3] = ENCODE_DEFECTS[defect](ests[3])
+        want = outcome(encode_message, ests[3])
+        assert want[0] != "ok"
+        assert outcome(encode_messages, ests) == want
+
+    def test_first_failing_payload_wins_whatever_fails_after_it(self):
+        # Each stage of the batched decode must not report a later payload's
+        # failure before an earlier payload's failure at a later stage.
+        clean = encode_messages(ten_payloads())
+        for first in DECODE_DEFECTS:
+            for later in DECODE_DEFECTS:
+                wire = list(clean)
+                wire[3] = DECODE_DEFECTS[first](wire[3])
+                wire[6] = DECODE_DEFECTS[later](wire[6])
+                assert outcome(decode_messages, wire) == outcome(decode_message, wire[3]), (first, later)
+
+    def test_first_failing_estimate_wins_whatever_fails_after_it(self):
+        clean = ten_payloads()
+        for first in ENCODE_DEFECTS:
+            for later in ENCODE_DEFECTS:
+                ests = list(clean)
+                ests[3] = ENCODE_DEFECTS[first](ests[3])
+                ests[6] = ENCODE_DEFECTS[later](ests[6])
+                assert outcome(encode_messages, ests) == outcome(encode_message, ests[3]), (first, later)
 
 
 def process_reference(received, c, alpha, sigma_hat=None):

@@ -7,6 +7,7 @@ reference here is always the plain per-column ``fsum``.
 
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ class TestFallbackColumns:
 
     def test_threshold_routes_columns(self, monkeypatch):
         # One column just below the overflow guard goes through extraction
-        # (fsum sees only its few pass sums); one at the guard goes to fsum.
+        # (one pass, so fsum never sees it); one at the guard goes to fsum.
         calls = []
 
         def counting_fsum(values):
@@ -200,8 +201,7 @@ class TestFallbackColumns:
         a[:, 0] *= 2.0**limit  # max|p| < 2**limit: extraction
         a[:, 1] = 2.0**limit  # max|p| >= 2**limit: fallback
         got = exact_column_means(a)
-        assert calls.count(self.N) == 1
-        assert max(c for c in calls if c != self.N) < 10
+        assert calls == [self.N]
         monkeypatch.undo()
         assert np.array_equal(got, fsum_means(a))
 
@@ -214,3 +214,98 @@ class TestFallbackColumns:
 
         with pytest.raises(DimensionError):
             exact_column_means(np.ones(5))
+
+
+# ---------------------------------------------------------------------------
+# The finish: one pass sum is the sum, two are added by one IEEE addition,
+# three or more go to fsum.  Each column below is built to need an exact
+# number of extraction passes, counted by the calls to ``np.ldexp`` (one per
+# pass).
+# ---------------------------------------------------------------------------
+
+
+def extraction_passes(monkeypatch, a):
+    """The result of ``exact_column_means(a)`` and its number of passes."""
+    calls = []
+    ldexp = np.ldexp
+
+    def counting_ldexp(*args):
+        calls.append(1)
+        return ldexp(*args)
+
+    monkeypatch.setattr(numkit.np, "ldexp", counting_ldexp)
+    try:
+        got = exact_column_means(a)
+    finally:
+        monkeypatch.undo()
+    return got, len(calls)
+
+
+def exact_sum(col):
+    return sum(map(Fraction, col.tolist()), Fraction(0))
+
+
+def one_pass_columns(rng, n):
+    # Small integers: the first pass takes every entry whole.
+    return rng.integers(-1000, 1000, (n, 3)).astype(float)
+
+
+def two_pass_columns(rng, n):
+    # Integers times 2**40 plus a low part the first pass leaves behind.
+    a = rng.integers(-1000, 1000, (n, 3)).astype(float) * 2.0**40
+    return a + rng.integers(-1000, 1000, (n, 3)).astype(float)
+
+
+def three_pass_columns(rng, n):
+    # The first two passes leave entries far below the bulk untouched.
+    a = two_pass_columns(rng, n)
+    a[rng.integers(0, n, 5), :] = 2.0**-60 * rng.integers(1, 1000, (5, 3))
+    return a
+
+
+def halfway_columns(rng, n):
+    """Columns whose exact sum lies half-way between two doubles: a bulk the
+    first pass takes, summing to between 2**52 and 2**53 (where doubles are
+    1 apart), and integers plus one half, which only the second pass takes."""
+    bulk = n // 2
+    cols = []
+    for sign, below in ((1.0, 0.5), (1.0, -0.5), (-1.0, 0.5), (-1.0, -0.5)):
+        col = np.zeros(n)
+        col[:bulk] = sign * 2.0 ** (53 - bulk.bit_length())
+        col[n // 2 : n // 2 + 10] = rng.integers(-500, 500, 10)
+        col[-1] = below
+        cols.append(rng.permutation(col))
+    return np.stack(cols, axis=1)
+
+
+class TestFinish:
+    @pytest.mark.parametrize(
+        "make, passes",
+        [(one_pass_columns, 1), (two_pass_columns, 2), (three_pass_columns, 3)],
+    )
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_columns_of_known_pass_count(self, monkeypatch, make, passes, n):
+        a = make(np.random.default_rng(n + passes), n)
+        got, counted = extraction_passes(monkeypatch, a)
+        assert counted == (passes if a.size >= EXACT_SUM_MIN_ENTRIES else 0)
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    @pytest.mark.parametrize("n", [400, 2000, 6000])
+    def test_halfway_sums_round_to_even(self, monkeypatch, n):
+        a = halfway_columns(np.random.default_rng(n), n)
+        got, counted = extraction_passes(monkeypatch, a)
+        assert counted == (2 if a.size >= EXACT_SUM_MIN_ENTRIES else 0)
+        for col in a.T:
+            exact = exact_sum(col)
+            rounded = math.fsum(col.tolist())
+            assert 2.0**52 <= abs(rounded) < 2.0**53
+            assert abs(Fraction(rounded) - exact) == Fraction(1, 2)
+            assert rounded % 2.0 == 0.0  # ties to even
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    def test_halfway_sums_below_the_crossover(self, monkeypatch):
+        a = halfway_columns(np.random.default_rng(1), 300)
+        assert a.size < EXACT_SUM_MIN_ENTRIES
+        got, counted = extraction_passes(monkeypatch, a)
+        assert counted == 0
+        assert got.tobytes() == fsum_means(a).tobytes()

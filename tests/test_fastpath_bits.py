@@ -279,7 +279,7 @@ def detect_reference(estimates, theta_hat, sigma_hat, alpha=0.05):
     ests = sorted(estimates, key=server_order)
     theta_hat = np.asarray(theta_hat, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    threshold = math.sqrt(float(special.chdtri(ests[0].p, alpha)))
+    threshold = math.sqrt(float(special.chdtri(theta_hat.size, alpha)))
     rows = []
     for e in ests:
         try:
@@ -354,6 +354,9 @@ class TestDetect:
         report = detect(ests, theta_hat, sigma_hat)
         assert report_rows(report) == detect_reference(ests, theta_hat, sigma_hat)
         assert report.records[0].error == "theta_hat dimension does not match the estimate"
+        # The degrees of freedom are theta_hat's 2, not the first server's 3.
+        assert report.p == 2
+        assert report.threshold == pytest.approx(2.4477, abs=1e-4)
         assert 12 in report.flagged_theta_ids()
         assert 13 in report.flagged_sigma_ids()
 
