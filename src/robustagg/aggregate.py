@@ -77,7 +77,6 @@ def server_order(item) -> tuple:
 @dataclass
 class AggregationResult:
     theta_hat: np.ndarray
-    sigma_used: np.ndarray
     tau: float
     se: np.ndarray
     iterations: int
@@ -114,7 +113,9 @@ def tau_c(c: float) -> float:
     return b * b / sigma2
 
 
-def _sorted_estimates(estimates) -> list[LocalEstimate]:
+def sorted_estimates(estimates) -> list[LocalEstimate]:
+    """The estimates in :func:`server_order`, checked to be at least one and
+    of one parameter dimension."""
     ests = list(estimates)
     if not ests:
         raise ValueError("at least one local estimate is required")
@@ -131,7 +132,7 @@ def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(theta_bar, sigma_bar)``.  Accumulation runs in server-id
     order, so the result does not depend on the order estimates arrive.
     """
-    ests = _sorted_estimates(estimates)
+    ests = sorted_estimates(estimates)
     n_total = sum(e.n_k for e in ests)
     p = ests[0].p
     theta = np.zeros(p)
@@ -186,7 +187,7 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     """
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
-    ests = _sorted_estimates(estimates)
+    ests = sorted_estimates(estimates)
     p = ests[0].p
     ests = [e for e in ests if np.isfinite(e.theta_star).all()]
     if not ests:
@@ -200,15 +201,7 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
         raise NotPositiveDefiniteError(
             "sigma_hat must be symmetric positive definite; apply pd_project first"
         )
-    smallest = numkit.min_eigenvalue(sigma_hat)
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            "sigma_hat is not positive definite; apply pd_project first",
-            eigenvalue=smallest,
-        )
-
-    whiten = numkit.inv_sqrt_pd(sigma_hat)
-    color = numkit.sqrt_pd(sigma_hat)
+    color, whiten = numkit.pd_roots(sigma_hat)
     thetas = np.stack([e.theta_star for e in ests])        # (K, p)
     roots = np.array([math.sqrt(e.n_k) for e in ests])     # sqrt(n_k)
     shares = np.array([e.n_k / n_total for e in ests])     # n_k / N
@@ -224,14 +217,13 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     f, inside = residual(theta)
     res = float(np.linalg.norm(f))
     iterations = 0
-    best_theta, best_res = theta, res
 
     while res > DEFAULT_TOL:
         if iterations >= DEFAULT_MAX_ITER:
             raise NonConvergenceError(
                 f"robust aggregation did not converge in {DEFAULT_MAX_ITER} iterations",
-                best=best_theta,
-                residual=best_res,
+                best=theta,
+                residual=res,
             )
         s = shares @ inside  # per-coordinate unclipped weight
         if s.min() > 1e-14:
@@ -252,19 +244,17 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
                 break
             scale /= 2.0
         iterations += 1
-        if res < best_res:
-            best_theta, best_res = theta.copy(), res
         if not accepted:
+            # Steps are taken only when the residual falls: theta is the best.
             raise NonConvergenceError(
                 "robust aggregation stalled (no descent direction found)",
-                best=best_theta,
-                residual=best_res,
+                best=theta,
+                residual=res,
             )
 
     tau = tau_c(c)
     return AggregationResult(
         theta_hat=theta,
-        sigma_used=sigma_hat,
         tau=tau,
         se=standard_errors(sigma_hat, n_total, tau),
         iterations=iterations,

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, RobustAggError
 from . import distsim, numkit
-from .aggregate import LocalEstimate, tau_c
+from .aggregate import DEFAULT_HUBER_C, LocalEstimate, tau_c
+from .detect import DEFAULT_ALPHA
 from .distsim import (
     WORKERS_ENV_VAR,
     ContaminationKind,
@@ -152,10 +153,10 @@ def make_study_config(file_values: dict, args: argparse.Namespace) -> tuple[Stud
             theta0=theta0,
             n_servers=pick("K", args.K, 20),
             shard_size=pick("n", args.n, 1000),
-            c=pick("c", args.c, 1.345),
+            c=pick("c", args.c, DEFAULT_HUBER_C),
             contamination=spec,
             replicates=pick("replicates", args.replicates, 200),
-            alpha=pick("alpha", args.alpha, 0.05),
+            alpha=pick("alpha", args.alpha, DEFAULT_ALPHA),
             base_seed=pick("seed", args.seed, 20240501),
         )
     except ValueError as exc:
@@ -562,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipe.add_argument("shards", nargs="+", help="CSV files, one per server")
     pipe.add_argument("--model", default="logistic", choices=["logistic", "linear"])
-    pipe.add_argument("--c", type=float, default=1.345)
-    pipe.add_argument("--alpha", type=float, default=0.05)
+    pipe.add_argument("--c", type=float, default=DEFAULT_HUBER_C)
+    pipe.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     pipe.add_argument(
         "--trusted-server",
         help="use this server's variance matrix instead of the spatial-median aggregate",

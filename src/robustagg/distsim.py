@@ -36,12 +36,13 @@ from .errors import (
 )
 from . import aggregate, numkit
 from .aggregate import (
+    DEFAULT_HUBER_C,
     LocalEstimate,
     huber_aggregate,
     standard_errors,
     weighted_average,
 )
-from .detect import detect
+from .detect import DEFAULT_ALPHA, detect
 from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_shards, sandwich_variance
 from .spatialmed import aggregate_sigma
 
@@ -66,9 +67,9 @@ class ContaminationSpec:
     """What happens to the transmitted estimates of the corrupted servers.
 
     ``count=None`` resolves to floor(K^{1/4}) at run time.  The corrupted
-    servers are the first ``count`` in server-id order unless
-    ``randomize_placement`` is set (kept off by default for reproducible
-    tables).  ``omniscient_value=None`` means every coordinate is -1e6.
+    servers are the first ``count`` in server-id order, the servers a
+    replicate scores detection against.  ``omniscient_value=None`` means
+    every coordinate is -1e6.
     ``gaussian_scale`` is the variance multiplier of the replacement draw,
     N(0, scale * I).
     """
@@ -77,7 +78,6 @@ class ContaminationSpec:
     count: int | None = None
     omniscient_value: tuple | None = None
     gaussian_scale: float = 200.0
-    randomize_placement: bool = False
 
     def __post_init__(self):
         if self.count is not None and self.count < 0:
@@ -106,10 +106,10 @@ class StudyConfig:
     theta0: tuple = (2.0, 1.0)
     n_servers: int = 20
     shard_size: int = 1000
-    c: float = 1.345
+    c: float = DEFAULT_HUBER_C
     contamination: ContaminationSpec = ContaminationSpec()
     replicates: int = 200
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     base_seed: int = 20240501
 
     def __post_init__(self):
@@ -126,6 +126,13 @@ class StudyConfig:
         if len(self.theta0) < 1:
             raise ValueError("theta0 must have at least one coordinate")
         self.contamination.resolved_count(self.n_servers)  # validate count vs K
+        spec = self.contamination
+        if spec.kind is ContaminationKind.OMNISCIENT and spec.omniscient_value is not None:
+            if np.size(spec.omniscient_value) != len(self.theta0):
+                raise ValueError(
+                    f"omniscient_value has {np.size(spec.omniscient_value)} coordinates, "
+                    f"theta0 has {len(self.theta0)}"
+                )
 
     @property
     def p(self) -> int:
@@ -181,7 +188,8 @@ def contaminate(
 ) -> list[LocalEstimate]:
     """Turn local fits into the payloads that actually reach the processor.
 
-    Servers selected by ``spec`` transmit a corrupted estimate; their
+    The first ``spec.resolved_count(K)`` servers in server-id order
+    transmit a corrupted estimate, drawn in the order of ``fits``; their
     variance matrix is the sandwich recomputed on the server's own data at
     the corrupted parameter value (a corrupted estimate corrupts the
     variance with it).  Everything else passes through unchanged.
@@ -191,42 +199,29 @@ def contaminate(
     # Module-qualified on purpose: perfbench traces every robustagg function
     # imported into this module by name, and a sort key is called per server.
     order = sorted(range(len(fits)), key=lambda i: aggregate.server_order(fits[i]))
-    count = spec.resolved_count(len(fits))
+    corrupt_positions = set(order[: spec.resolved_count(len(fits))])
     rng = _rng(seed)
-    if spec.randomize_placement and count > 0:
-        chosen = set(rng.choice(len(order), size=count, replace=False).tolist())
-        corrupt_positions = {order[i] for i in chosen}
-    else:
-        corrupt_positions = {order[i] for i in range(count)}
 
     out = []
     for i, fit in enumerate(fits):
-        if i not in corrupt_positions or spec.kind is ContaminationKind.NONE:
-            out.append(
-                LocalEstimate(
-                    server_id=fit.server_id,
-                    n_k=fit.n_k,
-                    theta_star=fit.theta_hat,
-                    sigma_star=fit.sigma_hat,
-                )
-            )
-            continue
-        if spec.kind is ContaminationKind.OMNISCIENT:
-            if spec.omniscient_value is not None:
-                theta_star = np.asarray(spec.omniscient_value, dtype=float).ravel()
-                if theta_star.size != model.p:
-                    raise DimensionError(
-                        "omniscient_value dimension does not match the model"
-                    )
-            else:
-                theta_star = np.full(model.p, _OMNISCIENT_DEFAULT)
-        elif spec.kind is ContaminationKind.GAUSSIAN:
-            theta_star = rng.standard_normal(model.p) * math.sqrt(spec.gaussian_scale)
-        elif spec.kind is ContaminationKind.BIT_FLIP:
-            theta_star = -fit.theta_hat
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown contamination kind {spec.kind}")
-        sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
+        theta_star, sigma_star = fit.theta_hat, fit.sigma_hat
+        if i in corrupt_positions:
+            if spec.kind is ContaminationKind.OMNISCIENT:
+                if spec.omniscient_value is not None:
+                    theta_star = np.asarray(spec.omniscient_value, dtype=float).ravel()
+                    if theta_star.size != model.p:
+                        raise DimensionError(
+                            "omniscient_value dimension does not match the model"
+                        )
+                else:
+                    theta_star = np.full(model.p, _OMNISCIENT_DEFAULT)
+            elif spec.kind is ContaminationKind.GAUSSIAN:
+                theta_star = rng.standard_normal(model.p) * math.sqrt(spec.gaussian_scale)
+            elif spec.kind is ContaminationKind.BIT_FLIP:
+                theta_star = -fit.theta_hat
+            else:  # pragma: no cover - exhaustive enum
+                raise ValueError(f"unknown contamination kind {spec.kind}")
+            sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
         out.append(
             LocalEstimate(
                 server_id=fit.server_id,
@@ -375,64 +370,45 @@ def _parse_floats(text: str) -> np.ndarray:
         raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
 
 
-def _while_ok(fn, items, error=None) -> tuple[list, RobustAggError | None]:
-    """``fn`` of each item up to the first that raises; returns the results
-    and that error, or ``error`` if every item passed."""
-    out = []
-    for item in items:
-        try:
-            out.append(fn(item))
-        except RobustAggError as exc:
-            return out, exc
-    return out, error
-
-
-def _checked_dimension(fields: tuple) -> tuple:
-    """The fields of a payload whose numbers match its declared dimension."""
+def _checked_dimension(fields: tuple) -> int:
+    """The declared dimension of a payload, checked against its numbers."""
     _, _, p, theta_txt, sigma_txt = fields
     if theta_txt.count(",") + 1 != p or sigma_txt.count(",") + 1 != numkit.vech_len(p):
         raise TruncatedMessageError(
             "declared dimension does not match the payload lengths"
         )
-    return fields
+    return p
 
 
 def decode_messages(payloads) -> list[LocalEstimate]:
     """The estimate of every wire payload, in order.
 
-    A payload is checked in stages: version, field count and checksum, then
-    its numbers, then its declared dimension, then the estimate it builds.
-    Each stage runs over the payloads that passed the stages before, up to
-    its first failure, so the error raised is the one the first failing
-    payload raises alone.  All numbers of the round are parsed by one numpy
-    conversion and the matrices of each dimension rebuilt by one stacked
-    ``vech_inv``.
+    A round runs straight through: the version, field count and checksum of
+    every payload, one numpy conversion of all its numbers, the declared
+    dimension of every payload, then one stacked ``vech_inv`` and the
+    estimates of each dimension.  If a round of more than one payload fails,
+    its payloads are decoded again one at a time, in order, so the error
+    raised is the one the first failing payload raises alone.
     """
-    fields, error = _while_ok(_checked_fields, payloads)
-    texts = [f"{theta_txt},{sigma_txt}" for _, _, _, theta_txt, sigma_txt in fields]
+    payloads = list(payloads)
+    if not payloads:
+        return []
     try:
-        values = _parse_floats(",".join(texts)) if texts else np.empty(0)
-    except TruncatedMessageError:
-        parsed, error = _while_ok(_parse_floats, texts, error)
-        fields = fields[: len(parsed)]
-        values = np.concatenate(parsed) if parsed else np.empty(0)
-    fields, error = _while_ok(_checked_dimension, fields, error)
-
-    dims = [p for _, _, p, _, _ in fields]
-    starts = np.cumsum([0] + [p + numkit.vech_len(p) for p in dims])
-    thetas: list = [None] * len(fields)
-    sigmas: list = [None] * len(fields)
-    for p, idx in _by_dimension(dims).items():
-        block = values[starts[idx][:, None] + np.arange(p + numkit.vech_len(p))]
-        for i, theta, sigma in zip(idx, block[:, :p], numkit.vech_inv_stack(block[:, p:], p)):
-            thetas[i], sigmas[i] = theta, sigma
-    out = [
-        LocalEstimate(server_id=_decode_id(sid_txt), n_k=n_k, theta_star=theta, sigma_star=sigma)
-        for (sid_txt, n_k, _, _, _), theta, sigma in zip(fields, thetas, sigmas)
-    ]
-    if error is not None:
-        raise error
-    return out
+        fields = [_checked_fields(payload) for payload in payloads]
+        values = _parse_floats(",".join(f"{t},{v}" for _, _, _, t, v in fields))
+        dims = [_checked_dimension(f) for f in fields]
+        starts = np.cumsum([0] + [p + numkit.vech_len(p) for p in dims])
+        out: list = [None] * len(fields)
+        for p, idx in _by_dimension(dims).items():
+            block = values[starts[idx][:, None] + np.arange(p + numkit.vech_len(p))]
+            for i, theta, sigma in zip(idx, block[:, :p], numkit.vech_inv_stack(block[:, p:], p)):
+                sid_txt, n_k = fields[i][:2]
+                out[i] = LocalEstimate(_decode_id(sid_txt), n_k, theta, sigma)
+        return out
+    except (RobustAggError, ValueError):
+        if len(payloads) == 1:
+            raise
+    return [decode_messages([payload])[0] for payload in payloads]
 
 
 def decode_message(payload: bytes) -> LocalEstimate:
@@ -474,12 +450,15 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     The Huber result and the report leave out or flag a server whose payload
     has a non-finite entry; the weighted average does not, as the naive
     comparator: a non-finite estimate entry carries into ``theta_bar`` and
-    a non-finite variance diagonal entry into ``se_wa``.
+    a non-finite variance diagonal entry into ``se_wa``.  A nonpositive
+    pooled variance gives a NaN standard error too, as a NaN one does.
     """
     if sigma_hat is None:
         sigma_hat = aggregate_sigma(received)
     result = huber_aggregate(received, sigma_hat, c)
     theta_bar, sigma_bar = weighted_average(received)
+    diag = np.diagonal(sigma_bar)
+    np.fill_diagonal(sigma_bar, np.where(diag > 0.0, diag, np.nan))
     se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
     report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)
     return result, theta_bar, se_wa, report

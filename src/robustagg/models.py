@@ -221,7 +221,8 @@ def criterion_eval(model: ModelSpec, data: Observations, theta):
 
 def _outer_rows(cols: np.ndarray) -> np.ndarray:
     """The products ``cols[..., j, :] * cols[..., k, :]`` for ``j <= k``, as
-    rows in ``numkit.triu_indices`` order.
+    rows in ``numkit.triu_indices`` order, the ``vech`` order of a symmetric
+    matrix.
 
     ``cols`` holds one coordinate per row, a ``(K, p, n)`` stack of the
     transposed observation vectors, so every product runs over contiguous
@@ -229,17 +230,6 @@ def _outer_rows(cols: np.ndarray) -> np.ndarray:
     """
     iu = numkit.triu_indices(cols.shape[-2])
     return cols[..., iu[0], :] * cols[..., iu[1], :]
-
-
-def _sym_from_upper(means: np.ndarray, p: int) -> np.ndarray:
-    """The symmetric p x p matrix whose upper triangle, in
-    ``numkit.triu_indices`` order, is ``means`` (or one such matrix for
-    each row of a 2-D ``means``)."""
-    iu = numkit.triu_indices(p)
-    out = np.empty(means.shape[:-1] + (p, p))
-    out[..., iu[0], iu[1]] = means
-    out[..., iu[1], iu[0]] = means
-    return out
 
 
 def _row_means(stack: np.ndarray) -> np.ndarray:
@@ -262,7 +252,7 @@ def _mean_outer(cols: np.ndarray) -> np.ndarray:
     ``math.fsum`` returns) over n, whatever the order of the observations,
     which makes the result invariant under their permutation.
     """
-    return _sym_from_upper(_row_means(_outer_rows(cols)), cols.shape[-2])
+    return numkit.vech_inv_stack(_row_means(_outer_rows(cols)), cols.shape[-2])
 
 
 def _stacked_sandwich(
@@ -294,7 +284,7 @@ def _stacked_sandwich(
     # Each row is still summed on its own, so the bits are unchanged.
     means = _row_means(np.concatenate((grads, _outer_rows(u_cols)), axis=1))
     gbar = means[:, :p]
-    u_hat = _sym_from_upper(means[:, p:], p)
+    u_hat = numkit.vech_inv_stack(means[:, p:], p)
     if model.kind is ModelKind.LINEAR:
         u_hat = 2.0 * u_hat
     v_hat = _mean_outer(grads - gbar[:, :, None])

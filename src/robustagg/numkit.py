@@ -94,8 +94,8 @@ def _eig_descending(a) -> tuple[np.ndarray, np.ndarray]:
 
     ``eigh``'s ascending pairs reversed by view.  The order matters: it is
     the order of the sums in the matrix products built from the pairs, so
-    :func:`inv_sqrt_pd` and :func:`sqrt_pd` return the bits they returned
-    when the pairs were sorted by ``argsort``.
+    :func:`pd_roots` returns the bits the roots had when the pairs were
+    sorted by ``argsort``.
     """
     values, vectors = _eigh(ensure_symmetric(a))
     return values[::-1], vectors[:, ::-1]
@@ -130,8 +130,10 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     return ok, sym
 
 
-def inv_sqrt_pd(a) -> np.ndarray:
-    """Inverse symmetric square root B = Q diag(v^{-1/2}) Q^T with B A B = I.
+def pd_roots(a) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root and inverse square root of a positive definite
+    matrix, ``(Q diag(v^{1/2}) Q^T, Q diag(v^{-1/2}) Q^T)``, from one
+    eigendecomposition; the second, B, satisfies B A B = I.
 
     Raises :class:`NotPositiveDefiniteError` naming the offending eigenvalue
     when ``a`` is not positive definite.
@@ -140,24 +142,16 @@ def inv_sqrt_pd(a) -> np.ndarray:
     smallest = float(values[-1])
     if smallest <= 0.0:
         raise NotPositiveDefiniteError(
-            "matrix is not positive definite; inverse square root undefined",
+            "matrix is not positive definite; apply pd_project first",
             eigenvalue=smallest,
         )
-    b = (vectors / np.sqrt(values)) @ vectors.T
-    return symmetrize(b)
+    roots = np.sqrt(values)
+    return symmetrize((vectors * roots) @ vectors.T), symmetrize((vectors / roots) @ vectors.T)
 
 
-def sqrt_pd(a) -> np.ndarray:
-    """Symmetric square root of a positive definite matrix."""
-    values, vectors = _eig_descending(a)
-    smallest = float(values[-1])
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite; square root undefined",
-            eigenvalue=smallest,
-        )
-    b = (vectors * np.sqrt(values)) @ vectors.T
-    return symmetrize(b)
+def inv_sqrt_pd(a) -> np.ndarray:
+    """The inverse square root B of :func:`pd_roots`, with B A B = I."""
+    return pd_roots(a)[1]
 
 
 # Below this many entries one ``math.fsum`` per column is faster than the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, NumericalError
 from . import numkit
-from .aggregate import server_order
+from .aggregate import sorted_estimates
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -291,12 +291,8 @@ def aggregate_sigma(estimates) -> np.ndarray:
     input to the median is PD and the median lies in their convex hull, the
     output is PD; that is asserted before returning.
     """
-    ests = sorted(estimates, key=server_order)
-    if not ests:
-        raise ValueError("at least one local estimate is required")
+    ests = sorted_estimates(estimates)
     p = ests[0].p
-    if any(e.sigma_star.shape != (p, p) for e in ests):
-        raise DimensionError("variance matrices disagree on dimension")
     stack = np.stack([e.sigma_star for e in ests])
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.any():

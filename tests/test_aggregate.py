@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from robustagg import aggregate
+from robustagg import aggregate, numkit
 from robustagg.aggregate import (
     AggregationResult,
     LocalEstimate,
@@ -237,6 +237,20 @@ class TestHuberAggregate:
         ests = [LocalEstimate(1, 3, np.array([1.0, 2.0]), np.eye(2))]
         with pytest.raises(NotPositiveDefiniteError, match="pd_project"):
             huber_aggregate(ests, np.diag([1.0, -1.0]), 1.0)
+
+    def test_sigma_hat_decomposed_once(self, monkeypatch):
+        calls = []
+        eigh = numkit._eigh
+
+        def counting_eigh(a):
+            calls.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(numkit, "_eigh", counting_eigh)
+        rng = np.random.default_rng(43)
+        res = huber_aggregate(make_estimates(rng, 8, 3), np.diag([1.0, 2.0, 3.0]), 1.0)
+        assert res.iterations >= 1
+        assert len(calls) == 1
 
     def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(41)

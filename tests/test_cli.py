@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import robustagg
+from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, generate_dataset, partition
 from robustagg.errors import ConfigError
@@ -178,6 +179,25 @@ class TestSimulateCommand:
         # HR summary row present in the metrics file
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[-1] == "summary,hr,1.0,,,,"
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_wrong_length_omniscient_value_rejected_up_front(
+        self, tmp_path, capsys, monkeypatch, dry_run
+    ):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        out = tmp_path / "out"
+        args = [
+            "simulate", "--contamination", "omniscient", "--omniscient-value", "1,2,3",
+            "--replicates", "20", "--out-dir", str(out),
+        ]
+        assert main(args + (["--dry-run"] if dry_run else [])) == 1
+        captured = capsys.readouterr()
+        assert "omniscient_value has 3 coordinates, theta0 has 2" in captured.err
+        assert "dry run" not in captured.out
+        assert not out.exists()
 
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--K", "0", "--out-dir", str(tmp_path)])

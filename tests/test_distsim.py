@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -510,6 +511,21 @@ class TestProcess:
         assert np.isfinite(result.theta_hat).all() and np.isfinite(result.se).all()
         assert bad.server_id in report.flagged_sigma_ids()
 
+    def test_negative_pooled_variance_gives_a_nan_se(self):
+        # One server's negative variance drives the pooled diagonal below
+        # zero; the comparator's SE is NaN there, and nothing raises.
+        payloads = [LocalEstimate(k, 100, [0.1 * k, 1.0], np.eye(2)) for k in range(1, 6)]
+        payloads.append(LocalEstimate(6, 100, [0.3, 1.0], np.diag([-1e6, 1.0])))
+        sigma_bar = weighted_average(payloads)[1]
+        with pytest.raises(ValueError, match="nonpositive diagonal"):
+            standard_errors(sigma_bar, 600, 1.0)
+        result, theta_bar, se_wa, report = process(payloads, 1.345, 0.05)
+        assert np.isnan(se_wa[0])
+        assert se_wa[1] == math.sqrt(sigma_bar[1, 1] / 600)
+        assert np.isfinite(theta_bar).all()
+        assert np.isfinite(result.theta_hat).all() and np.isfinite(result.se).all()
+        assert 6 in report.flagged_sigma_ids()
+
 
 class TestRunReplicate:
     def test_deterministic(self):
@@ -646,30 +662,35 @@ class TestStudyLevelInvariants:
         ratio = clean_study.huber.ase / clean_study.huber.sd
         assert ((ratio >= 0.85) & (ratio <= 1.15)).all()
 
-    def test_randomized_placement_flag(self):
+    def test_corrupts_the_first_servers_in_id_order(self):
+        # Fits arrive shuffled, with int and str ids; the corrupted servers
+        # are the first `count` in server-id order, ints before strs.
         model = ModelSpec.linear(2)
         shards, fits = fit_shards(model, (2.0, 1.0), 6, 100, 15)
-        spec = ContaminationSpec(
-            kind=ContaminationKind.BIT_FLIP, count=2, randomize_placement=True
-        )
-        flipped_a = [
-            e.server_id
-            for e, f in zip(contaminate(model, fits, shards, spec, 7), fits)
-            if not np.array_equal(e.theta_star, f.theta_hat)
-        ]
-        flipped_b = [
-            e.server_id
-            for e, f in zip(contaminate(model, fits, shards, spec, 7), fits)
-            if not np.array_equal(e.theta_star, f.theta_hat)
-        ]
-        assert flipped_a == flipped_b  # deterministic in the seed
-        assert len(flipped_a) == 2
-        placements = set()
-        for seed in range(10):
-            flipped = tuple(
-                e.server_id
-                for e, f in zip(contaminate(model, fits, shards, spec, seed), fits)
+        ids = [7, "b", 2, "a", 11, 3]  # server order: 2, 3, 7, 11, "a", "b"
+        fits = [dataclasses.replace(f, server_id=sid) for f, sid in zip(fits, ids)]
+        for count, corrupted in ((3, {2, 3, 7}), (5, {2, 3, 7, 11, "a"})):
+            spec = ContaminationSpec(kind=ContaminationKind.BIT_FLIP, count=count)
+            ests = contaminate(model, fits, shards, spec, 7)
+            assert [e.server_id for e in ests] == ids
+            flipped = {
+                e.server_id for e, f in zip(ests, fits)
                 if not np.array_equal(e.theta_star, f.theta_hat)
-            )
-            placements.add(flipped)
-        assert len(placements) > 1  # placement actually varies across seeds
+            }
+            assert flipped == corrupted
+            for e, f in zip(ests, fits):
+                if e.server_id in corrupted:
+                    assert np.array_equal(e.theta_star, -f.theta_hat)
+
+    def test_omniscient_replicate_scores_the_corrupted_servers(self):
+        cfg = StudyConfig(
+            model=ModelKind.LINEAR,
+            n_servers=20,
+            shard_size=200,
+            contamination=ContaminationSpec(kind=ContaminationKind.OMNISCIENT),
+            replicates=2,
+        )
+        for index in range(3):
+            rec = run_replicate(cfg, index)
+            assert {1, 2} <= set(rec.flagged_ids)
+            assert rec.detection_ratio == 1.0

@@ -18,7 +18,7 @@ def random_pd(rng, p, cond=100.0):
 
 
 class TestSymEig:
-    """The descending eigenpairs behind inv_sqrt_pd and sqrt_pd."""
+    """The descending eigenpairs behind pd_roots."""
 
     def test_identity(self):
         values, _ = numkit._eig_descending(np.eye(2))
@@ -100,7 +100,7 @@ class TestInvSqrt:
             numkit.inv_sqrt_pd(np.diag([1.0, -3.0]))
         assert excinfo.value.eigenvalue == pytest.approx(-3.0)
 
-    @pytest.mark.parametrize("root", [numkit.inv_sqrt_pd, numkit.sqrt_pd])
+    @pytest.mark.parametrize("root", [numkit.inv_sqrt_pd, numkit.pd_roots])
     def test_rejects_asymmetric(self, root):
         with pytest.raises(ValueError):
             root(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -112,12 +112,16 @@ class TestInvSqrt:
         for p in range(1, 7):
             for _ in range(40):
                 a = random_pd(rng, p, cond=10 ** rng.uniform(0, 8))
-                assert np.array_equal(numkit.inv_sqrt_pd(a), sorted_root_reference(a, True))
-                assert np.array_equal(numkit.sqrt_pd(a), sorted_root_reference(a, False))
+                root, inv_root = numkit.pd_roots(a)
+                assert np.array_equal(root, sorted_root_reference(a, False))
+                assert np.array_equal(inv_root, sorted_root_reference(a, True))
+                assert np.array_equal(numkit.inv_sqrt_pd(a), inv_root)
             q, _ = np.linalg.qr(rng.standard_normal((p, p)))
             tied = (q * np.repeat([3.0, 1.0], (p + 1) // 2)[:p]) @ q.T
-            assert np.array_equal(numkit.inv_sqrt_pd(tied), sorted_root_reference(tied, True))
-            assert np.array_equal(numkit.sqrt_pd(tied), sorted_root_reference(tied, False))
+            root, inv_root = numkit.pd_roots(tied)
+            assert np.array_equal(root, sorted_root_reference(tied, False))
+            assert np.array_equal(inv_root, sorted_root_reference(tied, True))
+            assert np.array_equal(numkit.inv_sqrt_pd(tied), inv_root)
 
 
 class TestVech:
