@@ -230,7 +230,9 @@ def _read_shard(path: Path, expected_header: list[str] | None):
     Cells are read as ``float()`` reads them; a ragged row or non-numeric
     cell raises ``ConfigError`` for the first such defect in file order, and
     so does text that ``csv`` cannot split or the file's encoding cannot
-    decode.
+    decode.  A body of plain decimal text (see :func:`_read_plain`) is read
+    by numpy's C text reader; any other body, and so every error, goes
+    through ``csv``.
     """
     try:
         fh = open(path, newline="")
@@ -252,14 +254,65 @@ def _read_shard(path: Path, expected_header: list[str] | None):
             raise ConfigError(
                 f"{path}: header {header} does not match first shard {expected_header}"
             )
-        records = []
-        try:
-            records.extend(reader)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # A defect in the rows read before the failure is reported
-            # first, as a reader that stops at the first defect would.
-            _raise_first_defect(path, header, records)
-            raise ConfigError(f"{path}: cannot read shard: {exc}") from None
+        table = _read_plain(fh, len(header))
+        if table is None:
+            # Read the body again from its start, as if the plain reader had
+            # never looked at it, so csv finds the defects in file order.
+            fh.seek(0)
+            next(reader)
+            table = _read_records(path, header, reader)
+    y_idx = header.index("y")
+    x_cols = [i for i in range(len(header)) if i != y_idx]
+    return header, Observations(table[:, y_idx], table[:, x_cols])
+
+
+# The characters of a plain decimal shard body.
+_PLAIN = b"0123456789.eE+-,\n"
+
+
+def _read_plain(fh, columns: int) -> np.ndarray | None:
+    """The rest of ``fh`` as a table of ``columns`` columns, read by numpy's
+    C text reader, or None unless it is plain decimal text that reads to
+    such a table.
+
+    Plain text uses only the characters of ``_PLAIN`` and has no line, so no
+    field, longer than ``csv.field_size_limit()``.  ``csv`` splits such text
+    at every ',' and '\\n' and nowhere else, as ``loadtxt`` does, and both
+    skip blank lines.  ``loadtxt`` converts each field with
+    ``PyOS_string_to_double``, which is what ``float()`` calls once it has
+    stripped the whitespace and underscores plain text cannot hold, so it
+    reads the same doubles and rejects the same fields.  Anything else
+    returns None: text that does not decode, characters outside ``_PLAIN``
+    (quotes, spaces, CR, ``1_0``, ``inf``), a long line, no rows, a field
+    ``loadtxt`` rejects, or a column count other than ``columns``.
+    """
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not body.isascii() or body.encode("ascii").translate(None, _PLAIN):
+        return None
+    lines = body.split("\n")
+    if not 0 < max(map(len, lines)) <= csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == columns else None
+
+
+def _read_records(path: Path, header: list[str], reader) -> np.ndarray:
+    """The rows left in a shard's csv ``reader`` as a table, each cell read
+    by ``float()``; raises ``ConfigError`` for the first defect."""
+    records = []
+    try:
+        records.extend(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        # A defect in the rows read before the failure is reported
+        # first, as a reader that stops at the first defect would.
+        _raise_first_defect(path, header, records)
+        raise ConfigError(f"{path}: cannot read shard: {exc}") from None
     rows = [row for row in records if row]
     if not rows:
         raise ConfigError(f"{path}: shard contains no observations")
@@ -272,9 +325,7 @@ def _read_shard(path: Path, expected_header: list[str] | None):
     if table is None or table.shape[1] != len(header):
         _raise_first_defect(path, header, records)
         raise AssertionError(f"{path}: numpy rejected a shard that float() accepts")
-    y_idx = header.index("y")
-    x_cols = [i for i in range(len(header)) if i != y_idx]
-    return header, Observations(table[:, y_idx], table[:, x_cols])
+    return table
 
 
 def _raise_first_defect(path: Path, header: list[str], records: list[list[str]]) -> None:
@@ -468,15 +519,25 @@ def cmd_check(args: argparse.Namespace) -> int:
         ),
     )
 
-    # fit-aggregate-detect converts each shard's csv cells with one numpy
-    # call; it reads the doubles float() reads only if this numpy parses a
-    # str cell as float() does.
-    shard = f'y,x1,x2\n1,{0.1!r},{5e-324!r}\n0,"{math.pi!r}",1_0\n1, {-2 / 3!r} ,{1e300 / 7!r}\n'
-    rows = list(csv.reader(io.StringIO(shard)))[1:]
+    # fit-aggregate-detect reads a plain-decimal shard body with numpy's C
+    # text reader and any other with csv and one numpy conversion of the str
+    # cells; it reads the doubles float() reads only if this numpy parses a
+    # cell as float() does on both paths.
+    def per_cell(body: str) -> bytes:
+        return np.array([[float(c) for c in row] for row in csv.reader(io.StringIO(body))]).tobytes()
+
+    spread = rng.standard_normal(30) * 10.0 ** rng.uniform(-320.0, 300.0, 30)
+    cells = [repr(v) for v in spread.tolist()] + ["-0", ".5", "5.", "+3", "00012", "1e-400"]
+    plain = "".join(f"{k % 2},{a},{b}\n" for k, (a, b) in enumerate(zip(cells, reversed(cells))))
+    spelled = f'1,{0.1!r},{5e-324!r}\n0,"{math.pi!r}",1_0\n1, {-2 / 3!r} ,{1e300 / 7!r}\r\n'
+    plain_table = _read_plain(io.StringIO(plain), 3)
     check(
         "shard parser equals float() bit for bit",
-        np.array(rows, dtype=float).tobytes()
-        == np.array([[float(cell) for cell in row] for row in rows]).tobytes(),
+        plain_table is not None
+        and plain_table.tobytes() == per_cell(plain)
+        and _read_plain(io.StringIO(spelled), 3) is None
+        and np.array(list(csv.reader(io.StringIO(spelled))), dtype=float).tobytes()
+        == per_cell(spelled),
     )
 
     # Every sandwich variance is summed by exact_column_means; its bits equal

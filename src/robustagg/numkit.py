@@ -40,10 +40,22 @@ def _as_square_stack(stack) -> np.ndarray:
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A^T)/2, or that of every matrix of a ``(K, p, p)`` stack."""
+    """Return (A + A^T)/2, or that of every matrix of a ``(K, p, p)`` stack.
+
+    An entry whose finite pair sums beyond the largest double is halved
+    before it is added, ``A/2 + A^T/2``; only those entries, so every other
+    keeps the bits of ``(A + A^T)/2`` (halving first would change subnormal
+    ones).
+    """
     a = np.asarray(a, dtype=float)
     a = _as_square_stack(a) if a.ndim == 3 else _as_square(a)
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    at = a.swapaxes(-1, -2)
+    sym = (a + at) / 2.0
+    over = np.isinf(sym)
+    if over.any():
+        over &= np.isfinite(a) & np.isfinite(at)
+        sym[over] = a[over] / 2.0 + at[over] / 2.0
+    return sym
 
 
 def symmetric_mask(a: np.ndarray) -> np.ndarray:

@@ -62,8 +62,24 @@ def weighted_median(values, weights) -> float:
     return float(values[order][min(idx, values.size - 1)])
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``a``.
+
+    ``np.linalg.norm`` squares the entries, so a finite row with an entry
+    beyond ~1.3e154 would get norm inf.  Only such rows are divided by their
+    largest magnitude before squaring; every other row keeps numpy's bits.
+    """
+    norms = np.linalg.norm(a, axis=1)
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(a).all(axis=1)
+        big = np.abs(a[over]).max(axis=1)
+        norms[over] = big * np.linalg.norm(a[over] / big[:, None], axis=1)
+    return norms
+
+
 def _objective(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
-    dist = np.linalg.norm(x - eta, axis=1)
+    dist = _norms(x - eta)
     return math.fsum((w * dist).tolist())
 
 
@@ -76,8 +92,8 @@ def _rounding_floor(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
     errors cannot be told from zero in double precision.
     """
     eps = np.finfo(float).eps
-    dist = np.linalg.norm(x - eta, axis=1)
-    spread = np.linalg.norm(x, axis=1) + np.linalg.norm(eta)
+    dist = _norms(x - eta)
+    spread = _norms(x) + np.linalg.norm(eta)
     return eps * float(np.sum(w * spread / dist))
 
 
@@ -85,7 +101,7 @@ def _first_order(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarra
     """``(diff, dist, residual)`` at ``eta``, or None when ``eta`` sits on a
     data point (within the anchor tolerance), where the residual is undefined."""
     diff = x - eta
-    dist = np.linalg.norm(diff, axis=1)
+    dist = _norms(diff)
     if (dist <= _ANCHOR_ATOL * scale).any():
         return None
     return diff, dist, (w / dist) @ diff
@@ -125,6 +141,50 @@ def _settle(
     if float(np.linalg.norm(first[2])) <= max(DEFAULT_TOL, _rounding_floor(x, w, cand)):
         return cand
     return None
+
+
+def _pull(x: np.ndarray, w: np.ndarray, j: int):
+    """``(diff, dist, pull)`` at data point ``j``: the other points'
+    differences from it, their distances, and their pull
+    ``sum_{i != j} w_i u_i``."""
+    others = np.arange(x.shape[0]) != j
+    diff = x[others] - x[j]
+    dist = _norms(diff)
+    return diff, dist, (w[others] / dist) @ diff
+
+
+def _settle_on_point(
+    x: np.ndarray, w: np.ndarray, scale: np.ndarray, j: int
+) -> tuple[np.ndarray, bool] | None:
+    """What an iterate on data point ``j`` settles to at the iteration cap:
+    ``(eta, anchored)``, or None.
+
+    The point is optimal when the pull of the others, ``sum_{i != j} w_i u_i``,
+    is no longer than its weight.  At the middle points of an even count of
+    equal weights on one line (every p = 1 study) the two are equal in exact
+    arithmetic; rounding can make the pull the longer, so the loop's anchor
+    test rejects the point, and the Vardi-Zhang step, damped by
+    ``w_j / |pull|`` ~ 1, stays on it.  Here the pull may exceed the weight
+    by its rounding floor, :func:`_rounding_floor` at ``x_j`` over the other
+    points.  When the pull is within that floor of the weight, the optimum
+    may be the whole segment from ``x_j`` to the nearest point ahead along
+    the pull; its midpoint is returned, unanchored as in the ``k == 2``
+    branch, if its own residual is within its rounding floor.  Otherwise
+    ``x_j`` is returned, anchored.
+    """
+    diff, dist, pull = _pull(x, w, j)
+    others = np.arange(x.shape[0]) != j
+    excess = float(np.linalg.norm(pull)) - w[j]
+    floor = _rounding_floor(x[others], w[others], x[j])
+    if excess > floor:
+        return None
+    ahead = diff @ pull > 0.0
+    if excess >= -floor and ahead.any():
+        mid = (x[j] + x[others][ahead][np.argmin(dist[ahead])]) / 2.0
+        first = _first_order(x, w, scale, mid)
+        if first is not None and float(np.linalg.norm(first[2])) <= _rounding_floor(x, w, mid):
+            return mid, False
+    return x[j].copy(), True
 
 
 def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +243,7 @@ def spatial_median(points) -> SpatialMedianResult:
             eta=eta, iterations=0, objective=_objective(x, w, eta), anchored=anchored
         )
 
-    scale = np.maximum(1.0, np.linalg.norm(x, axis=1))
+    scale = np.maximum(1.0, _norms(x))
     eta = np.array([weighted_median(x[:, j], w) for j in range(d)])
     iterations = 0
     best_eta, best_foc = eta.copy(), math.inf
@@ -192,11 +252,7 @@ def spatial_median(points) -> SpatialMedianResult:
         # Subgradient optimality at data point j: the pull of all the other
         # points must not exceed its own weight.  The condition is sufficient
         # for global optimality, so it may be tested at any time.
-        others = np.arange(k) != j
-        diff_j = x[others] - x[j]
-        dist_j = np.linalg.norm(diff_j, axis=1)
-        pull = (w[others] / dist_j) @ diff_j
-        if float(np.linalg.norm(pull)) <= w[j]:
+        if float(np.linalg.norm(_pull(x, w, j)[2])) <= w[j]:
             return SpatialMedianResult(
                 eta=x[j].copy(),
                 iterations=iterations,
@@ -208,7 +264,7 @@ def spatial_median(points) -> SpatialMedianResult:
     prev_delta = None
     while True:
         diff = x - eta
-        dist = np.linalg.norm(diff, axis=1)
+        dist = _norms(diff)
         nearest = int(np.argmin(dist / np.maximum(scale, 1.0)))
         anchored = anchored_at(nearest)
         if anchored is not None:
@@ -268,6 +324,15 @@ def spatial_median(points) -> SpatialMedianResult:
                     iterations=iterations,
                     objective=_objective(x, w, settled),
                     anchored=False,
+                )
+            on_point = _settle_on_point(x, w, scale, nearest)
+            if on_point is not None:
+                eta, anchored = on_point
+                return SpatialMedianResult(
+                    eta=eta,
+                    iterations=iterations,
+                    objective=_objective(x, w, eta),
+                    anchored=anchored,
                 )
             raise NonConvergenceError(
                 f"spatial median did not converge in {DEFAULT_MAX_ITER} iterations",

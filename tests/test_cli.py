@@ -421,7 +421,141 @@ def shard_texts(draw):
     return header, cells, text
 
 
+def reference_read(path):
+    """A shard read by ``csv.reader`` and one ``float()`` per cell, stopping
+    at the first defect: (header, table) or the ConfigError of the CLI."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        try:
+            for rowno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"{path}:{rowno}: row has {len(row)} cells, header has {len(header)}"
+                    )
+                values = []
+                for colno, cell in enumerate(row, start=1):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise ConfigError(
+                            f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
+                            f"is not numeric: {cell!r}"
+                        ) from None
+                rows.append(values)
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: cannot read shard: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: shard contains no observations")
+    return header, np.array(rows)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_CELLS = st.one_of(
+    FINITE.map(repr),
+    st.floats(-2.3e-308, 2.3e-308).map(repr),  # subnormals
+    st.tuples(st.integers(1, 25), FINITE).map(lambda t: "%.*g" % t),
+    st.sampled_from(
+        ["-0", "0", ".5", "5.", "+3", "00012", "1e400", "-1e400", "1e-400", "1E5", "-.5e-3",
+         "4.9e-324", "2.4703282292062327e-324", "1.7976931348623159e308",
+         "e5", ".", "1e", "--1", "1.0.0", "+-1"]
+    ),
+)
+SPELLED_CELLS = st.one_of(
+    PLAIN_CELLS.map(" {}".format),
+    PLAIN_CELLS.map("{}\t".format),
+    PLAIN_CELLS.map('"{}"'.format),
+    st.sampled_from(["1_0", "inf", "-Infinity", "nan", "NaN", "", "oops", "\u0663", "1\u00e9"]),
+)
+# A field csv rejects, spelled in plain decimal characters.
+OVER_THE_LIMIT = "0." + "0" * csv.field_size_limit() + "1"
+
+
+@st.composite
+def shard_bodies(draw):
+    """A shard's header and text: plain decimal rows, or rows that may hold
+    spelled, ragged, blank or over-long cells, with LF or CRLF endings."""
+    p = draw(st.integers(0, 3))
+    header = [f"x{j + 1}" for j in range(p)]
+    header.insert(draw(st.integers(0, p)), "y")
+    cells = st.one_of(PLAIN_CELLS, SPELLED_CELLS) if draw(st.booleans()) else PLAIN_CELLS
+    kinds = ["full"] * 6 + (["ragged", "blank", "long"] if draw(st.booleans()) else [])
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = len(header)
+        if kind == "ragged":
+            width = draw(st.integers(1, len(header) + 2).filter(lambda n: n != len(header)))
+        row = [draw(cells) for _ in range(width)]
+        if kind == "long":
+            row[draw(st.integers(0, width - 1))] = OVER_THE_LIMIT
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    end = newline if draw(st.booleans()) else ""
+    return header, newline.join(lines) + end
+
+
+def assert_reads_as_reference(path):
+    try:
+        header, table = reference_read(path)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            _read_shard(path, None)
+        assert str(got.value) == str(exc)
+        return
+    if not np.isfinite(table).all():
+        with pytest.raises(ValueError, match="finite"):
+            _read_shard(path, None)
+        return
+    got_header, obs = _read_shard(path, None)
+    y_idx = header.index("y")
+    assert got_header == header
+    assert obs.y.tobytes() == table[:, y_idx].tobytes()
+    assert obs.X.tobytes() == np.delete(table, y_idx, axis=1).tobytes()
+
+
 class TestShardParser:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shard_bodies())
+    def test_reads_what_csv_and_float_read(self, tmp_path, shard):
+        path = tmp_path / "shard.csv"
+        path.write_bytes(shard[1].encode())
+        assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize(
+        "spelling, plain",
+        [
+            (lambda text: text, True),
+            (lambda text: text.replace("\n1.0,", '\n"1.0",', 1), False),
+            (lambda text: text.replace("\n1.0,", "\n 1.0,", 1), False),
+            (lambda text: text.replace("\n", "\r\n"), False),
+            (lambda text: text.replace("\n1.0,", "\n1_0,", 1), False),
+        ],
+        ids=["repr", "quoted", "padded", "crlf", "underscore"],
+    )
+    def test_only_plain_shards_take_the_c_reader(self, tmp_path, monkeypatch, spelling, plain):
+        rng = np.random.default_rng(3)
+        rows = [
+            [float(y)] + (rng.standard_normal(2) * 10.0 ** rng.uniform(-300, 300, 2)).tolist()
+            for y in rng.integers(0, 2, 50)
+        ]
+        rows[0][0] = 1.0
+        text = "y,x1,x2\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        path = tmp_path / "shard.csv"
+        path.write_text(spelling(text), newline="")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        assert_reads_as_reference(path)
+        assert len(calls) == plain
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shard_texts())

@@ -221,14 +221,22 @@ class TestTransport:
 
 
 def reference_symmetrized(sigma) -> list:
+    """(a_ij + a_ji) / 2, or a_ij / 2 + a_ji / 2 where a finite pair's sum
+    overflows."""
+
+    def mean(u, v):
+        m = (u + v) / 2
+        return u / 2 + v / 2 if math.isinf(m) and math.isfinite(u) and math.isfinite(v) else m
+
     a = np.asarray(sigma).tolist()
-    return [[(a[i][j] + a[j][i]) / 2 for j in range(len(a))] for i in range(len(a))]
+    return [[mean(a[i][j], a[j][i]) for j in range(len(a))] for i in range(len(a))]
 
 
 def reference_encode(est) -> bytes:
     """``v1|id|n_k|p|theta|vech(sigma)|crc32``, written from the wire spec:
     17 significant digits per number, vech column by column over the lower
-    triangle of (sigma + sigma^T) / 2, and a str id that reads as an int or
+    triangle of (sigma + sigma^T) / 2 (halved before adding where that
+    overflows), and a str id that reads as an int or
     starts with "'" sent behind a "'"."""
     sid = est.server_id
     if isinstance(sid, str):
@@ -376,13 +384,22 @@ class TestBatchedTransport:
         for got, sent in zip(decode_messages(encode_messages(ests)), ests):
             assert got.sigma_star.tobytes() == sent.sigma_star.tobytes()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="numkit.symmetrize forms a + a.T, which overflows beyond half the largest double",
-    )
     def test_sigma_beyond_half_the_largest_double_arrives_as_sent(self):
         est = LocalEstimate(1, 50, [0.0], [[1e308]])
         assert decode_message(encode_message(est)).sigma_star[0, 0] == 1e308
+
+    @pytest.mark.parametrize(
+        "p, huge", [(1, [[1e308]]), (2, np.full((2, 2), 1e155) + np.eye(2))]
+    )
+    def test_one_huge_finite_sigma_is_aggregated(self, p, huge):
+        ests = [
+            LocalEstimate(k, 50, np.full(p, 0.01 * k), np.eye(p) * (1.0 + 0.01 * k))
+            for k in range(1, 20)
+        ]
+        ests.append(LocalEstimate(20, 50, np.zeros(p), huge))
+        result, theta_bar, _, _ = process(decode_messages(encode_messages(ests)), 1.345, 0.05)
+        assert np.isfinite(result.theta_hat).all() and np.isfinite(result.se).all()
+        assert np.isfinite(theta_bar).all()
 
     def test_malformed_number_reported_before_wrong_length(self):
         wire = refield(encode_message(ten_payloads()[0]), 4, "1.0.0,2,3,4")
@@ -601,6 +618,19 @@ class TestRunStudy:
         assert np.array_equal(
             serial.relative_efficiency, parallel.relative_efficiency
         )
+
+    @pytest.mark.parametrize(
+        "model, shard_size", [(ModelKind.LOGISTIC, 1000), (ModelKind.LINEAR, 200)]
+    )
+    def test_one_coefficient_studies_complete(self, model, shard_size):
+        # At p = 1 the 20 variance points lie on a line, so their median is a
+        # whole segment; 20 and 7 of these 40 replicates used to fail at the
+        # spatial median's iteration cap.
+        cfg = StudyConfig(
+            model=model, theta0=(0.5,), n_servers=20, shard_size=shard_size, replicates=40
+        )
+        metrics = run_study(cfg)
+        assert metrics.replicates_failed == 0 and metrics.replicates_completed == 40
 
     def test_failing_replicates_raise_study_error(self):
         # A one-coordinate logistic design with an overwhelming coefficient

@@ -184,6 +184,27 @@ class TestSymmetrize:
             want = np.stack([numkit.symmetrize(a) for a in stack])
             assert np.array_equal(numkit.symmetrize(stack), want)
 
+    def test_pairs_that_overflow_are_halved_first(self):
+        # Only the pairs whose sum overflows are halved before adding: the
+        # subnormal pair keeps (a + a.T) / 2 = 5e-324, where halving first
+        # would give 0, and an infinite entry stays infinite.
+        a = np.array(
+            [
+                [1e308, 1.5e308, 5e-324, 1.0],
+                [1.7e308, 2.0, -3.0, 0.5],
+                [5e-324, -1.0, -1e308, 0.0],
+                [math.inf, 0.5, 0.0, 1.0],
+            ]
+        )
+        sym = numkit.symmetrize(a)
+        assert sym[0, 1] == sym[1, 0] == 1.5e308 / 2 + 1.7e308 / 2
+        assert sym[0, 0] == 1e308 and sym[2, 2] == -1e308
+        assert sym[0, 2] == 5e-324 and sym[0, 3] == math.inf
+        plain = (a + a.T) / 2
+        kept = np.isfinite(plain)
+        assert np.array_equal(sym[kept], plain[kept])
+        assert np.array_equal(numkit.symmetrize(np.stack([a, a.T])), np.stack([sym, sym]))
+
     @pytest.mark.parametrize("shape", [(3, 2, 3), (3, 0, 0), (2, 2, 2, 2)])
     def test_rejects_non_square(self, shape):
         with pytest.raises(DimensionError):

@@ -11,7 +11,9 @@ from robustagg.spatialmed import (
     DEFAULT_TOL,
     SpatialMedianResult,
     WeightedPoint,
+    _norms,
     _rounding_floor,
+    _settle_on_point,
     aggregate_sigma,
     spatial_median,
     weighted_median,
@@ -251,6 +253,40 @@ class TestSpatialMedian:
         foc, floor = residual_and_floor(points, excinfo.value.best)
         assert foc == pytest.approx(excinfo.value.residual) and foc > floor
 
+    @pytest.mark.parametrize("direction", [(1.0,), (1.0, 0.0, 1.0)])
+    def test_even_count_on_a_line_settles_on_the_middle_segment(self, direction):
+        # Twenty equal weights on one line, as in every p = 1 study (and p = 2
+        # with matrices proportional to I): every point between the two
+        # middle ones is optimal.  The iterate starts on a middle point whose
+        # pull equals its weight; when rounding rejects it, Weiszfeld stays
+        # there until the cap, where about a third of these draws used to
+        # raise.  They now return the segment's midpoint, unanchored.
+        rng = np.random.default_rng(5)
+        unit = np.asarray(direction)
+        settled = 0
+        for _ in range(30):
+            t = np.sort(rng.uniform(0.5, 2.0, 20))
+            pts = [wp(v * unit, STALL_WEIGHT) for v in t]
+            res = spatial_median(pts)
+            middle = [pts[9].value, pts[10].value]
+            if res.anchored:
+                assert any(np.array_equal(res.eta, m) for m in middle)
+            elif res.iterations == DEFAULT_MAX_ITER:
+                assert np.array_equal(res.eta, (middle[0] + middle[1]) / 2.0)
+                settled += 1
+            best = objective(pts, middle[0])
+            assert res.objective <= best * (1.0 + 1e-14)
+        assert settled > 0
+
+    def test_point_within_rounding_of_its_pull_is_anchored_at_the_cap(self):
+        # Pulls 0.6 and 0.8 at right angles: |pull| = 1 = w_0, so point 0 is
+        # optimal and unique (the points are not collinear).
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        scale = np.ones(3)
+        eta, anchored = _settle_on_point(x, np.array([1.0, 0.6, 0.8]), scale, 0)
+        assert anchored and np.array_equal(eta, x[0])
+        assert _settle_on_point(x, np.array([0.99, 0.6, 0.8]), scale, 0) is None
+
     def test_result_type(self):
         res = spatial_median([wp([0.0]), wp([1.0]), wp([2.0])])
         assert isinstance(res, SpatialMedianResult)
@@ -298,6 +334,31 @@ class TestAggregateSigma:
         out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), skew)])
         assert np.array_equal(out, out.T)
         assert out[0, 1] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("big", [1e155, 1e300])
+    def test_one_huge_finite_matrix_is_outvoted(self, big):
+        # np.linalg.norm squares the entries, so from ~1.3e154 on the huge
+        # point's norm was inf and every distance to it nan: the median lost
+        # positive definiteness.  Seen from the 19 others, the huge point
+        # pulls along the same direction as a 1e150 one.
+        def aggregate(entry):
+            ests = [
+                LocalEstimate(k, 100, np.zeros(2), np.eye(2) * (1.0 + 0.01 * k))
+                for k in range(19)
+            ]
+            ests.append(LocalEstimate(19, 100, np.zeros(2), np.full((2, 2), entry) + np.eye(2)))
+            return aggregate_sigma(ests)
+
+        out = aggregate(big)
+        assert numkit.min_eigenvalue(out) > 0.0
+        assert np.allclose(out, aggregate(1e150), rtol=0.0, atol=1e-12)
+
+    def test_norms_rescale_only_rows_that_overflow(self):
+        rows = np.array([[3e200, -4e200], [0.3, 0.4], [1e-200, 0.0], [1e308, 1e308]])
+        norms = _norms(rows)
+        assert norms[0] == pytest.approx(5e200, rel=1e-15)
+        assert norms[3] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        assert norms[1:3].tobytes() == np.linalg.norm(rows[1:3], axis=1).tobytes()
 
     def test_non_convergence_propagates(self, monkeypatch):
         from robustagg.errors import NonConvergenceError
