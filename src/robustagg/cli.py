@@ -551,11 +551,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     beyond_guard[0] = 1.0
     products = rng.standard_normal(n) * rng.standard_normal(n)
     cols = np.stack([cancelling, mixed, beyond_guard, products], axis=1)
+    # A small call too: a 50-row shard's 20 sandwich columns of products, one
+    # of them cancelling down to a survivor far below its terms.
+    small = rng.standard_normal((50, 20)) * rng.standard_normal((50, 20))
+    small[:, 0] = np.concatenate([small[:25, 1], -small[24::-1, 1]])
+    small[3, 0] *= 1.0 + 2.0**-52
     check(
         "exact column sums equal math.fsum bit for bit",
-        np.array_equal(
-            numkit.exact_column_means(cols),
-            [math.fsum(col) / n for col in cols.T.tolist()],
+        all(
+            np.array_equal(
+                numkit.exact_column_means(a),
+                [math.fsum(col) / a.shape[0] for col in a.T.tolist()],
+            )
+            for a in (cols, small)
         ),
     )
 

@@ -19,6 +19,7 @@ import math
 import os
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -452,14 +453,23 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     comparator: a non-finite estimate entry carries into ``theta_bar`` and
     a non-finite variance diagonal entry into ``se_wa``.  A nonpositive
     pooled variance gives a NaN standard error too, as a NaN one does.
+
+    The parameter dimension is the one a strict majority of the servers
+    sends.  A server of another dimension is left out of everything but
+    the report, where its row records the ``DimensionError``; without a
+    strict majority, :class:`DimensionError` is raised.
     """
+    received = list(received)
+    dims = Counter(e.p for e in received)
+    p = max(dims, key=dims.get, default=None)
+    admitted = [e for e in received if e.p == p] if 2 * dims[p] > len(received) else received
     if sigma_hat is None:
-        sigma_hat = aggregate_sigma(received)
-    result = huber_aggregate(received, sigma_hat, c)
-    theta_bar, sigma_bar = weighted_average(received)
+        sigma_hat = aggregate_sigma(admitted)
+    result = huber_aggregate(admitted, sigma_hat, c)
+    theta_bar, sigma_bar = weighted_average(admitted)
     diag = np.diagonal(sigma_bar)
     np.fill_diagonal(sigma_bar, np.where(diag > 0.0, diag, np.nan))
-    se_wa = standard_errors(sigma_bar, sum(e.n_k for e in received), 1.0)
+    se_wa = standard_errors(sigma_bar, sum(e.n_k for e in admitted), 1.0)
     report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)
     return result, theta_bar, se_wa, report
 

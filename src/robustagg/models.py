@@ -20,12 +20,9 @@ with numpy 2.4 and OpenBLAS 0.3:
   ``numkit.exact_column_means``, which the sandwich uses.  Its passes split
   every entry exactly at ``sigma = 2**(ceil(log2(n + 2)) + E)``, with
   ``2**E >= max|p|``, into a part whose row sums numpy computes exactly in
-  any order and a remainder that the next pass splits again; ``fsum`` over
-  the few exact pass sums then rounds the true column sum as ``fsum`` over
-  the column does.  Below 1,500 entries per call it is slower than
-  ``fsum`` and calls ``fsum`` instead; n=1000, p=2 is above the crossover,
-  n=50, p=5 below it, but one call over all K=400 shards of that size is
-  far above it.  The three-operand Hessian
+  any order and a remainder that the next pass splits again; the few exact
+  pass sums are then rounded to the true column sum, as ``fsum`` over the
+  column rounds it.  The three-operand Hessian
   ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry in observation
   order; and, in the central processor, stacked ``eigh`` and stacked
   ``solve`` with one right-hand side per matrix (see README.md).
@@ -82,8 +79,7 @@ _SATURATED_MARGIN = 13.8
 
 # Sandwich product entries (n * (p + p(p+1)/2) per shard) in one stacked
 # pass of fit_shards.  The stacked arrays of a pass are a few copies of that
-# many doubles, so this bounds the memory a pass adds, while every pass's
-# exact-sum calls stay far above numkit.EXACT_SUM_MIN_ENTRIES.
+# many doubles, so this bounds the memory a pass adds.
 STACK_ENTRIES = 1 << 15
 
 
@@ -236,9 +232,7 @@ def _row_means(stack: np.ndarray) -> np.ndarray:
     """Exactly rounded row means of every matrix of a ``(K, m, n)`` stack.
 
     All K*m rows go to one ``numkit.exact_column_means`` call, which sums
-    each on its own, so the means are the bits of one call per matrix; a
-    stack of small shards reaches the extraction crossover that none of its
-    shards reaches alone.
+    each on its own, so the means are the bits of one call per matrix.
     """
     k, m, n = stack.shape
     return numkit.exact_column_means(stack.reshape(k * m, n).T).reshape(k, m)

@@ -119,20 +119,21 @@ def min_eigenvalue(a) -> float:
 
 
 def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a ``(K, p, p)`` stack are (near-)symmetric with all
-    eigenvalues > 0.
+    """Which matrices of a ``(K, p, p)`` stack are finite and (near-)symmetric
+    with all eigenvalues > 0.
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
-    The symmetry test is exact elementwise work, and the matrices that pass
-    it share one stacked ``eigh``, which returns the same bits as one call
-    per matrix.  If the stacked call raises, the matrices are decomposed one
-    at a time, so a failure is reported as :class:`NumericalError` for the
-    matrix that caused it.
+    The finiteness and symmetry tests are exact elementwise work, and the
+    matrices that pass them share one stacked ``eigh``, which returns the
+    same bits as one call per matrix.  If the stacked call raises, the
+    matrices are decomposed one at a time, so a failure is reported as
+    :class:`NumericalError` for the matrix that caused it.
     """
     stack = _as_square_stack(stack)
     sym = symmetrize(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    symmetric = np.flatnonzero(symmetric_mask(stack))
+    # An inf entry whose partner is finite passes the symmetry test (inf <= inf).
+    symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
@@ -166,14 +167,6 @@ def inv_sqrt_pd(a) -> np.ndarray:
     return pd_roots(a)[1]
 
 
-# Below this many entries one ``math.fsum`` per column is faster than the
-# vectorized extraction of :func:`exact_column_means`: the extraction costs
-# a fixed ~50 us of numpy calls and little per entry, ``fsum`` with its
-# ``tolist`` ~0.1 us per entry.  Timed for 2-20 columns of 50-1000 rows
-# (numpy 2.4, one core of a shared 2-core x86-64 host), the two break even
-# between 1,000 and 1,500 entries, whatever the shape.
-EXACT_SUM_MIN_ENTRIES = 1500
-
 # Largest exponent of the extraction constant that keeps it and every
 # ``p + sigma`` finite; columns that would need more are summed by ``fsum``.
 _MAX_SIGMA_EXP = 1021
@@ -182,10 +175,9 @@ _MAX_SIGMA_EXP = 1021
 def exact_column_means(a) -> np.ndarray:
     """``math.fsum(col) / n`` for every column of an ``(n, m)`` array.
 
-    Returns the same doubles as one ``math.fsum`` per column.  From
-    ``EXACT_SUM_MIN_ENTRIES`` entries on it computes them with a few
-    vectorized passes of error-free extraction (Rump, Ogita & Oishi 2008,
-    *Accurate floating-point summation*) instead.
+    Returns the same doubles as one ``math.fsum`` per column, computed with
+    a few vectorized passes of error-free extraction (Rump, Ogita & Oishi
+    2008, *Accurate floating-point summation*).
 
     The columns are laid out as rows.  Let ``k = ceil(log2(n + 2))`` and,
     for a row, ``2**E >= max|p|`` (``E`` from ``frexp`` on the first pass).
@@ -213,9 +205,6 @@ def exact_column_means(a) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got shape {a.shape}")
     n, m = a.shape
-    if a.size < EXACT_SUM_MIN_ENTRIES:
-        return np.array([math.fsum(col) / n for col in a.T.tolist()])
-
     rows = np.array(a.T, order="C")
     k = (n + 1).bit_length()  # smallest k with 2**k >= n + 2
     amax = np.abs(rows).max(axis=1)

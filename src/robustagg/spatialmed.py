@@ -347,11 +347,13 @@ def aggregate_sigma(estimates) -> np.ndarray:
     """Robustly aggregate the transmitted variance matrices.
 
     A matrix with a non-finite entry cannot be repaired and is left out
-    (detection sigma-flags it, since it fails the PD screen); if no finite
-    matrix remains, :class:`NumericalError` is raised.  Any other received
-    matrix that is asymmetric or not positive definite is first repaired by
-    symmetrizing and clipping its eigenvalues at ``numkit.PD_EPSILON``; the
-    half-vectorized matrices are then combined by the weighted spatial
+    (detection sigma-flags it, since it fails the PD screen).  Any other
+    received matrix that is asymmetric or not positive definite is first
+    repaired by symmetrizing and clipping its eigenvalues at
+    ``numkit.PD_EPSILON``; a repair that is not finite (entries near the
+    largest double) is left out too.  If no finite matrix remains,
+    :class:`NumericalError` is raised.  The half-vectorized matrices are
+    then combined by the weighted spatial
     median (weights sqrt(n_k)) and the result is rebuilt.  Because every
     input to the median is PD and the median lies in their convex hull, the
     output is PD; that is asserted before returning.
@@ -360,18 +362,17 @@ def aggregate_sigma(estimates) -> np.ndarray:
     p = ests[0].p
     stack = np.stack([e.sigma_star for e in ests])
     finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.any():
-        raise NumericalError("no variance matrix with finite entries to aggregate")
     ests = [e for e, ok in zip(ests, finite) if ok]
 
     pd, sym = numkit.screen_positive_definite(stack[finite])
     # vech of every kept matrix at once; the others are repaired first.
     vechs = numkit.vech_stack(sym)
     for k in np.flatnonzero(~pd):
-        vechs[k] = numkit.vech(numkit.pd_project(ests[k].sigma_star))
-    points = [
-        WeightedPoint(value=v, weight=math.sqrt(e.n_k)) for e, v in zip(ests, vechs)
-    ]
+        vechs[k] = numkit.vech_stack(numkit.pd_project(ests[k].sigma_star))
+    kept = np.flatnonzero(np.isfinite(vechs).all(axis=1))
+    if not kept.size:
+        raise NumericalError("no variance matrix with finite entries to aggregate")
+    points = [WeightedPoint(value=vechs[k], weight=math.sqrt(ests[k].n_k)) for k in kept]
 
     result = spatial_median(points)
     sigma = numkit.vech_inv(result.eta, p)

@@ -1,7 +1,7 @@
 """``numkit.exact_column_means`` against one ``math.fsum`` per column.
 
-The helper must return exactly ``math.fsum(col) / n`` for every column, on
-both sides of its crossover, and fail exactly as ``fsum`` fails.  The
+The helper must return exactly ``math.fsum(col) / n`` for every column, at
+every size from one row on, and fail exactly as ``fsum`` fails.  The
 reference here is always the plain per-column ``fsum``.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustagg import numkit
-from robustagg.numkit import EXACT_SUM_MIN_ENTRIES, exact_column_means
+from robustagg.numkit import exact_column_means
 
 SETTINGS = settings(
     max_examples=200,
@@ -128,8 +128,8 @@ class TestAgainstFsum:
         st.integers(1, 600),
     )
     def test_tiled_cancellation(self, values, reps):
-        # A drawn set of values and their negations, tiled past the
-        # crossover: the exact sum is the drawn survivor alone.
+        # A drawn set of values and their negations, tiled up to thousands
+        # of rows: the exact sum is the drawn survivor alone.
         base = np.array(values + [-v for v in values[1:]])
         col = np.tile(base, reps)
         assert_same_as_fsum(np.stack([col, col[::-1]], axis=1))
@@ -204,10 +204,6 @@ class TestFallbackColumns:
         assert calls == [self.N]
         monkeypatch.undo()
         assert np.array_equal(got, fsum_means(a))
-
-    def test_small_input_is_plain_fsum(self):
-        a = np.random.default_rng(3).standard_normal((EXACT_SUM_MIN_ENTRIES - 1, 1))
-        assert np.array_equal(exact_column_means(a), fsum_means(a))
 
     def test_rejects_non_matrix(self):
         from robustagg.errors import DimensionError
@@ -287,25 +283,18 @@ class TestFinish:
     def test_columns_of_known_pass_count(self, monkeypatch, make, passes, n):
         a = make(np.random.default_rng(n + passes), n)
         got, counted = extraction_passes(monkeypatch, a)
-        assert counted == (passes if a.size >= EXACT_SUM_MIN_ENTRIES else 0)
+        assert counted == passes
         assert got.tobytes() == fsum_means(a).tobytes()
 
-    @pytest.mark.parametrize("n", [400, 2000, 6000])
+    @pytest.mark.parametrize("n", [300, 400, 2000, 6000])
     def test_halfway_sums_round_to_even(self, monkeypatch, n):
         a = halfway_columns(np.random.default_rng(n), n)
         got, counted = extraction_passes(monkeypatch, a)
-        assert counted == (2 if a.size >= EXACT_SUM_MIN_ENTRIES else 0)
+        assert counted == 2
         for col in a.T:
             exact = exact_sum(col)
             rounded = math.fsum(col.tolist())
             assert 2.0**52 <= abs(rounded) < 2.0**53
             assert abs(Fraction(rounded) - exact) == Fraction(1, 2)
             assert rounded % 2.0 == 0.0  # ties to even
-        assert got.tobytes() == fsum_means(a).tobytes()
-
-    def test_halfway_sums_below_the_crossover(self, monkeypatch):
-        a = halfway_columns(np.random.default_rng(1), 300)
-        assert a.size < EXACT_SUM_MIN_ENTRIES
-        got, counted = extraction_passes(monkeypatch, a)
-        assert counted == 0
         assert got.tobytes() == fsum_means(a).tobytes()

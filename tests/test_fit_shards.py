@@ -66,15 +66,10 @@ def outcome(fn):
 
 
 class TestBits:
-    # n on both sides of the exact-sum crossover for one shard's sandwich:
-    # n * (p + p(p+1)/2) is below EXACT_SUM_MIN_ENTRIES at n = 60 for every
-    # p here and above it at n = 800.
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     @pytest.mark.parametrize("p", [1, 2, 5])
     @pytest.mark.parametrize("k,n", [(1, 60), (2, 60), (400, 60), (1, 800), (2, 800), (20, 800)])
     def test_equal_size_stack_matches_per_shard(self, kind, p, k, n):
-        entries = n * (p + p * (p + 1) // 2)
-        assert (entries < numkit.EXACT_SUM_MIN_ENTRIES) == (n == 60)
         model, shards = make_shards(kind, p, [n] * k, seed=1000 * p + k + n)
         ids = [f"s{i}" for i in range(k)]
         want = per_shard(model, shards, ids)
