@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, RobustAggError
 from . import distsim, numkit
@@ -45,7 +46,7 @@ from .distsim import (
     run_study,
     study_metrics_to_csv,
 )
-from .models import ModelKind, ModelSpec, Observations, fit_local, fit_shards
+from .models import DEFAULT_TOL, ModelKind, ModelSpec, Observations, fit_local, fit_shards
 
 _CONFIG_KEYS = {
     "model": str,
@@ -586,6 +587,57 @@ def cmd_check(args: argparse.Namespace) -> int:
                 and one.grad_norm == fit.grad_norm
             )
     check("stacked local fits equal per-shard fits bit for bit", stacked_equal)
+
+    # Logistic shards of one size run Newton in lockstep, their Hessian
+    # entries summed by add.accumulate; that gives the published bits only if
+    # this numpy's accumulate adds as its three-operand einsum does, which a
+    # Newton run per shard uses here.  Mislabelled far-out rows make some of
+    # these shards halve their steps, and they converge at different
+    # iterations.
+    def newton_alone(data: Observations):
+        y, X, n = data.y, data.X, data.n
+
+        def evaluate(theta):
+            eta = X @ theta
+            pi = expit(eta)
+            value = float(np.add.reduce(y * eta - np.logaddexp(0.0, eta))) / n
+            hess = -np.einsum("i,ij,ik->jk", pi * (1.0 - pi), X, X) / n
+            return value, np.einsum("i,ij->j", y - pi, X) / n, numkit.symmetrize(hess)
+
+        theta = np.zeros(data.p)
+        value, grad, hess = evaluate(theta)
+        iters = 0
+        while float(np.linalg.norm(grad)) > DEFAULT_TOL:
+            step = np.linalg.solve(-hess, grad)
+            scale = 1.0
+            for _ in range(60):
+                cand = theta + scale * step
+                cand_value, cand_grad, cand_hess = evaluate(cand)
+                if cand_value >= value - 1e-14 * abs(value):
+                    break
+                scale /= 2.0
+            theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
+            iters += 1
+        return theta, iters, float(np.linalg.norm(grad))
+
+    lever = np.random.default_rng(48)
+    shards = []
+    for _ in range(6):
+        X = lever.standard_normal((300, 2))
+        X[:3] *= 10.0 ** lever.uniform(1.0, 2.5, (3, 1))
+        y = (lever.random(300) < expit(X @ np.array([5.0, 3.0]))).astype(float)
+        y[:3] = 1.0 - y[:3]
+        shards.append(Observations(y, X))
+    check(
+        "stacked logistic Newton equals per-shard Newton bit for bit",
+        all(
+            (fit.theta_hat.tobytes(), fit.newton_iters, fit.grad_norm)
+            == (theta.tobytes(), iters, grad_norm)
+            for fit, (theta, iters, grad_norm) in zip(
+                fit_shards(ModelSpec.logistic(2), shards), map(newton_alone, shards)
+            )
+        ),
+    )
 
     if failures:
         print(f"{len(failures)} self-test(s) failed")

@@ -23,26 +23,50 @@ with numpy 2.4 and OpenBLAS 0.3:
   any order and a remainder that the next pass splits again; the few exact
   pass sums are then rounded to the true column sum, as ``fsum`` over the
   column rounds it.  The three-operand Hessian
-  ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry in observation
-  order; and, in the central processor, stacked ``eigh`` and stacked
-  ``solve`` with one right-hand side per matrix (see README.md).
+  ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry one product at
+  a time in observation order, starting from 0; and, in the central
+  processor, stacked ``eigh`` and stacked ``solve`` with one right-hand
+  side per matrix (see README.md).
 * Same bits, stacked over K equal-size shards (:func:`fit_shards`): X'X as
   ``einsum("kij,kil->kjl", X, X)``; X'y as ``X.swapaxes(-1, -2) @ y[...,
   None]`` and the linear predictor as ``X @ theta[..., None]`` (stacked
   ``matmul``); the linear gradient as ``einsum("ki,kij->kj", resid, X)``;
   stacked ``solve`` for theta and for both sides of the sandwich; per
   pass, one ``exact_column_means`` call for every shard's gbar and U sums
-  and one for V; the PD screen.  ``grad_norm`` stays the 1-D ``np.linalg.norm`` of
-  each shard's gradient.
+  and one for V.  ``grad_norm`` stays the 1-D ``np.linalg.norm`` of each
+  shard's gradient.
+* Same bits, in the lockstep logistic Newton (:func:`_newton`, which
+  :func:`criterion_eval` shares): ``expit`` and ``logaddexp`` as before;
+  the criterion value as ``np.add.reduce(y * eta - logaddexp(0, eta),
+  axis=-1) / n``, the pairwise summation of each contiguous row that the
+  1-D call applies; the gradient as ``einsum("ki,kij->kj", y - pi, X)``;
+  the Hessian from the products ``(w * x_j) * x_k`` of all p * p entries,
+  summed by ``np.add.accumulate`` along n with the last partial sum taken
+  and ``+ 0.0`` added.  That is the three-operand einsum's sum: both add
+  one product at a time in observation order, and ``+ 0.0`` turns the one
+  sum that differs, all ``-0.0`` (einsum starts from ``+0.0``), into
+  ``+0.0``.  Both (j, k) and (k, j) are needed, because they round
+  differently and ``symmetrize`` averages them.  Steps by stacked
+  ``solve`` with one right-hand side per shard; the gradient and theta
+  norms of the convergence and divergence tests are 1-D
+  ``np.linalg.norm`` calls per shard.  The accumulate Hessian equalled the
+  einsum in all of 1,407 matrices (350 random stacks, p 2-5, column scales
+  1e-3 to 1e3).  The stacked three-operand ``einsum("ki,kij,kil->kjl")``
+  has the same bits too, but took 214-237 us against 146-148 us for the
+  accumulate at K=6, n=1000, p=2, so it is not used.
 * Different bits, so not used: ``(w[:, None] * X).T @ X`` (BLAS, 291 of 300
   random shards differ); one 1-D ``add.reduce`` per Hessian entry (pairwise
-  summation, 300 of 300); and the two-operand ``einsum("ij,ik->jk",
-  w[:, None] * X, X)``, which agrees for p >= 2 but at p = 1 switches to a
-  vectorized reduction (188 of 200 shards differ).  Of 4,000 linear shards
-  (K=400, n=50, p=5, ten datasets): ``einsum("kij,ki->kj", X, y)`` for X'y
-  differed from ``X.T @ y`` in 3,990; ``einsum("ij,j->i", X, theta)`` for
-  the linear predictor from ``X @ theta`` in 4,000; and
-  ``np.linalg.norm(grads, axis=1)`` from the 1-D norm in 479.
+  summation, 300 of 300; summed along the stacked products' n axis, 1,391
+  of those 1,407 matrices); the upper triangle's sums mirrored below the
+  diagonal (1,249 of 1,407); ``1 / (1 + exp(-eta))`` with numpy's own
+  ``exp`` for ``expit`` (7,806 of 400,000 values); and the two-operand
+  ``einsum("ij,ik->jk", w[:, None] * X, X)``, which agrees for p >= 2 but
+  at p = 1 switches to a vectorized reduction (188 of 200 shards differ).
+  Of 4,000 linear shards (K=400, n=50, p=5, ten datasets):
+  ``einsum("kij,ki->kj", X, y)`` for X'y differed from ``X.T @ y`` in
+  3,990; ``einsum("ij,j->i", X, theta)`` for the linear predictor from
+  ``X @ theta`` in 4,000; and ``np.linalg.norm(grads, axis=1)`` from the
+  1-D norm in 479.
 """
 
 from __future__ import annotations
@@ -77,9 +101,10 @@ _DIVERGENCE_RATIO = 1e4
 _SATURATED_MARGIN = 13.8
 
 
-# Sandwich product entries (n * (p + p(p+1)/2) per shard) in one stacked
-# pass of fit_shards.  The stacked arrays of a pass are a few copies of that
-# many doubles, so this bounds the memory a pass adds.
+# Product entries in one stacked pass of fit_shards: per shard, n * (p +
+# p(p+1)/2) sandwich products or, where more, the n * p * p Hessian products
+# of a logistic Newton iteration.  The stacked arrays of a pass are a few
+# copies of that many doubles, so this bounds the memory a pass adds.
 STACK_ENTRIES = 1 << 15
 
 
@@ -146,19 +171,20 @@ class Observations:
         return self.n
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
+        if not isinstance(i, slice):
+            return float(self.y[i]), self.X[i]
+        if i.step not in (None, 1):
             return Observations(self.y[i], self.X[i])
-        return float(self.y[i]), self.X[i]
+        # Rows of checked data need no new checks, and a unit-step slice of
+        # read-only contiguous arrays is a read-only contiguous view.
+        shard = object.__new__(Observations)
+        shard.y, shard.X = self.y[i], self.X[i]
+        return shard
 
 
 @dataclass(frozen=True)
 class LocalFit:
-    """One server's fitted estimate and its sandwich variance.
-
-    ``sigma_pd`` is False when the sandwich came out numerically singular or
-    indefinite (possible for degenerate shards, e.g. an exact fit with zero
-    residuals); callers may repair such a matrix with ``numkit.pd_project``.
-    """
+    """One server's fitted estimate and its sandwich variance."""
 
     theta_hat: np.ndarray
     sigma_hat: np.ndarray
@@ -166,11 +192,18 @@ class LocalFit:
     server_id: int | str
     newton_iters: int
     grad_norm: float
-    sigma_pd: bool = True
 
     def __post_init__(self):
         self.theta_hat.flags.writeable = False
         self.sigma_hat.flags.writeable = False
+
+    @functools.cached_property
+    def sigma_pd(self) -> bool:
+        """False when the sandwich came out numerically singular or indefinite
+        (possible for degenerate shards, e.g. an exact fit with zero
+        residuals); callers may repair such a matrix with ``numkit.pd_project``.
+        Screened when first read."""
+        return bool(numkit.screen_positive_definite(self.sigma_hat[None])[0][0])
 
 
 def _check_data(model: ModelSpec, data: Observations) -> None:
@@ -206,13 +239,44 @@ def criterion_eval(model: ModelSpec, data: Observations, theta):
         hess = -2.0 * np.einsum("ij,ik->jk", X, X) / n
         return value, grad, numkit.symmetrize(hess)
 
-    # Logistic: m = y*eta - log(1 + e^eta), stable via logaddexp.
+    value, grad, _, pi = _logistic_eval(X[None], y[None], theta[None])
+    return float(value[0]), grad[0], _logistic_hessians(np.ascontiguousarray(X.T)[None], pi)[0]
+
+
+def _logistic_eval(X: np.ndarray, y: np.ndarray, thetas: np.ndarray):
+    """Logistic criterion values and gradients of K equal-size shards,
+    ``(K, n, p)`` designs ``X`` and ``(K, n)`` responses ``y`` at the
+    ``(K, p)`` parameters ``thetas``.
+
+    Returns ``(values, grads, eta, pi)``, the last two the linear predictors
+    and probabilities.  ``m = y*eta - log(1 + e^eta)`` is evaluated through
+    ``logaddexp`` so long linear predictors cannot overflow.  Every row has
+    the bits of a one-shard call (see the module docstring).
+    """
+    n = X.shape[1]
+    eta = (X @ thetas[..., None])[..., 0]
     pi = expit(eta)
-    value = float(np.add.reduce(y * eta - np.logaddexp(0.0, eta))) / n
-    grad = np.einsum("i,ij->j", y - pi, X) / n
-    w = pi * (1.0 - pi)
-    hess = -np.einsum("i,ij,ik->jk", w, X, X) / n
-    return value, grad, numkit.symmetrize(hess)
+    values = np.add.reduce(y * eta - np.logaddexp(0.0, eta), axis=-1) / n
+    grads = np.einsum("ki,kij->kj", y - pi, X) / n
+    return values, grads, eta, pi
+
+
+def _logistic_hessians(cols: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Averaged logistic Hessians of K shards with probabilities ``pi``,
+    given their designs one coordinate per row as a ``(K, p, n)`` stack.
+
+    Each entry sums its products ``(w * x_j) * x_k`` one at a time in
+    observation order, the sums of ``einsum("i,ij,ik->jk", w, X, X)``.  The
+    first partial sum of ``add.accumulate`` is the first product, not
+    ``0 + product``, so ``+ 0.0`` turns an all ``-0.0`` sum into einsum's
+    ``+0.0``.  Both (j, k) and (k, j) are summed: they round differently and
+    ``symmetrize`` averages them.
+    """
+    n = cols.shape[-1]
+    w_cols = (pi * (1.0 - pi))[:, None, :] * cols
+    prods = w_cols[:, :, None, :] * cols[:, None, :, :]
+    sums = np.add.accumulate(prods, axis=-1, out=prods)[..., -1] + 0.0
+    return numkit.symmetrize(-sums / n)
 
 
 def _outer_rows(cols: np.ndarray) -> np.ndarray:
@@ -332,59 +396,89 @@ def _pinv_sym(a: np.ndarray) -> np.ndarray:
     return numkit.symmetrize((vectors * inv) @ vectors.T)
 
 
-def _newton(model: ModelSpec, data: Observations):
-    """Logistic Newton-Raphson from the zero vector with step halving.
+def _newton(X: np.ndarray, y: np.ndarray):
+    """Logistic Newton-Raphson from the zero vector with step halving, for K
+    equal-size shards, ``(K, n, p)`` designs ``X`` and ``(K, n)`` responses
+    ``y``, in lockstep.
 
-    Returns ``(theta, iterations, gradient)``.
+    Each iteration evaluates the shards still active in one stacked call and
+    solves for their steps in one stacked ``solve``; every shard keeps its
+    own step halving, convergence test and divergence and saturation checks,
+    and leaves the active set when it converges.  A shard's iterates are the
+    bits of a Newton run on that shard alone.  Returns ``(thetas,
+    iterations, gradients)``; if any shard fails, the call raises.
     """
-    classes = np.unique(data.y)
-    if classes.size < 2:
+    if (y.min(axis=1) == y.max(axis=1)).any():
         raise SeparationError(
             "only one response class present; logistic MLE does not exist"
         )
-    theta = np.zeros(model.p)
-    value, grad, hess = criterion_eval(model, data, theta)
-    iters = 0
-    first_step_norm = None
-    converged = float(np.linalg.norm(grad)) <= DEFAULT_TOL
-    while not converged:
-        if iters >= DEFAULT_MAX_ITER:
+    k, _, p = X.shape
+    cols = np.ascontiguousarray(X.swapaxes(-1, -2))
+    thetas = np.zeros((k, p))
+    values, grads, etas, pis = _logistic_eval(X, y, thetas)
+    iters = [0] * k
+    first_norms = [0.0] * k
+    # The shards still iterating and, in the same order, their data and state.
+    active = list(range(k))
+    X_a, y_a, cols_a, theta, value, grad, eta, pi = X, y, cols, thetas, values, grads, etas, pis
+    it = 0
+    while True:
+        keep = []
+        for pos, i in enumerate(active):
+            if float(np.linalg.norm(grad[pos])) <= DEFAULT_TOL:
+                thetas[i], grads[i], etas[i], iters[i] = theta[pos], grad[pos], eta[pos], it
+            else:
+                keep.append(pos)
+        if len(keep) < len(active):
+            active = [active[pos] for pos in keep]
+            X_a, y_a, cols_a, theta, value, grad, eta, pi = (
+                a[keep] for a in (X_a, y_a, cols_a, theta, value, grad, eta, pi)
+            )
+        if not active:
+            break
+        if it >= DEFAULT_MAX_ITER:
             raise NonConvergenceError(
                 f"logistic fit did not converge in {DEFAULT_MAX_ITER} iterations",
-                best=theta,
-                residual=float(np.linalg.norm(grad)),
+                best=theta[0].copy(),
+                residual=float(np.linalg.norm(grad[0])),
             )
         try:
-            step = np.linalg.solve(-hess, grad)
+            step = np.linalg.solve(-_logistic_hessians(cols_a, pi), grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(
                 "logistic Hessian is singular at the current iterate"
             ) from None
-        # Step halving: keep the criterion from decreasing.
+        # Step halving: keep each criterion from decreasing.  A shard takes
+        # the 60th candidate whatever its value.
+        cand = theta + step
+        cand_value, cand_grad, cand_eta, cand_pi = _logistic_eval(X_a, y_a, cand)
+        low = np.flatnonzero(~(cand_value >= value - 1e-14 * np.abs(value)))
         scale = 1.0
-        for _ in range(60):
-            cand = theta + scale * step
-            cand_value, cand_grad, cand_hess = criterion_eval(model, data, cand)
-            if cand_value >= value - 1e-14 * abs(value):
+        for _ in range(59):
+            if not low.size:
                 break
             scale /= 2.0
-        theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
-        iters += 1
-        norm = float(np.linalg.norm(theta))
-        if first_step_norm is None:
-            first_step_norm = norm
-        if norm > _DIVERGENCE_RATIO * max(1.0, first_step_norm):
-            raise SeparationError(
-                "logistic step norms diverged; data appear completely separated"
-            )
-        converged = float(np.linalg.norm(grad)) <= DEFAULT_TOL
-    margins = (2.0 * data.y - 1.0) * (data.X @ theta)
-    if float(margins.min()) > _SATURATED_MARGIN:
+            c = theta[low] + scale * step[low]
+            v, g, e, q = _logistic_eval(X_a[low], y_a[low], c)
+            cand[low], cand_value[low], cand_grad[low], cand_eta[low], cand_pi[low] = c, v, g, e, q
+            low = low[~(v >= value[low] - 1e-14 * np.abs(value[low]))]
+        theta, value, grad, eta, pi = cand, cand_value, cand_grad, cand_eta, cand_pi
+        it += 1
+        for pos, i in enumerate(active):
+            norm = float(np.linalg.norm(theta[pos]))
+            if it == 1:
+                first_norms[i] = norm
+            if norm > _DIVERGENCE_RATIO * max(1.0, first_norms[i]):
+                raise SeparationError(
+                    "logistic step norms diverged; data appear completely separated"
+                )
+    margins = (2.0 * y - 1.0) * etas
+    if (margins.min(axis=1) > _SATURATED_MARGIN).any():
         raise SeparationError(
             "every observation is classified with saturated probability; "
             "the data are completely separated"
         )
-    return theta, iters, grad
+    return thetas, iters, grads
 
 
 def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFit]:
@@ -392,8 +486,8 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
 
     The linear fit is closed form: stacked ``einsum`` for X'X, stacked
     ``matmul`` for X'y and the linear predictor, and a stacked ``solve``.
-    Logistic shards run Newton one at a time.  Both then share one
-    :func:`_stacked_sandwich` and one PD screen.  For a single shard this is
+    Logistic shards run one lockstep :func:`_newton`.  Both then share one
+    :func:`_stacked_sandwich`.  For a single shard this is
     :func:`fit_local`, errors included; for more, a stacked step that raises
     does so for the whole group.
     """
@@ -420,13 +514,9 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
         grads = 2.0 * np.einsum("ki,kij->kj", resid, X) / X.shape[1]
         iters = [0] * len(shards)
     else:
-        runs = [_newton(model, data) for data in shards]
-        thetas = np.stack([theta for theta, _, _ in runs])
-        iters = [it for _, it, _ in runs]
-        grads = [grad for _, _, grad in runs]
+        thetas, iters, grads = _newton(X, y)
 
     sigmas = _stacked_sandwich(model, X, y, thetas, allow_singular=False)
-    pd = numkit.screen_positive_definite(sigmas)[0]
     return [
         LocalFit(
             theta_hat=thetas[k],
@@ -435,7 +525,6 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
             server_id=server_ids[k],
             newton_iters=iters[k],
             grad_norm=float(np.linalg.norm(grads[k])),
-            sigma_pd=bool(pd[k]),
         )
         for k in range(len(shards))
     ]
@@ -472,8 +561,11 @@ def fit_shards(model: ModelSpec, shards, server_ids=None) -> list[LocalFit]:
     for i, data in enumerate(shards):
         groups.setdefault(data.n, []).append(i)
     fits: list = [None] * len(shards)
+    width = model.p + numkit.vech_len(model.p)
+    if model.kind is ModelKind.LOGISTIC:
+        width = max(width, model.p * model.p)
     for n, same_size in groups.items():
-        per_pass = max(1, STACK_ENTRIES // (n * (model.p + numkit.vech_len(model.p))))
+        per_pass = max(1, STACK_ENTRIES // (n * width))
         for start in range(0, len(same_size), per_pass):
             idx = same_size[start : start + per_pass]
             if len(idx) < 2:

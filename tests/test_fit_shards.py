@@ -10,11 +10,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from robustagg import distsim, models, numkit
 from robustagg.distsim import ContaminationKind, ContaminationSpec, StudyConfig, run_replicate
-from robustagg.errors import DimensionError, RankDeficiencyError, SeparationError
+from robustagg.errors import (
+    DimensionError,
+    NonConvergenceError,
+    RankDeficiencyError,
+    SeparationError,
+)
 from robustagg.models import ModelSpec, Observations, criterion_eval, fit_local, fit_shards
 
 
@@ -251,3 +258,219 @@ def test_replicate_calls_sandwich_only_for_contaminated_servers(monkeypatch):
         monkeypatch.setattr(module, "sandwich_variance", counted)
     run_replicate(config, 0)
     assert len(calls) == config.contamination.resolved_count(400) == 4
+
+
+# The per-shard logistic Newton that the lockstep Newton replaced, kept as the
+# reference: one evaluation per candidate with the three-operand einsum
+# Hessian, 1-D norms and 1-D matrix-vector products.
+def reference_eval(data, theta):
+    y, X, n = data.y, data.X, data.n
+    eta = X @ theta
+    pi = expit(eta)
+    value = float(np.add.reduce(y * eta - np.logaddexp(0.0, eta))) / n
+    grad = np.einsum("i,ij->j", y - pi, X) / n
+    w = pi * (1.0 - pi)
+    return value, grad, numkit.symmetrize(-np.einsum("i,ij,ik->jk", w, X, X) / n)
+
+
+def reference_newton(data):
+    """``(theta, iterations, gradient, halvings)`` of one shard."""
+    if np.unique(data.y).size < 2:
+        raise SeparationError("only one response class present; logistic MLE does not exist")
+    theta = np.zeros(data.p)
+    value, grad, hess = reference_eval(data, theta)
+    iters = halvings = 0
+    first_step_norm = None
+    converged = float(np.linalg.norm(grad)) <= models.DEFAULT_TOL
+    while not converged:
+        if iters >= models.DEFAULT_MAX_ITER:
+            raise NonConvergenceError(
+                f"logistic fit did not converge in {models.DEFAULT_MAX_ITER} iterations",
+                best=theta,
+                residual=float(np.linalg.norm(grad)),
+            )
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError(
+                "logistic Hessian is singular at the current iterate"
+            ) from None
+        scale = 1.0
+        for _ in range(60):
+            cand = theta + scale * step
+            cand_value, cand_grad, cand_hess = reference_eval(data, cand)
+            if cand_value >= value - 1e-14 * abs(value):
+                break
+            scale /= 2.0
+            halvings += 1
+        theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
+        iters += 1
+        norm = float(np.linalg.norm(theta))
+        if first_step_norm is None:
+            first_step_norm = norm
+        if norm > 1e4 * max(1.0, first_step_norm):
+            raise SeparationError(
+                "logistic step norms diverged; data appear completely separated"
+            )
+        converged = float(np.linalg.norm(grad)) <= models.DEFAULT_TOL
+    margins = (2.0 * data.y - 1.0) * (data.X @ theta)
+    if float(margins.min()) > 13.8:
+        raise SeparationError(
+            "every observation is classified with saturated probability; "
+            "the data are completely separated"
+        )
+    return theta, iters, grad, halvings
+
+
+def reference_outcome(data):
+    """The reference fit's bits and halving count, or its error in full."""
+    model = ModelSpec.logistic(data.p)
+    try:
+        theta, iters, grad, halvings = reference_newton(data)
+    except NonConvergenceError as exc:
+        return type(exc), str(exc), exc.best.tobytes(), exc.residual
+    except (SeparationError, RankDeficiencyError) as exc:
+        return type(exc), str(exc)
+    sigma = models.sandwich_variance(model, data, theta)
+    return theta.tobytes(), iters, float(np.linalg.norm(grad)), sigma.tobytes(), halvings
+
+
+def fit_outcome(fn):
+    """What ``fn`` returns (one fit's bits) or raises, in reference_outcome's form."""
+    try:
+        fit = fn()
+    except NonConvergenceError as exc:
+        return type(exc), str(exc), exc.best.tobytes(), exc.residual
+    except (SeparationError, RankDeficiencyError) as exc:
+        return type(exc), str(exc)
+    return fit.theta_hat.tobytes(), fit.newton_iters, fit.grad_norm, fit.sigma_hat.tobytes()
+
+
+def logistic_shard(rng, n, theta0, leverage=0):
+    """A logistic shard; ``leverage`` rows are pushed far out and mislabelled,
+    which makes Newton halve its step on some shards."""
+    X = rng.standard_normal((n, theta0.size))
+    X[:leverage] *= 10.0 ** rng.uniform(1.0, 2.5, (leverage, 1))
+    y = (rng.random(n) < expit(X @ theta0)).astype(float)
+    y[:leverage] = 1.0 - y[:leverage]
+    return Observations(y, X)
+
+
+def assert_lockstep_matches_reference(shards):
+    model = ModelSpec.logistic(shards[0].p)
+    want = [reference_outcome(data) for data in shards]
+    for data, w in zip(shards, want):
+        assert fit_outcome(lambda: fit_local(model, data)) == w[:4]
+    failed = [w for w in want if isinstance(w[0], type)]
+    try:
+        fits = fit_shards(model, shards)
+    except (SeparationError, RankDeficiencyError, NonConvergenceError) as exc:
+        assert failed and (type(exc), str(exc)) == failed[0][:2]
+        return want
+    assert not failed
+    assert [fit_outcome(lambda: f) for f in fits] == [w[:4] for w in want]
+    return want
+
+
+class TestLockstepNewton:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        p=st.integers(1, 5),
+        k=st.integers(1, 25),
+        n=st.integers(5, 3000),
+        scale=st.floats(0.0, 6.0),
+        leverage=st.sampled_from([0, 0, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fits_equal_per_shard_newton(self, p, k, n, scale, leverage, seed):
+        # Large theta0 puts shards near separation, and shards converge at
+        # different iterations; mislabelled leverage rows make some halve.
+        rng = np.random.default_rng(seed)
+        theta0 = rng.standard_normal(p) * scale
+        shards = [logistic_shard(rng, n, theta0, min(leverage, n // 4)) for _ in range(k)]
+        assert_lockstep_matches_reference(shards)
+
+    @pytest.mark.parametrize("seed", [2, 15, 48])
+    def test_halving_shards_converge_at_different_iterations(self, seed):
+        # The design of robustagg check's lockstep Newton test (seed 48).
+        rng = np.random.default_rng(seed)
+        shards = [logistic_shard(rng, 300, np.array([5.0, 3.0]), 3) for _ in range(6)]
+        want = assert_lockstep_matches_reference(shards)
+        assert sum(w[4] for w in want) > 0
+        assert len({w[1] for w in want}) > 1
+
+    @settings(max_examples=150, deadline=None)
+    @example(p=2, n=6, scale=1.0, zero_column=True, seed=0)
+    @given(
+        p=st.integers(1, 5),
+        n=st.integers(1, 500),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        zero_column=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_criterion_eval_equals_per_shard_forms(self, p, n, scale, zero_column, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p)) * scale ** rng.uniform(-1.0, 1.0, p)
+        if zero_column and p > 1:
+            # Column 0 is positive, column 1 all -0.0: every product of the
+            # (0, 1) entry is -0.0, and the einsum sum of them is +0.0.
+            X[:, 0] = np.abs(X[:, 0])
+            X[:, 1] = -0.0
+        data = Observations((rng.random(n) < 0.5).astype(float), X)
+        theta = rng.standard_normal(p) * 3.0
+        value, grad, hess = criterion_eval(ModelSpec.logistic(p), data, theta)
+        want = reference_eval(data, theta)
+        assert (value, grad.tobytes(), hess.tobytes()) == (
+            want[0],
+            want[1].tobytes(),
+            want[2].tobytes(),
+        )
+
+
+
+def slow_shard(seed):
+    """A p=3, n=55 shard drawn around a large theta0; seed 50 makes Newton
+    diverge and seed 771 take 18 iterations."""
+    rng = np.random.default_rng(seed)
+    theta0 = rng.standard_normal(3) * 7.0
+    X = rng.standard_normal((55, 3))
+    return Observations((rng.random(55) < expit(X @ theta0)).astype(float), X)
+
+
+def one_class_shard():
+    return Observations(np.ones(55), np.random.default_rng(1).standard_normal((55, 3)))
+
+
+# Each bad shard, the error it raises alone and the iteration cap it is fitted
+# under; the good shards of its group converge within 10 iterations.
+LOGISTIC_BAD = {
+    "one_class": (one_class_shard, SeparationError, "response class", 100),
+    "diverging": (lambda: slow_shard(50), SeparationError, "diverged", 100),
+    "capped": (lambda: slow_shard(771), NonConvergenceError, "did not converge in 10", 10),
+}
+
+
+class TestLockstepErrorParity:
+    @pytest.mark.parametrize("name", sorted(LOGISTIC_BAD))
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_failing_shard_raises_its_own_error(self, name, position, monkeypatch):
+        make_bad, error, text, cap = LOGISTIC_BAD[name]
+        monkeypatch.setattr(models, "DEFAULT_MAX_ITER", cap)
+        rng = np.random.default_rng(17)
+        shards = [logistic_shard(rng, 55, np.array([0.5, -0.3, 0.2])) for _ in range(7)]
+        model = ModelSpec.logistic(3)
+        assert all(isinstance(fit_local(model, data), models.LocalFit) for data in shards)
+        shards[position] = bad = make_bad()
+        alone = reference_outcome(bad)
+        assert alone[0] is error and text in alone[1]
+        assert fit_outcome(lambda: fit_local(model, bad)) == alone
+        with pytest.raises(error) as excinfo:
+            fit_shards(model, shards)
+        got = (type(excinfo.value), str(excinfo.value))
+        if error is NonConvergenceError:
+            got += (excinfo.value.best.tobytes(), excinfo.value.residual)
+        assert got == alone

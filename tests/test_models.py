@@ -281,6 +281,16 @@ class TestObservations:
         with pytest.raises(ValueError):
             make_obs([float("inf")], [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("rows", [slice(1, 4), slice(None, 2), slice(3, 3), slice(0, 5, 2), slice(None, None, -1)])
+    def test_slices_are_read_only_contiguous_shards(self, rows):
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        X = np.arange(10.0).reshape(5, 2)
+        shard = make_obs(y, X)[rows]
+        assert np.array_equal(shard.y, y[rows]) and np.array_equal(shard.X, X[rows])
+        for a in (shard.y, shard.X):
+            assert a.flags.c_contiguous and not a.flags.writeable
+        assert shard.binary == bool(np.isin(y[rows], (0.0, 1.0)).all())
+
     def test_logistic_requires_binary(self):
         with pytest.raises(ValueError):
             criterion_eval(LOGISTIC2, make_obs([0.5], [[1.0, 0.0]]), [0.0, 0.0])
