@@ -13,10 +13,36 @@ The accompanying efficiency constant tau_c = b_c^2 / sigma_c^2 (with
 b_c = P(|Z| <= c) and sigma_c^2 = E psi_c(Z)^2 for standard normal Z) gives
 the asymptotic relative efficiency of the clipped aggregate versus the
 weighted average; it increases from 2/pi to 1 as c grows.
+
+The central stages (``aggregate_sigma``, :func:`huber_aggregate`,
+:func:`weighted_average` and ``detect``) read one :class:`RoundView` of a
+round: sorted by server id once, stacked once, its finite rows and its PD
+screen worked out once.  Each stage also takes a plain iterable of
+estimates and builds the same view from it.  The stacked forms keep the
+bits of the per-server loops they replaced (numpy 2.4, OpenBLAS; counts
+from random draws):
+
+* The weighted average is ``np.add.accumulate(w[:, None] * thetas,
+  axis=0)[-1] + 0.0`` (and the same for the variance matrices), which adds
+  one weighted row at a time from the first, as a ``+=`` loop from zero
+  does; ``+ 0.0`` turns an all ``-0.0`` sum into the loop's ``+0.0``.  It
+  equalled the loop in 400 of 400 rounds (K 2-500, p 1-7), and
+  ``np.add.reduce(..., axis=0)`` differed in 36 of them, all at p = 1,
+  where it sums pairwise.  Each weight is the Python ``n_k / N``: int true
+  division is correctly rounded, ``float(n_k) / N`` is not once ``n_k``
+  exceeds 2**53.  Where two NaNs meet, which one comes out may differ from
+  the loop's; every NaN prints as ``nan``.
+* Quadratic forms and norms are ``numkit.row_dots``, a stacked ``matmul``
+  that reaches the 1-D call's ``dot``: 0 of 140,000 rows differed (p 1-7),
+  against 29,036 of 70,000 for ``einsum("ij,ij->i")``.
+* One stacked ``eigh`` gives every matrix the bits of its own call, so the
+  view's one PD screen serves ``aggregate_sigma`` (its finite rows) and
+  detection's step 2 (the rows that pass step 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,34 +139,124 @@ def tau_c(c: float) -> float:
     return b * b / sigma2
 
 
-def sorted_estimates(estimates) -> list[LocalEstimate]:
-    """The estimates in :func:`server_order`, checked to be at least one and
-    of one parameter dimension."""
-    ests = list(estimates)
-    if not ests:
+@dataclass(frozen=True, eq=False)
+class RoundView:
+    """A round of estimates, sorted once in :func:`server_order` and stacked.
+
+    ``members`` is every estimate of the round, in server order.  Those of
+    dimension ``p`` are the admitted rows: their ids, sizes, estimates and
+    variance matrices, stacked read-only in server order, with the rows
+    whose entries are all finite marked.  The central stages read these
+    instead of sorting, stacking and checking the estimates each time.
+    Build one with :func:`round_view`.
+    """
+
+    p: int
+    members: tuple
+    server_ids: tuple
+    n_k: tuple
+    thetas: np.ndarray  # (K, p)
+    sigmas: np.ndarray  # (K, p, p)
+    theta_finite: np.ndarray  # (K,) bool
+    sigma_finite: np.ndarray  # (K,) bool
+
+    @functools.cached_property
+    def n_total(self) -> int:
+        return sum(self.n_k)
+
+    @functools.cached_property
+    def sqrt_n(self) -> np.ndarray:
+        """``math.sqrt(n_k)`` of every row."""
+        return np.array([math.sqrt(n) for n in self.n_k])
+
+    @functools.cached_property
+    def screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``numkit.screen_positive_definite`` of ``sigmas``, run once.
+
+        Its stacked ``eigh`` gives every matrix the bits of its own call, so
+        its verdicts serve any subset of the rows."""
+        return numkit.screen_positive_definite(self.sigmas)
+
+
+def round_view(estimates, p: int | None = None) -> RoundView:
+    """The :class:`RoundView` of ``estimates`` (returned as it is if it
+    already is one of dimension ``p``).
+
+    With ``p`` None the estimates must be at least one and of one
+    dimension, which is admitted.  With ``p`` given, the estimates of
+    dimension ``p`` are admitted and the others are members only; there
+    must still be at least one estimate.
+    """
+    if isinstance(estimates, RoundView):
+        if p is None or p == estimates.p:
+            return estimates
+        estimates = estimates.members
+    members = sorted(estimates, key=server_order)
+    if not members:
         raise ValueError("at least one local estimate is required")
-    p = ests[0].p
-    for e in ests:
-        if e.p != p:
+    if p is None:
+        p = members[0].p
+        if any(e.p != p for e in members):
             raise DimensionError("local estimates disagree on parameter dimension")
-    return sorted(ests, key=server_order)
+        rows = members
+    else:
+        rows = [e for e in members if e.p == p]
+    k = len(rows)
+    thetas = np.array([e.theta_star for e in rows], dtype=float).reshape(k, p)
+    sigmas = np.array([e.sigma_star for e in rows], dtype=float).reshape(k, p, p)
+    thetas.flags.writeable = False
+    sigmas.flags.writeable = False
+    return RoundView(
+        p=p,
+        members=tuple(members),
+        server_ids=tuple(e.server_id for e in rows),
+        n_k=tuple(e.n_k for e in rows),
+        thetas=thetas,
+        sigmas=sigmas,
+        theta_finite=np.isfinite(thetas).all(axis=1),
+        sigma_finite=np.isfinite(sigmas).all(axis=(1, 2)),
+    )
+
+
+def stacked_estimates(server_ids, n_k, thetas: np.ndarray, sigmas: np.ndarray) -> list:
+    """One :class:`LocalEstimate` per row of the ``(K, p)`` estimates and
+    ``(K, p, p)`` variance matrices, in order.
+
+    The arrays are made read-only and each estimate holds views of its
+    rows, so the K estimates share two arrays instead of holding 2K copies.
+    The constructor's checks run once, on the whole stack.
+    """
+    server_ids, n_k = list(server_ids), list(n_k)
+    k, p = thetas.shape
+    if sigmas.shape != (k, p, p) or len(server_ids) != k or len(n_k) != k:
+        raise DimensionError(
+            f"{len(server_ids)} ids, {len(n_k)} sizes, estimates of shape {thetas.shape} "
+            f"and variance matrices of shape {sigmas.shape} do not align"
+        )
+    if k and min(n_k) < 1:
+        raise ValueError("n_k must be >= 1")
+    thetas.flags.writeable = False
+    sigmas.flags.writeable = False
+    out = []
+    for sid, n, theta, sigma in zip(server_ids, n_k, list(thetas), list(sigmas)):
+        est = object.__new__(LocalEstimate)
+        # Frozen: the fields go into the instance dict, as __init__ sets them.
+        vars(est).update(server_id=sid, n_k=n, theta_star=theta, sigma_star=sigma)
+        out.append(est)
+    return out
 
 
 def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:
     """Convex combination of estimates (and variance matrices) with weights n_k/N.
 
-    Returns ``(theta_bar, sigma_bar)``.  Accumulation runs in server-id
-    order, so the result does not depend on the order estimates arrive.
+    Returns ``(theta_bar, sigma_bar)``.  Each sum adds one weighted row at
+    a time in server-id order, as a loop of ``+=`` from zero would, so the
+    result does not depend on the order estimates arrive.
     """
-    ests = sorted_estimates(estimates)
-    n_total = sum(e.n_k for e in ests)
-    p = ests[0].p
-    theta = np.zeros(p)
-    sigma = np.zeros((p, p))
-    for e in ests:
-        w = e.n_k / n_total
-        theta += w * e.theta_star
-        sigma += w * e.sigma_star
+    view = round_view(estimates)
+    w = np.array([n / view.n_total for n in view.n_k])
+    theta = np.add.accumulate(w[:, None] * view.thetas, axis=0)[-1] + 0.0
+    sigma = np.add.accumulate(w[:, None, None] * view.sigmas, axis=0)[-1] + 0.0
     return theta, sigma
 
 
@@ -187,12 +303,13 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     """
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
-    ests = sorted_estimates(estimates)
-    p = ests[0].p
-    ests = [e for e in ests if np.isfinite(e.theta_star).all()]
-    if not ests:
+    view = round_view(estimates)
+    p = view.p
+    finite = view.theta_finite
+    if not finite.any():
         raise NumericalError("no estimate with finite entries to aggregate")
-    n_total = sum(e.n_k for e in ests)
+    n_k = [n for n, ok in zip(view.n_k, finite.tolist()) if ok]
+    n_total = sum(n_k)
 
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if sigma_hat.shape != (p, p):
@@ -202,9 +319,9 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
             "sigma_hat must be symmetric positive definite; apply pd_project first"
         )
     color, whiten = numkit.pd_roots(sigma_hat)
-    thetas = np.stack([e.theta_star for e in ests])        # (K, p)
-    roots = np.array([math.sqrt(e.n_k) for e in ests])     # sqrt(n_k)
-    shares = np.array([e.n_k / n_total for e in ests])     # n_k / N
+    thetas = view.thetas[finite]                      # (K, p)
+    roots = view.sqrt_n[finite]                       # sqrt(n_k)
+    shares = np.array([n / n_total for n in n_k])     # n_k / N
 
     def residual(theta):
         u = (thetas - theta) @ whiten.T * roots[:, None]

@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, RobustAggError
 from . import distsim, numkit
-from .aggregate import DEFAULT_HUBER_C, LocalEstimate, tau_c
+from .aggregate import DEFAULT_HUBER_C, LocalEstimate, tau_c, weighted_average
 from .detect import DEFAULT_ALPHA
 from .distsim import (
     WORKERS_ENV_VAR,
@@ -519,6 +519,25 @@ def cmd_check(args: argparse.Namespace) -> int:
             for k in range(len(stack))
         ),
     )
+
+    # The weighted average adds the servers' weighted rows with
+    # add.accumulate; it gives the published bits only if this numpy's
+    # accumulate adds one row at a time, as a += loop in server order does
+    # (a pairwise sum would differ at p = 1).
+    averages_equal = True
+    for p in (1, 3):
+        servers = [
+            LocalEstimate(k, int(rng.integers(1, 10**6)), rng.standard_normal(p), sym_pd[:p, :p] * (1 + k))
+            for k in range(300)
+        ]
+        n_total = sum(e.n_k for e in servers)
+        theta, sigma = np.zeros(p), np.zeros((p, p))
+        for e in servers:
+            theta += e.n_k / n_total * e.theta_star
+            sigma += e.n_k / n_total * e.sigma_star
+        got = weighted_average(reversed(servers))
+        averages_equal &= got[0].tobytes() == theta.tobytes() and got[1].tobytes() == sigma.tobytes()
+    check("weighted average equals the server-order loop bit for bit", averages_equal)
 
     # fit-aggregate-detect reads a plain-decimal shard body with numpy's C
     # text reader and any other with csv and one numpy conversion of the str

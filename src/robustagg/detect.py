@@ -15,6 +15,21 @@ The per-server tests are applied exactly as stated, once per server; no
 multiplicity correction across the K servers is attempted (none is part of
 the procedure), so with K servers about alpha * K clean servers will be
 flagged on average.
+
+Every server's distance is computed in one stacked pass over the round's
+:class:`~robustagg.aggregate.RoundView`, with the bits of the per-server
+``math.sqrt(n_k * max(float(diff @ sol), 0.0))``:
+
+* the quadratic form is ``numkit.row_dots(diffs, sols)``, which reaches the
+  1-D ``dot`` (0 of 140,000 random rows differed; ``einsum("ij,ij->i")``
+  differed in 29,036 of 70,000);
+* the clip at zero is ``np.where(0.0 > q, 0.0, q)``, which keeps ``-0.0``
+  and NaN as ``max(q, 0.0)`` does (``np.maximum(q, 0.0)`` gives ``+0.0``
+  for ``-0.0``), and ``n_k`` is multiplied as ``float(n_k)``, the
+  conversion of ``int * float``; ``np.sqrt`` and ``math.sqrt`` are both
+  the correctly rounded square root;
+* step 2's PD verdicts come from the view's one stacked screen of every
+  received matrix, which ``aggregate_sigma`` reads too.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from scipy import special
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from . import numkit
-from .aggregate import LocalEstimate, server_order
+from .aggregate import LocalEstimate, RoundView, round_view
 
 DEFAULT_ALPHA = 0.05
 
@@ -91,31 +106,36 @@ class DetectionReport:
         return buf.getvalue()
 
 
-def _distance(n_k: int, diff: np.ndarray, sol: np.ndarray) -> float:
-    """sqrt{n_k diff^T sol} for sol = Sigma^{-1} diff, the quadratic form
-    clipped at zero against rounding."""
-    return math.sqrt(n_k * max(float(diff @ sol), 0.0))
+def _distances(n_k: np.ndarray, diffs: np.ndarray, sols: np.ndarray) -> np.ndarray:
+    """sqrt{n_k diff^T sol} of every row, for sol = Sigma^{-1} diff and
+    ``n_k`` as floats, the quadratic form clipped at zero against rounding.
+
+    The clip keeps ``-0.0`` and NaN, as ``max(q, 0.0)`` does."""
+    q = numkit.row_dots(diffs, sols)
+    return np.sqrt(n_k * np.where(0.0 > q, 0.0, q))
 
 
-def _solve_each(mats: np.ndarray, diffs: np.ndarray) -> list:
-    """The solution of ``mats[i] x = diffs[i]`` for every row, or the
-    ``LinAlgError`` its solve raised.
+def _solve_each(mats: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``(sols, errors)``: the solution of ``mats[i] x = diffs[i]`` for every
+    row, and the ``LinAlgError`` of each row whose solve raised (its row of
+    ``sols`` is then meaningless).
 
     One stacked ``solve``, which returns the same bits as one solve per
     row.  It raises for the whole stack if one matrix is singular, so it is
     then retried one row at a time.
     """
     try:
-        return list(np.linalg.solve(mats, diffs[..., None])[..., 0])
+        return np.linalg.solve(mats, diffs[..., None])[..., 0], {}
     except np.linalg.LinAlgError:
         pass
-    out: list = []
-    for a, b in zip(mats, diffs):
+    sols = np.zeros_like(diffs)
+    errors = {}
+    for i, (a, b) in enumerate(zip(mats, diffs)):
         try:
-            out.append(np.linalg.solve(a, b))
+            sols[i] = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
-            out.append(exc)
-    return out
+            errors[i] = exc
+    return sols, errors
 
 
 def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
@@ -129,53 +149,53 @@ def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
     return numkit.symmetrize(sigma_hat)
 
 
-def _dimension_error(p: int, theta_hat: np.ndarray, sigma_hat: np.ndarray):
-    """The DimensionError of a server of dimension ``p``, or None if it fits."""
-    if theta_hat.size != p:
-        return DimensionError("theta_hat dimension does not match the estimate")
-    if sigma_hat.shape != (p, p):
-        return DimensionError("sigma_hat dimension does not match the estimate")
-    return None
-
-
-def _step1(ests: list, theta_hat: np.ndarray, sigma_hat: np.ndarray) -> list:
-    """d1 of every server, or the DimensionError or LinAlgError that
-    replaces it.
+def _step1(view: RoundView, diffs: np.ndarray, sigma_hat: np.ndarray) -> list:
+    """d1 of every admitted row of ``view``, or the DimensionError or
+    LinAlgError that replaces it; ``diffs`` are the rows' ``theta - theta_hat``.
 
     ``sigma_hat`` is checked and symmetrized once (a ``sigma_hat`` that is
     not positive definite raises, since it invalidates the whole report),
-    and the servers of its dimension share one stacked solve against it.
+    and the rows share one stacked solve against it.
     """
-    out = [_dimension_error(e.p, theta_hat, sigma_hat) for e in ests]
-    same = [i for i, err in enumerate(out) if err is None]
-    if same:
-        sym = _checked_sigma_hat(sigma_hat)
-        diffs = np.stack([ests[i].theta_star for i in same]) - theta_hat
-        sols = _solve_each(np.broadcast_to(sym, (len(same),) + sym.shape), diffs)
-        for i, diff, sol in zip(same, diffs, sols):
-            out[i] = sol if isinstance(sol, Exception) else _distance(ests[i].n_k, diff, sol)
+    if sigma_hat.shape != (view.p, view.p):
+        return [DimensionError("sigma_hat dimension does not match the estimate")] * len(diffs)
+    if not len(diffs):
+        return []
+    sym = _checked_sigma_hat(sigma_hat)
+    sols, errors = _solve_each(np.broadcast_to(sym, (len(diffs),) + sym.shape), diffs)
+    out = _distances(_float_sizes(view), diffs, sols).tolist()
+    for i, exc in errors.items():
+        out[i] = exc
     return out
 
 
-def _step2(ests: list, theta_hat: np.ndarray) -> list:
-    """d2 of every given server, or None where its variance matrix is not
-    symmetric positive definite or is singular to the solve.
+def _step2(view: RoundView, diffs: np.ndarray, rows: np.ndarray) -> list:
+    """d2 of the given admitted rows of ``view``, or None where the row's
+    variance matrix is not symmetric positive definite or is singular to
+    the solve.
 
-    The PD screen runs as one stacked ``eigh`` and the distances of the
-    servers that pass it as one stacked solve.
+    The PD verdicts are the view's one stacked screen, and the distances of
+    the rows that pass it come from one stacked solve.
     """
-    out: list = [None] * len(ests)
-    if not ests:
+    out: list = [None] * len(rows)
+    if not len(rows):
         return out
-    pd, sym = numkit.screen_positive_definite([e.sigma_star for e in ests])
-    idx = np.flatnonzero(pd)
-    if idx.size == 0:
+    pd, sym = view.screen
+    ok = np.flatnonzero(pd[rows])
+    if not ok.size:
         return out
-    diffs = np.stack([ests[i].theta_star for i in idx]) - theta_hat
-    for i, diff, sol in zip(idx, diffs, _solve_each(sym[idx], diffs)):
-        if not isinstance(sol, Exception):
-            out[i] = _distance(ests[i].n_k, diff, sol)
+    idx = rows[ok]
+    sols, errors = _solve_each(sym[idx], diffs[idx])
+    d2s = _distances(_float_sizes(view)[idx], diffs[idx], sols).tolist()
+    for k, (j, d2) in enumerate(zip(ok.tolist(), d2s)):
+        if k not in errors:
+            out[j] = d2
     return out
+
+
+def _float_sizes(view: RoundView) -> np.ndarray:
+    """``float(n_k)`` of every row, the conversion of ``n_k * q``."""
+    return np.array([float(n) for n in view.n_k])
 
 
 def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
@@ -184,9 +204,11 @@ def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
 
     The one-server call of detection's step 1.
     """
-    d1 = _step1(
-        [est], np.asarray(theta_hat, dtype=float).ravel(), np.asarray(sigma_hat, dtype=float)
-    )[0]
+    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
+    if theta_hat.size != est.p:
+        raise DimensionError("theta_hat dimension does not match the estimate")
+    view = round_view([est])
+    d1 = _step1(view, view.thetas - theta_hat, np.asarray(sigma_hat, dtype=float))[0]
     if isinstance(d1, Exception):
         raise d1
     return d1
@@ -203,7 +225,8 @@ def mahalanobis_d2(est: LocalEstimate, theta_hat) -> float | None:
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     if theta_hat.size != est.p:
         raise DimensionError("theta_hat dimension does not match the estimate")
-    return _step2([est], theta_hat)[0]
+    view = round_view([est])
+    return _step2(view, view.thetas - theta_hat, np.arange(1))[0]
 
 
 def detect(
@@ -220,40 +243,36 @@ def detect(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    ests = sorted(estimates, key=server_order)
-    if not ests:
-        raise ValueError("at least one local estimate is required")
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     p = theta_hat.size
+    view = round_view(estimates, p)
     threshold = math.sqrt(float(special.chdtri(p, alpha)))
 
-    d1s = _step1(ests, theta_hat, sigma_hat)
+    diffs = view.thetas - theta_hat
+    d1s = _step1(view, diffs, sigma_hat)
     # Step 2 runs only for servers that step 1 neither failed nor flagged.
     # A non-finite d1 (a payload with an infinite or NaN coordinate) fails
     # ``d1 <= threshold`` and so is flagged.
-    passed = [
-        i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and d1 <= threshold
-    ]
-    d2s = dict(zip(passed, _step2([ests[i] for i in passed], theta_hat)))
+    passed = np.array(
+        [i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and d1 <= threshold],
+        dtype=np.intp,
+    )
+    d2s = dict(zip(passed.tolist(), _step2(view, diffs, passed)))
 
     records = []
-    for i, (e, d1) in enumerate(zip(ests, d1s)):
+    row = 0
+    for e in view.members:
+        if e.p != p:
+            records.append(_error_record(e, "theta_hat dimension does not match the estimate"))
+            continue
+        d1 = d1s[row]
+        d2 = d2s.get(row)
+        row += 1
         if isinstance(d1, Exception):
-            records.append(
-                ServerDetection(
-                    server_id=e.server_id,
-                    n_k=e.n_k,
-                    d1=None,
-                    d2=None,
-                    theta_flagged=False,
-                    sigma_flagged=False,
-                    error=str(d1),
-                )
-            )
+            records.append(_error_record(e, str(d1)))
             continue
         theta_flagged = not d1 <= threshold
-        d2 = d2s.get(i)
         records.append(
             ServerDetection(
                 server_id=e.server_id,
@@ -265,3 +284,16 @@ def detect(
             )
         )
     return DetectionReport(records=records, alpha=alpha, threshold=threshold, p=p)
+
+
+def _error_record(e: LocalEstimate, error: str) -> ServerDetection:
+    """The report row of a server whose distances could not be computed."""
+    return ServerDetection(
+        server_id=e.server_id,
+        n_k=e.n_k,
+        d1=None,
+        d2=None,
+        theta_flagged=False,
+        sigma_flagged=False,
+        error=error,
+    )

@@ -40,6 +40,8 @@ from .aggregate import (
     DEFAULT_HUBER_C,
     LocalEstimate,
     huber_aggregate,
+    round_view,
+    stacked_estimates,
     standard_errors,
     weighted_average,
 )
@@ -203,7 +205,9 @@ def contaminate(
     corrupt_positions = set(order[: spec.resolved_count(len(fits))])
     rng = _rng(seed)
 
-    out = []
+    if not fits:
+        return []
+    thetas, sigmas = [], []
     for i, fit in enumerate(fits):
         theta_star, sigma_star = fit.theta_hat, fit.sigma_hat
         if i in corrupt_positions:
@@ -223,15 +227,14 @@ def contaminate(
             else:  # pragma: no cover - exhaustive enum
                 raise ValueError(f"unknown contamination kind {spec.kind}")
             sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
-        out.append(
-            LocalEstimate(
-                server_id=fit.server_id,
-                n_k=fit.n_k,
-                theta_star=theta_star,
-                sigma_star=sigma_star,
-            )
-        )
-    return out
+        thetas.append(theta_star)
+        sigmas.append(sigma_star)
+    return stacked_estimates(
+        [fit.server_id for fit in fits],
+        [fit.n_k for fit in fits],
+        np.array(thetas, dtype=float),
+        np.array(sigmas, dtype=float),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +298,27 @@ def encode_messages(estimates) -> list[bytes]:
     """The wire payload of every estimate, in order.
 
     The wire format carries vech(sigma), so only (near-)symmetric matrices
-    are encodable; a symmetric matrix round-trips bit-identically.  The
+    are encodable; a symmetric matrix round-trips bit-identically.  A
+    matrix with a non-finite entry is sent too, as the vech of its
+    symmetrized form, since the decoder accepts it and the processor leaves
+    it out and flags it.  The
     estimates of each dimension share one stacked symmetry test and one
     ``tolist``, and each payload is printed by one %-format.
     """
     ests = list(estimates)
-    symmetric = np.zeros(len(ests), dtype=bool)
+    sendable = np.zeros(len(ests), dtype=bool)
     numbers: list = [None] * len(ests)
     for p, idx in _by_dimension(e.p for e in ests).items():
         if p < 1:
             continue  # ensure_symmetric raises the DimensionError below
         sigmas = np.stack([ests[i].sigma_star for i in idx])
-        symmetric[idx] = numkit.symmetric_mask(sigmas)
+        sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
         thetas = np.stack([ests[i].theta_star for i in idx])
         rows = np.concatenate([thetas, numkit.vech_stack(numkit.symmetrize(sigmas))], axis=1)
         for i, row in zip(idx, rows.tolist()):
             numbers[i] = row
     out = []
-    for e, ok, row in zip(ests, symmetric, numbers):
+    for e, ok, row in zip(ests, sendable, numbers):
         if not ok:
             numkit.ensure_symmetric(e.sigma_star)  # raises its error for this matrix
         body = "|".join(
@@ -402,9 +408,14 @@ def decode_messages(payloads) -> list[LocalEstimate]:
         out: list = [None] * len(fields)
         for p, idx in _by_dimension(dims).items():
             block = values[starts[idx][:, None] + np.arange(p + numkit.vech_len(p))]
-            for i, theta, sigma in zip(idx, block[:, :p], numkit.vech_inv_stack(block[:, p:], p)):
-                sid_txt, n_k = fields[i][:2]
-                out[i] = LocalEstimate(_decode_id(sid_txt), n_k, theta, sigma)
+            ests = stacked_estimates(
+                [_decode_id(fields[i][0]) for i in idx],
+                [fields[i][1] for i in idx],
+                block[:, :p],
+                numkit.vech_inv_stack(block[:, p:], p),
+            )
+            for i, est in zip(idx, ests):
+                out[i] = est
         return out
     except (RobustAggError, ValueError):
         if len(payloads) == 1:
@@ -462,15 +473,16 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     received = list(received)
     dims = Counter(e.p for e in received)
     p = max(dims, key=dims.get, default=None)
-    admitted = [e for e in received if e.p == p] if 2 * dims[p] > len(received) else received
+    # Sorted and stacked once; every stage below reads this view.
+    view = round_view(received, p if 2 * dims[p] > len(received) else None)
     if sigma_hat is None:
-        sigma_hat = aggregate_sigma(admitted)
-    result = huber_aggregate(admitted, sigma_hat, c)
-    theta_bar, sigma_bar = weighted_average(admitted)
+        sigma_hat = aggregate_sigma(view)
+    result = huber_aggregate(view, sigma_hat, c)
+    theta_bar, sigma_bar = weighted_average(view)
     diag = np.diagonal(sigma_bar)
     np.fill_diagonal(sigma_bar, np.where(diag > 0.0, diag, np.nan))
-    se_wa = standard_errors(sigma_bar, sum(e.n_k for e in admitted), 1.0)
-    report = detect(received, result.theta_hat, sigma_hat, alpha=alpha)
+    se_wa = standard_errors(sigma_bar, view.n_total, 1.0)
+    report = detect(view, result.theta_hat, sigma_hat, alpha=alpha)
     return result, theta_bar, se_wa, report
 
 

@@ -33,8 +33,8 @@ with numpy 2.4 and OpenBLAS 0.3:
   ``matmul``); the linear gradient as ``einsum("ki,kij->kj", resid, X)``;
   stacked ``solve`` for theta and for both sides of the sandwich; per
   pass, one ``exact_column_means`` call for every shard's gbar and U sums
-  and one for V.  ``grad_norm`` stays the 1-D ``np.linalg.norm`` of each
-  shard's gradient.
+  and one for V.  ``grad_norm`` is the 1-D ``np.linalg.norm`` of each
+  shard's gradient, from one stacked ``numkit.row_dots`` (see below).
 * Same bits, in the lockstep logistic Newton (:func:`_newton`, which
   :func:`criterion_eval` shares): ``expit`` and ``logaddexp`` as before;
   the criterion value as ``np.add.reduce(y * eta - logaddexp(0, eta),
@@ -48,12 +48,15 @@ with numpy 2.4 and OpenBLAS 0.3:
   ``+0.0``.  Both (j, k) and (k, j) are needed, because they round
   differently and ``symmetrize`` averages them.  Steps by stacked
   ``solve`` with one right-hand side per shard; the gradient and theta
-  norms of the convergence and divergence tests are 1-D
-  ``np.linalg.norm`` calls per shard.  The accumulate Hessian equalled the
-  einsum in all of 1,407 matrices (350 random stacks, p 2-5, column scales
-  1e-3 to 1e3).  The stacked three-operand ``einsum("ki,kij,kil->kjl")``
-  has the same bits too, but took 214-237 us against 146-148 us for the
-  accumulate at K=6, n=1000, p=2, so it is not used.
+  norms of the convergence and divergence tests are the square roots of
+  one stacked ``numkit.row_dots`` per test, whose ``matmul`` reaches the
+  ``dot`` of the 1-D ``np.linalg.norm`` (0 of 70,000 random rows
+  differed, p 1-7, overflow-scale and zero rows included).  The
+  accumulate Hessian equalled the einsum in all of 1,407 matrices (350
+  random stacks, p 2-5, column scales 1e-3 to 1e3).  The stacked
+  three-operand ``einsum("ki,kij,kil->kjl")`` has the same bits too, but
+  took 214-237 us against 146-148 us for the accumulate at K=6, n=1000,
+  p=2, so it is not used.
 * Different bits, so not used: ``(w[:, None] * X).T @ X`` (BLAS, 291 of 300
   random shards differ); one 1-D ``add.reduce`` per Hessian entry (pairwise
   summation, 300 of 300; summed along the stacked products' n axis, 1,391
@@ -370,13 +373,25 @@ def sandwich_variance(
     U is the negative averaged Hessian.  With ``allow_singular=True`` a
     singular U is inverted in the pseudo-inverse sense, which the simulation
     layer needs when recomputing the matrix at an extreme contaminated
-    parameter; by default a singular U raises.
+    parameter; by default a singular U raises.  With it, a matrix whose
+    sums go beyond the largest double (``math.fsum`` raises on them, as on
+    ``inf - inf``) comes out all NaN instead of raising, so it can still be
+    sent and is then left out and flagged by the central processor.
     """
     _check_data(model, data)
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    return _stacked_sandwich(
-        model, data.X[None], data.y[None], theta_hat[None], allow_singular
-    )[0]
+    if theta_hat.size != model.p:
+        raise DimensionError(f"theta_hat has {theta_hat.size} coordinates, the model {model.p}")
+    try:
+        return _stacked_sandwich(
+            model, data.X[None], data.y[None], theta_hat[None], allow_singular
+        )[0]
+    except (OverflowError, ValueError):
+        # math.fsum's errors: an exact sum beyond the largest double, or
+        # inf - inf among the products.
+        if not allow_singular:
+            raise
+        return np.full((model.p, model.p), np.nan)
 
 
 def _pinv_sym(a: np.ndarray) -> np.ndarray:
@@ -394,6 +409,12 @@ def _pinv_sym(a: np.ndarray) -> np.ndarray:
     inv = np.zeros_like(values)
     inv[keep] = 1.0 / values[keep]
     return numkit.symmetrize((vectors * inv) @ vectors.T)
+
+
+def _norms(rows: np.ndarray) -> list[float]:
+    """The 1-D ``np.linalg.norm`` of every row of a ``(K, p)`` array, bit
+    for bit, from one stacked ``numkit.row_dots``."""
+    return np.sqrt(numkit.row_dots(rows, rows)).tolist()
 
 
 def _newton(X: np.ndarray, y: np.ndarray):
@@ -424,8 +445,8 @@ def _newton(X: np.ndarray, y: np.ndarray):
     it = 0
     while True:
         keep = []
-        for pos, i in enumerate(active):
-            if float(np.linalg.norm(grad[pos])) <= DEFAULT_TOL:
+        for pos, (i, norm) in enumerate(zip(active, _norms(grad))):
+            if norm <= DEFAULT_TOL:
                 thetas[i], grads[i], etas[i], iters[i] = theta[pos], grad[pos], eta[pos], it
             else:
                 keep.append(pos)
@@ -440,7 +461,7 @@ def _newton(X: np.ndarray, y: np.ndarray):
             raise NonConvergenceError(
                 f"logistic fit did not converge in {DEFAULT_MAX_ITER} iterations",
                 best=theta[0].copy(),
-                residual=float(np.linalg.norm(grad[0])),
+                residual=_norms(grad[:1])[0],
             )
         try:
             step = np.linalg.solve(-_logistic_hessians(cols_a, pi), grad[..., None])[..., 0]
@@ -464,8 +485,7 @@ def _newton(X: np.ndarray, y: np.ndarray):
             low = low[~(v >= value[low] - 1e-14 * np.abs(value[low]))]
         theta, value, grad, eta, pi = cand, cand_value, cand_grad, cand_eta, cand_pi
         it += 1
-        for pos, i in enumerate(active):
-            norm = float(np.linalg.norm(theta[pos]))
+        for i, norm in zip(active, _norms(theta)):
             if it == 1:
                 first_norms[i] = norm
             if norm > _DIVERGENCE_RATIO * max(1.0, first_norms[i]):
@@ -524,9 +544,9 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
             n_k=shards[k].n,
             server_id=server_ids[k],
             newton_iters=iters[k],
-            grad_norm=float(np.linalg.norm(grads[k])),
+            grad_norm=grad_norm,
         )
-        for k in range(len(shards))
+        for k, grad_norm in enumerate(_norms(grads))
     ]
 
 

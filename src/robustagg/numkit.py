@@ -243,6 +243,18 @@ def exact_column_means(a) -> np.ndarray:
     return sums / n
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row of two ``(K, p)`` arrays.
+
+    A stacked ``matmul`` of ``(1, p)`` by ``(p, 1)``, which reaches the
+    ``dot`` of the 1-D call, so each entry has that call's bits, and the
+    square root of ``row_dots(a, a)`` those of the 1-D ``np.linalg.norm``
+    (``einsum("ij,ij->i")`` and ``np.linalg.norm(a, axis=1)`` sum in
+    another order).
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @functools.lru_cache(maxsize=32)
 def triu_indices(p: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(p, k)``, built once per (p, k) and read-only."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, NumericalError
 from . import numkit
-from .aggregate import sorted_estimates
+from .aggregate import round_view
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -197,8 +197,12 @@ def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uniq, merged_w
 
 
-def spatial_median(points) -> SpatialMedianResult:
+def spatial_median(points, weights=None) -> SpatialMedianResult:
     """Minimize the weighted sum of Euclidean distances to the given points.
+
+    ``points`` is a sequence of :class:`WeightedPoint`, which is stacked
+    into the other form: a ``(K, d)`` array of finite point coordinates, one
+    row per point, with their ``weights``, K positive finite numbers.
 
     Convergence is declared when the first-order condition holds: either the
     weighted sum of unit vectors toward the non-coincident points has norm
@@ -210,15 +214,30 @@ def spatial_median(points) -> SpatialMedianResult:
     far-apart points can exceed ``DEFAULT_TOL``; otherwise
     :class:`NonConvergenceError` is raised.
     """
-    pts = list(points)
-    if not pts:
-        raise ValueError("at least one point is required")
-    d = pts[0].value.size
-    for pt in pts:
-        if pt.value.size != d:
-            raise DimensionError("points disagree on dimension")
-    x_all = np.stack([pt.value for pt in pts])
-    w_all = np.array([pt.weight for pt in pts])
+    if weights is None:
+        pts = list(points)
+        if not pts:
+            raise ValueError("at least one point is required")
+        d = pts[0].value.size
+        for pt in pts:
+            if pt.value.size != d:
+                raise DimensionError("points disagree on dimension")
+        x_all = np.stack([pt.value for pt in pts])
+        w_all = np.array([pt.weight for pt in pts])
+    else:
+        x_all = np.asarray(points, dtype=float)
+        w_all = np.asarray(weights, dtype=float)
+        if x_all.ndim != 2 or w_all.shape != x_all.shape[:1]:
+            raise DimensionError(
+                f"points of shape {x_all.shape} and weights of shape {w_all.shape} do not align"
+            )
+        if not x_all.shape[0]:
+            raise ValueError("at least one point is required")
+        if not ((w_all > 0.0).all() and np.isfinite(w_all).all()):
+            raise ValueError("weight must be positive and finite")
+        if not np.isfinite(x_all).all():
+            raise ValueError("point coordinates must be finite")
+        d = x_all.shape[1]
     x, w = _merge_duplicates(x_all, w_all)
     k = x.shape[0]
 
@@ -358,24 +377,19 @@ def aggregate_sigma(estimates) -> np.ndarray:
     input to the median is PD and the median lies in their convex hull, the
     output is PD; that is asserted before returning.
     """
-    ests = sorted_estimates(estimates)
-    p = ests[0].p
-    stack = np.stack([e.sigma_star for e in ests])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    ests = [e for e, ok in zip(ests, finite) if ok]
-
-    pd, sym = numkit.screen_positive_definite(stack[finite])
-    # vech of every kept matrix at once; the others are repaired first.
-    vechs = numkit.vech_stack(sym)
-    for k in np.flatnonzero(~pd):
-        vechs[k] = numkit.vech_stack(numkit.pd_project(ests[k].sigma_star))
+    view = round_view(estimates)
+    finite = np.flatnonzero(view.sigma_finite)
+    pd, sym = view.screen
+    # vech of every finite matrix at once; the others are repaired first.
+    vechs = numkit.vech_stack(sym[finite])
+    for k in np.flatnonzero(~pd[finite]):
+        vechs[k] = numkit.vech_stack(numkit.pd_project(view.sigmas[finite[k]]))
     kept = np.flatnonzero(np.isfinite(vechs).all(axis=1))
     if not kept.size:
         raise NumericalError("no variance matrix with finite entries to aggregate")
-    points = [WeightedPoint(value=vechs[k], weight=math.sqrt(ests[k].n_k)) for k in kept]
 
-    result = spatial_median(points)
-    sigma = numkit.vech_inv(result.eta, p)
+    result = spatial_median(vechs[kept], view.sqrt_n[finite[kept]])
+    sigma = numkit.vech_inv(result.eta, view.p)
     smallest = numkit.min_eigenvalue(sigma)
     if smallest <= 0.0:
         raise NumericalError(

@@ -199,10 +199,6 @@ class TestSimulateCommand:
         assert "dry run" not in captured.out
         assert not out.exists()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the corrupted server's sandwich overflows and fsum's ValueError ends the study",
-    )
     def test_extreme_omniscient_value_completes(self, tmp_path):
         rc = main(
             [

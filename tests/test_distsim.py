@@ -346,10 +346,18 @@ DECODE_DEFECTS = {
     "zero n_k": lambda w: refield(w, 2, "0"),
 }
 
-ENCODE_DEFECTS = {
-    "asymmetric sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0, 1.0], [[1.0, 0.5], [0.1, 1.0]]),
+# Matrices that are not symmetric by the encoder's test, but are sent: the
+# decoder accepts them, and the processor leaves them out and flags them.
+NON_FINITE_SIGMAS = {
     "nan sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0], [[math.nan]]),
     "inf sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0, 1.0], [[math.inf, 0.0], [0.0, 1.0]]),
+    "inf and -inf": lambda e: LocalEstimate(
+        e.server_id, e.n_k, [2.0, 1.0, 0.5], np.diag([math.inf, -math.inf, 1.0]) + 1.0
+    ),
+}
+
+ENCODE_DEFECTS = {
+    "asymmetric sigma": lambda e: LocalEstimate(e.server_id, e.n_k, [2.0, 1.0], [[1.0, 0.5], [0.1, 1.0]]),
     "no dimension": lambda e: LocalEstimate(e.server_id, e.n_k, np.zeros(0), np.zeros((0, 0))),
     "separator in id": lambda e: LocalEstimate("a|b", e.n_k, e.theta_star, e.sigma_star),
     "bool id": lambda e: LocalEstimate(True, e.n_k, e.theta_star, e.sigma_star),
@@ -439,6 +447,19 @@ class TestBatchedTransport:
         want = outcome(encode_message, ests[3])
         assert want[0] != "ok"
         assert outcome(encode_messages, ests) == want
+
+    @pytest.mark.parametrize("kind", sorted(NON_FINITE_SIGMAS))
+    def test_non_finite_sigma_is_sent(self, kind):
+        ests = ten_payloads()
+        ests[3] = NON_FINITE_SIGMAS[kind](ests[3])
+        wire = encode_messages(ests)
+        assert wire == [encode_message(e) for e in ests]
+        back = decode_messages(wire)
+        # NaN == NaN here: the wire prints every NaN as "nan".
+        np.testing.assert_array_equal(back[3].sigma_star, numkit.symmetrize(ests[3].sigma_star))
+        assert not np.isfinite(back[3].sigma_star).all()
+        for got, want in zip(back[:3] + back[4:], ests[:3] + ests[4:]):
+            assert got.sigma_star.tobytes() == want.sigma_star.tobytes()
 
     def test_first_failing_payload_wins_whatever_fails_after_it(self):
         # Each stage of the batched decode must not report a later payload's

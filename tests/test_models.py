@@ -264,6 +264,22 @@ class TestSandwich:
         )
         assert np.isfinite(sigma).all()
 
+    def test_sums_beyond_the_largest_double(self):
+        # At theta = 1e200 the gradient products overflow to +-inf, and fsum
+        # refuses inf - inf: a recomputed sandwich comes out all NaN, a
+        # fitted one still raises.
+        rng = np.random.default_rng(61)
+        X = rng.standard_normal((50, 2))
+        data = make_obs(X @ [1.0, 2.0] + rng.standard_normal(50), X)
+        theta = np.array([1e200, 1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="inf"):
+                sandwich_variance(LINEAR2, data, theta)
+            sigma = sandwich_variance(LINEAR2, data, theta, allow_singular=True)
+        assert sigma.shape == (2, 2) and np.isnan(sigma).all()
+        with pytest.raises(DimensionError):
+            sandwich_variance(LINEAR2, data, [1.0, 2.0, 3.0], allow_singular=True)
+
 
 class TestObservations:
     def test_columnar_sequence_access(self):

@@ -124,6 +124,42 @@ class TestInvSqrt:
             assert np.array_equal(numkit.inv_sqrt_pd(tied), inv_root)
 
 
+class TestRowDots:
+    """Stacked dot products against one 1-D call per row."""
+
+    @staticmethod
+    def rows(rng, p):
+        # Row scales from subnormal-adjacent to overflow-scale (squares of
+        # entries beyond ~1.3e154 overflow), plus zero and signed-zero rows.
+        a = rng.standard_normal((400, p)) * 10.0 ** rng.uniform(-300.0, 300.0, (400, 1))
+        a[:40] /= np.abs(a[:40]).max(axis=1, keepdims=True)
+        a[:40] *= 10.0 ** rng.uniform(150.0, 160.0, (40, 1))
+        a[40] = 0.0
+        a[41] = -0.0
+        a[42, 0] = -0.0
+        return a
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_norms_equal_the_1d_norm(self, p):
+        rng = np.random.default_rng(70 + p)
+        a = self.rows(rng, p)
+        with np.errstate(over="ignore"):
+            got = np.sqrt(numkit.row_dots(a, a))
+            want = np.array([np.linalg.norm(row) for row in a])
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got[:40]).any() and got[40] == 0.0
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_dots_equal_the_1d_dot(self, p):
+        rng = np.random.default_rng(80 + p)
+        a = self.rows(rng, p)
+        b = rng.standard_normal((400, p)) * 10.0 ** rng.uniform(-10.0, 10.0, (400, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = numkit.row_dots(a, b)
+            want = np.array([x @ y for x, y in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestVech:
     def test_examples(self):
         assert numkit.vech(np.array([[1.0, 2.0], [2.0, 3.0]])).tolist() == [1, 2, 3]
