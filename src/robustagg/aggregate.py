@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, NotPositiveDefiniteError, NumericalError
+from .errors import DimensionError, NonConvergenceError, NumericalError
 from . import numkit
 
 DEFAULT_HUBER_C = 1.345
@@ -300,25 +300,24 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     ``aggregate_sigma`` leaves out a non-finite variance matrix (detection
     flags it, since its d1 is not finite); if no server is left,
     :class:`NumericalError` is raised.
+
+    ``sigma_hat`` must pass ``numkit.require_pd`` for the round's dimension
+    p, the rule detection applies to it too: a wrong shape raises
+    :class:`DimensionError`; a non-finite entry, an asymmetry beyond
+    ``numkit.SYM_RTOL`` or an eigenvalue that is not > 0 raises
+    :class:`NotPositiveDefiniteError`.  It is decomposed once per call.
     """
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
     view = round_view(estimates)
-    p = view.p
     finite = view.theta_finite
     if not finite.any():
         raise NumericalError("no estimate with finite entries to aggregate")
     n_k = [n for n, ok in zip(view.n_k, finite.tolist()) if ok]
     n_total = sum(n_k)
 
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if sigma_hat.shape != (p, p):
-        raise DimensionError(f"sigma_hat has shape {sigma_hat.shape}, expected ({p}, {p})")
-    if not numkit.is_symmetric(sigma_hat):
-        raise NotPositiveDefiniteError(
-            "sigma_hat must be symmetric positive definite; apply pd_project first"
-        )
-    color, whiten = numkit.pd_roots(sigma_hat)
+    _, values, vectors = numkit.require_pd(sigma_hat, view.p)
+    color, whiten = numkit.eigen_roots(values, vectors)
     thetas = view.thetas[finite]                      # (K, p)
     roots = view.sqrt_n[finite]                       # sqrt(n_k)
     shares = np.array([n / n_total for n in n_k])     # n_k / N

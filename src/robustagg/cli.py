@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, RobustAggError
+from .errors import ConfigError, NotPositiveDefiniteError, RobustAggError
 from . import distsim, numkit
 from .aggregate import DEFAULT_HUBER_C, LocalEstimate, tau_c, weighted_average
 from .detect import DEFAULT_ALPHA
@@ -37,6 +37,7 @@ from .distsim import (
     ContaminationKind,
     ContaminationSpec,
     StudyConfig,
+    check_workers,
     decode_message,
     decode_messages,
     default_workers,
@@ -65,23 +66,17 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_model(text: str) -> ModelKind:
-    try:
-        return ModelKind(text.strip().lower())
-    except ValueError:
-        raise ConfigError(
-            f"unknown model {text!r} (expected 'logistic' or 'linear')"
-        ) from None
+_ENUM_KEYS = {"model": ModelKind, "contamination": ContaminationKind}
 
 
-def _parse_contamination(text: str) -> ContaminationKind:
+def _parse_enum(text: str, key: str):
+    kind = _ENUM_KEYS[key]
     try:
-        return ContaminationKind(text.strip().lower())
+        return kind(text.strip().lower())
     except ValueError:
-        valid = ", ".join(k.value for k in ContaminationKind)
-        raise ConfigError(
-            f"unknown contamination {text!r} (expected one of {valid})"
-        ) from None
+        values = [k.value for k in kind]
+        expected = " or ".join(map(repr, values)) if len(values) == 2 else "one of " + ", ".join(values)
+        raise ConfigError(f"unknown {key} {text!r} (expected {expected})") from None
 
 
 def _parse_floats(text: str, key: str) -> tuple:
@@ -119,52 +114,47 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
+# Text-valued keys and their parsers, applied in this order, so the first
+# bad key in it is the one reported.
+_PARSERS = {
+    "model": _parse_enum,
+    "theta0": _parse_floats,
+    "contamination": _parse_enum,
+    "omniscient_value": _parse_floats,
+}
+# The StudyConfig and ContaminationSpec fields the keys set.
+_STUDY_FIELDS = {
+    "model": "model", "theta0": "theta0", "K": "n_servers", "n": "shard_size", "c": "c",
+    "replicates": "replicates", "alpha": "alpha", "seed": "base_seed",
+}
+_SPEC_FIELDS = {
+    "contamination": "kind", "count": "count", "gaussian_scale": "gaussian_scale",
+    "omniscient_value": "omniscient_value",
+}
+
+
 def make_study_config(file_values: dict, args: argparse.Namespace) -> tuple[StudyConfig, int]:
-    """Resolve file values and CLI overrides into a validated study design."""
+    """Resolve file values and CLI overrides into a validated study design.
 
-    def pick(key: str, override, default):
-        if override is not None:
-            return override
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    model = pick("model", args.model, "logistic")
-    if isinstance(model, str):
-        model = _parse_model(model)
-    theta0 = pick("theta0", args.theta0, "2,1")
-    if isinstance(theta0, str):
-        theta0 = _parse_floats(theta0, "theta0")
-    kind = pick("contamination", args.contamination, "none")
-    if isinstance(kind, str):
-        kind = _parse_contamination(kind)
-    omniscient = pick("omniscient_value", args.omniscient_value, None)
-    if isinstance(omniscient, str):
-        omniscient = _parse_floats(omniscient, "omniscient_value")
-
+    Only the keys a file or a flag sets are passed on; every other field
+    keeps its ``StudyConfig`` or ``ContaminationSpec`` default, and the
+    worker count defaults to :func:`~robustagg.distsim.default_workers`.
+    """
+    values = dict(file_values)
+    values.update(
+        (key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None
+    )
+    for key, parse in _PARSERS.items():
+        if key in values:
+            values[key] = parse(values[key], key)
     try:
-        spec = ContaminationSpec(
-            kind=kind,
-            count=pick("count", args.count, None),
-            omniscient_value=omniscient,
-            gaussian_scale=pick("gaussian_scale", args.gaussian_scale, 200.0),
-        )
+        spec = ContaminationSpec(**{f: values[k] for k, f in _SPEC_FIELDS.items() if k in values})
         config = StudyConfig(
-            model=model,
-            theta0=theta0,
-            n_servers=pick("K", args.K, 20),
-            shard_size=pick("n", args.n, 1000),
-            c=pick("c", args.c, DEFAULT_HUBER_C),
-            contamination=spec,
-            replicates=pick("replicates", args.replicates, 200),
-            alpha=pick("alpha", args.alpha, DEFAULT_ALPHA),
-            base_seed=pick("seed", args.seed, 20240501),
+            contamination=spec, **{f: values[k] for k, f in _STUDY_FIELDS.items() if k in values}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    workers = pick("workers", args.workers, default_workers())
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    workers = check_workers(values["workers"]) if "workers" in values else default_workers()
     return config, workers
 
 
@@ -352,7 +342,7 @@ def _raise_first_defect(path: Path, header: list[str], records: list[list[str]])
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     shard_paths = sorted(Path(p) for p in args.shards)
-    model_kind = _parse_model(args.model)
+    model_kind = _parse_enum(args.model, "model")
     if not args.c > 0:
         raise ConfigError("c must be positive")
     if not 0.0 < args.alpha < 1.0:
@@ -387,7 +377,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         by_id = {str(e.server_id): e for e in estimates}
         if args.trusted_server not in by_id:
             raise ConfigError(f"trusted server {args.trusted_server!r} not among shards")
-        sigma_hat = numkit.ensure_symmetric(by_id[args.trusted_server].sigma_star)
+        try:
+            sigma_hat = numkit.require_pd(by_id[args.trusted_server].sigma_star, len(covariates))[0]
+        except NotPositiveDefiniteError as exc:
+            reason = str(exc) if exc.eigenvalue is None else f"smallest eigenvalue {exc.eigenvalue:.6e}"
+            raise ConfigError(
+                f"trusted server {args.trusted_server!r} cannot standardize the round: "
+                f"its variance matrix is not positive definite ({reason})"
+            ) from None
     # Module-qualified on purpose: perfbench traces the functions imported
     # into this module by name, and the central layers under process() are
     # traced in distsim.

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DimensionError, NotPositiveDefiniteError
+from .errors import DimensionError
 from . import numkit
 from .aggregate import LocalEstimate, RoundView, round_view
 
@@ -138,30 +138,17 @@ def _solve_each(mats: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, dict]:
     return sols, errors
 
 
-def _checked_sigma_hat(sigma_hat: np.ndarray) -> np.ndarray:
-    """The symmetrized ``sigma_hat``; raises unless it is positive definite."""
-    smallest = numkit.min_eigenvalue(sigma_hat)
-    if smallest <= 0.0:
-        raise NotPositiveDefiniteError(
-            "sigma_hat must be positive definite for the detection distance",
-            eigenvalue=smallest,
-        )
-    return numkit.symmetrize(sigma_hat)
+def _step1(view: RoundView, diffs: np.ndarray, sigma_hat) -> list:
+    """d1 of every admitted row of ``view``, or the LinAlgError that
+    replaces it; ``diffs`` are the rows' ``theta - theta_hat``.
 
-
-def _step1(view: RoundView, diffs: np.ndarray, sigma_hat: np.ndarray) -> list:
-    """d1 of every admitted row of ``view``, or the DimensionError or
-    LinAlgError that replaces it; ``diffs`` are the rows' ``theta - theta_hat``.
-
-    ``sigma_hat`` is checked and symmetrized once (a ``sigma_hat`` that is
-    not positive definite raises, since it invalidates the whole report),
-    and the rows share one stacked solve against it.
+    ``sigma_hat`` passes ``numkit.require_pd`` or raises (it standardizes
+    the whole report), and the rows share one stacked solve against its
+    symmetrized form.
     """
-    if sigma_hat.shape != (view.p, view.p):
-        return [DimensionError("sigma_hat dimension does not match the estimate")] * len(diffs)
+    sym = numkit.require_pd(sigma_hat, view.p)[0]
     if not len(diffs):
         return []
-    sym = _checked_sigma_hat(sigma_hat)
     sols, errors = _solve_each(np.broadcast_to(sym, (len(diffs),) + sym.shape), diffs)
     out = _distances(_float_sizes(view), diffs, sols).tolist()
     for i, exc in errors.items():
@@ -202,13 +189,14 @@ def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
     """Distance of the transmitted estimate from the aggregate, standardized
     by the (robust) aggregated variance: sqrt{n_k (t - th)^T Sigma^{-1} (t - th)}.
 
-    The one-server call of detection's step 1.
+    The one-server call of detection's step 1; ``sigma_hat`` must pass
+    ``numkit.require_pd``, as in :func:`detect`.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     if theta_hat.size != est.p:
         raise DimensionError("theta_hat dimension does not match the estimate")
     view = round_view([est])
-    d1 = _step1(view, view.thetas - theta_hat, np.asarray(sigma_hat, dtype=float))[0]
+    d1 = _step1(view, view.thetas - theta_hat, sigma_hat)[0]
     if isinstance(d1, Exception):
         raise d1
     return d1
@@ -238,13 +226,17 @@ def detect(
     """Run the two-step contamination screen over all servers.
 
     ``sigma_hat`` should be a robust aggregate of the variance estimates
-    (or a trusted server's matrix); it standardizes every d1.  Per-server
-    failures are recorded on the corresponding row instead of aborting.
+    (or a trusted server's matrix); it standardizes every d1, so it must
+    pass ``numkit.require_pd`` for dimension p, the rule the Huber
+    aggregate applies to it: a wrong shape raises :class:`DimensionError`;
+    a non-finite entry, an asymmetry beyond ``numkit.SYM_RTOL`` or an
+    eigenvalue that is not > 0 raises :class:`NotPositiveDefiniteError`.
+    Per-server failures are recorded on the corresponding row instead of
+    aborting.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
     p = theta_hat.size
     view = round_view(estimates, p)
     threshold = math.sqrt(float(special.chdtri(p, alpha)))

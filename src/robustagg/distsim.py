@@ -29,6 +29,7 @@ from scipy.special import expit
 
 from .errors import (
     ChecksumMismatchError,
+    ConfigError,
     DimensionError,
     RobustAggError,
     StudyError,
@@ -607,13 +608,23 @@ def _replicate_or_failure(config: StudyConfig, index: int) -> ReplicateRecord:
         return ReplicateRecord(index=index, failed=True, error=str(exc))
 
 
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "1")
+def check_workers(workers, source: str = "workers") -> int:
+    """``workers`` as a worker count; :class:`ConfigError`, naming
+    ``source``, unless it is an integer >= 1."""
     try:
-        workers = int(value)
+        count = int(workers)
     except ValueError:
-        workers = 1
-    return max(1, workers)
+        raise ConfigError(f"{source} must be an integer, got {workers!r}") from None
+    if count < 1:
+        raise ConfigError(f"{source} must be >= 1")
+    return count
+
+
+def default_workers() -> int:
+    """The worker count ``$ROBUSTAGG_WORKERS`` sets, by :func:`check_workers`,
+    or 1 when it is unset or empty."""
+    value = os.environ.get(WORKERS_ENV_VAR)
+    return check_workers(value, WORKERS_ENV_VAR) if value else 1
 
 
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyMetrics:
@@ -622,12 +633,12 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyMetrics:
     Replicates are independent and may execute in a process pool; the
     reduction happens in replicate order, so the metrics are identical for
     any worker count.  The study aborts if more than 10% of the replicates
-    fail.
+    fail.  ``workers`` None means :func:`default_workers`; any other value
+    must pass :func:`check_workers`.
     """
     if config.replicates < 2:
         raise ValueError("a study needs at least 2 replicates")
-    if workers is None:
-        workers = default_workers()
+    workers = default_workers() if workers is None else check_workers(workers)
     started = time.perf_counter()
     indices = range(config.replicates)
     if workers > 1:

@@ -25,8 +25,9 @@ class NumericalError(RobustAggError):
         self.condition_estimate = condition_estimate
 
 
-class NotPositiveDefiniteError(NumericalError):
-    """A matrix required to be positive definite has a nonpositive eigenvalue."""
+class NotPositiveDefiniteError(NumericalError, ValueError):
+    """A matrix required to be positive definite is not: it has a non-finite
+    entry, is not symmetric, or has an eigenvalue that is not > 0."""
 
     def __init__(self, message: str, eigenvalue: float | None = None):
         if eigenvalue is not None:

@@ -5,6 +5,13 @@ they are safe to call from any number of concurrent workers.  Matrices are
 plain ``numpy`` arrays; "symmetric matrix" means symmetric to within a small
 relative tolerance (text round-trips of transmitted matrices can lose exact
 symmetry, so near-symmetric inputs are symmetrized rather than rejected).
+
+One rule decides whether a matrix is usable as positive definite: every
+entry finite, symmetric within ``SYM_RTOL``, and the smallest ``eigh``
+eigenvalue of its symmetrized form > 0 (a NaN eigenvalue fails).
+:func:`screen_positive_definite` applies it to a stack of received
+matrices and returns verdicts; :func:`require_pd` applies it to one matrix,
+such as the aggregated variance matrix, and raises.
 """
 
 from __future__ import annotations
@@ -101,26 +108,15 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _eig_descending(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a (near-)symmetric matrix, eigenvalues descending.
-
-    ``eigh``'s ascending pairs reversed by view.  The order matters: it is
-    the order of the sums in the matrix products built from the pairs, so
-    :func:`pd_roots` returns the bits the roots had when the pairs were
-    sorted by ``argsort``.
-    """
-    values, vectors = _eigh(ensure_symmetric(a))
-    return values[::-1], vectors[:, ::-1]
-
-
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a (near-)symmetric matrix."""
     return float(_eigh(ensure_symmetric(a))[0][0])
 
 
 def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a ``(K, p, p)`` stack are finite and (near-)symmetric
-    with all eigenvalues > 0.
+    """Which matrices of a ``(K, p, p)`` stack pass :func:`require_pd`'s rule:
+    every entry finite, symmetric within ``SYM_RTOL``, and the smallest
+    ``eigh`` eigenvalue of the symmetrized matrix > 0.
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
     The finiteness and symmetry tests are exact elementwise work, and the
@@ -143,23 +139,59 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     return ok, sym
 
 
-def pd_roots(a) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of a positive definite
-    matrix, ``(Q diag(v^{1/2}) Q^T, Q diag(v^{-1/2}) Q^T)``, from one
-    eigendecomposition; the second, B, satisfies B A B = I.
+def require_pd(a, p: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule of :func:`screen_positive_definite` for one matrix, which
+    must be ``p x p`` (any square size when ``p`` is None).
 
-    Raises :class:`NotPositiveDefiniteError` naming the offending eigenvalue
-    when ``a`` is not positive definite.
+    Returns ``(sym, values, vectors)``: the symmetrized matrix and its
+    eigenpairs from one ``eigh``, eigenvalues descending (``eigh``'s
+    ascending pairs reversed by view).  A wrong shape raises
+    :class:`DimensionError`; a non-finite entry, an asymmetry beyond
+    ``SYM_RTOL`` or a smallest eigenvalue that is not > 0 raises
+    :class:`NotPositiveDefiniteError`, naming the eigenvalue where there is
+    one.  This is the one test of the variance matrix that whitens the
+    Huber aggregate and standardizes detection's step 1.
     """
-    values, vectors = _eig_descending(a)
-    smallest = float(values[-1])
-    if smallest <= 0.0:
+    a = np.asarray(a, dtype=float)
+    if p is not None and a.shape != (p, p):
+        raise DimensionError(f"expected a {p} x {p} matrix, got shape {a.shape}")
+    a = _as_square(a)
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError("matrix has a non-finite entry")
+    if not symmetric_mask(a):
+        raise NotPositiveDefiniteError(
+            f"matrix is not symmetric within relative tolerance {SYM_RTOL:g}"
+        )
+    sym = symmetrize(a)
+    values, vectors = _eigh(sym)
+    if not values[0] > 0.0:
         raise NotPositiveDefiniteError(
             "matrix is not positive definite; apply pd_project first",
-            eigenvalue=smallest,
+            eigenvalue=float(values[0]),
         )
+    return sym, values[::-1], vectors[:, ::-1]
+
+
+def eigen_roots(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q diag(v^{1/2}) Q^T, Q diag(v^{-1/2}) Q^T)`` from the descending
+    eigenpairs :func:`require_pd` returns.
+
+    The order matters: it is the order of the sums in the matrix products,
+    so the roots keep the bits they had when the pairs were sorted by
+    ``argsort``.
+    """
     roots = np.sqrt(values)
     return symmetrize((vectors * roots) @ vectors.T), symmetrize((vectors / roots) @ vectors.T)
+
+
+def pd_roots(a) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root and inverse square root of a positive definite
+    matrix from one eigendecomposition, :func:`eigen_roots` of
+    :func:`require_pd`; the second, B, satisfies B A B = I.
+
+    Raises as :func:`require_pd` does.
+    """
+    return eigen_roots(*require_pd(a)[1:])
 
 
 def inv_sqrt_pd(a) -> np.ndarray:

@@ -375,7 +375,9 @@ def aggregate_sigma(estimates) -> np.ndarray:
     then combined by the weighted spatial
     median (weights sqrt(n_k)) and the result is rebuilt.  Because every
     input to the median is PD and the median lies in their convex hull, the
-    output is PD; that is asserted before returning.
+    output is PD; ``numkit.require_pd``, the test the Huber aggregate and
+    detection apply to it, checks that before returning and raises
+    :class:`NotPositiveDefiniteError` if rounding broke it.
     """
     view = round_view(estimates)
     finite = np.flatnonzero(view.sigma_finite)
@@ -390,10 +392,5 @@ def aggregate_sigma(estimates) -> np.ndarray:
 
     result = spatial_median(vechs[kept], view.sqrt_n[finite[kept]])
     sigma = numkit.vech_inv(result.eta, view.p)
-    smallest = numkit.min_eigenvalue(sigma)
-    if smallest <= 0.0:
-        raise NumericalError(
-            f"aggregated variance matrix lost positive definiteness "
-            f"(min eigenvalue {smallest:.3e})"
-        )
+    numkit.require_pd(sigma, view.p)
     return sigma

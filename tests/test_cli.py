@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import robustagg
 from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
-from robustagg.distsim import ContaminationKind, generate_dataset, partition
+from robustagg.distsim import ContaminationKind, StudyConfig, generate_dataset, partition
 from robustagg.errors import ConfigError
 from robustagg import models
 from robustagg.models import ModelKind
@@ -68,6 +68,27 @@ class TestConfigParsing:
             parse_config_file(path), namespace_with_defaults(c=0.9818)
         )
         assert config.c == 0.9818
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model = probit\n", "unknown model 'probit' (expected 'logistic' or 'linear')"),
+            (
+                "contamination = all\n",
+                "unknown contamination 'all' (expected one of "
+                + ", ".join(k.value for k in ContaminationKind) + ")",
+            ),
+        ],
+    )
+    def test_unknown_enum_value_is_named(self, tmp_path, text, message):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as excinfo:
+            make_study_config(parse_config_file(path), namespace_with_defaults())
+        assert str(excinfo.value) == message
+
+    def test_unset_keys_keep_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("ROBUSTAGG_WORKERS", raising=False)
+        assert make_study_config({}, namespace_with_defaults()) == (StudyConfig(), 1)
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path, "# comment\n\nK = 8  # trailing\n")
@@ -171,10 +192,11 @@ class TestSimulateCommand:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "servers flagged in a majority of replicates: 1" in stdout
-        rates = dict(
-            (row["server_id"], float(row["theta_flag_rate"]))
-            for row in csv.DictReader(open(out / "detection_rates.csv"))
-        )
+        with open(out / "detection_rates.csv") as fh:
+            rates = dict(
+                (row["server_id"], float(row["theta_flag_rate"]))
+                for row in csv.DictReader(fh)
+            )
         assert rates["1"] == 1.0
         # HR summary row present in the metrics file
         lines = (out / "metrics.csv").read_text().strip().splitlines()
@@ -236,12 +258,14 @@ class TestPipelineCommand:
              "--c", "1.345", "--out-dir", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "aggregate.csv")))
+        with open(out / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["name"] for r in rows] == ["x1", "x2"]
         theta = np.array([float(r["huber"]) for r in rows])
         se = np.array([float(r["huber_se"]) for r in rows])
         assert np.all(np.abs(theta - [2.0, 1.0]) <= 5 * se)
-        detection = list(csv.DictReader(open(out / "detection.csv")))
+        with open(out / "detection.csv") as fh:
+            detection = list(csv.DictReader(fh))
         assert len(detection) == 4
         assert all(r["theta_flagged"] == "False" for r in detection)
 
@@ -376,6 +400,27 @@ class TestPipelineCommand:
             ]
         )
         assert rc == 1
+
+    def test_trusted_server_not_pd_is_named(self, tmp_path, capsys):
+        # A two-row linear shard is fitted exactly, so its sandwich is zero.
+        paths = make_shards(tmp_path, k=4, n=100, model=ModelKind.LINEAR, seed=33)
+        lines = paths[2].read_text().splitlines(keepends=True)
+        paths[2].write_text("".join(lines[:3]))
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "fit-aggregate-detect", *map(str, paths), "--model", "linear",
+                "--trusted-server", "server_03", "--out-dir", str(out),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: trusted server 'server_03' cannot standardize the round: its variance "
+            "matrix is not positive definite (smallest eigenvalue "
+        )
+        assert "pd_project" not in err
+        assert not out.exists()
 
     @staticmethod
     def run_pipeline(paths, out, capsys):
@@ -627,12 +672,45 @@ class TestSmallCommands:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize(
+        "flag, config, env, message",
+        [
+            (["--workers", "0"], None, None, "workers must be >= 1"),
+            ([], "workers = 0\n", None, "workers must be >= 1"),
+            ([], None, "abc", "ROBUSTAGG_WORKERS must be an integer, got 'abc'"),
+            ([], None, "0", "ROBUSTAGG_WORKERS must be >= 1"),
+            ([], None, "-3", "ROBUSTAGG_WORKERS must be >= 1"),
+        ],
+    )
+    def test_bad_worker_count_exits_before_any_replicate(
+        self, tmp_path, monkeypatch, capsys, flag, config, env, message
+    ):
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("a replicate ran"))
+        if env is None:
+            monkeypatch.delenv("ROBUSTAGG_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ROBUSTAGG_WORKERS", env)
+        argv = ["simulate", "--replicates", "2", "--out-dir", str(tmp_path), *flag]
+        if config is not None:
+            argv += ["--config", str(write_config(tmp_path, config))]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_flag_and_file_workers_do_not_read_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ROBUSTAGG_WORKERS", "abc")
+        path = write_config(tmp_path, "workers = 3\n")
+        assert main(["simulate", "--dry-run", "--workers", "2"]) == 0
+        assert main(["simulate", "--dry-run", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ["workers=2" in lines[0], "workers=3" in lines[1]] == [True, True]
+
     def test_workers_env_default(self, monkeypatch):
         from robustagg.distsim import default_workers
 
         monkeypatch.setenv("ROBUSTAGG_WORKERS", "3")
         assert default_workers() == 3
         monkeypatch.setenv("ROBUSTAGG_WORKERS", "junk")
-        assert default_workers() == 1
+        with pytest.raises(ConfigError, match="ROBUSTAGG_WORKERS must be an integer"):
+            default_workers()
         monkeypatch.delenv("ROBUSTAGG_WORKERS")
         assert default_workers() == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustagg import numkit
+from robustagg import distsim, numkit
 from robustagg.aggregate import (
     LocalEstimate,
     huber_aggregate,
@@ -33,6 +33,7 @@ from robustagg.distsim import (
 )
 from robustagg.errors import (
     ChecksumMismatchError,
+    ConfigError,
     DimensionError,
     StudyError,
     TruncatedMessageError,
@@ -791,6 +792,13 @@ class TestRunStudy:
         assert np.array_equal(
             serial.relative_efficiency, parallel.relative_efficiency
         )
+
+    @pytest.mark.parametrize("workers, env", [(0, None), (-3, None), (None, "abc")])
+    def test_bad_worker_count_raises_before_any_replicate(self, monkeypatch, workers, env):
+        monkeypatch.setattr(distsim, "run_replicate", lambda *a: pytest.fail("a replicate ran"))
+        monkeypatch.setenv("ROBUSTAGG_WORKERS", env or "1")
+        with pytest.raises(ConfigError):
+            run_study(StudyConfig(replicates=2), workers=workers)
 
     @pytest.mark.parametrize(
         "model, shard_size", [(ModelKind.LOGISTIC, 1000), (ModelKind.LINEAR, 200)]

@@ -177,6 +177,35 @@ class TestPositiveDefiniteScreen:
         got = numkit.vech_stack(sym)
         assert np.array_equal(got, np.stack([numkit.vech(m) for m in sym]))
 
+    def test_one_matrix_at_a_time_when_the_stacked_eigh_raises(self, monkeypatch):
+        rng = np.random.default_rng(470)
+        mats = np.stack(screen_cases(rng, 3) + [random_pd(rng, 3) for _ in range(5)])
+        with np.errstate(all="ignore"):
+            want_ok, want_sym = numkit.screen_positive_definite(mats)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def stacks_raise(a):
+            calls.append(a.ndim)
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", stacks_raise)
+        with np.errstate(all="ignore"):
+            ok, sym = numkit.screen_positive_definite(mats)
+        assert ok.tolist() == want_ok.tolist()
+        assert sym.tobytes() == want_sym.tobytes()
+        assert calls[0] == 3 and calls.count(2) == len(calls) - 1 > 1
+
+        def all_raise(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", all_raise)
+        monkeypatch.setattr(np.linalg, "cond", lambda a: 1e300)
+        with pytest.raises(NumericalError, match="did not converge"), np.errstate(all="ignore"):
+            numkit.screen_positive_definite(mats)
+
     def test_near_singular_matrix_is_kept(self):
         ok, _ = numkit.screen_positive_definite(NEAR_SINGULAR[None])
         assert ok.tolist() == [True]

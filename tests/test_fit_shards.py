@@ -455,6 +455,17 @@ LOGISTIC_BAD = {
 
 
 class TestLockstepErrorParity:
+    @pytest.mark.parametrize("column", ["zero", "duplicate"])
+    def test_singular_hessian_raises_rank_deficiency(self, column):
+        rng = np.random.default_rng(23)
+        good = [logistic_shard(rng, 60, np.array([0.5, -0.3])) for _ in range(3)]
+        x = good[1].X[:, 0]
+        bad = Observations(good[1].y, np.column_stack([x, 0.0 * x if column == "zero" else x]))
+        model = ModelSpec.logistic(2)
+        for fit in (lambda: fit_local(model, bad), lambda: fit_shards(model, [good[0], bad, good[2]])):
+            with pytest.raises(RankDeficiencyError, match="logistic Hessian is singular"):
+                fit()
+
     @pytest.mark.parametrize("name", sorted(LOGISTIC_BAD))
     @pytest.mark.parametrize("position", [0, 3, 6])
     def test_failing_shard_raises_its_own_error(self, name, position, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from robustagg import numkit
@@ -18,49 +20,125 @@ def random_pd(rng, p, cond=100.0):
 
 
 class TestSymEig:
-    """The descending eigenpairs behind pd_roots."""
+    """The descending eigenpairs require_pd returns, which pd_roots builds on."""
 
     def test_identity(self):
-        values, _ = numkit._eig_descending(np.eye(2))
+        _, values, _ = numkit.require_pd(np.eye(2))
         assert np.allclose(values, [1.0, 1.0])
 
     def test_diagonal_sorted_descending(self):
-        values, _ = numkit._eig_descending(np.diag([4.0, 9.0]))
+        _, values, _ = numkit.require_pd(np.diag([4.0, 9.0]))
         assert np.allclose(values, [9.0, 4.0])
 
     def test_two_by_two_hand_algebra(self):
         # [[2,1],[1,2]]: characteristic polynomial (2-l)^2 - 1 = 0 -> l = 3, 1
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        values, vectors = numkit._eig_descending(a)
+        _, values, vectors = numkit.require_pd(a)
         assert np.allclose(values, [3.0, 1.0], atol=1e-12)
         v = vectors[:, 0]
         assert np.allclose(np.abs(v), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_characteristic_polynomial_oracle_2x2(self):
-        # For symmetric [[a,b],[b,d]] roots are ((a+d) +- sqrt((a-d)^2+4b^2))/2.
+        # For symmetric [[a,b],[b,d]] roots are ((a+d) +- sqrt((a-d)^2+4b^2))/2;
+        # a matrix whose smaller root is not > 0 is rejected, naming it.
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b, d = rng.standard_normal(3)
             m = np.array([[a, b], [b, d]])
             disc = math.sqrt((a - d) ** 2 + 4 * b * b)
             expected = np.array([(a + d + disc) / 2, (a + d - disc) / 2])
-            values, _ = numkit._eig_descending(m)
-            assert np.allclose(values, expected, atol=1e-12)
+            if expected[1] > 1e-9:
+                _, values, _ = numkit.require_pd(m)
+                assert np.allclose(values, expected, atol=1e-12)
+            elif expected[1] < -1e-9:
+                with pytest.raises(NotPositiveDefiniteError) as excinfo:
+                    numkit.require_pd(m)
+                assert excinfo.value.eigenvalue == pytest.approx(expected[1], abs=1e-12)
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(3)
         for p in (1, 2, 5, 12):
-            a = rng.standard_normal((p, p))
-            a = (a + a.T) / 2
-            values, vectors = numkit._eig_descending(a)
+            b = rng.standard_normal((p, p))
+            a = b @ b.T + 0.1 * np.eye(p)
+            sym, values, vectors = numkit.require_pd(a)
+            assert np.array_equal(sym, numkit.symmetrize(a))
             rebuilt = (vectors * values) @ vectors.T
-            norm = np.linalg.norm(a) or 1.0
-            assert np.linalg.norm(rebuilt - a) <= 1e-10 * norm
+            assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
             assert np.abs(vectors.T @ vectors - np.eye(p)).max() <= 1e-10
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            numkit._eig_descending(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
+            numkit.require_pd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@st.composite
+def gate_matrices(draw):
+    """p x p matrices (p 1-6) on both sides of the PD rule: PD, zero, tiny
+    and negative eigenvalues, the zero matrix, asymmetric pairs and NaN or
+    +-inf entries on and off the diagonal."""
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.1, 10.0, p) * 10.0 ** draw(st.sampled_from([-300, -8, 0, 8, 300]))
+    smallest = draw(st.sampled_from(["positive", "zero", "tiny", "negative"]))
+    if smallest == "zero":
+        values[0] = 0.0
+    elif smallest == "tiny":
+        values[0] = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-320.0, -12.0))
+    elif smallest == "negative":
+        values[0] = -values[0]
+    if draw(st.booleans()):
+        m = np.diag(values)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        m = numkit.symmetrize((q * values) @ q.T)
+    i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    defect = draw(st.sampled_from(["none", "zero matrix", "asymmetric", "non-finite", "both non-finite"]))
+    if defect == "zero matrix":
+        m = np.zeros((p, p))
+    elif defect == "asymmetric":
+        m[i, j] += np.abs(m).max() * 10.0 ** draw(st.floats(-14.0, 0.0))
+    elif defect != "none":
+        m[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if defect == "both non-finite":
+            m[j, i] = m[i, j]
+    return m
+
+
+class TestRequirePd:
+    """require_pd is the one-matrix form of screen_positive_definite."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(gate_matrices())
+    def test_agrees_with_the_screen(self, m):
+        p = m.shape[0]
+        with np.errstate(all="ignore"):
+            ok, sym = numkit.screen_positive_definite(m[None])
+            try:
+                got, values, vectors = numkit.require_pd(m, p)
+            except NotPositiveDefiniteError as exc:
+                assert not ok[0]
+                if exc.eigenvalue is not None:
+                    assert not exc.eigenvalue > 0.0
+                    assert exc.eigenvalue == float(np.linalg.eigh(sym[0])[0][0])
+            else:
+                assert ok[0]
+                assert np.array_equal(got, sym[0])
+                assert values[-1] > 0.0 and (np.diff(values) <= 0.0).all()
+            with pytest.raises(DimensionError):
+                numkit.require_pd(m, p + 1)
+
+    def test_infinite_entry_is_rejected(self):
+        # symmetric_mask passes it (inf <= inf) and eigh would give NaN
+        # eigenvalues, which a "<= 0" test lets through.
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            numkit.require_pd(np.array([[1.0, np.inf], [0.0, 1.0]]), 2)
+
+    def test_wrong_shape(self):
+        for a in (np.eye(3), np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(DimensionError):
+                numkit.require_pd(a, 2)
+        with pytest.raises(DimensionError):
+            numkit.require_pd(np.ones((2, 3)))
 
 
 def sorted_root_reference(a, inverse):

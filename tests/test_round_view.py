@@ -21,9 +21,9 @@ from scipy import special
 
 from robustagg import aggregate, distsim, numkit
 from robustagg.aggregate import LocalEstimate, huber_aggregate, round_view, server_order, standard_errors
-from robustagg.detect import _checked_sigma_hat
+from robustagg.detect import detect, mahalanobis_d1
 from robustagg.distsim import decode_messages, encode_messages, process
-from robustagg.errors import DimensionError, NumericalError
+from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from robustagg.spatialmed import WeightedPoint, spatial_median
 
 
@@ -51,12 +51,7 @@ def aggregate_sigma_reference(ests):
     if not points:
         raise NumericalError("no variance matrix with finite entries to aggregate")
     sigma = numkit.vech_inv(spatial_median(points).eta, ests[0].p)
-    smallest = numkit.min_eigenvalue(sigma)
-    if smallest <= 0.0:
-        raise NumericalError(
-            f"aggregated variance matrix lost positive definiteness "
-            f"(min eigenvalue {smallest:.3e})"
-        )
+    numkit.require_pd(sigma, ests[0].p)
     return sigma
 
 
@@ -67,7 +62,7 @@ def distance_reference(n_k, diff, sym):
 
 def detect_rows_reference(members, p, theta_hat, sigma_hat, alpha):
     threshold = math.sqrt(float(special.chdtri(p, alpha)))
-    sym_hat = _checked_sigma_hat(sigma_hat)
+    sym_hat = numkit.require_pd(sigma_hat, p)[0]
     rows = []
     for e in members:
         if e.p != p:
@@ -310,6 +305,19 @@ class TestOneViewPerRound:
         with pytest.raises(ValueError, match="at least one local estimate"):
             round_view([], 2)
 
+    def test_view_of_another_dimension_refilters_its_members(self):
+        ests = [LocalEstimate(k, 10, np.full(2, k), np.eye(2)) for k in (3, 1, 2)]
+        ests += [LocalEstimate(s, 20, np.ones(3), 2.0 * np.eye(3)) for s in ("y", "x")]
+        view = round_view(ests, 2)
+        assert round_view(view) is view and round_view(view, 2) is view
+        other = round_view(view, 3)
+        direct = round_view(ests, 3)
+        assert other.p == 3 and other.members == view.members
+        assert other.server_ids == direct.server_ids == ("x", "y")
+        assert other.n_k == (20, 20)
+        assert other.thetas.tobytes() == direct.thetas.tobytes()
+        assert other.sigmas.tobytes() == direct.sigmas.tobytes()
+
     def test_stacked_spatial_median_is_the_weighted_points(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 6))
@@ -327,3 +335,36 @@ class TestOneViewPerRound:
             spatial_median(x, -w)
         with pytest.raises(DimensionError):
             spatial_median(x, w[:-1])
+
+
+# ---------------------------------------------------------------------------
+# One rule for sigma_hat
+# ---------------------------------------------------------------------------
+
+BAD_SIGMA_HATS = {
+    "inf entry": (np.array([[1.0, np.inf], [0.0, 1.0]]), NotPositiveDefiniteError),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), NotPositiveDefiniteError),
+    "asymmetric": (np.array([[1.0, 0.5], [0.0, 1.0]]), NotPositiveDefiniteError),
+    "wrong shape": (np.eye(3), DimensionError),
+    "zero": (np.zeros((2, 2)), NotPositiveDefiniteError),
+    "indefinite": (np.diag([1.0, -1.0]), NotPositiveDefiniteError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIGMA_HATS))
+def test_every_stage_rejects_a_bad_sigma_hat_alike(name):
+    sigma_hat, error = BAD_SIGMA_HATS[name]
+    ests = [LocalEstimate(k, 50, [2.0 + 0.01 * k, 1.0], np.eye(2)) for k in range(1, 6)]
+    stages = [
+        lambda: huber_aggregate(ests, sigma_hat),
+        lambda: detect(ests, [2.0, 1.0], sigma_hat),
+        lambda: mahalanobis_d1(ests[0], [2.0, 1.0], sigma_hat),
+        lambda: process(ests, 1.345, 0.05, sigma_hat),
+    ]
+    raised = []
+    for stage in stages:
+        with pytest.raises(error) as excinfo:
+            stage()
+        raised.append((type(excinfo.value), str(excinfo.value)))
+    assert raised == [raised[0]] * len(stages)
+    assert raised[0][0] is error
