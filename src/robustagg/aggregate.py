@@ -305,7 +305,9 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     p, the rule detection applies to it too: a wrong shape raises
     :class:`DimensionError`; a non-finite entry, an asymmetry beyond
     ``numkit.SYM_RTOL`` or an eigenvalue that is not > 0 raises
-    :class:`NotPositiveDefiniteError`.  It is decomposed once per call.
+    :class:`NotPositiveDefiniteError`.  It is decomposed at most once per
+    call, and not at all when it is a ``numkit.PDMatrix``, the checked form
+    ``require_pd`` and ``aggregate_sigma`` return.
     """
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
@@ -316,8 +318,8 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     n_k = [n for n, ok in zip(view.n_k, finite.tolist()) if ok]
     n_total = sum(n_k)
 
-    _, values, vectors = numkit.require_pd(sigma_hat, view.p)
-    color, whiten = numkit.eigen_roots(values, vectors)
+    sigma = numkit.require_pd(sigma_hat, view.p)
+    color, whiten = sigma.roots()
     thetas = view.thetas[finite]                      # (K, p)
     roots = view.sqrt_n[finite]                       # sqrt(n_k)
     shares = np.array([n / n_total for n in n_k])     # n_k / N
@@ -372,7 +374,7 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     return AggregationResult(
         theta_hat=theta,
         tau=tau,
-        se=standard_errors(sigma_hat, n_total, tau),
+        se=standard_errors(sigma.sym, n_total, tau),
         iterations=iterations,
         residual_norm=res,
     )

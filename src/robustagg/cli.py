@@ -347,6 +347,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError("c must be positive")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie strictly between 0 and 1")
+    # A shard's server id is its file stem, so two shards may not share one.
+    by_stem: dict = {}
+    for path in shard_paths:
+        if path.stem in by_stem:
+            raise ConfigError(
+                f"shards {by_stem[path.stem]} and {path} share the server id {path.stem!r}"
+            )
+        by_stem[path.stem] = path
     out_dir = Path(args.out_dir)
 
     header = None
@@ -378,7 +386,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if args.trusted_server not in by_id:
             raise ConfigError(f"trusted server {args.trusted_server!r} not among shards")
         try:
-            sigma_hat = numkit.require_pd(by_id[args.trusted_server].sigma_star, len(covariates))[0]
+            sigma_hat = numkit.require_pd(by_id[args.trusted_server].sigma_star, len(covariates))
         except NotPositiveDefiniteError as exc:
             reason = str(exc) if exc.eigenvalue is None else f"smallest eigenvalue {exc.eigenvalue:.6e}"
             raise ConfigError(

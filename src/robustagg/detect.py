@@ -146,7 +146,7 @@ def _step1(view: RoundView, diffs: np.ndarray, sigma_hat) -> list:
     the whole report), and the rows share one stacked solve against its
     symmetrized form.
     """
-    sym = numkit.require_pd(sigma_hat, view.p)[0]
+    sym = numkit.require_pd(sigma_hat, view.p).sym
     if not len(diffs):
         return []
     sols, errors = _solve_each(np.broadcast_to(sym, (len(diffs),) + sym.shape), diffs)
@@ -190,7 +190,8 @@ def mahalanobis_d1(est: LocalEstimate, theta_hat, sigma_hat) -> float:
     by the (robust) aggregated variance: sqrt{n_k (t - th)^T Sigma^{-1} (t - th)}.
 
     The one-server call of detection's step 1; ``sigma_hat`` must pass
-    ``numkit.require_pd``, as in :func:`detect`.
+    ``numkit.require_pd``, as in :func:`detect`, and may be a
+    ``numkit.PDMatrix``.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     if theta_hat.size != est.p:
@@ -231,6 +232,8 @@ def detect(
     aggregate applies to it: a wrong shape raises :class:`DimensionError`;
     a non-finite entry, an asymmetry beyond ``numkit.SYM_RTOL`` or an
     eigenvalue that is not > 0 raises :class:`NotPositiveDefiniteError`.
+    A raw matrix is decomposed once per call; a ``numkit.PDMatrix`` (what
+    ``require_pd`` and ``aggregate_sigma`` return) is used as it is.
     Per-server failures are recorded on the corresponding row instead of
     aborting.
     """

@@ -313,9 +313,13 @@ def encode_messages(estimates) -> list[bytes]:
         if p < 1:
             continue  # ensure_symmetric raises the DimensionError below
         sigmas = np.stack([ests[i].sigma_star for i in idx])
-        sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
+        # inf - inf and inf + -inf give NaN only in a non-finite matrix,
+        # which is sent anyway, so they warn of nothing.
+        with np.errstate(invalid="ignore"):
+            sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
+            vechs = numkit.vech_stack(numkit.symmetrize(sigmas))
         thetas = np.stack([ests[i].theta_star for i in idx])
-        rows = np.concatenate([thetas, numkit.vech_stack(numkit.symmetrize(sigmas))], axis=1)
+        rows = np.concatenate([thetas, vechs], axis=1)
         for i, row in zip(idx, rows.tolist()):
             numbers[i] = row
     out = []
@@ -470,14 +474,19 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     sends.  A server of another dimension is left out of everything but
     the report, where its row records the ``DimensionError``; without a
     strict majority, :class:`DimensionError` is raised.
+
+    Sigma-hat goes through ``numkit.require_pd`` once, before any other
+    stage (so a bad given ``sigma_hat`` raises before a bad ``c`` or a round
+    without a finite estimate does), and the stages reuse its
+    factorization.
     """
     received = list(received)
     dims = Counter(e.p for e in received)
     p = max(dims, key=dims.get, default=None)
     # Sorted and stacked once; every stage below reads this view.
     view = round_view(received, p if 2 * dims[p] > len(received) else None)
-    if sigma_hat is None:
-        sigma_hat = aggregate_sigma(view)
+    # Checked and factored once; the stages below pass it through.
+    sigma_hat = aggregate_sigma(view) if sigma_hat is None else numkit.require_pd(sigma_hat, view.p)
     result = huber_aggregate(view, sigma_hat, c)
     theta_bar, sigma_bar = weighted_average(view)
     diag = np.diagonal(sigma_bar)

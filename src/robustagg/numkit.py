@@ -11,13 +11,15 @@ entry finite, symmetric within ``SYM_RTOL``, and the smallest ``eigh``
 eigenvalue of its symmetrized form > 0 (a NaN eigenvalue fails).
 :func:`screen_positive_definite` applies it to a stack of received
 matrices and returns verdicts; :func:`require_pd` applies it to one matrix,
-such as the aggregated variance matrix, and raises.
+such as the aggregated variance matrix, and raises or returns the checked
+:class:`PDMatrix`, which it passes through unchanged when it meets it again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,17 +121,21 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     ``eigh`` eigenvalue of the symmetrized matrix > 0.
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
-    The finiteness and symmetry tests are exact elementwise work, and the
+    The finiteness and symmetry tests are exact elementwise work, silent
+    about an infinite entry, and the
     matrices that pass them share one stacked ``eigh``, which returns the
     same bits as one call per matrix.  If the stacked call raises, the
     matrices are decomposed one at a time, so a failure is reported as
     :class:`NumericalError` for the matrix that caused it.
     """
     stack = _as_square_stack(stack)
-    sym = symmetrize(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    # An inf entry whose partner is finite passes the symmetry test (inf <= inf).
-    symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
+    # inf - inf and inf + -inf give NaN only in a matrix that fails the
+    # finiteness test anyway, so they warn of nothing.
+    with np.errstate(invalid="ignore"):
+        sym = symmetrize(stack)
+        # An inf entry whose partner is finite passes the symmetry test (inf <= inf).
+        symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]
@@ -139,19 +145,48 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     return ok, sym
 
 
-def require_pd(a, p: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class PDMatrix(NamedTuple):
+    """A matrix that passed :func:`require_pd`: its symmetrized form and
+    the eigenpairs of one ``eigh``, eigenvalues descending (``eigh``'s
+    ascending pairs reversed by view), all three read-only.
+
+    Build one only with :func:`require_pd`, which hands a ``PDMatrix`` of
+    the asked size back as it is, so a matrix checked once is not
+    decomposed again by the stages it is passed on to.
+    """
+
+    sym: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q diag(v^{1/2}) Q^T, Q diag(v^{-1/2}) Q^T)``, the symmetric
+        square root and inverse square root B, with B A B = I.
+
+        The descending order matters: it is the order of the sums in the
+        matrix products, so the roots keep the bits they had when the pairs
+        were sorted by ``argsort``.
+        """
+        q, roots = self.vectors, np.sqrt(self.values)
+        return symmetrize((q * roots) @ q.T), symmetrize((q / roots) @ q.T)
+
+
+def require_pd(a, p: int | None = None) -> PDMatrix:
     """The rule of :func:`screen_positive_definite` for one matrix, which
     must be ``p x p`` (any square size when ``p`` is None).
 
-    Returns ``(sym, values, vectors)``: the symmetrized matrix and its
-    eigenpairs from one ``eigh``, eigenvalues descending (``eigh``'s
-    ascending pairs reversed by view).  A wrong shape raises
-    :class:`DimensionError`; a non-finite entry, an asymmetry beyond
-    ``SYM_RTOL`` or a smallest eigenvalue that is not > 0 raises
-    :class:`NotPositiveDefiniteError`, naming the eigenvalue where there is
-    one.  This is the one test of the variance matrix that whitens the
-    Huber aggregate and standardizes detection's step 1.
+    Returns the :class:`PDMatrix` of ``a`` from one ``eigh``; a ``PDMatrix``
+    of the right size is returned as it is, without another decomposition.
+    A wrong shape raises :class:`DimensionError`; a non-finite entry, an
+    asymmetry beyond ``SYM_RTOL`` or a smallest eigenvalue that is not > 0
+    raises :class:`NotPositiveDefiniteError`, naming the eigenvalue where
+    there is one.  This is the one test of the variance matrix that whitens
+    the Huber aggregate and standardizes detection's step 1.
     """
+    if isinstance(a, PDMatrix):
+        if p is None or a.sym.shape == (p, p):
+            return a
+        a = a.sym
     a = np.asarray(a, dtype=float)
     if p is not None and a.shape != (p, p):
         raise DimensionError(f"expected a {p} x {p} matrix, got shape {a.shape}")
@@ -169,29 +204,20 @@ def require_pd(a, p: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndar
             "matrix is not positive definite; apply pd_project first",
             eigenvalue=float(values[0]),
         )
-    return sym, values[::-1], vectors[:, ::-1]
-
-
-def eigen_roots(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q diag(v^{1/2}) Q^T, Q diag(v^{-1/2}) Q^T)`` from the descending
-    eigenpairs :func:`require_pd` returns.
-
-    The order matters: it is the order of the sums in the matrix products,
-    so the roots keep the bits they had when the pairs were sorted by
-    ``argsort``.
-    """
-    roots = np.sqrt(values)
-    return symmetrize((vectors * roots) @ vectors.T), symmetrize((vectors / roots) @ vectors.T)
+    checked = PDMatrix(sym, values[::-1], vectors[:, ::-1])
+    for array in checked:
+        array.flags.writeable = False
+    return checked
 
 
 def pd_roots(a) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square root and inverse square root of a positive definite
-    matrix from one eigendecomposition, :func:`eigen_roots` of
-    :func:`require_pd`; the second, B, satisfies B A B = I.
+    matrix from one eigendecomposition, ``require_pd(a).roots()``; the
+    second, B, satisfies B A B = I.
 
     Raises as :func:`require_pd` does.
     """
-    return eigen_roots(*require_pd(a)[1:])
+    return require_pd(a).roots()
 
 
 def inv_sqrt_pd(a) -> np.ndarray:

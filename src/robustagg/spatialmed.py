@@ -362,7 +362,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         iterations += 1
 
 
-def aggregate_sigma(estimates) -> np.ndarray:
+def aggregate_sigma(estimates) -> numkit.PDMatrix:
     """Robustly aggregate the transmitted variance matrices.
 
     A matrix with a non-finite entry cannot be repaired and is left out
@@ -376,8 +376,13 @@ def aggregate_sigma(estimates) -> np.ndarray:
     median (weights sqrt(n_k)) and the result is rebuilt.  Because every
     input to the median is PD and the median lies in their convex hull, the
     output is PD; ``numkit.require_pd``, the test the Huber aggregate and
-    detection apply to it, checks that before returning and raises
+    detection apply to it, checks that and raises
     :class:`NotPositiveDefiniteError` if rounding broke it.
+
+    Returns that check's ``numkit.PDMatrix``: the rebuilt matrix as
+    ``.sym`` (it is exactly symmetric, so these are its own bits) with its
+    eigenpairs, which the Huber aggregate and detection then use without
+    decomposing the matrix again.
     """
     view = round_view(estimates)
     finite = np.flatnonzero(view.sigma_finite)
@@ -391,6 +396,4 @@ def aggregate_sigma(estimates) -> np.ndarray:
         raise NumericalError("no variance matrix with finite entries to aggregate")
 
     result = spatial_median(vechs[kept], view.sqrt_n[finite[kept]])
-    sigma = numkit.vech_inv(result.eta, view.p)
-    numkit.require_pd(sigma, view.p)
-    return sigma
+    return numkit.require_pd(numkit.vech_inv(result.eta, view.p), view.p)

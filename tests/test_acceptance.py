@@ -129,7 +129,7 @@ def test_criterion_5_pd_guarantee():
             ests.append(
                 LocalEstimate(sid, int(rng.integers(1, 2000)), np.zeros(p), sigma)
             )
-        out = aggregate_sigma(ests)
+        out = aggregate_sigma(ests).sym
         smallest = min(smallest, numkit.min_eigenvalue(out))
     elapsed = time.perf_counter() - started
     ok = smallest > 0.0

@@ -14,7 +14,12 @@ from robustagg.aggregate import (
     tau_c,
     weighted_average,
 )
-from robustagg.errors import NonConvergenceError, NotPositiveDefiniteError, NumericalError
+from robustagg.errors import (
+    DimensionError,
+    NonConvergenceError,
+    NotPositiveDefiniteError,
+    NumericalError,
+)
 
 
 def make_estimates(rng, k, p, n_lo=1, n_hi=50, spread=1.0):
@@ -86,6 +91,18 @@ class TestTau:
         values = [tau_c(c) for c in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(2.0 / math.pi < v <= 1.0 for v in values)
+
+
+class TestLocalEstimate:
+    def test_zero_n_k_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            LocalEstimate(1, 0, [1.0, 2.0], np.eye(2))
+        assert str(excinfo.value) == "n_k must be >= 1"
+
+    def test_wrong_shape_sigma_rejected(self):
+        with pytest.raises(DimensionError) as excinfo:
+            LocalEstimate(1, 10, [1.0, 2.0], np.eye(3))
+        assert str(excinfo.value) == "sigma_star has shape (3, 3), expected (2, 2)"
 
 
 class TestWeightedAverage:

@@ -15,7 +15,7 @@ from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, StudyConfig, generate_dataset, partition
 from robustagg.errors import ConfigError
-from robustagg import models
+from robustagg import models, numkit
 from robustagg.models import ModelKind
 
 
@@ -98,6 +98,20 @@ class TestConfigParsing:
         path = write_config(tmp_path, "K = 8\nbogus = 1\n")
         with pytest.raises(ConfigError, match=r"2: unknown key 'bogus'"):
             parse_config_file(path)
+
+    def test_unreadable_file_is_named(self, tmp_path):
+        path = tmp_path / "missing.cfg"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_file(path)
+        assert str(excinfo.value) == (
+            f"cannot read config file {path}: [Errno 2] No such file or directory: '{path}'"
+        )
+
+    def test_line_without_equals_names_line(self, tmp_path):
+        path = write_config(tmp_path, "K = 8\nK 9\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_file(path)
+        assert str(excinfo.value) == f"{path}:2: expected 'key = value', got 'K 9'"
 
     def test_type_error_names_key(self, tmp_path):
         path = write_config(tmp_path, "K = many\n")
@@ -232,6 +246,14 @@ class TestSimulateCommand:
         )
         assert rc == 0
 
+    def test_non_numeric_theta0_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--theta0", "1,a", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: theta0 must be a comma-separated list of numbers\n"
+        )
+        assert not out.exists()
+
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--K", "0", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -361,6 +383,59 @@ class TestPipelineCommand:
         rc = main(["fit-aggregate-detect", str(path)])
         assert rc == 1
 
+    def test_empty_shard_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["fit-aggregate-detect", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: shard file is empty\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--c", "0", "c must be positive"),
+            ("--alpha", "1", "alpha must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_bad_tuning_value_is_rejected(self, tmp_path, capsys, flag, value, message):
+        paths = make_shards(tmp_path, k=2, n=100)
+        out = tmp_path / "out"
+        rc = main(["fit-aggregate-detect", *map(str, paths), flag, value, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", ["two_directories", "one_file_twice"])
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_shards_sharing_a_server_id_are_rejected(
+        self, tmp_path, capsys, monkeypatch, layout, dry_run
+    ):
+        # The server id is the file stem: a/s0.csv and b/s0.csv would both
+        # be server 's0', and naming one file twice would count its rows twice.
+        def no_read(*args, **kwargs):
+            raise AssertionError("a shard was read")
+
+        shards = make_shards(tmp_path, k=5, n=100)
+        if layout == "two_directories":
+            (tmp_path / "a").mkdir()
+            (tmp_path / "b").mkdir()
+            paths = [tmp_path / "a" / f"s{i}.csv" for i in range(4)] + [tmp_path / "b" / "s0.csv"]
+            for src, dst in zip(shards, paths):
+                dst.write_bytes(src.read_bytes())
+            first, second = paths[0], paths[4]
+        else:
+            paths = [tmp_path / "s0.csv", tmp_path / "s0.csv", tmp_path / "s1.csv"]
+            for src, dst in zip(shards, paths[1:]):
+                dst.write_bytes(src.read_bytes())
+            first = second = paths[0]
+        monkeypatch.setattr(cli, "_read_shard", no_read)
+        out = tmp_path / "out"
+        args = ["fit-aggregate-detect", *map(str, paths), "--out-dir", str(out)]
+        assert main(args + (["--dry-run"] if dry_run else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: shards {first} and {second} share the server id 's0'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_y_column(self, tmp_path):
         path = tmp_path / "noy.csv"
         path.write_text("resp,x1\n1.0,0.5\n")
@@ -400,6 +475,27 @@ class TestPipelineCommand:
             ]
         )
         assert rc == 1
+
+    def test_trusted_server_matrix_is_decomposed_once(self, tmp_path, monkeypatch):
+        # The CLI checks the trusted matrix, and process(), the Huber step
+        # and detect reuse that check's factorization.
+        paths = make_shards(tmp_path, k=3, n=400, seed=33)
+        calls = []
+        eigh = numkit._eigh
+
+        def counting(a):
+            calls.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(numkit, "_eigh", counting)
+        rc = main(
+            [
+                "fit-aggregate-detect", *map(str, paths),
+                "--trusted-server", "server_02", "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_trusted_server_not_pd_is_named(self, tmp_path, capsys):
         # A two-row linear shard is fitted exactly, so its sandwich is zero.

@@ -12,7 +12,7 @@ from robustagg.detect import (
     mahalanobis_d1,
     mahalanobis_d2,
 )
-from robustagg.errors import NotPositiveDefiniteError
+from robustagg.errors import DimensionError, NotPositiveDefiniteError
 
 
 # Sent by a contaminated desk-scale server: eigh gives it a smallest
@@ -90,6 +90,12 @@ class TestD1:
         with pytest.raises(NotPositiveDefiniteError):
             mahalanobis_d1(e, [0.0, 0.0], np.diag([1.0, 0.0]))
 
+    def test_wrong_size_theta_hat_rejected(self):
+        e = est(1, 4, [1.0, 0.0], np.eye(2))
+        with pytest.raises(DimensionError) as excinfo:
+            mahalanobis_d1(e, [0.0, 0.0, 0.0], np.eye(2))
+        assert str(excinfo.value) == "theta_hat dimension does not match the estimate"
+
 
 class TestD2:
     def test_zero_at_aggregate(self):
@@ -116,6 +122,12 @@ class TestD2:
         e = est(1, 1000, [2.001, 1.001], LU_SINGULAR)
         assert numkit.screen_positive_definite(LU_SINGULAR[None])[0].tolist() == [True]
         assert mahalanobis_d2(e, [2.0, 1.0]) is None
+
+    def test_wrong_size_theta_hat_rejected(self):
+        e = est(1, 100, [2.1, 1.0], np.eye(2))
+        with pytest.raises(DimensionError) as excinfo:
+            mahalanobis_d2(e, [2.0])
+        assert str(excinfo.value) == "theta_hat dimension does not match the estimate"
 
     def test_failed_solve_is_sentinel(self, monkeypatch):
         e = est(1, 1000, [2.001, 1.001], FORCED_SINGULAR)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -669,6 +670,56 @@ def hostile_rounds(draw):
         for sid in range(1, k + 1)
     ]
     return p, received
+
+
+SIGMAS_LEFT_OUT = {
+    "inf diagonal": [[np.inf, 0.0], [0.0, 1.0]],
+    "opposite infs": [[1.0, np.inf], [-np.inf, 1.0]],
+    "nan diagonal": [[np.nan, 0.0], [0.0, 1.0]],
+}
+
+
+class TestQuietRounds:
+    """A round that leaves out a non-finite matrix, and ordinary replicates,
+    print no RuntimeWarning."""
+
+    @pytest.mark.parametrize("name", sorted(SIGMAS_LEFT_OUT))
+    def test_non_finite_matrix_is_left_out_silently(self, name):
+        ests = [
+            LocalEstimate(k, 100, [0.01 * k, 1.0], np.eye(2) * (1.0 + 0.01 * k))
+            for k in range(1, 6)
+        ]
+        ests.append(LocalEstimate(6, 100, [0.0, 1.0], SIGMAS_LEFT_OUT[name]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = process(ests, 1.345, 0.05)[3]
+            payloads = encode_messages(ests)
+            received = process(decode_messages(payloads), 1.345, 0.05)[3]
+        assert report.flagged_sigma_ids() == received.flagged_sigma_ids() == [6]
+        assert payloads == [encode_message(e) for e in ests]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            StudyConfig(
+                contamination=ContaminationSpec(kind=ContaminationKind.OMNISCIENT, count=2),
+                replicates=1,
+            ),
+            StudyConfig(
+                model=ModelKind.LINEAR,
+                theta0=(1.0, -1.0, 0.5, 2.0, 0.0),
+                n_servers=400,
+                shard_size=50,
+                contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN),
+                replicates=1,
+            ),
+        ],
+        ids=["desk omniscient", "linear gaussian"],
+    )
+    def test_ordinary_replicate_is_silent(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_replicate(config, 0)
 
 
 class TestProcessProperty:

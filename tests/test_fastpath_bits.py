@@ -244,7 +244,7 @@ class TestAggregateSigma:
                 est(k + 1 + i, 500, rng.standard_normal(p), c) for i, c in enumerate(cases)
             ]
             rng.shuffle(ests)
-            assert np.array_equal(aggregate_sigma(ests), aggregate_sigma_reference(ests))
+            assert np.array_equal(aggregate_sigma(ests).sym, aggregate_sigma_reference(ests))
 
     def test_non_finite_matrices_left_out(self):
         # A matrix with a nan or an inf entry cannot be repaired to PD, so the
@@ -257,8 +257,8 @@ class TestAggregateSigma:
         inf = random_pd(rng, 2)
         inf[0, 0] = np.inf
         ests = clean + [est(6, 100, [0.0, 0.0], nan), est(7, 100, [0.0, 0.0], inf)]
-        sigma = aggregate_sigma(ests)
-        assert np.array_equal(sigma, aggregate_sigma(clean))
+        sigma = aggregate_sigma(ests).sym
+        assert np.array_equal(sigma, aggregate_sigma(clean).sym)
         assert np.array_equal(sigma, aggregate_sigma_reference(clean))
         report = detect(ests, [0.0, 0.0], sigma)
         assert report.flagged_theta_ids() == []

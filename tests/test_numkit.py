@@ -140,6 +140,20 @@ class TestRequirePd:
         with pytest.raises(DimensionError):
             numkit.require_pd(np.ones((2, 3)))
 
+    def test_checked_matrix_passes_through(self, monkeypatch):
+        checked = numkit.require_pd(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert isinstance(checked, numkit.PDMatrix)
+        assert not any(array.flags.writeable for array in checked)
+
+        def no_eigh(a):
+            raise AssertionError("decomposed again")
+
+        monkeypatch.setattr(numkit, "_eigh", no_eigh)
+        assert numkit.require_pd(checked) is checked
+        assert numkit.require_pd(checked, 2) is checked
+        with pytest.raises(DimensionError, match="expected a 3 x 3 matrix"):
+            numkit.require_pd(checked, 3)
+
 
 def sorted_root_reference(a, inverse):
     """The (inverse) square root from eigenpairs sorted descending by

@@ -276,6 +276,30 @@ class TestOneViewPerRound:
         process(received, 1.345, 0.05, sigma_hat)
         assert calls == [(len(received), 3, 3)]
 
+    @pytest.mark.parametrize("given, decompositions", [("median", 1), ("raw", 1), ("checked", 0)])
+    def test_process_decomposes_sigma_hat_once(self, monkeypatch, given, decompositions):
+        # The first require_pd of Sigma-hat factors it; the Huber step and
+        # detect pass its PDMatrix through.  The received matrices are
+        # screened by the stacked eigh, which is not counted here.
+        received = linear_round()
+        raw = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+        sigma_hat = {"median": None, "raw": raw, "checked": numkit.require_pd(raw)}[given]
+        calls = []
+        eigh = numkit._eigh
+
+        def counting(a):
+            calls.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(numkit, "_eigh", counting)
+        got = process(received, 1.345, 0.05, sigma_hat)
+        assert len(calls) == decompositions
+        if given == "checked":
+            want = process(received, 1.345, 0.05, raw)
+            assert got[0].theta_hat.tobytes() == want[0].theta_hat.tobytes()
+            assert got[0].se.tobytes() == want[0].se.tobytes()
+            assert got[3].to_csv_string() == want[3].to_csv_string()
+
     def test_process_sorts_and_stacks_once(self, monkeypatch):
         received = linear_round()
         views = []

@@ -299,7 +299,7 @@ class TestAggregateSigma:
             LocalEstimate(sid, int(10 * sid), np.zeros(2), np.eye(2))
             for sid in range(1, 8)
         ]
-        out = aggregate_sigma(ests)
+        out = aggregate_sigma(ests).sym
         assert np.allclose(out, np.eye(2), atol=1e-12)
 
     def test_minority_indefinite_outlier_repaired(self):
@@ -309,7 +309,7 @@ class TestAggregateSigma:
             LocalEstimate(sid, 10, np.zeros(2), np.eye(2)) for sid in range(1, 10)
         ]
         ests.append(LocalEstimate(10, 10, np.zeros(2), np.diag([1.0, -1.0])))
-        out = aggregate_sigma(ests)
+        out = aggregate_sigma(ests).sym
         assert np.linalg.norm(out - np.eye(2)) <= 1e-3
         assert numkit.min_eigenvalue(out) > 0.0
         # Oracle: derivative-free minimizer over the vech objective agrees.
@@ -322,16 +322,16 @@ class TestAggregateSigma:
 
     def test_single_server_passthrough(self):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), sigma)])
+        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), sigma)]).sym
         assert np.allclose(out, sigma)
 
     def test_single_server_repaired(self):
-        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), np.diag([1.0, -1.0]))])
+        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), np.diag([1.0, -1.0]))]).sym
         assert np.allclose(out, np.diag([1.0, 1e-5]))
 
     def test_asymmetric_input_symmetrized(self):
         skew = np.array([[2.0, 0.5], [0.1, 1.0]])
-        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), skew)])
+        out = aggregate_sigma([LocalEstimate(1, 25, np.zeros(2), skew)]).sym
         assert np.array_equal(out, out.T)
         assert out[0, 1] == pytest.approx(0.3)
 
@@ -347,7 +347,7 @@ class TestAggregateSigma:
                 for k in range(19)
             ]
             ests.append(LocalEstimate(19, 100, np.zeros(2), np.full((2, 2), entry) + np.eye(2)))
-            return aggregate_sigma(ests)
+            return aggregate_sigma(ests).sym
 
         out = aggregate(big)
         assert numkit.min_eigenvalue(out) > 0.0
@@ -388,5 +388,5 @@ class TestAggregateSigma:
                 ests.append(
                     LocalEstimate(sid, int(rng.integers(1, 1000)), np.zeros(p), sigma)
                 )
-            out = aggregate_sigma(ests)
+            out = aggregate_sigma(ests).sym
             assert numkit.min_eigenvalue(out) > 0.0
