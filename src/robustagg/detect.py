@@ -110,9 +110,11 @@ def _distances(n_k: np.ndarray, diffs: np.ndarray, sols: np.ndarray) -> np.ndarr
     """sqrt{n_k diff^T sol} of every row, for sol = Sigma^{-1} diff and
     ``n_k`` as floats, the quadratic form clipped at zero against rounding.
 
-    The clip keeps ``-0.0`` and NaN, as ``max(q, 0.0)`` does."""
-    q = numkit.row_dots(diffs, sols)
-    return np.sqrt(n_k * np.where(0.0 > q, 0.0, q))
+    The clip keeps ``-0.0`` and NaN, as ``max(q, 0.0)`` does.  A form
+    beyond the largest double is inf, a distance that is flagged."""
+    with np.errstate(over="ignore"):
+        q = numkit.row_dots(diffs, sols)
+        return np.sqrt(n_k * np.where(0.0 > q, 0.0, q))
 
 
 def _solve_each(mats: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, dict]:

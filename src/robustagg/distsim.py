@@ -227,7 +227,10 @@ def contaminate(
                 theta_star = -fit.theta_hat
             else:  # pragma: no cover - exhaustive enum
                 raise ValueError(f"unknown contamination kind {spec.kind}")
-            sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
+            # At an extreme value the sandwich's products may overflow; it
+            # then comes out all NaN, which the processor leaves out and flags.
+            with np.errstate(over="ignore"):
+                sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
         thetas.append(theta_star)
         sigmas.append(sigma_star)
     return stacked_estimates(
@@ -314,8 +317,9 @@ def encode_messages(estimates) -> list[bytes]:
             continue  # ensure_symmetric raises the DimensionError below
         sigmas = np.stack([ests[i].sigma_star for i in idx])
         # inf - inf and inf + -inf give NaN only in a non-finite matrix,
-        # which is sent anyway, so they warn of nothing.
-        with np.errstate(invalid="ignore"):
+        # which is sent anyway, and a finite pair that overflows its sum is
+        # halved first by symmetrize, so they warn of nothing.
+        with np.errstate(invalid="ignore", over="ignore"):
             sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
             vechs = numkit.vech_stack(numkit.symmetrize(sigmas))
         thetas = np.stack([ests[i].theta_star for i in idx])
@@ -548,7 +552,10 @@ class EstimatorMetrics:
     cp: np.ndarray
 
     def mse(self) -> np.ndarray:
-        return self.bias**2 + self.sd**2
+        # A broken-down estimator's bias may square beyond the largest
+        # double; its MSE is then inf, and its relative efficiency too.
+        with np.errstate(over="ignore"):
+            return self.bias**2 + self.sd**2
 
 
 @dataclass

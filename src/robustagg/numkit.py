@@ -131,8 +131,9 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     stack = _as_square_stack(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
     # inf - inf and inf + -inf give NaN only in a matrix that fails the
-    # finiteness test anyway, so they warn of nothing.
-    with np.errstate(invalid="ignore"):
+    # finiteness test anyway, and a finite pair that overflows its sum is
+    # halved first by symmetrize, so they warn of nothing.
+    with np.errstate(invalid="ignore", over="ignore"):
         sym = symmetrize(stack)
         # An inf entry whose partner is finite passes the symmetry test (inf <= inf).
         symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))

@@ -107,42 +107,6 @@ def _first_order(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarra
     return diff, dist, (w / dist) @ diff
 
 
-def _settle(
-    x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray
-) -> np.ndarray | None:
-    """What Weiszfeld's best iterate ``eta`` settles to at the iteration cap.
-
-    Returns ``eta`` itself if its residual is within the rounding floor, or
-    else one Newton step from it if the residual there is within
-    ``max(DEFAULT_TOL, floor)``; None if neither is.  The Newton step serves
-    the case where the optimum sits just off a data point: the Weiszfeld step
-    length, ``1 / sum_k w_k / d_k``, is then set by that point, and the
-    iterates crawl along the direction to it, while Newton's Hessian
-    ``sum_k (w_k / d_k) (I - u_k u_k^T)`` scales each direction by its own
-    curvature.  One step is enough only from an iterate already close to the
-    optimum, so a run that has really not converged still raises.
-    """
-    first = _first_order(x, w, scale, eta)
-    if first is None:
-        return None
-    diff, dist, foc = first
-    if float(np.linalg.norm(foc)) <= _rounding_floor(x, w, eta):
-        return eta
-    inv = w / dist
-    u = diff / dist[:, None]
-    hess = inv.sum() * np.eye(eta.size) - (u * inv[:, None]).T @ u
-    try:
-        cand = eta + np.linalg.solve(hess, foc)
-    except np.linalg.LinAlgError:
-        return None
-    first = _first_order(x, w, scale, cand)
-    if first is None:
-        return None
-    if float(np.linalg.norm(first[2])) <= max(DEFAULT_TOL, _rounding_floor(x, w, cand)):
-        return cand
-    return None
-
-
 def _pull(x: np.ndarray, w: np.ndarray, j: int):
     """``(diff, dist, pull)`` at data point ``j``: the other points'
     differences from it, their distances, and their pull
@@ -153,13 +117,24 @@ def _pull(x: np.ndarray, w: np.ndarray, j: int):
     return diff, dist, (w[others] / dist) @ diff
 
 
-def _settle_on_point(
-    x: np.ndarray, w: np.ndarray, scale: np.ndarray, j: int
+def _settle(
+    x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray, j: int
 ) -> tuple[np.ndarray, bool] | None:
-    """What an iterate on data point ``j`` settles to at the iteration cap:
-    ``(eta, anchored)``, or None.
+    """What the iteration settles to at its cap: ``(eta, anchored)``, or None.
 
-    The point is optimal when the pull of the others, ``sum_{i != j} w_i u_i``,
+    First Weiszfeld's best iterate ``eta``: it is returned, unanchored, if
+    its residual is within the rounding floor, or else one Newton step from
+    it if the residual there is within ``max(DEFAULT_TOL, floor)``.  The
+    Newton step serves the case where the optimum sits just off a data
+    point: the Weiszfeld step length, ``1 / sum_k w_k / d_k``, is then set
+    by that point, and the iterates crawl along the direction to it, while
+    Newton's Hessian ``sum_k (w_k / d_k) (I - u_k u_k^T)`` scales each
+    direction by its own curvature.  One step is enough only from an iterate
+    already close to the optimum, so a run that has really not converged
+    still raises.
+
+    Failing both, data point ``j``, the one nearest the last iterate.  The
+    point is optimal when the pull of the others, ``sum_{i != j} w_i u_i``,
     is no longer than its weight.  At the middle points of an even count of
     equal weights on one line (every p = 1 study) the two are equal in exact
     arithmetic; rounding can make the pull the longer, so the loop's anchor
@@ -168,10 +143,29 @@ def _settle_on_point(
     by its rounding floor, :func:`_rounding_floor` at ``x_j`` over the other
     points.  When the pull is within that floor of the weight, the optimum
     may be the whole segment from ``x_j`` to the nearest point ahead along
-    the pull; its midpoint is returned, unanchored as in the ``k == 2``
-    branch, if its own residual is within its rounding floor.  Otherwise
-    ``x_j`` is returned, anchored.
+    the pull; its midpoint is returned, unanchored as for two points of
+    equal weight, if its own residual is within its rounding floor.
+    Otherwise ``x_j`` is returned, anchored.
     """
+    first = _first_order(x, w, scale, eta)
+    if first is not None:
+        diff, dist, foc = first
+        if float(np.linalg.norm(foc)) <= _rounding_floor(x, w, eta):
+            return eta, False
+        inv = w / dist
+        u = diff / dist[:, None]
+        hess = inv.sum() * np.eye(eta.size) - (u * inv[:, None]).T @ u
+        try:
+            cand = eta + np.linalg.solve(hess, foc)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            first = _first_order(x, w, scale, cand)
+            if first is not None and float(np.linalg.norm(first[2])) <= max(
+                DEFAULT_TOL, _rounding_floor(x, w, cand)
+            ):
+                return cand, False
+
     diff, dist, pull = _pull(x, w, j)
     others = np.arange(x.shape[0]) != j
     excess = float(np.linalg.norm(pull)) - w[j]
@@ -197,22 +191,35 @@ def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uniq, merged_w
 
 
+# A point beyond ~1.3e154 overflows numpy's norm, which _norms then
+# recomputes, and may make the objective, a rounding floor or the sign test
+# of a tie segment overflow to inf, which is their value; none of it is an
+# error to warn of.
+@np.errstate(over="ignore")
 def spatial_median(points, weights=None) -> SpatialMedianResult:
     """Minimize the weighted sum of Euclidean distances to the given points.
 
     ``points`` is a sequence of :class:`WeightedPoint`, which is stacked
     into the other form: a ``(K, d)`` array of finite point coordinates, one
     row per point, with their ``weights``, K positive finite numbers.
+    Exact duplicate points are merged first, summing their weights.
 
-    Convergence is declared when the first-order condition holds: either the
-    weighted sum of unit vectors toward the non-coincident points has norm
-    <= ``DEFAULT_TOL``, or the iterate sits on a data point whose weight
-    dominates the pull of all the others (the subgradient condition for an
-    anchored optimum).  If neither happens within ``DEFAULT_MAX_ITER`` iterations, the
-    best iterate is still returned when its residual is within the rounding
-    floor of the unit-vector sum (see :func:`_rounding_floor`), which for
-    far-apart points can exceed ``DEFAULT_TOL``; otherwise
-    :class:`NonConvergenceError` is raised.
+    The result leaves by one of these exits:
+
+    * K <= 2 after merging, in closed form with 0 iterations: two points of
+      equal weight give their midpoint, unanchored (every point of the
+      segment is optimal); otherwise the heaviest point, anchored.
+    * Converged, unanchored: the weighted sum of unit vectors toward the
+      points has norm <= ``DEFAULT_TOL``.
+    * Anchored on a data point whose weight dominates the pull of all the
+      others (the subgradient condition for an optimum there).
+    * At ``DEFAULT_MAX_ITER`` iterations, settled by :func:`_settle`: the
+      best iterate if its residual is within the rounding floor of the
+      unit-vector sum (see :func:`_rounding_floor`), which for far-apart
+      points can exceed ``DEFAULT_TOL``; else one Newton step from it; else
+      the data point nearest the last iterate, anchored, or the midpoint of
+      a tie segment from it, unanchored.  Otherwise
+      :class:`NonConvergenceError` is raised with the best iterate.
     """
     if weights is None:
         pts = list(points)
@@ -240,54 +247,33 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         d = x_all.shape[1]
     x, w = _merge_duplicates(x_all, w_all)
     k = x.shape[0]
+    iterations = 0
 
-    if k == 1:
-        return SpatialMedianResult(eta=x[0].copy(), iterations=0, objective=0.0, anchored=True)
-
-    if k == 2:
-        # Two distinct points: the heavier one is optimal (its weight bounds
-        # the pull of the other).  With equal weights every point of the
-        # segment is optimal; return the midpoint and flag non-uniqueness
-        # through anchored=False.
-        if w[0] > w[1]:
-            eta = x[0].copy()
-            anchored = True
-        elif w[1] > w[0]:
-            eta = x[1].copy()
-            anchored = True
-        else:
-            eta = (x[0] + x[1]) / 2.0
-            anchored = False
+    def done(eta: np.ndarray, anchored: bool) -> SpatialMedianResult:
         return SpatialMedianResult(
-            eta=eta, iterations=0, objective=_objective(x, w, eta), anchored=anchored
+            eta=eta, iterations=iterations, objective=_objective(x, w, eta), anchored=anchored
         )
+
+    if k <= 2:
+        # The heavier of two points is optimal: its weight bounds the pull
+        # of the other.  With equal weights the whole segment is.
+        if k == 2 and w[0] == w[1]:
+            return done((x[0] + x[1]) / 2.0, False)
+        return done(x[int(np.argmax(w))].copy(), True)
 
     scale = np.maximum(1.0, _norms(x))
     eta = np.array([weighted_median(x[:, j], w) for j in range(d)])
-    iterations = 0
     best_eta, best_foc = eta.copy(), math.inf
-
-    def anchored_at(j: int) -> SpatialMedianResult | None:
-        # Subgradient optimality at data point j: the pull of all the other
-        # points must not exceed its own weight.  The condition is sufficient
-        # for global optimality, so it may be tested at any time.
-        if float(np.linalg.norm(_pull(x, w, j)[2])) <= w[j]:
-            return SpatialMedianResult(
-                eta=x[j].copy(),
-                iterations=iterations,
-                objective=_objective(x, w, x[j]),
-                anchored=True,
-            )
-        return None
-
     prev_delta = None
     while True:
         diff = x - eta
         dist = _norms(diff)
-        nearest = int(np.argmin(dist / np.maximum(scale, 1.0)))
-        anchored = anchored_at(nearest)
-        if anchored is not None:
-            return anchored
+        nearest = int(np.argmin(dist / scale))
+        # Subgradient optimality at the nearest data point: the pull of all
+        # the other points must not exceed its own weight.  The condition is
+        # sufficient for global optimality, so it may be tested at any time.
+        if float(np.linalg.norm(_pull(x, w, nearest)[2])) <= w[nearest]:
+            return done(x[nearest].copy(), True)
         coincident = dist <= _ANCHOR_ATOL * scale
 
         if coincident.any():
@@ -307,12 +293,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
             if foc_norm < best_foc:
                 best_eta, best_foc = eta.copy(), foc_norm
             if foc_norm <= DEFAULT_TOL:
-                return SpatialMedianResult(
-                    eta=eta,
-                    iterations=iterations,
-                    objective=_objective(x, w, eta),
-                    anchored=False,
-                )
+                return done(eta, False)
             inv = w / dist
             eta_new = (inv @ x) / inv.sum()
             # The plain iteration converges only linearly, with rate close to
@@ -336,23 +317,9 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
             prev_delta = delta
 
         if iterations >= DEFAULT_MAX_ITER:
-            settled = _settle(x, w, scale, best_eta)
+            settled = _settle(x, w, scale, best_eta, nearest)
             if settled is not None:
-                return SpatialMedianResult(
-                    eta=settled,
-                    iterations=iterations,
-                    objective=_objective(x, w, settled),
-                    anchored=False,
-                )
-            on_point = _settle_on_point(x, w, scale, nearest)
-            if on_point is not None:
-                eta, anchored = on_point
-                return SpatialMedianResult(
-                    eta=eta,
-                    iterations=iterations,
-                    objective=_objective(x, w, eta),
-                    anchored=anchored,
-                )
+                return done(*settled)
             raise NonConvergenceError(
                 f"spatial median did not converge in {DEFAULT_MAX_ITER} iterations",
                 best=best_eta,
@@ -388,9 +355,11 @@ def aggregate_sigma(estimates) -> numkit.PDMatrix:
     finite = np.flatnonzero(view.sigma_finite)
     pd, sym = view.screen
     # vech of every finite matrix at once; the others are repaired first.
+    # A repair near the largest double overflows, and is left out below.
     vechs = numkit.vech_stack(sym[finite])
-    for k in np.flatnonzero(~pd[finite]):
-        vechs[k] = numkit.vech_stack(numkit.pd_project(view.sigmas[finite[k]]))
+    with np.errstate(over="ignore"):
+        for k in np.flatnonzero(~pd[finite]):
+            vechs[k] = numkit.vech_stack(numkit.pd_project(view.sigmas[finite[k]]))
     kept = np.flatnonzero(np.isfinite(vechs).all(axis=1))
     if not kept.size:
         raise NumericalError("no variance matrix with finite entries to aggregate")

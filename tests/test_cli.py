@@ -148,6 +148,18 @@ def make_shards(tmp_path, k=4, n=300, model=ModelKind.LOGISTIC, theta0=(2.0, 1.0
     return paths
 
 
+# metrics.csv of the linear K = 10, n = 50 study with one server sending
+# 1e200 in both coordinates, at the default seed.
+EXTREME_OMNISCIENT_METRICS = """\
+estimator,coefficient,bias,sd,ase,cp,re
+huber,1,0.028061401447131873,0.03563239468629736,0.046925114069775564,1.0,inf
+huber,2,0.01861410006870079,0.05781075819388864,0.0480825293091692,1.0,inf
+weighted_average,1,1e+199,0.0,nan,0.0,
+weighted_average,2,1e+199,0.0,nan,0.0,
+summary,hr,1.0,,,,
+"""
+
+
 class TestSimulateCommand:
     def test_writes_metrics_and_detection(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -245,6 +257,22 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_omniscient_value_warns_of_nothing(self, tmp_path):
+        # The corrupted server's sandwich, its d1 and the weighted average's
+        # MSE overflow; each is then inf or NaN, as these metrics show.
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "simulate", "--model", "linear", "--theta0", "1,2", "--K", "10",
+                "--n", "50", "--replicates", "4", "--contamination", "omniscient",
+                "--count", "1", "--omniscient-value", "1e200,1e200", "--workers", "1",
+                "--out-dir", str(out),
+            ]
+        )
+        assert rc == 0
+        assert (out / "metrics.csv").read_text() == EXTREME_OMNISCIENT_METRICS
 
     def test_non_numeric_theta0_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -734,6 +762,10 @@ class TestSmallCommands:
         assert "0.95" in out
         assert main(["tau", "inf"]) == 0
         assert "1" in capsys.readouterr().out
+
+    def test_tau_of_zero_is_rejected(self, capsys):
+        assert main(["tau", "0"]) == 1
+        assert capsys.readouterr().err == "error: c must be positive\n"
 
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0

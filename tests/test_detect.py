@@ -97,6 +97,13 @@ class TestD1:
         assert str(excinfo.value) == "theta_hat dimension does not match the estimate"
 
 
+    def test_pd_but_lu_singular_sigma_hat_raises(self, monkeypatch):
+        solve_rejecting(monkeypatch, FORCED_SINGULAR)
+        e = est(1, 50, [2.0, 1.0], np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            mahalanobis_d1(e, [1.0, 1.0], FORCED_SINGULAR)
+
+
 class TestD2:
     def test_zero_at_aggregate(self):
         e = est(1, 50, [2.0, 1.0], np.array([[2.0, 0.1], [0.1, 1.0]]))

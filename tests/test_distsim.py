@@ -420,6 +420,18 @@ class TestBatchedTransport:
         if not numkit.screen_positive_definite([huge])[0][0]:
             assert 20 in report.flagged_sigma_ids()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "p, huge",
+        [
+            (1, [[1e308]]),
+            (2, np.full((2, 2), 1e155) + np.eye(2)),
+            (2, np.full((2, 2), 1e308) + np.eye(2)),
+        ],
+    )
+    def test_one_huge_finite_sigma_warns_of_nothing(self, p, huge):
+        self.test_one_huge_finite_sigma_is_aggregated(p, huge)
+
     def test_malformed_number_reported_before_wrong_length(self):
         wire = refield(encode_message(ten_payloads()[0]), 4, "1.0.0,2,3,4")
         with pytest.raises(TruncatedMessageError, match="malformed numeric field: .*'1.0.0'"):

@@ -13,7 +13,7 @@ from robustagg.spatialmed import (
     WeightedPoint,
     _norms,
     _rounding_floor,
-    _settle_on_point,
+    _settle,
     aggregate_sigma,
     spatial_median,
     weighted_median,
@@ -283,9 +283,9 @@ class TestSpatialMedian:
         # optimal and unique (the points are not collinear).
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         scale = np.ones(3)
-        eta, anchored = _settle_on_point(x, np.array([1.0, 0.6, 0.8]), scale, 0)
+        eta, anchored = _settle(x, np.array([1.0, 0.6, 0.8]), scale, x[0], 0)
         assert anchored and np.array_equal(eta, x[0])
-        assert _settle_on_point(x, np.array([0.99, 0.6, 0.8]), scale, 0) is None
+        assert _settle(x, np.array([0.99, 0.6, 0.8]), scale, x[0], 0) is None
 
     def test_result_type(self):
         res = spatial_median([wp([0.0]), wp([1.0]), wp([2.0])])
@@ -352,6 +352,11 @@ class TestAggregateSigma:
         out = aggregate(big)
         assert numkit.min_eigenvalue(out) > 0.0
         assert np.allclose(out, aggregate(1e150), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e155, 1e300])
+    def test_one_huge_finite_matrix_warns_of_nothing(self, big):
+        self.test_one_huge_finite_matrix_is_outvoted(big)
 
     def test_norms_rescale_only_rows_that_overflow(self):
         rows = np.array([[3e200, -4e200], [0.3, 0.4], [1e-200, 0.0], [1e308, 1e308]])
