@@ -374,7 +374,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return 0
 
     model = ModelSpec(model_kind, len(covariates))
-    fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
+    try:
+        fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
+    except (RobustAggError, ValueError):
+        # fit_shards raises what the first failing shard raises alone; find
+        # that shard to name its file.
+        for path, obs in zip(shard_paths, shards):
+            try:
+                fit_local(model, obs, server_id=path.stem)
+            except (RobustAggError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        raise
     # Exercise the same wire codec the distributed system would use.
     estimates = decode_messages(
         encode_messages(LocalEstimate(f.server_id, f.n_k, f.theta_hat, f.sigma_hat) for f in fits)
@@ -471,6 +481,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     est = LocalEstimate(server_id=3, n_k=17, theta_star=rng.standard_normal(3), sigma_star=pd[:3, :3])
     check("wire codec round trip", decode_message(encode_message(est)).theta_star.tolist() == est.theta_star.tolist())
+
+    # The wire carries little-endian doubles in standard base64; a host of
+    # another byte order or base64 would send other bytes for the same bits.
+    golden = LocalEstimate("7", 120, [1.5, -0.0], [[2.0, 0.5], [0.5, 5e-324]])
+    golden_wire = b"v2|'7|120|2|AAAAAAAA+D8AAAAAAAAAgAAAAAAAAABAAAAAAAAA4D8BAAAAAAAAAA==|fc0f2a62"
+    back = decode_message(golden_wire)
+    check(
+        "wire payload of a fixed estimate equals its golden bytes",
+        encode_message(golden) == golden_wire
+        and back.theta_star.tobytes() == golden.theta_star.tobytes()
+        and back.sigma_star.tobytes() == golden.sigma_star.tobytes(),
+    )
 
     # A round goes over the wire as one batch; it must carry the bytes and
     # bits of one payload at a time, whatever its mix of ids and dimensions.

@@ -3,7 +3,7 @@ estimate transport, and the Monte Carlo study harness.
 
 A replicate mirrors the full life of a distributed analysis: draw a dataset,
 split it over K servers, fit each shard locally, corrupt the transmitted
-payloads of the designated servers, push every payload through the text wire
+payloads of the designated servers, push every payload through the wire
 codec, aggregate the variances by spatial median, solve the robust and the
 weighted-average aggregations, and screen for contamination.  Replicates are
 seeded independently through a counter-based generator keyed on
@@ -13,8 +13,8 @@ workers execute it or in which order replicates finish.
 
 from __future__ import annotations
 
+import base64
 import csv
-import functools
 import math
 import os
 import time
@@ -50,7 +50,7 @@ from .detect import DEFAULT_ALPHA, detect
 from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_shards, sandwich_variance
 from .spatialmed import aggregate_sigma
 
-PROTOCOL_VERSION = "v1"
+PROTOCOL_VERSION = "v2"
 WORKERS_ENV_VAR = "ROBUSTAGG_WORKERS"
 
 # Half-width multiplier of the nominal 95% confidence interval.
@@ -242,12 +242,14 @@ def contaminate(
 
 
 # ---------------------------------------------------------------------------
-# Wire format: versioned, line-oriented text record
-#   v1|server_id|n_k|p|theta:csv|vech_sigma:csv|crc32hex
-# Floats are printed with 17 significant digits so decode(encode(x)) is
-# bit-identical.  An int server id is sent in canonical decimal; a str id is
-# sent as itself, behind a leading "'" when it would otherwise read back as
-# an int (or starts with "'"), so both type and text round-trip.
+# Wire format: versioned, line-oriented ascii record
+#   v2|server_id|n_k|p|base64(theta, vech_sigma)|crc32hex
+# The numbers are the little-endian IEEE-754 float64 bytes of theta and then
+# vech(sigma), in one canonical base64 field, so decode(encode(x)) has x's
+# bits, NaN signs and payloads included.  The CRC covers every byte before
+# it.  An int server id is sent in canonical decimal; a str id is sent as
+# itself, behind a leading "'" when it would otherwise read back as an int
+# (or starts with "'"), so both type and text round-trip.
 #
 # A round of payloads is encoded and decoded in one call; the one-payload
 # calls are that call on a list of one.  A batch returns what the one-payload
@@ -255,6 +257,7 @@ def contaminate(
 # ---------------------------------------------------------------------------
 
 _STR_ID_MARK = "'"
+_WIRE_FLOAT = np.dtype("<f8")
 
 
 def _is_int_text(text: str) -> bool:
@@ -283,13 +286,6 @@ def _decode_id(text: str) -> int | str:
     return int(text) if _is_int_text(text) else text
 
 
-@functools.lru_cache(maxsize=32)
-def _numbers_format(p: int) -> str:
-    """The %-format of the theta and vech(sigma) fields of a p-dimensional
-    payload; ``"%.17g" % x`` prints the text of ``format(x, ".17g")``."""
-    return ",".join(["%.17g"] * p) + "|" + ",".join(["%.17g"] * numkit.vech_len(p))
-
-
 def _by_dimension(dims) -> dict:
     """Positions of each dimension in ``dims``, in order."""
     groups: dict = {}
@@ -305,9 +301,9 @@ def encode_messages(estimates) -> list[bytes]:
     are encodable; a symmetric matrix round-trips bit-identically.  A
     matrix with a non-finite entry is sent too, as the vech of its
     symmetrized form, since the decoder accepts it and the processor leaves
-    it out and flags it.  The
-    estimates of each dimension share one stacked symmetry test and one
-    ``tolist``, and each payload is printed by one %-format.
+    it out and flags it.  The estimates of each dimension share one stacked
+    symmetry test and one ``tobytes``, and each payload takes one base64
+    call and one CRC.
     """
     ests = list(estimates)
     sendable = np.zeros(len(ests), dtype=bool)
@@ -323,19 +319,16 @@ def encode_messages(estimates) -> list[bytes]:
             sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
             vechs = numkit.vech_stack(numkit.symmetrize(sigmas))
         thetas = np.stack([ests[i].theta_star for i in idx])
-        rows = np.concatenate([thetas, vechs], axis=1)
-        for i, row in zip(idx, rows.tolist()):
-            numbers[i] = row
+        blob = np.concatenate([thetas, vechs], axis=1).astype(_WIRE_FLOAT, copy=False).tobytes()
+        width = len(blob) // len(idx)
+        for j, i in enumerate(idx):
+            numbers[i] = base64.b64encode(blob[j * width : (j + 1) * width])
     out = []
-    for e, ok, row in zip(ests, sendable, numbers):
+    for e, ok, b64 in zip(ests, sendable, numbers):
         if not ok:
             numkit.ensure_symmetric(e.sigma_star)  # raises its error for this matrix
-        body = "|".join(
-            [PROTOCOL_VERSION, _encode_id(e.server_id), str(e.n_k), str(e.p),
-             _numbers_format(e.p) % tuple(row)]
-        )
-        crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
-        out.append(f"{body}|{crc:08x}".encode("ascii"))
+        body = f"{PROTOCOL_VERSION}|{_encode_id(e.server_id)}|{e.n_k}|{e.p}|".encode("ascii") + b64
+        out.append(b"%s|%08x" % (body, zlib.crc32(body)))
     return out
 
 
@@ -345,8 +338,9 @@ def encode_message(est: LocalEstimate) -> bytes:
 
 
 def _checked_fields(payload: bytes) -> tuple:
-    """``(server id text, n_k, p, theta text, vech text)`` of a payload whose
-    version, field count and checksum hold."""
+    """``(server id text, n_k, p, numbers)`` of a payload whose version,
+    field count, checksum, numbers and dimension hold, where ``numbers`` is
+    the bytes of its p + vech_len(p) doubles."""
     try:
         text = payload.decode("ascii")
     except (UnicodeDecodeError, AttributeError) as exc:
@@ -356,63 +350,54 @@ def _checked_fields(payload: bytes) -> tuple:
         raise VersionMismatchError(
             f"unsupported protocol version {parts[0]!r} (expected {PROTOCOL_VERSION!r})"
         )
-    if len(parts) != 7:
+    if len(parts) != 6:
         raise TruncatedMessageError(
-            f"message has {len(parts)} fields, expected 7"
+            f"message has {len(parts)} fields, expected 6"
         )
     body, crc_field = text.rsplit("|", 1)
     try:
         crc_sent = int(crc_field, 16)
     except ValueError:
         raise TruncatedMessageError("checksum field is not hexadecimal") from None
-    crc_here = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
+    crc_here = zlib.crc32(payload[: len(body)])
     if crc_here != crc_sent:
         raise ChecksumMismatchError(
             f"checksum mismatch (message {crc_sent:08x}, payload {crc_here:08x})"
         )
-    _, sid_txt, nk_txt, p_txt, theta_txt, sigma_txt = parts[:6]
+    _, sid_txt, nk_txt, p_txt, b64 = parts[:5]
     try:
-        return sid_txt, int(nk_txt), int(p_txt), theta_txt, sigma_txt
+        n_k, p = int(nk_txt), int(p_txt)
+        numbers = base64.b64decode(b64, validate=True)
     except ValueError as exc:
         raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    """``float()`` of every comma-separated field of ``text`` (numpy converts
-    a str with ``float()``)."""
-    try:
-        return np.array(text.split(","), dtype=float)
-    except ValueError as exc:
-        raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
-
-
-def _checked_dimension(fields: tuple) -> int:
-    """The declared dimension of a payload, checked against its numbers."""
-    _, _, p, theta_txt, sigma_txt = fields
-    if theta_txt.count(",") + 1 != p or sigma_txt.count(",") + 1 != numkit.vech_len(p):
+    # Canonical: a field with nonzero pad bits decodes, but is not what
+    # the encoder sends.
+    if base64.b64encode(numbers).decode("ascii") != b64:
+        raise TruncatedMessageError("numbers field is not canonical base64")
+    if p < 1 or len(numbers) != _WIRE_FLOAT.itemsize * (p + numkit.vech_len(p)):
         raise TruncatedMessageError(
             "declared dimension does not match the payload lengths"
         )
-    return p
+    return sid_txt, n_k, p, numbers
 
 
 def decode_messages(payloads) -> list[LocalEstimate]:
     """The estimate of every wire payload, in order.
 
-    A round runs straight through: the version, field count and checksum of
-    every payload, one numpy conversion of all its numbers, the declared
-    dimension of every payload, then one stacked ``vech_inv`` and the
-    estimates of each dimension.  If a round of more than one payload fails,
-    its payloads are decoded again one at a time, in order, so the error
-    raised is the one the first failing payload raises alone.
+    A round runs straight through: the version, field count, checksum,
+    base64 numbers and declared dimension of every payload, one
+    ``np.frombuffer`` over all their numbers, then one stacked ``vech_inv``
+    and the estimates of each dimension.  If a round of more than one
+    payload fails, its payloads are decoded again one at a time, in order,
+    so the error raised is the one the first failing payload raises alone.
     """
     payloads = list(payloads)
     if not payloads:
         return []
     try:
         fields = [_checked_fields(payload) for payload in payloads]
-        values = _parse_floats(",".join(f"{t},{v}" for _, _, _, t, v in fields))
-        dims = [_checked_dimension(f) for f in fields]
+        values = np.frombuffer(b"".join(f[3] for f in fields), dtype=_WIRE_FLOAT)
+        dims = [f[2] for f in fields]
         starts = np.cumsum([0] + [p + numkit.vech_len(p) for p in dims])
         out: list = [None] * len(fields)
         for p, idx in _by_dimension(dims).items():

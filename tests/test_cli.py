@@ -15,7 +15,7 @@ from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, StudyConfig, generate_dataset, partition
 from robustagg.errors import ConfigError
-from robustagg import models, numkit
+from robustagg import distsim, models, numkit
 from robustagg.models import ModelKind
 
 
@@ -318,6 +318,15 @@ class TestPipelineCommand:
             detection = list(csv.DictReader(fh))
         assert len(detection) == 4
         assert all(r["theta_flagged"] == "False" for r in detection)
+
+    def test_unfittable_shard_is_named(self, tmp_path, capsys):
+        paths = make_shards(tmp_path, k=5, n=300)
+        lines = paths[2].read_text().splitlines(keepends=True)
+        paths[2].write_text(lines[0] + "".join("0.0" + line[line.index(","):] for line in lines[1:]))
+        assert main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[2]}: only one response class present; logistic MLE does not exist\n"
+        )
 
     def test_header_mismatch_rejected(self, tmp_path):
         paths = make_shards(tmp_path, k=2, n=100)
@@ -770,6 +779,14 @@ class TestSmallCommands:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         assert "all self-tests passed" in capsys.readouterr().out
+
+    def test_check_pins_the_wire_bytes(self, monkeypatch, capsys):
+        assert main(["check"]) == 0
+        assert "ok   wire payload of a fixed estimate equals its golden bytes" in capsys.readouterr().out
+        # A host that packed its doubles big-endian would send other bytes.
+        monkeypatch.setattr(distsim, "_WIRE_FLOAT", np.dtype(">f8"))
+        assert main(["check"]) == 1
+        assert "FAIL wire payload of a fixed estimate equals its golden bytes" in capsys.readouterr().out
 
     def test_check_reports_inexact_column_sums(self, monkeypatch, capsys):
         from robustagg import numkit

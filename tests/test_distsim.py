@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import math
+import struct
 import warnings
 import zlib
 
@@ -166,6 +168,28 @@ class TestTransport:
             assert np.array_equal(back.theta_star, est.theta_star)
             assert np.array_equal(back.sigma_star, est.sigma_star)
 
+    def test_every_bit_round_trips(self):
+        # The edge values, signed zeros and infinities, subnormals, and NaNs
+        # of both signs with a payload: quiet ones in sigma, whose
+        # symmetrizing sum would quiet a signaling NaN, and signaling ones
+        # too in theta, which is sent as it is.
+        values = np.array(EDGE_VALUES + [0.0, -0.0, math.inf, -math.inf, 2.0**-1074, -(2.0**-1060)])
+        nans = np.array(
+            [0x7FF8000000000123, 0xFFF8000000000456, 0x7FFFFFFFFFFFFFFF, 0xFFF8000000000000],
+            dtype=np.uint64,
+        ).view(np.float64)
+        signaling = np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64).view(np.float64)
+        diagonal = np.concatenate([values, nans])
+        theta = np.concatenate([diagonal, signaling])
+        sigma = np.diag(diagonal)
+        sigma[0, 1:] = sigma[1:, 0] = diagonal[1:]
+        est = LocalEstimate("edges", 7, diagonal, sigma)
+        back = decode_message(encode_message(est))
+        assert back.theta_star.tobytes() == est.theta_star.tobytes()
+        assert back.sigma_star.tobytes() == est.sigma_star.tobytes()
+        est = LocalEstimate(2, 7, theta, np.eye(theta.size))
+        assert decode_message(encode_message(est)).theta_star.tobytes() == theta.tobytes()
+
     def test_flipped_byte_detected(self):
         est = LocalEstimate(3, 50, np.array([2.0, 1.0]), np.eye(2))
         msg = bytearray(encode_message(est))
@@ -193,7 +217,7 @@ class TestTransport:
         assert back.server_id == "airline_aa"
 
     def test_existing_ids_keep_their_wire_text(self):
-        for server_id, text in ((3, b"v1|3|"), ("shard07", b"v1|shard07|")):
+        for server_id, text in ((3, b"v2|3|"), ("shard07", b"v2|shard07|")):
             est = LocalEstimate(server_id, 50, np.array([2.0]), np.array([[1.0]]))
             assert encode_message(est).startswith(text)
 
@@ -236,11 +260,11 @@ def reference_symmetrized(sigma) -> list:
 
 
 def reference_encode(est) -> bytes:
-    """``v1|id|n_k|p|theta|vech(sigma)|crc32``, written from the wire spec:
-    17 significant digits per number, vech column by column over the lower
-    triangle of (sigma + sigma^T) / 2 (halved before adding where that
-    overflows), and a str id that reads as an int or
-    starts with "'" sent behind a "'"."""
+    """``v2|id|n_k|p|base64(theta, vech(sigma))|crc32``, written from the
+    wire spec without numpy: the little-endian doubles of theta and then of
+    vech column by column over the lower triangle of (sigma + sigma^T) / 2
+    (halved before adding where that overflows), in standard padded base64,
+    and a str id that reads as an int or starts with "'" sent behind a "'"."""
     sid = est.server_id
     if isinstance(sid, str):
         try:
@@ -251,17 +275,9 @@ def reference_encode(est) -> bytes:
     p = est.theta_star.size
     sym = reference_symmetrized(est.sigma_star)
     vech = [sym[i][j] for j in range(p) for i in range(j, p)]
-    body = "|".join(
-        [
-            "v1",
-            str(sid),
-            str(est.n_k),
-            str(p),
-            ",".join(format(x, ".17g") for x in est.theta_star.tolist()),
-            ",".join(format(x, ".17g") for x in vech),
-        ]
-    )
-    return f"{body}|{zlib.crc32(body.encode('ascii')):08x}".encode("ascii")
+    numbers = est.theta_star.tolist() + vech
+    packed = base64.b64encode(struct.pack(f"<{len(numbers)}d", *numbers)).decode("ascii")
+    return with_crc("|".join(["v2", str(sid), str(est.n_k), str(p), packed]))
 
 
 EDGE_VALUES = [
@@ -271,9 +287,12 @@ EDGE_VALUES = [
 SIGMA_ENTRIES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)
 )
-# The wire text of every NaN is "nan", so a NaN's sign and payload bits do
-# not travel; the canonical NaN is the one a payload can carry bit for bit.
-THETA_ENTRIES = st.one_of(SIGMA_ENTRIES, st.sampled_from([math.inf, -math.inf, math.nan]))
+# Every bit of a double travels, so NaNs of both signs and with a payload do.
+WIRE_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000001, 0x7FF8000000000abc], dtype=np.uint64)
+THETA_ENTRIES = st.one_of(
+    SIGMA_ENTRIES,
+    st.sampled_from([math.inf, -math.inf] + WIRE_NANS.view(np.float64).tolist()),
+)
 SERVER_IDS = st.one_of(
     st.integers(-(10**30), 10**30),
     st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="|"), max_size=8),
@@ -319,19 +338,68 @@ def with_crc(body: str) -> bytes:
 
 def refield(payload: bytes, index: int, text: str) -> bytes:
     """The payload with one field replaced, under a valid checksum."""
-    fields = payload.decode("ascii").split("|")[:6]
+    fields = payload.decode("ascii").split("|")[:5]
     fields[index] = text
     return with_crc("|".join(fields))
 
 
-def flip_digit(payload: bytes) -> bytes:
-    body, crc = payload.rsplit(b"|", 1)
-    last = body[-1] - ord("0")
-    return body[:-1] + bytes([ord("0") + (last + 1) % 10]) + b"|" + crc
+def numbers_of(payload: bytes) -> bytes:
+    """The bytes the numbers field of a payload carries."""
+    return base64.b64decode(payload.split(b"|")[4])
 
+
+def renumber(payload: bytes, numbers: bytes) -> bytes:
+    """The payload carrying ``numbers``, in canonical base64, under a valid
+    checksum."""
+    return refield(payload, 4, base64.b64encode(numbers).decode("ascii"))
+
+
+def flip_number_byte(payload: bytes) -> bytes:
+    """The payload with one base64 character of its numbers changed, and its
+    checksum kept."""
+    head, b64, crc = payload.rsplit(b"|", 2)
+    return b"|".join([head, (b"B" if b64[:1] == b"A" else b"A") + b64[1:], crc])
+
+
+def nonzero_pad_bits(payload: bytes) -> bytes:
+    """The payload with the pad bits of its last base64 digit set: the same
+    bytes decode, but the text is not the one the encoder sends."""
+    b64 = payload.split(b"|")[4].decode("ascii")
+    stem = b64.rstrip("=")
+    assert len(stem) < len(b64), "the defect needs a padded numbers field"
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    last = alphabet[alphabet.index(stem[-1]) + 1]
+    return refield(payload, 4, stem[:-1] + last + b64[len(stem):])
+
+
+def other_dimension(payload: bytes) -> bytes:
+    """The payload carrying the byte count of dimension p + 1 under its own p."""
+    p = int(payload.split(b"|")[3])
+    return renumber(payload, bytes(8 * (p + 1 + numkit.vech_len(p + 1))))
+
+
+# Hostile numbers fields and declared dimensions: each raises
+# TruncatedMessageError on its own.
+NUMBERS_DEFECTS = {
+    "malformed number": lambda w: refield(w, 4, "1.0.0"),
+    "empty number": lambda w: refield(w, 4, ""),
+    # Two defects in one payload: the base64 is decoded before its length is
+    # compared, so the decode error is the one reported.
+    "malformed number, wrong length": lambda w: refield(w, 4, "*" + w.split(b"|")[4][9:].decode()),
+    "outside the base64 alphabet": lambda w: refield(w, 4, "-" + w.split(b"|")[4][1:].decode()),
+    "bad padding": lambda w: refield(w, 4, w.split(b"|")[4].decode()[:-1]),
+    "byte count not a multiple of 8": lambda w: renumber(w, numbers_of(w)[:-3]),
+    "byte count of another p": other_dimension,
+    # With no numbers, p = 0 would match its byte count of 0.
+    "declared p 0": lambda w: refield(refield(w, 4, ""), 3, "0"),
+    "declared p -1": lambda w: refield(w, 3, "-1"),
+    "declared p 10**9": lambda w: refield(w, 3, str(10**9)),
+    "non-canonical base64": nonzero_pad_bits,
+}
 
 DECODE_DEFECTS = {
-    "flipped byte": flip_digit,
+    **NUMBERS_DEFECTS,
+    "flipped byte": flip_number_byte,
     "truncated": lambda w: w[: len(w) // 2],
     "wrong version": lambda w: b"v9" + w[2:],
     "not ascii": lambda w: w + b"\xff",
@@ -339,12 +407,7 @@ DECODE_DEFECTS = {
     "extra field": lambda w: with_crc(w.decode("ascii").rsplit("|", 1)[0] + "|x"),
     "checksum not hex": lambda w: w.rsplit(b"|", 1)[0] + b"|zzzzzzzz",
     "malformed n_k": lambda w: refield(w, 2, "5x"),
-    "malformed number": lambda w: refield(w, 4, "1.0.0"),
-    "empty number": lambda w: refield(w, 5, w.decode("ascii").split("|")[5] + ","),
     "wrong dimension": lambda w: refield(w, 3, str(int(w.split(b"|")[3]) + 1)),
-    # Two defects in one payload: the number is parsed before the length
-    # is compared, so the parse error is the one reported.
-    "malformed number, wrong length": lambda w: refield(w, 4, "1.0.0,2,3,4"),
     "zero n_k": lambda w: refield(w, 2, "0"),
 }
 
@@ -433,9 +496,18 @@ class TestBatchedTransport:
         self.test_one_huge_finite_sigma_is_aggregated(p, huge)
 
     def test_malformed_number_reported_before_wrong_length(self):
-        wire = refield(encode_message(ten_payloads()[0]), 4, "1.0.0,2,3,4")
-        with pytest.raises(TruncatedMessageError, match="malformed numeric field: .*'1.0.0'"):
+        wire = NUMBERS_DEFECTS["malformed number, wrong length"](encode_message(ten_payloads()[0]))
+        with pytest.raises(TruncatedMessageError, match="malformed numeric field: Only base64 data"):
             decode_message(wire)
+
+    @pytest.mark.parametrize("defect", sorted(NUMBERS_DEFECTS))
+    def test_hostile_numbers_field_is_a_truncated_message(self, defect):
+        wire = encode_messages(ten_payloads())
+        wire[3] = NUMBERS_DEFECTS[defect](wire[3])
+        with pytest.raises(TruncatedMessageError):
+            decode_message(wire[3])
+        with pytest.raises(TruncatedMessageError):
+            decode_messages(wire)
 
     def test_asymmetric_sigma_reported_before_bad_id(self):
         est = ENCODE_DEFECTS["asymmetric sigma, separator in id"](ten_payloads()[0])
@@ -469,8 +541,7 @@ class TestBatchedTransport:
         wire = encode_messages(ests)
         assert wire == [encode_message(e) for e in ests]
         back = decode_messages(wire)
-        # NaN == NaN here: the wire prints every NaN as "nan".
-        np.testing.assert_array_equal(back[3].sigma_star, numkit.symmetrize(ests[3].sigma_star))
+        assert back[3].sigma_star.tobytes() == numkit.symmetrize(ests[3].sigma_star).tobytes()
         assert not np.isfinite(back[3].sigma_star).all()
         for got, want in zip(back[:3] + back[4:], ests[:3] + ests[4:]):
             assert got.sigma_star.tobytes() == want.sigma_star.tobytes()

@@ -256,7 +256,7 @@ class TestOneViewPerRound:
         wire = encode_messages([LocalEstimate(1, 5, [1.0], [[1.0]])])[0].decode()
         parts = wire.split("|")
         parts[2] = "0"
-        body = "|".join(parts[:6])
+        body = "|".join(parts[:5])
         payload = f"{body}|{zlib.crc32(body.encode()):08x}".encode()
         with pytest.raises(ValueError, match="n_k must be >= 1"):
             decode_messages([payload])
