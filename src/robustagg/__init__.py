@@ -42,7 +42,7 @@ from .models import (
     fit_shards,
     sandwich_variance,
 )
-from .numkit import inv_sqrt_pd, pd_project, pd_roots, vech, vech_inv
+from .numkit import inv_sqrt_pd, pd_project, vech, vech_inv
 from .spatialmed import SpatialMedianResult, WeightedPoint, aggregate_sigma, spatial_median
 
 __version__ = "0.1.0"

@@ -14,10 +14,11 @@ b_c = P(|Z| <= c) and sigma_c^2 = E psi_c(Z)^2 for standard normal Z) gives
 the asymptotic relative efficiency of the clipped aggregate versus the
 weighted average; it increases from 2/pi to 1 as c grows.
 
-The central stages (``aggregate_sigma``, :func:`huber_aggregate`,
-:func:`weighted_average` and ``detect``) read one :class:`RoundView` of a
-round: sorted by server id once, stacked once, its finite rows and its PD
-screen worked out once.  Each stage also takes a plain iterable of
+A round is one :class:`RoundView` from ``contaminate`` through the wire
+codec to the central stages (``aggregate_sigma``, :func:`huber_aggregate`,
+:func:`weighted_average` and ``detect``), which read it in server order:
+as it arrives when it already is, sorted and stacked once when it is not.
+Its PD screen is run once.  Each stage also takes a plain iterable of
 estimates and builds the same view from it.  The stacked forms keep the
 bits of the per-server loops they replaced (numpy 2.4, OpenBLAS; counts
 from random draws):
@@ -94,10 +95,11 @@ class LocalEstimate:
         return self.theta_star.size
 
 
-def server_order(item) -> tuple:
-    """Sort key for anything carrying a ``server_id``: integer ids ascending,
-    then string ids ascending."""
-    return (isinstance(item.server_id, str), item.server_id)
+def server_positions(server_ids) -> list[int]:
+    """The positions of ``server_ids`` in server order: integer ids
+    ascending, then string ids ascending; equal ids keep their order."""
+    keys = [(isinstance(sid, str), sid) for sid in server_ids]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @dataclass
@@ -141,24 +143,72 @@ def tau_c(c: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RoundView:
-    """A round of estimates, sorted once in :func:`server_order` and stacked.
+    """One round: the ids, sizes, ``(K, p)`` estimates and ``(K, p, p)``
+    variance matrices of its servers, one row each, in one order.
 
-    ``members`` is every estimate of the round, in server order.  Those of
-    dimension ``p`` are the admitted rows: their ids, sizes, estimates and
-    variance matrices, stacked read-only in server order, with the rows
-    whose entries are all finite marked.  The central stages read these
-    instead of sorting, stacking and checking the estimates each time.
-    Build one with :func:`round_view`.
+    The round travels in this form from ``contaminate`` through the wire
+    codec to the central stages, which read the arrays instead of sorting,
+    stacking and checking K estimates each time.  The constructor checks
+    that the rows align and that every ``n_k >= 1``, and makes the arrays
+    read-only.
+
+    ``estimates``, when given, are the round's members in round order, as
+    they were received; those of dimension ``p`` are the rows, in the same
+    order, and the others are members only.  Without them the members are
+    :class:`LocalEstimate` views of the rows, made when first asked for.
     """
 
-    p: int
-    members: tuple
     server_ids: tuple
     n_k: tuple
     thetas: np.ndarray  # (K, p)
     sigmas: np.ndarray  # (K, p, p)
-    theta_finite: np.ndarray  # (K,) bool
-    sigma_finite: np.ndarray  # (K,) bool
+    estimates: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "server_ids", tuple(self.server_ids))
+        object.__setattr__(self, "n_k", tuple(self.n_k))
+        k, p = self.thetas.shape
+        if self.sigmas.shape != (k, p, p) or len(self.server_ids) != k or len(self.n_k) != k:
+            raise DimensionError(
+                f"{len(self.server_ids)} ids, {len(self.n_k)} sizes, estimates of shape "
+                f"{self.thetas.shape} and variance matrices of shape {self.sigmas.shape} do not align"
+            )
+        if k and min(self.n_k) < 1:
+            raise ValueError("n_k must be >= 1")
+        self.thetas.flags.writeable = False
+        self.sigmas.flags.writeable = False
+
+    @property
+    def p(self) -> int:
+        return self.thetas.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.n_k if self.estimates is None else self.estimates)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        """Every estimate of the round, in round order."""
+        if self.estimates is not None:
+            return self.estimates
+        rows = zip(self.server_ids, self.n_k, list(self.thetas), list(self.sigmas))
+        return tuple(_row_estimate(*row) for row in rows)
+
+    @functools.cached_property
+    def others(self) -> tuple:
+        """``(position, estimate)`` of every member of another dimension."""
+        return tuple((i, e) for i, e in enumerate(self.estimates or ()) if e.p != self.p)
+
+    @functools.cached_property
+    def ordered(self) -> bool:
+        """Whether the members are in server order."""
+        ids = self.server_ids if self.estimates is None else [e.server_id for e in self.estimates]
+        return server_positions(ids) == list(range(len(ids)))
 
     @functools.cached_property
     def n_total(self) -> int:
@@ -178,9 +228,35 @@ class RoundView:
         return numkit.screen_positive_definite(self.sigmas)
 
 
+def _row_estimate(server_id, n_k, theta, sigma) -> LocalEstimate:
+    """The :class:`LocalEstimate` of one checked, read-only row, holding
+    views of it instead of the copies the constructor makes."""
+    est = object.__new__(LocalEstimate)
+    # Frozen: the fields go into the instance dict, as __init__ sets them.
+    vars(est).update(server_id=server_id, n_k=n_k, theta_star=theta, sigma_star=sigma)
+    return est
+
+
+def listed_round(estimates, p: int | None = None) -> RoundView:
+    """The :class:`RoundView` of ``estimates`` in the order given, its rows
+    those of dimension ``p`` (the first estimate's when None)."""
+    members = tuple(estimates)
+    if p is None:
+        p = members[0].p if members else 0
+    rows = [e for e in members if e.p == p]
+    k = len(rows)
+    return RoundView(
+        [e.server_id for e in rows],
+        [e.n_k for e in rows],
+        np.array([e.theta_star for e in rows], dtype=float).reshape(k, p),
+        np.array([e.sigma_star for e in rows], dtype=float).reshape(k, p, p),
+        members,
+    )
+
+
 def round_view(estimates, p: int | None = None) -> RoundView:
-    """The :class:`RoundView` of ``estimates`` (returned as it is if it
-    already is one of dimension ``p``).
+    """The :class:`RoundView` of ``estimates`` in server order, returned as
+    it is if it already is one of dimension ``p`` in server order.
 
     With ``p`` None the estimates must be at least one and of one
     dimension, which is admitted.  With ``p`` given, the estimates of
@@ -188,62 +264,16 @@ def round_view(estimates, p: int | None = None) -> RoundView:
     must still be at least one estimate.
     """
     if isinstance(estimates, RoundView):
-        if p is None or p == estimates.p:
+        if len(estimates) and estimates.ordered and (p is None or p == estimates.p):
             return estimates
         estimates = estimates.members
-    members = sorted(estimates, key=server_order)
+    estimates = list(estimates)
+    members = [estimates[i] for i in server_positions(e.server_id for e in estimates)]
     if not members:
         raise ValueError("at least one local estimate is required")
-    if p is None:
-        p = members[0].p
-        if any(e.p != p for e in members):
-            raise DimensionError("local estimates disagree on parameter dimension")
-        rows = members
-    else:
-        rows = [e for e in members if e.p == p]
-    k = len(rows)
-    thetas = np.array([e.theta_star for e in rows], dtype=float).reshape(k, p)
-    sigmas = np.array([e.sigma_star for e in rows], dtype=float).reshape(k, p, p)
-    thetas.flags.writeable = False
-    sigmas.flags.writeable = False
-    return RoundView(
-        p=p,
-        members=tuple(members),
-        server_ids=tuple(e.server_id for e in rows),
-        n_k=tuple(e.n_k for e in rows),
-        thetas=thetas,
-        sigmas=sigmas,
-        theta_finite=np.isfinite(thetas).all(axis=1),
-        sigma_finite=np.isfinite(sigmas).all(axis=(1, 2)),
-    )
-
-
-def stacked_estimates(server_ids, n_k, thetas: np.ndarray, sigmas: np.ndarray) -> list:
-    """One :class:`LocalEstimate` per row of the ``(K, p)`` estimates and
-    ``(K, p, p)`` variance matrices, in order.
-
-    The arrays are made read-only and each estimate holds views of its
-    rows, so the K estimates share two arrays instead of holding 2K copies.
-    The constructor's checks run once, on the whole stack.
-    """
-    server_ids, n_k = list(server_ids), list(n_k)
-    k, p = thetas.shape
-    if sigmas.shape != (k, p, p) or len(server_ids) != k or len(n_k) != k:
-        raise DimensionError(
-            f"{len(server_ids)} ids, {len(n_k)} sizes, estimates of shape {thetas.shape} "
-            f"and variance matrices of shape {sigmas.shape} do not align"
-        )
-    if k and min(n_k) < 1:
-        raise ValueError("n_k must be >= 1")
-    thetas.flags.writeable = False
-    sigmas.flags.writeable = False
-    out = []
-    for sid, n, theta, sigma in zip(server_ids, n_k, list(thetas), list(sigmas)):
-        est = object.__new__(LocalEstimate)
-        # Frozen: the fields go into the instance dict, as __init__ sets them.
-        vars(est).update(server_id=sid, n_k=n, theta_star=theta, sigma_star=sigma)
-        out.append(est)
-    return out
+    if p is None and any(e.p != members[0].p for e in members):
+        raise DimensionError("local estimates disagree on parameter dimension")
+    return listed_round(members, p)
 
 
 def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +342,7 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
     view = round_view(estimates)
-    finite = view.theta_finite
+    finite = np.isfinite(view.thetas).all(axis=1)
     if not finite.any():
         raise NumericalError("no estimate with finite entries to aggregate")
     n_k = [n for n, ok in zip(view.n_k, finite.tolist()) if ok]

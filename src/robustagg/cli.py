@@ -38,6 +38,7 @@ from .distsim import (
     ContaminationSpec,
     StudyConfig,
     check_workers,
+    contaminate,
     decode_message,
     decode_messages,
     default_workers,
@@ -385,18 +386,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             except (RobustAggError, ValueError) as exc:
                 raise ConfigError(f"{path}: {exc}") from None
         raise
-    # Exercise the same wire codec the distributed system would use.
-    estimates = decode_messages(
-        encode_messages(LocalEstimate(f.server_id, f.n_k, f.theta_hat, f.sigma_hat) for f in fits)
-    )
+    # The round of the fits in server order, as a study sends it when no
+    # server is corrupted, over the same wire codec.
+    received = decode_messages(encode_messages(contaminate(model, fits, shards, ContaminationSpec(), 0)))
 
     sigma_hat = None
     if args.trusted_server is not None:
-        by_id = {str(e.server_id): e for e in estimates}
-        if args.trusted_server not in by_id:
+        ids = [str(sid) for sid in received.server_ids]
+        if args.trusted_server not in ids:
             raise ConfigError(f"trusted server {args.trusted_server!r} not among shards")
         try:
-            sigma_hat = numkit.require_pd(by_id[args.trusted_server].sigma_star, len(covariates))
+            sigma_hat = numkit.require_pd(received.sigmas[ids.index(args.trusted_server)], len(covariates))
         except NotPositiveDefiniteError as exc:
             reason = str(exc) if exc.eigenvalue is None else f"smallest eigenvalue {exc.eigenvalue:.6e}"
             raise ConfigError(
@@ -406,9 +406,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # Module-qualified on purpose: perfbench traces the functions imported
     # into this module by name, and the central layers under process() are
     # traced in distsim.
-    result, theta_bar, se_wa, report = distsim.process(
-        estimates, args.c, args.alpha, sigma_hat
-    )
+    result, theta_bar, se_wa, report = distsim.process(received, args.c, args.alpha, sigma_hat)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
@@ -430,8 +428,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(out_dir / "detection.csv", "w", newline="") as fh:
         report.to_csv(fh)
 
-    total = sum(e.n_k for e in estimates)
-    print(f"servers: {len(estimates)}, N = {total}, c = {args.c}, tau = {_sig6(result.tau)}")
+    print(f"servers: {len(received)}, N = {sum(received.n_k)}, c = {args.c}, tau = {_sig6(result.tau)}")
     print(f"{'coefficient':<16}{'huber':>14}{'(se)':>12}{'weighted':>14}{'(se)':>12}")
     for j, name in enumerate(covariates):
         print(

@@ -258,36 +258,33 @@ def detect(
     d2s = dict(zip(passed.tolist(), _step2(view, diffs, passed)))
 
     records = []
-    row = 0
-    for e in view.members:
-        if e.p != p:
-            records.append(_error_record(e, "theta_hat dimension does not match the estimate"))
-            continue
-        d1 = d1s[row]
-        d2 = d2s.get(row)
-        row += 1
+    for row, (sid, n_k, d1) in enumerate(zip(view.server_ids, view.n_k, d1s)):
         if isinstance(d1, Exception):
-            records.append(_error_record(e, str(d1)))
+            records.append(_error_record(sid, n_k, str(d1)))
             continue
+        d2 = d2s.get(row)
         theta_flagged = not d1 <= threshold
         records.append(
             ServerDetection(
-                server_id=e.server_id,
-                n_k=e.n_k,
+                server_id=sid,
+                n_k=n_k,
                 d1=d1,
                 d2=d2,
                 theta_flagged=theta_flagged,
                 sigma_flagged=not theta_flagged and (d2 is None or d2 > threshold),
             )
         )
+    # Members of another dimension get their rows at their places.
+    for i, e in view.others:
+        records.insert(i, _error_record(e.server_id, e.n_k, "theta_hat dimension does not match the estimate"))
     return DetectionReport(records=records, alpha=alpha, threshold=threshold, p=p)
 
 
-def _error_record(e: LocalEstimate, error: str) -> ServerDetection:
+def _error_record(server_id, n_k: int, error: str) -> ServerDetection:
     """The report row of a server whose distances could not be computed."""
     return ServerDetection(
-        server_id=e.server_id,
-        n_k=e.n_k,
+        server_id=server_id,
+        n_k=n_k,
         d1=None,
         d2=None,
         theta_flagged=False,

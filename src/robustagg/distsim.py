@@ -36,13 +36,15 @@ from .errors import (
     TruncatedMessageError,
     VersionMismatchError,
 )
-from . import aggregate, numkit
+from . import numkit
 from .aggregate import (
     DEFAULT_HUBER_C,
     LocalEstimate,
+    RoundView,
     huber_aggregate,
+    listed_round,
     round_view,
-    stacked_estimates,
+    server_positions,
     standard_errors,
     weighted_average,
 )
@@ -189,8 +191,9 @@ def contaminate(
     shards: list[Observations],
     spec: ContaminationSpec,
     seed,
-) -> list[LocalEstimate]:
-    """Turn local fits into the payloads that actually reach the processor.
+) -> RoundView:
+    """The round of payloads that actually reaches the processor: the fits
+    stacked once, in server order, with the corrupted rows replaced.
 
     The first ``spec.resolved_count(K)`` servers in server-id order
     transmit a corrupted estimate, drawn in the order of ``fits``; their
@@ -200,44 +203,33 @@ def contaminate(
     """
     if len(fits) != len(shards):
         raise DimensionError("fits and shards must align one-to-one")
-    # Module-qualified on purpose: perfbench traces every robustagg function
-    # imported into this module by name, and a sort key is called per server.
-    order = sorted(range(len(fits)), key=lambda i: aggregate.server_order(fits[i]))
-    corrupt_positions = set(order[: spec.resolved_count(len(fits))])
+    order = server_positions(fit.server_id for fit in fits)
+    k, p = len(fits), model.p
+    thetas = np.array([fits[i].theta_hat for i in order], dtype=float).reshape(k, p)
+    sigmas = np.array([fits[i].sigma_hat for i in order], dtype=float).reshape(k, p, p)
     rng = _rng(seed)
-
-    if not fits:
-        return []
-    thetas, sigmas = [], []
-    for i, fit in enumerate(fits):
-        theta_star, sigma_star = fit.theta_hat, fit.sigma_hat
-        if i in corrupt_positions:
-            if spec.kind is ContaminationKind.OMNISCIENT:
-                if spec.omniscient_value is not None:
-                    theta_star = np.asarray(spec.omniscient_value, dtype=float).ravel()
-                    if theta_star.size != model.p:
-                        raise DimensionError(
-                            "omniscient_value dimension does not match the model"
-                        )
-                else:
-                    theta_star = np.full(model.p, _OMNISCIENT_DEFAULT)
-            elif spec.kind is ContaminationKind.GAUSSIAN:
-                theta_star = rng.standard_normal(model.p) * math.sqrt(spec.gaussian_scale)
-            elif spec.kind is ContaminationKind.BIT_FLIP:
-                theta_star = -fit.theta_hat
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown contamination kind {spec.kind}")
-            # At an extreme value the sandwich's products may overflow; it
-            # then comes out all NaN, which the processor leaves out and flags.
-            with np.errstate(over="ignore"):
-                sigma_star = sandwich_variance(model, shards[i], theta_star, allow_singular=True)
-        thetas.append(theta_star)
-        sigmas.append(sigma_star)
-    return stacked_estimates(
-        [fit.server_id for fit in fits],
-        [fit.n_k for fit in fits],
-        np.array(thetas, dtype=float),
-        np.array(sigmas, dtype=float),
+    # Row j of the round is fits[order[j]]; the corrupted rows draw in fits order.
+    for j in sorted(range(spec.resolved_count(k)), key=order.__getitem__):
+        if spec.kind is ContaminationKind.OMNISCIENT:
+            if spec.omniscient_value is not None:
+                theta_star = np.asarray(spec.omniscient_value, dtype=float).ravel()
+                if theta_star.size != p:
+                    raise DimensionError("omniscient_value dimension does not match the model")
+            else:
+                theta_star = np.full(p, _OMNISCIENT_DEFAULT)
+        elif spec.kind is ContaminationKind.GAUSSIAN:
+            theta_star = rng.standard_normal(p) * math.sqrt(spec.gaussian_scale)
+        elif spec.kind is ContaminationKind.BIT_FLIP:
+            theta_star = -fits[order[j]].theta_hat
+        else:  # pragma: no cover - exhaustive enum
+            raise ValueError(f"unknown contamination kind {spec.kind}")
+        thetas[j] = theta_star
+        # At an extreme value the sandwich's products may overflow; it then
+        # comes out all NaN, which the processor leaves out and flags.
+        with np.errstate(over="ignore"):
+            sigmas[j] = sandwich_variance(model, shards[order[j]], theta_star, allow_singular=True)
+    return RoundView(
+        [fits[i].server_id for i in order], [fits[i].n_k for i in order], thetas, sigmas
     )
 
 
@@ -252,8 +244,9 @@ def contaminate(
 # (or starts with "'"), so both type and text round-trip.
 #
 # A round of payloads is encoded and decoded in one call; the one-payload
-# calls are that call on a list of one.  A batch returns what the one-payload
-# calls return, and raises what the first payload to fail would raise alone.
+# calls are that call on a list of one.  The members of a decoded round are
+# what the one-payload calls return, and a batch raises what the first
+# payload to fail would raise alone.
 # ---------------------------------------------------------------------------
 
 _STR_ID_MARK = "'"
@@ -286,48 +279,39 @@ def _decode_id(text: str) -> int | str:
     return int(text) if _is_int_text(text) else text
 
 
-def _by_dimension(dims) -> dict:
-    """Positions of each dimension in ``dims``, in order."""
-    groups: dict = {}
-    for i, p in enumerate(dims):
-        groups.setdefault(p, []).append(i)
-    return groups
-
-
 def encode_messages(estimates) -> list[bytes]:
-    """The wire payload of every estimate, in order.
+    """The wire payload of every member of a round (a :class:`RoundView`,
+    or estimates in any order), in order.
 
     The wire format carries vech(sigma), so only (near-)symmetric matrices
     are encodable; a symmetric matrix round-trips bit-identically.  A
     matrix with a non-finite entry is sent too, as the vech of its
     symmetrized form, since the decoder accepts it and the processor leaves
-    it out and flags it.  The estimates of each dimension share one stacked
-    symmetry test and one ``tobytes``, and each payload takes one base64
-    call and one CRC.
+    it out and flags it.  The rows share one stacked symmetry test and one
+    ``tobytes``, and each payload takes one base64 call and one CRC.  A
+    round whose members differ in dimension is sent one member at a time.
     """
-    ests = list(estimates)
-    sendable = np.zeros(len(ests), dtype=bool)
-    numbers: list = [None] * len(ests)
-    for p, idx in _by_dimension(e.p for e in ests).items():
-        if p < 1:
-            continue  # ensure_symmetric raises the DimensionError below
-        sigmas = np.stack([ests[i].sigma_star for i in idx])
+    view = estimates if isinstance(estimates, RoundView) else listed_round(estimates)
+    if view.others:
+        return [encode_messages([e])[0] for e in view.members]
+    k, p = view.thetas.shape
+    sendable = np.zeros(k, dtype=bool)
+    numbers: list = [b""] * k
+    if k and p >= 1:  # a p of 0 raises ensure_symmetric's DimensionError below
         # inf - inf and inf + -inf give NaN only in a non-finite matrix,
         # which is sent anyway, and a finite pair that overflows its sum is
         # halved first by symmetrize, so they warn of nothing.
         with np.errstate(invalid="ignore", over="ignore"):
-            sendable[idx] = numkit.symmetric_mask(sigmas) | ~np.isfinite(sigmas).all(axis=(1, 2))
-            vechs = numkit.vech_stack(numkit.symmetrize(sigmas))
-        thetas = np.stack([ests[i].theta_star for i in idx])
-        blob = np.concatenate([thetas, vechs], axis=1).astype(_WIRE_FLOAT, copy=False).tobytes()
-        width = len(blob) // len(idx)
-        for j, i in enumerate(idx):
-            numbers[i] = base64.b64encode(blob[j * width : (j + 1) * width])
+            sendable = numkit.symmetric_mask(view.sigmas) | ~np.isfinite(view.sigmas).all(axis=(1, 2))
+            vechs = numkit.vech_stack(numkit.symmetrize(view.sigmas))
+        blob = np.concatenate([view.thetas, vechs], axis=1).astype(_WIRE_FLOAT, copy=False).tobytes()
+        width = len(blob) // k
+        numbers = [base64.b64encode(blob[j * width : (j + 1) * width]) for j in range(k)]
     out = []
-    for e, ok, b64 in zip(ests, sendable, numbers):
+    for sid, n_k, sigma, ok, b64 in zip(view.server_ids, view.n_k, view.sigmas, sendable, numbers):
         if not ok:
-            numkit.ensure_symmetric(e.sigma_star)  # raises its error for this matrix
-        body = f"{PROTOCOL_VERSION}|{_encode_id(e.server_id)}|{e.n_k}|{e.p}|".encode("ascii") + b64
+            numkit.ensure_symmetric(sigma)  # raises its error for this matrix
+        body = f"{PROTOCOL_VERSION}|{_encode_id(sid)}|{n_k}|{p}|".encode("ascii") + b64
         out.append(b"%s|%08x" % (body, zlib.crc32(body)))
     return out
 
@@ -339,8 +323,8 @@ def encode_message(est: LocalEstimate) -> bytes:
 
 def _checked_fields(payload: bytes) -> tuple:
     """``(server id text, n_k, p, numbers)`` of a payload whose version,
-    field count, checksum, numbers and dimension hold, where ``numbers`` is
-    the bytes of its p + vech_len(p) doubles."""
+    field count, checksum, numbers, integer fields and dimension hold,
+    where ``numbers`` is the bytes of its p + vech_len(p) doubles."""
     try:
         text = payload.decode("ascii")
     except (UnicodeDecodeError, AttributeError) as exc:
@@ -370,8 +354,10 @@ def _checked_fields(payload: bytes) -> tuple:
         numbers = base64.b64decode(b64, validate=True)
     except ValueError as exc:
         raise TruncatedMessageError(f"malformed numeric field: {exc}") from None
-    # Canonical: a field with nonzero pad bits decodes, but is not what
-    # the encoder sends.
+    # Canonical: "05", "+5" or "1_0" read as ints, and a numbers field with
+    # nonzero pad bits decodes, but none is what the encoder sends.
+    if str(n_k) != nk_txt or str(p) != p_txt:
+        raise TruncatedMessageError("n_k or p is not in canonical decimal")
     if base64.b64encode(numbers).decode("ascii") != b64:
         raise TruncatedMessageError("numbers field is not canonical base64")
     if p < 1 or len(numbers) != _WIRE_FLOAT.itemsize * (p + numkit.vech_len(p)):
@@ -381,44 +367,44 @@ def _checked_fields(payload: bytes) -> tuple:
     return sid_txt, n_k, p, numbers
 
 
-def decode_messages(payloads) -> list[LocalEstimate]:
-    """The estimate of every wire payload, in order.
+def decode_messages(payloads) -> RoundView:
+    """The round of the estimates the wire payloads carry, in payload order.
 
     A round runs straight through: the version, field count, checksum,
-    base64 numbers and declared dimension of every payload, one
-    ``np.frombuffer`` over all their numbers, then one stacked ``vech_inv``
-    and the estimates of each dimension.  If a round of more than one
+    base64 numbers and declared dimension of every payload, then one
+    ``np.frombuffer`` over all their numbers and one stacked ``vech_inv``
+    give the round's arrays.  Payloads that differ in dimension are decoded
+    one at a time into the round's members.  If a round of more than one
     payload fails, its payloads are decoded again one at a time, in order,
     so the error raised is the one the first failing payload raises alone.
     """
     payloads = list(payloads)
-    if not payloads:
-        return []
     try:
         fields = [_checked_fields(payload) for payload in payloads]
+        dims = {f[2] for f in fields}
+        if len(dims) > 1:
+            return listed_round(decode_messages([payload])[0] for payload in payloads)
+        p = dims.pop() if dims else 0
         values = np.frombuffer(b"".join(f[3] for f in fields), dtype=_WIRE_FLOAT)
-        dims = [f[2] for f in fields]
-        starts = np.cumsum([0] + [p + numkit.vech_len(p) for p in dims])
-        out: list = [None] * len(fields)
-        for p, idx in _by_dimension(dims).items():
-            block = values[starts[idx][:, None] + np.arange(p + numkit.vech_len(p))]
-            ests = stacked_estimates(
-                [_decode_id(fields[i][0]) for i in idx],
-                [fields[i][1] for i in idx],
-                block[:, :p],
-                numkit.vech_inv_stack(block[:, p:], p),
-            )
-            for i, est in zip(idx, ests):
-                out[i] = est
-        return out
-    except (RobustAggError, ValueError):
+        block = values.reshape(len(fields), p + numkit.vech_len(p))
+        return RoundView(
+            [_decode_id(f[0]) for f in fields],
+            [f[1] for f in fields],
+            block[:, :p].copy(),
+            numkit.vech_inv_stack(block[:, p:], p),
+        )
+    except (RobustAggError, ValueError) as exc:
         if len(payloads) == 1:
             raise
-    return [decode_messages([payload])[0] for payload in payloads]
+        error = exc
+    for payload in payloads:
+        decode_messages([payload])
+    raise error
 
 
 def decode_message(payload: bytes) -> LocalEstimate:
-    """The estimate of one wire payload: :func:`decode_messages` of one."""
+    """The estimate of one wire payload: the member of
+    :func:`decode_messages` of one."""
     return decode_messages([payload])[0]
 
 
@@ -469,11 +455,14 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     without a finite estimate does), and the stages reuse its
     factorization.
     """
-    received = list(received)
-    dims = Counter(e.p for e in received)
-    p = max(dims, key=dims.get, default=None)
-    # Sorted and stacked once; every stage below reads this view.
-    view = round_view(received, p if 2 * dims[p] > len(received) else None)
+    received = received if isinstance(received, RoundView) else listed_round(received)
+    dims = Counter(e.p for _, e in received.others)
+    dims[received.p] += len(received.n_k)
+    p = max(dims, key=dims.get)
+    # In server order (sorted and stacked only if it is not yet); every
+    # stage below reads this view.  Without a strict majority, the view of
+    # the members raises.
+    view = round_view(received, p) if 2 * dims[p] > len(received) else round_view(received.members)
     # Checked and factored once; the stages below pass it through.
     sigma_hat = aggregate_sigma(view) if sigma_hat is None else numkit.require_pd(sigma_hat, view.p)
     result = huber_aggregate(view, sigma_hat, c)
@@ -494,10 +483,10 @@ def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     data = generate_dataset(config.model, config.theta0, config.total_size, data_seed)
     shards = partition(data, config.n_servers)
     fits = fit_shards(model, shards, server_ids=range(1, len(shards) + 1))
-    estimates = contaminate(model, fits, shards, config.contamination, contam_seed)
+    sent = contaminate(model, fits, shards, config.contamination, contam_seed)
 
     # Transport: everything the processor sees went over the wire.
-    received = decode_messages(encode_messages(estimates))
+    received = decode_messages(encode_messages(sent))
 
     result, theta_bar, se_wa, report = process(received, config.c, config.alpha)
 

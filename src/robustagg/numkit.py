@@ -211,19 +211,13 @@ def require_pd(a, p: int | None = None) -> PDMatrix:
     return checked
 
 
-def pd_roots(a) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of a positive definite
-    matrix from one eigendecomposition, ``require_pd(a).roots()``; the
-    second, B, satisfies B A B = I.
+def inv_sqrt_pd(a) -> np.ndarray:
+    """The inverse square root B of a positive definite matrix, with
+    B A B = I: the second of ``require_pd(a).roots()``.
 
     Raises as :func:`require_pd` does.
     """
-    return require_pd(a).roots()
-
-
-def inv_sqrt_pd(a) -> np.ndarray:
-    """The inverse square root B of :func:`pd_roots`, with B A B = I."""
-    return pd_roots(a)[1]
+    return require_pd(a).roots()[1]
 
 
 # Largest exponent of the extraction constant that keeps it and every

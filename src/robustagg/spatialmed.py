@@ -352,7 +352,7 @@ def aggregate_sigma(estimates) -> numkit.PDMatrix:
     decomposing the matrix again.
     """
     view = round_view(estimates)
-    finite = np.flatnonzero(view.sigma_finite)
+    finite = np.flatnonzero(np.isfinite(view.sigmas).all(axis=(1, 2)))
     pd, sym = view.screen
     # vech of every finite matrix at once; the others are repaired first.
     # A repair near the largest double overflows, and is left out below.

@@ -319,6 +319,39 @@ class TestPipelineCommand:
         assert len(detection) == 4
         assert all(r["theta_flagged"] == "False" for r in detection)
 
+    def test_shard_path_order_is_not_server_order(self, tmp_path, monkeypatch):
+        # Path sorts "a-b.csv" before "a.csv"; server order puts id "a"
+        # before "a-b".  One directory per shard puts the same stems in
+        # path order too, so that round needs no sort.
+        texts = [p.read_text() for p in make_shards(tmp_path, k=3, n=300, seed=8)]
+        stems = ["a", "a-b", "b"]
+        flat = [tmp_path / "flat" / f"{stem}.csv" for stem in stems]
+        nested = [tmp_path / "nested" / str(k) / f"{stem}.csv" for k, stem in enumerate(stems)]
+        for path, text in [*zip(flat, texts), *zip(nested, texts)]:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert [p.stem for p in sorted(flat)] == ["a-b", "a", "b"]
+        assert [p.stem for p in sorted(nested)] == stems
+
+        sorts = []
+        round_view = distsim.round_view
+
+        def counting(received, p=None):
+            view = round_view(received, p)
+            sorts.append(view is not received)
+            return view
+
+        monkeypatch.setattr(distsim, "round_view", counting)
+        written = {}
+        for name, paths in (("flat", flat), ("nested", nested)):
+            out = tmp_path / name / "out"
+            assert main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(out)]) == 0
+            written[name] = [(out / f).read_bytes() for f in ("aggregate.csv", "detection.csv")]
+        assert sorts == [False, False]  # the round was sent in server order
+        assert written["flat"] == written["nested"]
+        rows = list(csv.reader(written["flat"][1].decode().splitlines()))
+        assert [r[0] for r in rows[1:]] == stems
+
     def test_unfittable_shard_is_named(self, tmp_path, capsys):
         paths = make_shards(tmp_path, k=5, n=300)
         lines = paths[2].read_text().splitlines(keepends=True)

@@ -378,7 +378,11 @@ def other_dimension(payload: bytes) -> bytes:
     return renumber(payload, bytes(8 * (p + 1 + numkit.vech_len(p + 1))))
 
 
-# Hostile numbers fields and declared dimensions: each raises
+def declared_p(payload: bytes) -> str:
+    return payload.split(b"|")[3].decode("ascii")
+
+
+# Hostile numbers fields, declared dimensions and sizes: each raises
 # TruncatedMessageError on its own.
 NUMBERS_DEFECTS = {
     "malformed number": lambda w: refield(w, 4, "1.0.0"),
@@ -395,6 +399,13 @@ NUMBERS_DEFECTS = {
     "declared p -1": lambda w: refield(w, 3, "-1"),
     "declared p 10**9": lambda w: refield(w, 3, str(10**9)),
     "non-canonical base64": nonzero_pad_bits,
+    # Integers that int() reads but the encoder never writes.
+    "n_k +5": lambda w: refield(w, 2, "+5"),
+    "n_k ' 5'": lambda w: refield(w, 2, " 5"),
+    "n_k 05": lambda w: refield(w, 2, "05"),
+    "n_k 1_0": lambda w: refield(w, 2, "1_0"),
+    "p with a plus sign": lambda w: refield(w, 3, "+" + declared_p(w)),
+    "p with a leading zero": lambda w: refield(w, 3, "0" + declared_p(w)),
 }
 
 DECODE_DEFECTS = {
@@ -516,7 +527,7 @@ class TestBatchedTransport:
 
     def test_empty_round(self):
         assert encode_messages([]) == []
-        assert decode_messages([]) == []
+        assert list(decode_messages([])) == []
 
     @pytest.mark.parametrize("defect", sorted(DECODE_DEFECTS))
     def test_decode_error_is_that_of_the_failing_payload(self, defect):
@@ -1008,24 +1019,26 @@ class TestStudyLevelInvariants:
         assert ((ratio >= 0.85) & (ratio <= 1.15)).all()
 
     def test_corrupts_the_first_servers_in_id_order(self):
-        # Fits arrive shuffled, with int and str ids; the corrupted servers
-        # are the first `count` in server-id order, ints before strs.
+        # Fits arrive shuffled, with int and str ids; the round comes out in
+        # server-id order, ints before strs, and the corrupted servers are
+        # its first `count`.
         model = ModelSpec.linear(2)
         shards, fits = fit_shards(model, (2.0, 1.0), 6, 100, 15)
-        ids = [7, "b", 2, "a", 11, 3]  # server order: 2, 3, 7, 11, "a", "b"
+        ids = [7, "b", 2, "a", 11, 3]
         fits = [dataclasses.replace(f, server_id=sid) for f, sid in zip(fits, ids)]
+        by_id = {f.server_id: f for f in fits}
         for count, corrupted in ((3, {2, 3, 7}), (5, {2, 3, 7, 11, "a"})):
             spec = ContaminationSpec(kind=ContaminationKind.BIT_FLIP, count=count)
             ests = contaminate(model, fits, shards, spec, 7)
-            assert [e.server_id for e in ests] == ids
+            assert [e.server_id for e in ests] == [2, 3, 7, 11, "a", "b"]
             flipped = {
-                e.server_id for e, f in zip(ests, fits)
-                if not np.array_equal(e.theta_star, f.theta_hat)
+                e.server_id for e in ests
+                if not np.array_equal(e.theta_star, by_id[e.server_id].theta_hat)
             }
             assert flipped == corrupted
-            for e, f in zip(ests, fits):
+            for e in ests:
                 if e.server_id in corrupted:
-                    assert np.array_equal(e.theta_star, -f.theta_hat)
+                    assert np.array_equal(e.theta_star, -by_id[e.server_id].theta_hat)
 
     def test_omniscient_replicate_scores_the_corrupted_servers(self):
         cfg = StudyConfig(

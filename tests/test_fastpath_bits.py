@@ -13,7 +13,7 @@ from scipy import special
 from scipy.special import expit
 
 from robustagg import numkit
-from robustagg.aggregate import LocalEstimate, server_order
+from robustagg.aggregate import LocalEstimate
 from robustagg.detect import detect
 from robustagg.errors import DimensionError, NumericalError
 from robustagg.models import (
@@ -34,6 +34,11 @@ NEAR_SINGULAR = np.array(
         [-13027708157195.771, 13028161067927.719],
     ]
 )
+
+
+def server_order(e):
+    """Integer ids ascending, then string ids ascending."""
+    return (isinstance(e.server_id, str), e.server_id)
 
 
 def est(sid, n_k, theta, sigma):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from robustagg import models
-from robustagg.aggregate import stacked_estimates, tau_c
+from robustagg.aggregate import RoundView, tau_c
 from robustagg.distsim import (
     ContaminationKind,
     ContaminationSpec,
@@ -110,7 +110,7 @@ CHECKS = {
         "at least one point is required",
     ),
     "misaligned stack": (
-        lambda: stacked_estimates([1], [10, 20], np.zeros((1, 2)), np.zeros((1, 2, 2))),
+        lambda: RoundView([1], [10, 20], np.zeros((1, 2)), np.zeros((1, 2, 2))),
         DimensionError,
         r"1 ids, 2 sizes, estimates of shape \(1, 2\) and variance matrices "
         r"of shape \(1, 2, 2\) do not align",
@@ -143,4 +143,4 @@ def test_rejected_with_its_message(name):
 
 
 def test_no_fits_contaminate_to_no_payloads():
-    assert contaminate(LINEAR2, [], [], ContaminationSpec(), 0) == []
+    assert list(contaminate(LINEAR2, [], [], ContaminationSpec(), 0)) == []

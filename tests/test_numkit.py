@@ -12,6 +12,11 @@ from robustagg.detect import detect
 from robustagg.errors import DimensionError, NotPositiveDefiniteError
 
 
+def pd_roots(a):
+    """Both roots of a PD matrix, from one check and factorization."""
+    return numkit.require_pd(a).roots()
+
+
 def random_pd(rng, p, cond=100.0):
     """Random symmetric PD matrix with the requested condition number."""
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -20,7 +25,7 @@ def random_pd(rng, p, cond=100.0):
 
 
 class TestSymEig:
-    """The descending eigenpairs require_pd returns, which pd_roots builds on."""
+    """The descending eigenpairs require_pd returns, which PDMatrix.roots builds on."""
 
     def test_identity(self):
         _, values, _ = numkit.require_pd(np.eye(2))
@@ -192,7 +197,7 @@ class TestInvSqrt:
             numkit.inv_sqrt_pd(np.diag([1.0, -3.0]))
         assert excinfo.value.eigenvalue == pytest.approx(-3.0)
 
-    @pytest.mark.parametrize("root", [numkit.inv_sqrt_pd, numkit.pd_roots])
+    @pytest.mark.parametrize("root", [numkit.inv_sqrt_pd, pd_roots])
     def test_rejects_asymmetric(self, root):
         with pytest.raises(ValueError):
             root(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -204,13 +209,13 @@ class TestInvSqrt:
         for p in range(1, 7):
             for _ in range(40):
                 a = random_pd(rng, p, cond=10 ** rng.uniform(0, 8))
-                root, inv_root = numkit.pd_roots(a)
+                root, inv_root = pd_roots(a)
                 assert np.array_equal(root, sorted_root_reference(a, False))
                 assert np.array_equal(inv_root, sorted_root_reference(a, True))
                 assert np.array_equal(numkit.inv_sqrt_pd(a), inv_root)
             q, _ = np.linalg.qr(rng.standard_normal((p, p)))
             tied = (q * np.repeat([3.0, 1.0], (p + 1) // 2)[:p]) @ q.T
-            root, inv_root = numkit.pd_roots(tied)
+            root, inv_root = pd_roots(tied)
             assert np.array_equal(root, sorted_root_reference(tied, False))
             assert np.array_equal(inv_root, sorted_root_reference(tied, True))
             assert np.array_equal(numkit.inv_sqrt_pd(tied), inv_root)

@@ -20,11 +20,17 @@ from hypothesis import strategies as st
 from scipy import special
 
 from robustagg import aggregate, distsim, numkit
-from robustagg.aggregate import LocalEstimate, huber_aggregate, round_view, server_order, standard_errors
+from robustagg.aggregate import LocalEstimate, huber_aggregate, round_view, standard_errors
 from robustagg.detect import detect, mahalanobis_d1
-from robustagg.distsim import decode_messages, encode_messages, process
+from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
+from robustagg.models import ModelKind
 from robustagg.spatialmed import WeightedPoint, spatial_median
+
+
+def server_order(e):
+    """Integer ids ascending, then string ids ascending."""
+    return (isinstance(e.server_id, str), e.server_id)
 
 
 def weighted_average_reference(ests):
@@ -300,22 +306,42 @@ class TestOneViewPerRound:
             assert got[0].se.tobytes() == want[0].se.tobytes()
             assert got[3].to_csv_string() == want[3].to_csv_string()
 
-    def test_process_sorts_and_stacks_once(self, monkeypatch):
+    def test_one_round_per_side_of_the_wire(self, monkeypatch):
+        # contaminate builds the round that is encoded and decode_messages
+        # the one the processor reads; process builds none for a round of
+        # one dimension in server order, and one for a round out of order.
+        events = []
+        post_init = aggregate.RoundView.__post_init__
+
+        def counting(view):
+            events.append("round")
+            post_init(view)
+
+        def marked(name, fn):
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(aggregate.RoundView, "__post_init__", counting)
+        for name in ("encode_messages", "decode_messages", "process"):
+            monkeypatch.setattr(distsim, name, marked(name, getattr(distsim, name)))
+        config = distsim.StudyConfig(
+            model=ModelKind.LINEAR,
+            theta0=(1.0, -1.0, 0.5),
+            n_servers=30,
+            shard_size=50,
+            contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN),
+        )
+        distsim.run_replicate(config, 0)
+        assert events == ["round", "encode_messages", "decode_messages", "round", "process"]
+
         received = linear_round()
-        views = []
-        build = aggregate.round_view
-
-        def counting(estimates, p=None):
-            view = build(estimates, p)
-            if view is not estimates:
-                views.append(view)
-            return view
-
-        monkeypatch.setattr(distsim, "round_view", counting)
-        monkeypatch.setattr(aggregate, "round_view", counting)
-        process(received, 1.345, 0.05)
-        assert len(views) == 1
-        assert list(views[0].server_ids) == sorted(e.server_id for e in received)
+        assert not received.ordered
+        events.clear()
+        report = process(received, 1.345, 0.05)[3]
+        assert events == ["round"]
+        assert [r.server_id for r in report.records] == sorted(e.server_id for e in received)
 
     def test_minority_rows_are_members_only(self):
         ests = [LocalEstimate(k, 10, np.zeros(2), np.eye(2)) for k in (3, 1, 2)]
