@@ -10,12 +10,11 @@ from .aggregate import (
     AggregationResult,
     LocalEstimate,
     huber_aggregate,
-    huber_psi,
     standard_errors,
     tau_c,
     weighted_average,
 )
-from .detect import DetectionReport, ServerDetection, detect, mahalanobis_d1, mahalanobis_d2
+from .detect import DetectionReport, ServerDetection, detect
 from .distsim import (
     ContaminationKind,
     ContaminationSpec,

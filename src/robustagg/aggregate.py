@@ -20,25 +20,8 @@ codec to the central stages (``aggregate_sigma``, :func:`huber_aggregate`,
 as it arrives when it already is, sorted and stacked once when it is not.
 Its PD screen is run once.  Each stage also takes a plain iterable of
 estimates and builds the same view from it.  The stacked forms keep the
-bits of the per-server loops they replaced (numpy 2.4, OpenBLAS; counts
-from random draws):
-
-* The weighted average is ``np.add.accumulate(w[:, None] * thetas,
-  axis=0)[-1] + 0.0`` (and the same for the variance matrices), which adds
-  one weighted row at a time from the first, as a ``+=`` loop from zero
-  does; ``+ 0.0`` turns an all ``-0.0`` sum into the loop's ``+0.0``.  It
-  equalled the loop in 400 of 400 rounds (K 2-500, p 1-7), and
-  ``np.add.reduce(..., axis=0)`` differed in 36 of them, all at p = 1,
-  where it sums pairwise.  Each weight is the Python ``n_k / N``: int true
-  division is correctly rounded, ``float(n_k) / N`` is not once ``n_k``
-  exceeds 2**53.  Where two NaNs meet, which one comes out may differ from
-  the loop's; every NaN prints as ``nan``.
-* Quadratic forms and norms are ``numkit.row_dots``, a stacked ``matmul``
-  that reaches the 1-D call's ``dot``: 0 of 140,000 rows differed (p 1-7),
-  against 29,036 of 70,000 for ``einsum("ij,ij->i")``.
-* One stacked ``eigh`` gives every matrix the bits of its own call, so the
-  view's one PD screen serves ``aggregate_sigma`` (its finite rows) and
-  detection's step 2 (the rows that pass step 1).
+bits of the per-server loops they replaced; README.md (Reproducibility)
+records how that was measured.
 """
 
 from __future__ import annotations
@@ -109,18 +92,6 @@ class AggregationResult:
     se: np.ndarray
     iterations: int
     residual_norm: float
-
-
-def huber_psi(u, c: float):
-    """Huber clipping function: identity on [-c, c], saturated at +-c outside.
-
-    Accepts scalars or arrays; the boundary |u| = c maps to u itself.
-    """
-    if not c > 0.0:
-        raise ValueError("tuning constant c must be positive")
-    if np.isscalar(u):
-        return float(min(max(float(u), -c), c))
-    return np.clip(np.asarray(u, dtype=float), -c, c)
 
 
 def tau_c(c: float) -> float:

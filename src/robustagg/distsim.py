@@ -88,8 +88,8 @@ class ContaminationSpec:
     def __post_init__(self):
         if self.count is not None and self.count < 0:
             raise ValueError("contamination count must be >= 0")
-        if self.gaussian_scale <= 0.0:
-            raise ValueError("gaussian_scale must be positive")
+        if not 0.0 < self.gaussian_scale < math.inf:
+            raise ValueError("gaussian_scale must be positive and finite")
 
     def resolved_count(self, n_servers: int) -> int:
         if self.kind is ContaminationKind.NONE:
@@ -131,6 +131,8 @@ class StudyConfig:
             raise ValueError("tuning constant c must be positive")
         if len(self.theta0) < 1:
             raise ValueError("theta0 must have at least one coordinate")
+        if not all(math.isfinite(t) for t in self.theta0):
+            raise ValueError("theta0 must be finite")
         self.contamination.resolved_count(self.n_servers)  # validate count vs K
         spec = self.contamination
         if spec.kind is ContaminationKind.OMNISCIENT and spec.omniscient_value is not None:
@@ -298,12 +300,8 @@ def encode_messages(estimates) -> list[bytes]:
     sendable = np.zeros(k, dtype=bool)
     numbers: list = [b""] * k
     if k and p >= 1:  # a p of 0 raises ensure_symmetric's DimensionError below
-        # inf - inf and inf + -inf give NaN only in a non-finite matrix,
-        # which is sent anyway, and a finite pair that overflows its sum is
-        # halved first by symmetrize, so they warn of nothing.
-        with np.errstate(invalid="ignore", over="ignore"):
-            sendable = numkit.symmetric_mask(view.sigmas) | ~np.isfinite(view.sigmas).all(axis=(1, 2))
-            vechs = numkit.vech_stack(numkit.symmetrize(view.sigmas))
+        sendable = numkit.symmetric_mask(view.sigmas) | ~np.isfinite(view.sigmas).all(axis=(1, 2))
+        vechs = numkit.vech_stack(numkit.symmetrize(view.sigmas))
         blob = np.concatenate([view.thetas, vechs], axis=1).astype(_WIRE_FLOAT, copy=False).tobytes()
         width = len(blob) // k
         numbers = [base64.b64encode(blob[j * width : (j + 1) * width]) for j in range(k)]

@@ -12,64 +12,9 @@ variance accumulates every entry with exactly rounded summation so the
 transmitted matrix is bit-identical under any permutation of the shard.
 
 Every published number depends on these exact bits, so a faster form of a
-reduction is acceptable only where it returns the same doubles.  Measured
-with numpy 2.4 and OpenBLAS 0.3:
-
-* Same bits: one ``math.fsum`` per entry over the ``tolist()`` of a product
-  column, however the product array is laid out; error-free extraction,
-  ``numkit.exact_column_means``, which the sandwich uses.  Its passes split
-  every entry exactly at ``sigma = 2**(ceil(log2(n + 2)) + E)``, with
-  ``2**E >= max|p|``, into a part whose row sums numpy computes exactly in
-  any order and a remainder that the next pass splits again; the few exact
-  pass sums are then rounded to the true column sum, as ``fsum`` over the
-  column rounds it.  The three-operand Hessian
-  ``einsum("i,ij,ik->jk", w, X, X)``, which sums each entry one product at
-  a time in observation order, starting from 0; and, in the central
-  processor, stacked ``eigh`` and stacked ``solve`` with one right-hand
-  side per matrix (see README.md).
-* Same bits, stacked over K equal-size shards (:func:`fit_shards`): X'X as
-  ``einsum("kij,kil->kjl", X, X)``; X'y as ``X.swapaxes(-1, -2) @ y[...,
-  None]`` and the linear predictor as ``X @ theta[..., None]`` (stacked
-  ``matmul``); the linear gradient as ``einsum("ki,kij->kj", resid, X)``;
-  stacked ``solve`` for theta and for both sides of the sandwich; per
-  pass, one ``exact_column_means`` call for every shard's gbar and U sums
-  and one for V.  ``grad_norm`` is the 1-D ``np.linalg.norm`` of each
-  shard's gradient, from one stacked ``numkit.row_dots`` (see below).
-* Same bits, in the lockstep logistic Newton (:func:`_newton`, which
-  :func:`criterion_eval` shares): ``expit`` and ``logaddexp`` as before;
-  the criterion value as ``np.add.reduce(y * eta - logaddexp(0, eta),
-  axis=-1) / n``, the pairwise summation of each contiguous row that the
-  1-D call applies; the gradient as ``einsum("ki,kij->kj", y - pi, X)``;
-  the Hessian from the products ``(w * x_j) * x_k`` of all p * p entries,
-  summed by ``np.add.accumulate`` along n with the last partial sum taken
-  and ``+ 0.0`` added.  That is the three-operand einsum's sum: both add
-  one product at a time in observation order, and ``+ 0.0`` turns the one
-  sum that differs, all ``-0.0`` (einsum starts from ``+0.0``), into
-  ``+0.0``.  Both (j, k) and (k, j) are needed, because they round
-  differently and ``symmetrize`` averages them.  Steps by stacked
-  ``solve`` with one right-hand side per shard; the gradient and theta
-  norms of the convergence and divergence tests are the square roots of
-  one stacked ``numkit.row_dots`` per test, whose ``matmul`` reaches the
-  ``dot`` of the 1-D ``np.linalg.norm`` (0 of 70,000 random rows
-  differed, p 1-7, overflow-scale and zero rows included).  The
-  accumulate Hessian equalled the einsum in all of 1,407 matrices (350
-  random stacks, p 2-5, column scales 1e-3 to 1e3).  The stacked
-  three-operand ``einsum("ki,kij,kil->kjl")`` has the same bits too, but
-  took 214-237 us against 146-148 us for the accumulate at K=6, n=1000,
-  p=2, so it is not used.
-* Different bits, so not used: ``(w[:, None] * X).T @ X`` (BLAS, 291 of 300
-  random shards differ); one 1-D ``add.reduce`` per Hessian entry (pairwise
-  summation, 300 of 300; summed along the stacked products' n axis, 1,391
-  of those 1,407 matrices); the upper triangle's sums mirrored below the
-  diagonal (1,249 of 1,407); ``1 / (1 + exp(-eta))`` with numpy's own
-  ``exp`` for ``expit`` (7,806 of 400,000 values); and the two-operand
-  ``einsum("ij,ik->jk", w[:, None] * X, X)``, which agrees for p >= 2 but
-  at p = 1 switches to a vectorized reduction (188 of 200 shards differ).
-  Of 4,000 linear shards (K=400, n=50, p=5, ten datasets):
-  ``einsum("kij,ki->kj", X, y)`` for X'y differed from ``X.T @ y`` in
-  3,990; ``einsum("ij,j->i", X, theta)`` for the linear predictor from
-  ``X @ theta`` in 4,000; and ``np.linalg.norm(grads, axis=1)`` from the
-  1-D norm in 479.
+reduction is acceptable only where it returns the same doubles.
+README.md (Reproducibility) records which forms were measured, which are
+used and why.
 """
 
 from __future__ import annotations

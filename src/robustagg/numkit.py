@@ -48,13 +48,15 @@ def _as_square_stack(stack) -> np.ndarray:
     return stack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2, or that of every matrix of a ``(K, p, p)`` stack.
 
     An entry whose finite pair sums beyond the largest double is halved
     before it is added, ``A/2 + A^T/2``; only those entries, so every other
     keeps the bits of ``(A + A^T)/2`` (halving first would change subnormal
-    ones).
+    ones).  So the overflow warns of nothing, nor does the NaN of
+    ``inf + -inf``, which only a non-finite matrix has.
     """
     a = np.asarray(a, dtype=float)
     a = _as_square_stack(a) if a.ndim == 3 else _as_square(a)
@@ -67,9 +69,15 @@ def symmetrize(a) -> np.ndarray:
     return sym
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symmetric_mask(a: np.ndarray) -> np.ndarray:
     """The symmetry test of :func:`is_symmetric` for a matrix or for each
-    matrix of a ``(..., p, p)`` stack."""
+    matrix of a ``(..., p, p)`` stack.
+
+    The NaN of ``inf - inf`` fails the test, and a finite pair whose
+    difference overflows is asymmetric, so neither warns.  An inf entry
+    whose partner is finite passes it (``inf <= inf``); callers test
+    finiteness apart."""
     scale = np.abs(a).max(axis=(-2, -1))
     asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
     return (scale == 0.0) | (asym <= SYM_RTOL * scale)
@@ -130,13 +138,8 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     """
     stack = _as_square_stack(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    # inf - inf and inf + -inf give NaN only in a matrix that fails the
-    # finiteness test anyway, and a finite pair that overflows its sum is
-    # halved first by symmetrize, so they warn of nothing.
-    with np.errstate(invalid="ignore", over="ignore"):
-        sym = symmetrize(stack)
-        # An inf entry whose partner is finite passes the symmetry test (inf <= inf).
-        symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
+    sym = symmetrize(stack)
+    symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]

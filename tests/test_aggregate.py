@@ -9,7 +9,6 @@ from robustagg.aggregate import (
     AggregationResult,
     LocalEstimate,
     huber_aggregate,
-    huber_psi,
     standard_errors,
     tau_c,
     weighted_average,
@@ -40,27 +39,34 @@ def make_estimates(rng, k, p, n_lo=1, n_hi=50, spread=1.0):
 
 
 class TestPsi:
-    def test_interior(self):
-        assert huber_psi(0.5, 1.345) == 0.5
+    """psi_c as the Huber aggregate's estimating equations apply it."""
 
     def test_clipped(self):
-        assert huber_psi(10.0, 1.345) == 1.345
-        assert huber_psi(-2.0, 1.345) == -1.345
+        # A server clipped in every coordinate enters the equations only
+        # through +-c, so moving it further out leaves every iterate as it was.
+        rng = np.random.default_rng(5)
+        ests = make_estimates(rng, 9, 2, n_lo=50, n_hi=50, spread=0.05)
 
-    def test_boundary_is_identity(self):
-        assert huber_psi(1.345, 1.345) == 1.345
-        assert huber_psi(-1.345, 1.345) == -1.345
+        def with_outlier(x):
+            e = ests[0]
+            moved = [LocalEstimate(e.server_id, e.n_k, [x, -x], e.sigma_star)] + ests[1:]
+            return huber_aggregate(moved, np.eye(2)).theta_hat
+
+        assert np.array_equal(with_outlier(1e3), with_outlier(1e6))
 
     def test_odd_and_bounded(self):
+        # psi_c is odd, so negating every estimate negates the aggregate bit
+        # for bit; it is bounded, so one far server keeps the aggregate
+        # within the others' range.
         rng = np.random.default_rng(2)
-        u = rng.standard_normal(200) * 3
-        out = huber_psi(u, 0.8)
-        assert np.array_equal(out, -huber_psi(-u, 0.8))
-        assert np.abs(out).max() <= 0.8
-
-    def test_requires_positive_c(self):
-        with pytest.raises(ValueError):
-            huber_psi(1.0, 0.0)
+        ests = make_estimates(rng, 12, 3, spread=0.1)
+        sigma = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+        ests[0] = LocalEstimate(1, ests[0].n_k, [1e6, -1e6, 1e6], ests[0].sigma_star)
+        flipped = [LocalEstimate(e.server_id, e.n_k, -e.theta_star, e.sigma_star) for e in ests]
+        theta = huber_aggregate(ests, sigma).theta_hat
+        assert np.array_equal(huber_aggregate(flipped, sigma).theta_hat, -theta)
+        clean = np.array([e.theta_star for e in ests[1:]])
+        assert (clean.min(axis=0) <= theta).all() and (theta <= clean.max(axis=0)).all()
 
 
 class TestTau:

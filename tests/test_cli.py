@@ -282,6 +282,20 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--contamination", "gaussian", "--gaussian-scale", "nan"], "gaussian_scale must be positive and finite"),
+            (["--model", "linear", "--theta0", "nan,1"], "theta0 must be finite"),
+            (["--model", "logistic", "--theta0", "1,inf"], "theta0 must be finite"),
+        ],
+    )
+    def test_non_finite_design_is_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["simulate", *flags, "--replicates", "2", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--K", "0", "--out-dir", str(tmp_path)])
         assert rc == 1

@@ -6,13 +6,8 @@ import pytest
 
 from robustagg import numkit
 from robustagg.aggregate import LocalEstimate
-from robustagg.detect import (
-    DetectionReport,
-    detect,
-    mahalanobis_d1,
-    mahalanobis_d2,
-)
-from robustagg.errors import DimensionError, NotPositiveDefiniteError
+from robustagg.detect import detect
+from robustagg.errors import NotPositiveDefiniteError
 
 
 # Sent by a contaminated desk-scale server: eigh gives it a smallest
@@ -49,19 +44,44 @@ def solve_rejecting(monkeypatch, chosen):
     monkeypatch.setattr(np.linalg, "solve", solve)
 
 
+# Wide enough that every server of these tests passes step 1, so that
+# step 2 runs for it.
+WIDE = 1e30 * np.eye(2)
+
+
+def alone(e, theta_hat, sigma_hat=WIDE):
+    """detect's row for ``e`` as the only server of its round."""
+    return detect([e], theta_hat, sigma_hat).records[0]
+
+
+def d1(e, theta_hat, sigma_hat):
+    return alone(e, theta_hat, sigma_hat).d1
+
+
+def d2(e, theta_hat):
+    return alone(e, theta_hat).d2
+
+
+def csv_text(report):
+    """The text ``report.to_csv`` writes."""
+    buf = io.StringIO()
+    report.to_csv(buf)
+    return buf.getvalue()
+
+
 class TestD1:
     def test_zero_at_aggregate(self):
         e = est(1, 50, [2.0, 1.0], np.eye(2))
-        assert mahalanobis_d1(e, [2.0, 1.0], np.eye(2)) == 0.0
+        assert d1(e, [2.0, 1.0], np.eye(2)) == 0.0
 
     def test_arithmetic(self):
         e = est(1, 100, [2.1, 1.0], np.eye(2))
-        assert mahalanobis_d1(e, [2.0, 1.0], np.eye(2)) == pytest.approx(1.0)
+        assert d1(e, [2.0, 1.0], np.eye(2)) == pytest.approx(1.0)
 
     def test_hand_quadratic_form(self):
         # n=4, diff=(1,1), Sigma=diag(4,1): sqrt(4 * (1/4 + 1)) = sqrt(5).
         e = est(1, 4, [1.0, 1.0], np.eye(2))
-        d = mahalanobis_d1(e, [0.0, 0.0], np.diag([4.0, 1.0]))
+        d = d1(e, [0.0, 0.0], np.diag([4.0, 1.0]))
         assert d == pytest.approx(math.sqrt(5.0))
 
     def test_joint_rescaling_invariance(self):
@@ -70,8 +90,8 @@ class TestD1:
         for _ in range(20):
             diff = rng.standard_normal(2)
             s = float(rng.uniform(0.1, 50.0))
-            base = mahalanobis_d1(est(1, 9, diff, np.eye(2)), [0.0, 0.0], sigma)
-            scaled = mahalanobis_d1(
+            base = d1(est(1, 9, diff, np.eye(2)), [0.0, 0.0], sigma)
+            scaled = d1(
                 est(1, 9, math.sqrt(s) * diff, np.eye(2)), [0.0, 0.0], s * sigma
             )
             assert scaled == pytest.approx(base, rel=1e-12)
@@ -80,7 +100,7 @@ class TestD1:
         sigma = np.array([[2.0, 0.4], [0.4, 1.0]])
         u = np.array([0.3, -0.8])
         values = [
-            mahalanobis_d1(est(1, 16, t * u, np.eye(2)), [0.0, 0.0], sigma)
+            d1(est(1, 16, t * u, np.eye(2)), [0.0, 0.0], sigma)
             for t in (0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -88,59 +108,60 @@ class TestD1:
     def test_non_pd_sigma_rejected(self):
         e = est(1, 4, [1.0, 0.0], np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
-            mahalanobis_d1(e, [0.0, 0.0], np.diag([1.0, 0.0]))
+            d1(e, [0.0, 0.0], np.diag([1.0, 0.0]))
 
     def test_wrong_size_theta_hat_rejected(self):
         e = est(1, 4, [1.0, 0.0], np.eye(2))
-        with pytest.raises(DimensionError) as excinfo:
-            mahalanobis_d1(e, [0.0, 0.0, 0.0], np.eye(2))
-        assert str(excinfo.value) == "theta_hat dimension does not match the estimate"
-
+        row = alone(e, [0.0, 0.0, 0.0], np.eye(3))
+        assert row.error == "theta_hat dimension does not match the estimate"
+        assert row.d1 is None and row.d2 is None
 
     def test_pd_but_lu_singular_sigma_hat_raises(self, monkeypatch):
+        # The solve's error replaces every d1, row by row.
         solve_rejecting(monkeypatch, FORCED_SINGULAR)
-        e = est(1, 50, [2.0, 1.0], np.eye(2))
-        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            mahalanobis_d1(e, [1.0, 1.0], FORCED_SINGULAR)
+        ests = [est(1, 50, [2.0, 1.0], np.eye(2)), est(2, 50, [2.1, 1.0], np.eye(2))]
+        report = detect(ests, [1.0, 1.0], FORCED_SINGULAR)
+        assert [r.error for r in report.records] == ["Singular matrix"] * 2
+        assert all(r.d1 is None and not r.theta_flagged for r in report.records)
 
 
 class TestD2:
     def test_zero_at_aggregate(self):
         e = est(1, 50, [2.0, 1.0], np.array([[2.0, 0.1], [0.1, 1.0]]))
-        assert mahalanobis_d2(e, [2.0, 1.0]) == 0.0
+        assert d2(e, [2.0, 1.0]) == 0.0
 
     def test_matches_d1_with_own_sigma(self):
         e = est(1, 100, [2.1, 1.0], np.eye(2))
-        assert mahalanobis_d2(e, [2.0, 1.0]) == pytest.approx(1.0)
+        assert d2(e, [2.0, 1.0]) == pytest.approx(1.0)
 
     def test_variance_scaling(self):
         e = est(1, 100, [2.1, 1.0], 4.0 * np.eye(2))
-        assert mahalanobis_d2(e, [2.0, 1.0]) == pytest.approx(0.5)
+        assert d2(e, [2.0, 1.0]) == pytest.approx(0.5)
 
     def test_singular_sigma_is_sentinel(self):
         e = est(1, 100, [2.1, 1.0], np.diag([1.0, 0.0]))
-        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+        assert d2(e, [2.0, 1.0]) is None
 
     def test_indefinite_sigma_is_sentinel(self):
         e = est(1, 100, [2.1, 1.0], np.diag([1.0, -1.0]))
-        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+        assert d2(e, [2.0, 1.0]) is None
 
     def test_pd_but_lu_singular_sigma_is_sentinel(self):
         e = est(1, 1000, [2.001, 1.001], LU_SINGULAR)
         assert numkit.screen_positive_definite(LU_SINGULAR[None])[0].tolist() == [True]
-        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+        assert d2(e, [2.0, 1.0]) is None
 
     def test_wrong_size_theta_hat_rejected(self):
         e = est(1, 100, [2.1, 1.0], np.eye(2))
-        with pytest.raises(DimensionError) as excinfo:
-            mahalanobis_d2(e, [2.0])
-        assert str(excinfo.value) == "theta_hat dimension does not match the estimate"
+        row = alone(e, [2.0], np.eye(1))
+        assert row.error == "theta_hat dimension does not match the estimate"
+        assert row.d2 is None and not row.sigma_flagged
 
     def test_failed_solve_is_sentinel(self, monkeypatch):
         e = est(1, 1000, [2.001, 1.001], FORCED_SINGULAR)
-        assert mahalanobis_d2(e, [2.0, 1.0]) is not None
+        assert d2(e, [2.0, 1.0]) is not None
         solve_rejecting(monkeypatch, FORCED_SINGULAR)
-        assert mahalanobis_d2(e, [2.0, 1.0]) is None
+        assert d2(e, [2.0, 1.0]) is None
 
 
 def clean_estimates(rng, k=12, n_k=400, theta=(2.0, 1.0), sigma=None):
@@ -191,9 +212,9 @@ class TestDetect:
         rng = np.random.default_rng(11)
         ests = clean_estimates(rng)
         target = ests[3]
-        d2_before = mahalanobis_d2(target, [2.0, 1.0])
+        d2_before = d2(target, [2.0, 1.0])
         shrunk = est(target.server_id, target.n_k, target.theta_star, target.sigma_star / 100.0)
-        d2_after = mahalanobis_d2(shrunk, [2.0, 1.0])
+        d2_after = d2(shrunk, [2.0, 1.0])
         assert d2_after == pytest.approx(10.0 * d2_before, rel=1e-9)
         ests[3] = shrunk
         report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
@@ -230,7 +251,7 @@ class TestDetect:
         ests = clean_estimates(rng)
         ests[4] = est(5, 1000, [2.001, 1.001], FORCED_SINGULAR)
         ests[7] = est(8, 400, [-1e6, -1e6], np.eye(2))  # flagged in step 1
-        expected = {e.server_id: mahalanobis_d2(e, [2.0, 1.0]) for e in ests}
+        expected = {e.server_id: d2(e, [2.0, 1.0]) for e in ests}
         solve_rejecting(monkeypatch, FORCED_SINGULAR)
         report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
         rec = report.records[4]
@@ -290,7 +311,7 @@ class TestDetect:
     def test_csv_columns(self):
         ests = [est(1, 100, [2.0, 1.0], np.eye(2))]
         report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.1)
-        text = report.to_csv_string()
+        text = csv_text(report)
         lines = text.strip().splitlines()
         assert lines[0] == "server_id,n_k,d1,d2,theta_flagged,sigma_flagged,error"
         assert len(lines) == 2

@@ -37,13 +37,31 @@ CHECKS = {
         lambda: ContaminationSpec(count=-1), ValueError, "contamination count must be >= 0"
     ),
     "zero gaussian scale": (
-        lambda: ContaminationSpec(gaussian_scale=0), ValueError, "gaussian_scale must be positive"
+        lambda: ContaminationSpec(gaussian_scale=0),
+        ValueError,
+        "gaussian_scale must be positive and finite",
+    ),
+    "nan gaussian scale": (
+        lambda: ContaminationSpec(gaussian_scale=math.nan),
+        ValueError,
+        "gaussian_scale must be positive and finite",
+    ),
+    "infinite gaussian scale": (
+        lambda: ContaminationSpec(gaussian_scale=math.inf),
+        ValueError,
+        "gaussian_scale must be positive and finite",
     ),
     "zero shard size": (lambda: StudyConfig(shard_size=0), ValueError, "shard_size must be >= 1"),
     "zero replicates": (lambda: StudyConfig(replicates=0), ValueError, "replicates must be >= 1"),
     "zero c": (lambda: StudyConfig(c=0), ValueError, "tuning constant c must be positive"),
     "empty theta0": (
         lambda: StudyConfig(theta0=()), ValueError, "theta0 must have at least one coordinate"
+    ),
+    "nan in theta0": (
+        lambda: StudyConfig(theta0=(math.nan, 1.0)), ValueError, "theta0 must be finite"
+    ),
+    "infinite theta0": (
+        lambda: StudyConfig(theta0=(2.0, -math.inf)), ValueError, "theta0 must be finite"
     ),
     "empty dataset": (
         lambda: generate_dataset(ModelKind.LINEAR, (1.0, 2.0), 0, 1),

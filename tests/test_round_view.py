@@ -9,6 +9,7 @@ solve, and the variance median as ``spatial_median`` over a list of
 ``WeightedPoint``.
 """
 
+import io
 import math
 import zlib
 from collections import Counter
@@ -21,11 +22,18 @@ from scipy import special
 
 from robustagg import aggregate, distsim, numkit
 from robustagg.aggregate import LocalEstimate, huber_aggregate, round_view, standard_errors
-from robustagg.detect import detect, mahalanobis_d1
+from robustagg.detect import detect
 from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from robustagg.models import ModelKind
 from robustagg.spatialmed import WeightedPoint, spatial_median
+
+
+def csv_text(report):
+    """The text ``report.to_csv`` writes."""
+    buf = io.StringIO()
+    report.to_csv(buf)
+    return buf.getvalue()
 
 
 def server_order(e):
@@ -304,7 +312,7 @@ class TestOneViewPerRound:
             want = process(received, 1.345, 0.05, raw)
             assert got[0].theta_hat.tobytes() == want[0].theta_hat.tobytes()
             assert got[0].se.tobytes() == want[0].se.tobytes()
-            assert got[3].to_csv_string() == want[3].to_csv_string()
+            assert csv_text(got[3]) == csv_text(want[3])
 
     def test_one_round_per_side_of_the_wire(self, monkeypatch):
         # contaminate builds the round that is encoded and decode_messages
@@ -408,7 +416,7 @@ def test_every_stage_rejects_a_bad_sigma_hat_alike(name):
     stages = [
         lambda: huber_aggregate(ests, sigma_hat),
         lambda: detect(ests, [2.0, 1.0], sigma_hat),
-        lambda: mahalanobis_d1(ests[0], [2.0, 1.0], sigma_hat),
+        lambda: detect(ests[:1], [2.0, 1.0], sigma_hat),
         lambda: process(ests, 1.345, 0.05, sigma_hat),
     ]
     raised = []
