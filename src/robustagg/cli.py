@@ -23,6 +23,7 @@ import csv
 import io
 import math
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -50,28 +51,33 @@ from .distsim import (
 )
 from .models import DEFAULT_TOL, ModelKind, ModelSpec, Observations, fit_local, fit_shards
 
-_CONFIG_KEYS = {
-    "model": str,
-    "theta0": str,
-    "K": int,
-    "n": int,
-    "c": float,
-    "alpha": float,
-    "replicates": int,
-    "seed": int,
-    "contamination": str,
-    "count": int,
-    "gaussian_scale": float,
-    "omniscient_value": str,
-    "workers": int,
+# The study keys, in the order of the `simulate` flags.  Each key has a type
+# (int, float, an enum, or tuple for a comma-separated list of numbers), the
+# StudyConfig or ContaminationSpec field it sets (workers sets neither) and
+# the help of its flag.
+_KEYS = {
+    "model": (ModelKind, StudyConfig, "model", "logistic or linear"),
+    "theta0": (tuple, StudyConfig, "theta0", "comma-separated true coefficients"),
+    "K": (int, StudyConfig, "n_servers", "number of servers"),
+    "n": (int, StudyConfig, "shard_size", "observations per server"),
+    "c": (float, StudyConfig, "c", "Huber tuning constant"),
+    "alpha": (float, StudyConfig, "alpha", "detection level"),
+    "replicates": (int, StudyConfig, "replicates", "Monte Carlo replicates"),
+    "seed": (int, StudyConfig, "base_seed", "base seed; replicate r uses (seed, r)"),
+    "contamination": (ContaminationKind, ContaminationSpec, "kind", "none, omniscient, gaussian or bitflip"),
+    "count": (int, ContaminationSpec, "count", "number of contaminated servers"),
+    "gaussian_scale": (float, ContaminationSpec, "gaussian_scale", "variance of the Gaussian replacement draw"),
+    "omniscient_value": (tuple, ContaminationSpec, "omniscient_value", "transmitted vector under omniscient"),
+    "workers": (int, None, None, f"process count (default ${WORKERS_ENV_VAR} or 1)"),
 }
 
 
-_ENUM_KEYS = {"model": ModelKind, "contamination": ContaminationKind}
+def _is_number(kind) -> bool:
+    return kind in (int, float)
 
 
 def _parse_enum(text: str, key: str):
-    kind = _ENUM_KEYS[key]
+    kind = _KEYS[key][0]
     try:
         return kind(text.strip().lower())
     except ValueError:
@@ -81,8 +87,9 @@ def _parse_enum(text: str, key: str):
 
 
 def _parse_floats(text: str, key: str) -> tuple:
+    # float() ignores the whitespace around a field and rejects an empty one.
     try:
-        return tuple(float(v) for v in text.replace(" ", "").split(",") if v != "")
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated list of numbers") from None
 
@@ -103,9 +110,10 @@ def parse_config_file(path: Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
+        kind = _KEYS[key][0]
+        caster = kind if _is_number(kind) else str
         try:
             values[key] = caster(value)
         except ValueError:
@@ -115,44 +123,26 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-# Text-valued keys and their parsers, applied in this order, so the first
-# bad key in it is the one reported.
-_PARSERS = {
-    "model": _parse_enum,
-    "theta0": _parse_floats,
-    "contamination": _parse_enum,
-    "omniscient_value": _parse_floats,
-}
-# The StudyConfig and ContaminationSpec fields the keys set.
-_STUDY_FIELDS = {
-    "model": "model", "theta0": "theta0", "K": "n_servers", "n": "shard_size", "c": "c",
-    "replicates": "replicates", "alpha": "alpha", "seed": "base_seed",
-}
-_SPEC_FIELDS = {
-    "contamination": "kind", "count": "count", "gaussian_scale": "gaussian_scale",
-    "omniscient_value": "omniscient_value",
-}
-
-
 def make_study_config(file_values: dict, args: argparse.Namespace) -> tuple[StudyConfig, int]:
     """Resolve file values and CLI overrides into a validated study design.
 
     Only the keys a file or a flag sets are passed on; every other field
     keeps its ``StudyConfig`` or ``ContaminationSpec`` default, and the
     worker count defaults to :func:`~robustagg.distsim.default_workers`.
+    Text keys are parsed in table order, so the first bad one is reported.
     """
     values = dict(file_values)
-    values.update(
-        (key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None
-    )
-    for key, parse in _PARSERS.items():
-        if key in values:
-            values[key] = parse(values[key], key)
+    values.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
+    for key, (kind, *_) in _KEYS.items():
+        if key in values and not _is_number(kind):
+            values[key] = (_parse_floats if kind is tuple else _parse_enum)(values[key], key)
+
+    def fields(owner) -> dict:
+        return {_KEYS[key][2]: value for key, value in values.items() if _KEYS[key][1] is owner}
+
     try:
-        spec = ContaminationSpec(**{f: values[k] for k, f in _SPEC_FIELDS.items() if k in values})
-        config = StudyConfig(
-            contamination=spec, **{f: values[k] for k, f in _STUDY_FIELDS.items() if k in values}
-        )
+        spec = ContaminationSpec(**fields(ContaminationSpec))
+        config = StudyConfig(contamination=spec, **fields(StudyConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     workers = check_workers(values["workers"]) if "workers" in values else default_workers()
@@ -164,7 +154,6 @@ def _sig6(x: float) -> str:
 
 
 def _print_metrics_table(metrics) -> None:
-    p = metrics.config.p
     print(
         f"replicates: {metrics.replicates_completed} "
         f"(failed: {metrics.replicates_failed}), "
@@ -173,13 +162,12 @@ def _print_metrics_table(metrics) -> None:
     print(
         f"{'estimator':<18}{'coef':>5}{'bias':>14}{'sd':>14}{'ase':>14}{'cp':>8}{'re':>14}"
     )
-    for name, est in (("huber", metrics.huber), ("weighted_average", metrics.weighted)):
-        for j in range(p):
-            re_cell = _sig6(metrics.relative_efficiency[j]) if name == "huber" else ""
-            print(
-                f"{name:<18}{j + 1:>5}{_sig6(est.bias[j]):>14}{_sig6(est.sd[j]):>14}"
-                f"{_sig6(est.ase[j]):>14}{_sig6(est.cp[j]):>8}{re_cell:>14}"
-            )
+    for name, coef, bias, sd, ase, cp, re in distsim.metric_rows(metrics):
+        re_cell = "" if re is None else _sig6(re)
+        print(
+            f"{name:<18}{coef:>5}{_sig6(bias):>14}{_sig6(sd):>14}"
+            f"{_sig6(ase):>14}{_sig6(cp):>8}{re_cell:>14}"
+        )
     if metrics.hit_rate is not None:
         print(f"hit rate (HR): {_sig6(metrics.hit_rate)}")
     print(f"mean flagged fraction: {_sig6(metrics.flag_rate)}")
@@ -408,33 +396,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # traced in distsim.
     result, theta_bar, se_wa, report = distsim.process(received, args.c, args.alpha, sigma_hat)
 
+    rows = list(zip(covariates, result.theta_hat, result.se, theta_bar, se_wa))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["coefficient", "name", "huber", "huber_se", "weighted_average", "weighted_average_se"]
         )
-        for j, name in enumerate(covariates):
-            writer.writerow(
-                [
-                    j + 1,
-                    name,
-                    repr(float(result.theta_hat[j])),
-                    repr(float(result.se[j])),
-                    repr(float(theta_bar[j])),
-                    repr(float(se_wa[j])),
-                ]
-            )
+        for j, (name, *values) in enumerate(rows, start=1):
+            writer.writerow([j, name, *(repr(float(v)) for v in values)])
     with open(out_dir / "detection.csv", "w", newline="") as fh:
         report.to_csv(fh)
 
     print(f"servers: {len(received)}, N = {sum(received.n_k)}, c = {args.c}, tau = {_sig6(result.tau)}")
     print(f"{'coefficient':<16}{'huber':>14}{'(se)':>12}{'weighted':>14}{'(se)':>12}")
-    for j, name in enumerate(covariates):
-        print(
-            f"{name:<16}{_sig6(result.theta_hat[j]):>14}{_sig6(result.se[j]):>12}"
-            f"{_sig6(theta_bar[j]):>14}{_sig6(se_wa[j]):>12}"
-        )
+    for name, theta, se, wa, wa_se in rows:
+        print(f"{name:<16}{_sig6(theta):>14}{_sig6(se):>12}{_sig6(wa):>14}{_sig6(wa_se):>12}")
     flagged_theta = report.flagged_theta_ids()
     flagged_sigma = report.flagged_sigma_ids()
     print(f"detection threshold sqrt(chi2_{report.p},{report.alpha}) = {_sig6(report.threshold)}")
@@ -698,25 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--config", help="flat key=value configuration file")
-    sim.add_argument("--model", choices=["logistic", "linear"])
-    sim.add_argument("--theta0", help="comma-separated true coefficients")
-    sim.add_argument("--K", type=int, help="number of servers")
-    sim.add_argument("--n", type=int, help="observations per server")
-    sim.add_argument("--c", type=float, help="Huber tuning constant")
-    sim.add_argument("--alpha", type=float, help="detection level")
-    sim.add_argument("--replicates", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument(
-        "--contamination", choices=[k.value for k in ContaminationKind]
-    )
-    sim.add_argument("--count", type=int, help="number of contaminated servers")
-    sim.add_argument("--gaussian-scale", dest="gaussian_scale", type=float)
-    sim.add_argument("--omniscient-value", dest="omniscient_value")
-    sim.add_argument(
-        "--workers",
-        type=int,
-        help=f"process count (default ${WORKERS_ENV_VAR} or 1)",
-    )
+    for key, (kind, _, _, text) in _KEYS.items():
+        sim.add_argument(
+            "--" + key.replace("_", "-"),
+            type=kind if _is_number(kind) else None,
+            choices=[k.value for k in kind] if issubclass(kind, Enum) else None,
+            help=text,
+        )
     sim.add_argument("--out-dir", default=".", help="where to write the CSVs")
     sim.add_argument("--dry-run", action="store_true")
     sim.set_defaults(func=cmd_simulate)

@@ -655,28 +655,26 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyMetrics:
 # ---------------------------------------------------------------------------
 
 
+def metric_rows(metrics: StudyMetrics):
+    """The rows of the metrics table: (estimator, coefficient, bias, sd, ase,
+    cp, re) per estimator and coefficient; re is None for the weighted
+    average."""
+    for name, est in (("huber", metrics.huber), ("weighted_average", metrics.weighted)):
+        for j in range(metrics.config.p):
+            re = metrics.relative_efficiency[j] if name == "huber" else None
+            yield name, j + 1, est.bias[j], est.sd[j], est.ase[j], est.cp[j], re
+
+
 def study_metrics_to_csv(metrics: StudyMetrics, fileobj) -> None:
-    """One row per (estimator, coefficient) plus a summary row for the hit rate.
+    """The rows of :func:`metric_rows` plus a summary row for the hit rate.
 
     The wall-clock runtime is deliberately not written: output files must be
     byte-identical across reruns of the same seeded invocation.
     """
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["estimator", "coefficient", "bias", "sd", "ase", "cp", "re"])
-    for name, est in (("huber", metrics.huber), ("weighted_average", metrics.weighted)):
-        for j in range(metrics.config.p):
-            re_cell = repr(float(metrics.relative_efficiency[j])) if name == "huber" else ""
-            writer.writerow(
-                [
-                    name,
-                    j + 1,
-                    repr(float(est.bias[j])),
-                    repr(float(est.sd[j])),
-                    repr(float(est.ase[j])),
-                    repr(float(est.cp[j])),
-                    re_cell,
-                ]
-            )
+    for name, coef, *values in metric_rows(metrics):
+        writer.writerow([name, coef, *("" if v is None else repr(float(v)) for v in values)])
     hr_cell = "" if metrics.hit_rate is None else repr(float(metrics.hit_rate))
     writer.writerow(["summary", "hr", hr_cell, "", "", "", ""])
 

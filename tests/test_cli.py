@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,23 +27,7 @@ def write_config(tmp_path, text):
 
 
 def namespace_with_defaults(**kwargs):
-    import argparse
-
-    ns = argparse.Namespace(
-        model=None,
-        theta0=None,
-        K=None,
-        n=None,
-        c=None,
-        alpha=None,
-        replicates=None,
-        seed=None,
-        contamination=None,
-        count=None,
-        gaussian_scale=None,
-        omniscient_value=None,
-        workers=None,
-    )
+    ns = cli.build_parser().parse_args(["simulate"])
     for key, value in kwargs.items():
         setattr(ns, key, value)
     return ns
@@ -122,6 +107,46 @@ class TestConfigParsing:
         path = write_config(tmp_path, "K = 0\n")
         with pytest.raises(ConfigError):
             make_study_config(parse_config_file(path), namespace_with_defaults())
+
+    # One value per study key, as a config file and a flag spell it; each
+    # differs from the key's default.
+    ONE_KEY = {
+        "model": "linear",
+        "theta0": "1.5, -2",
+        "K": "7",
+        "n": "30",
+        "c": "0.9",
+        "alpha": "0.1",
+        "replicates": "9",
+        "seed": "5",
+        "contamination": "gaussian",
+        "count": "1",
+        "gaussian_scale": "3.5",
+        "omniscient_value": "3,4",
+        "workers": "2",
+    }
+
+    @pytest.mark.parametrize("key", list(ONE_KEY))
+    def test_file_and_flag_set_a_key_alike(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("ROBUSTAGG_WORKERS", raising=False)
+        value = self.ONE_KEY[key]
+        from_file = make_study_config(
+            parse_config_file(write_config(tmp_path, f"{key} = {value}\n")),
+            namespace_with_defaults(),
+        )
+        flag = "--" + key.replace("_", "-")
+        from_flag = make_study_config({}, cli.build_parser().parse_args(["simulate", flag, value]))
+        assert from_file == from_flag
+        assert from_file != (StudyConfig(), 1)
+
+    def test_every_key_has_a_flag_with_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
+        for key in self.ONE_KEY:
+            flag = "--" + key.replace("_", "-")
+            (entry,) = [e for e in entries if e.split(" ", 1)[0] == flag]
+            assert len(entry.split(None, 2)) == 3, entry  # flag, metavar, help
 
     def test_contamination_settings(self, tmp_path):
         path = write_config(
@@ -275,11 +300,23 @@ class TestSimulateCommand:
         assert (out / "metrics.csv").read_text() == EXTREME_OMNISCIENT_METRICS
 
     def test_non_numeric_theta0_is_rejected(self, tmp_path, capsys):
+        # A field with an inner space, or an empty field, is not a number;
+        # neither is glued to or dropped from its neighbours.
         out = tmp_path / "out"
-        assert main(["simulate", "--theta0", "1,a", "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: theta0 must be a comma-separated list of numbers\n"
-        )
+        cfg = write_config(tmp_path, "theta0 = 2,,1\n")
+        for args, key in [
+            (["--theta0", "1,a"], "theta0"),
+            (["--theta0", "1 0,2"], "theta0"),
+            (["--theta0", "2,,1"], "theta0"),
+            (["--theta0", "2,1,"], "theta0"),
+            (["--config", str(cfg)], "theta0"),
+            (["--contamination", "omniscient", "--omniscient-value", "1 0,2"], "omniscient_value"),
+            (["--contamination", "omniscient", "--omniscient-value", "2,,1"], "omniscient_value"),
+        ]:
+            assert main(["simulate", *args, "--out-dir", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {key} must be a comma-separated list of numbers\n"
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize(
