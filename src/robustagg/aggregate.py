@@ -101,11 +101,14 @@ def tau_c(c: float) -> float:
     + c^2 (1 - b_c), tau = b_c^2 / sigma_c^2.  The quadrature identity
     behind the middle term is verified against direct numerical integration
     in the test suite.  tau(inf) = 1 by convention (no clipping).
+
+    This is the one rule for c: a c that is not > 0 (0, -inf or NaN)
+    raises ``ValueError``, and every caller that takes a c calls this.
     """
-    if math.isinf(c):
-        return 1.0
     if not c > 0.0:
         raise ValueError("tuning constant c must be positive")
+    if math.isinf(c):
+        return 1.0
     b = math.erf(c / math.sqrt(2.0))
     pdf_c = _INV_SQRT_2PI * math.exp(-0.5 * c * c)  # standard normal density
     sigma2 = b - 2.0 * c * pdf_c + c * c * (1.0 - b)
@@ -283,8 +286,9 @@ def standard_errors(sigma, n_total: int, tau: float) -> np.ndarray:
 def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> AggregationResult:
     """Solve the clipped, whitened estimating equations for the combined estimate.
 
-    ``c`` is the tuning constant (``math.inf`` clips nothing, and the same
-    iteration then solves for the weighted average, up to rounding);
+    ``c`` is the tuning constant, checked by :func:`tau_c` before anything
+    else (``math.inf`` clips nothing, and the same iteration then solves
+    for the weighted average, up to rounding);
     the Newton iteration stops at residual ``DEFAULT_TOL`` and raises
     :class:`NonConvergenceError` after ``DEFAULT_MAX_ITER`` iterations.
 
@@ -310,8 +314,7 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     call, and not at all when it is a ``numkit.PDMatrix``, the checked form
     ``require_pd`` and ``aggregate_sigma`` return.
     """
-    if not c > 0.0:
-        raise ValueError("tuning constant c must be positive")
+    tau = tau_c(c)
     view = round_view(estimates)
     finite = np.isfinite(view.thetas).all(axis=1)
     if not finite.any():
@@ -371,7 +374,6 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
                 residual=res,
             )
 
-    tau = tau_c(c)
     return AggregationResult(
         theta_hat=theta,
         tau=tau,

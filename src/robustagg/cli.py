@@ -31,8 +31,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, NotPositiveDefiniteError, RobustAggError
 from . import distsim, numkit
-from .aggregate import DEFAULT_HUBER_C, LocalEstimate, tau_c, weighted_average
-from .detect import DEFAULT_ALPHA
+from .aggregate import LocalEstimate, tau_c, weighted_average
 from .distsim import (
     WORKERS_ENV_VAR,
     ContaminationKind,
@@ -124,15 +123,27 @@ def parse_config_file(path: Path) -> dict:
 
 
 def make_study_config(file_values: dict, args: argparse.Namespace) -> tuple[StudyConfig, int]:
-    """Resolve file values and CLI overrides into a validated study design.
+    """Resolve file values and CLI overrides into a validated study design
+    (see :func:`_study_config`) and a worker count, which defaults to
+    :func:`~robustagg.distsim.default_workers`."""
+    values = {**file_values, **_flag_values(args)}
+    # The design first, so its errors come before a bad worker count's.
+    return _study_config(values), (check_workers(values["workers"]) if "workers" in values else default_workers())
 
-    Only the keys a file or a flag sets are passed on; every other field
-    keeps its ``StudyConfig`` or ``ContaminationSpec`` default, and the
-    worker count defaults to :func:`~robustagg.distsim.default_workers`.
-    Text keys are parsed in table order, so the first bad one is reported.
+
+def _flag_values(args: argparse.Namespace) -> dict:
+    """The value of every study-key flag in ``args`` that is set."""
+    return {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
+
+
+def _study_config(values: dict) -> StudyConfig:
+    """The validated study design of the keys ``values`` sets, whose text
+    keys it parses in place.
+
+    Every other field keeps its ``StudyConfig`` or ``ContaminationSpec``
+    default.  Text keys are parsed in table order, so the first bad one is
+    reported.
     """
-    values = dict(file_values)
-    values.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
     for key, (kind, *_) in _KEYS.items():
         if key in values and not _is_number(kind):
             values[key] = (_parse_floats if kind is tuple else _parse_enum)(values[key], key)
@@ -142,11 +153,9 @@ def make_study_config(file_values: dict, args: argparse.Namespace) -> tuple[Stud
 
     try:
         spec = ContaminationSpec(**fields(ContaminationSpec))
-        config = StudyConfig(contamination=spec, **fields(StudyConfig))
+        return StudyConfig(contamination=spec, **fields(StudyConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    workers = check_workers(values["workers"]) if "workers" in values else default_workers()
-    return config, workers
 
 
 def _sig6(x: float) -> str:
@@ -331,11 +340,8 @@ def _raise_first_defect(path: Path, header: list[str], records: list[list[str]])
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     shard_paths = sorted(Path(p) for p in args.shards)
-    model_kind = _parse_enum(args.model, "model")
-    if not args.c > 0:
-        raise ConfigError("c must be positive")
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError("alpha must lie strictly between 0 and 1")
+    # The model, c and alpha, checked by the rules a study's are.
+    config = _study_config(_flag_values(args))
     # A shard's server id is its file stem, so two shards may not share one.
     by_stem: dict = {}
     for path in shard_paths:
@@ -344,6 +350,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 f"shards {by_stem[path.stem]} and {path} share the server id {path.stem!r}"
             )
         by_stem[path.stem] = path
+    if args.trusted_server is not None and args.trusted_server not in by_stem:
+        raise ConfigError(f"trusted server {args.trusted_server!r} not among shards")
     out_dir = Path(args.out_dir)
 
     header = None
@@ -362,7 +370,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
         return 0
 
-    model = ModelSpec(model_kind, len(covariates))
+    model = ModelSpec(config.model, len(covariates))
     try:
         fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
     except (RobustAggError, ValueError):
@@ -380,11 +388,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     sigma_hat = None
     if args.trusted_server is not None:
-        ids = [str(sid) for sid in received.server_ids]
-        if args.trusted_server not in ids:
-            raise ConfigError(f"trusted server {args.trusted_server!r} not among shards")
         try:
-            sigma_hat = numkit.require_pd(received.sigmas[ids.index(args.trusted_server)], len(covariates))
+            row = received.server_ids.index(args.trusted_server)
+            sigma_hat = numkit.require_pd(received.sigmas[row], len(covariates))
         except NotPositiveDefiniteError as exc:
             reason = str(exc) if exc.eigenvalue is None else f"smallest eigenvalue {exc.eigenvalue:.6e}"
             raise ConfigError(
@@ -394,7 +400,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # Module-qualified on purpose: perfbench traces the functions imported
     # into this module by name, and the central layers under process() are
     # traced in distsim.
-    result, theta_bar, se_wa, report = distsim.process(received, args.c, args.alpha, sigma_hat)
+    result, theta_bar, se_wa, report = distsim.process(received, config.c, config.alpha, sigma_hat)
 
     rows = list(zip(covariates, result.theta_hat, result.se, theta_bar, se_wa))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,7 +414,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(out_dir / "detection.csv", "w", newline="") as fh:
         report.to_csv(fh)
 
-    print(f"servers: {len(received)}, N = {sum(received.n_k)}, c = {args.c}, tau = {_sig6(result.tau)}")
+    print(f"servers: {len(received)}, N = {sum(received.n_k)}, c = {config.c}, tau = {_sig6(result.tau)}")
     print(f"{'coefficient':<16}{'huber':>14}{'(se)':>12}{'weighted':>14}{'(se)':>12}")
     for name, theta, se, wa, wa_se in rows:
         print(f"{name:<16}{_sig6(theta):>14}{_sig6(se):>12}{_sig6(wa):>14}{_sig6(wa_se):>12}")
@@ -422,10 +428,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    c = math.inf if args.c.lower() in ("inf", "infinity") else float(args.c)
-    if not c > 0:
-        raise ConfigError("c must be positive")
-    print(f"tau_c({args.c}) = {tau_c(c):.6g}")
+    # float() reads "inf" and "Infinity" in any case; tau_c checks c.
+    print(f"tau_c({args.c}) = {tau_c(float(args.c)):.6g}")
     return 0
 
 
@@ -470,21 +474,26 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     # A round goes over the wire as one batch; it must carry the bytes and
     # bits of one payload at a time, whatever its mix of ids and dimensions.
+    # A round of one dimension, as every study and shard run sends, is
+    # stacked whole; one of mixed dimensions is stacked a member at a time.
     sym_pd = numkit.symmetrize(pd)
-    batch = [
+    mixed = [
         LocalEstimate(sid, 10 + k, rng.standard_normal(p), sym_pd[:p, :p])
         for k, (sid, p) in enumerate(((4, 2), ("s07", 3), ("12", 2), (-1, 3), ("'q", 3)))
     ]
-    wire = encode_messages(batch)
+    one_p = [LocalEstimate(e.server_id, e.n_k, e.theta_star[:2], e.sigma_star[:2, :2]) for e in mixed]
     check(
         "batched wire codec equals one payload at a time, bit for bit",
-        wire == [encode_message(e) for e in batch]
-        and all(
-            type(b.server_id) is type(e.server_id)
-            and b.server_id == e.server_id
-            and b.theta_star.tobytes() == e.theta_star.tobytes()
-            and b.sigma_star.tobytes() == e.sigma_star.tobytes()
-            for b, e in zip(decode_messages(wire), batch)
+        all(
+            encode_messages(batch) == [encode_message(e) for e in batch]
+            and all(
+                type(b.server_id) is type(e.server_id)
+                and b.server_id == e.server_id
+                and b.theta_star.tobytes() == e.theta_star.tobytes()
+                and b.sigma_star.tobytes() == e.sigma_star.tobytes()
+                for b, e in zip(decode_messages(encode_messages(batch)), batch)
+            )
+            for batch in (mixed, one_p)
         ),
     )
 
@@ -666,6 +675,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_key_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
+    """One flag per entry of ``keys`` (entries of ``_KEYS``), in order; an
+    unset flag is None, so its key keeps its file value or its default."""
+    for key, (kind, _, _, text) in keys.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=kind if _is_number(kind) else None,
+            choices=[k.value for k in kind] if issubclass(kind, Enum) else None,
+            help=text,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustagg",
@@ -675,13 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--config", help="flat key=value configuration file")
-    for key, (kind, _, _, text) in _KEYS.items():
-        sim.add_argument(
-            "--" + key.replace("_", "-"),
-            type=kind if _is_number(kind) else None,
-            choices=[k.value for k in kind] if issubclass(kind, Enum) else None,
-            help=text,
-        )
+    _add_key_flags(sim, _KEYS)
     sim.add_argument("--out-dir", default=".", help="where to write the CSVs")
     sim.add_argument("--dry-run", action="store_true")
     sim.set_defaults(func=cmd_simulate)
@@ -691,9 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit one CSV shard per server, aggregate, and screen for contamination",
     )
     pipe.add_argument("shards", nargs="+", help="CSV files, one per server")
-    pipe.add_argument("--model", default="logistic", choices=["logistic", "linear"])
-    pipe.add_argument("--c", type=float, default=DEFAULT_HUBER_C)
-    pipe.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    _add_key_flags(pipe, {key: _KEYS[key] for key in ("model", "c", "alpha")})
     pipe.add_argument(
         "--trusted-server",
         help="use this server's variance matrix instead of the spatial-median aggregate",

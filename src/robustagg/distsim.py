@@ -46,6 +46,7 @@ from .aggregate import (
     round_view,
     server_positions,
     standard_errors,
+    tau_c,
     weighted_average,
 )
 from .detect import DEFAULT_ALPHA, detect
@@ -127,8 +128,7 @@ class StudyConfig:
             raise ValueError("replicates must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not self.c > 0.0:
-            raise ValueError("tuning constant c must be positive")
+        tau_c(self.c)
         if len(self.theta0) < 1:
             raise ValueError("theta0 must have at least one coordinate")
         if not all(math.isfinite(t) for t in self.theta0):
@@ -321,8 +321,10 @@ def encode_message(est: LocalEstimate) -> bytes:
 
 def _checked_fields(payload: bytes) -> tuple:
     """``(server id text, n_k, p, numbers)`` of a payload whose version,
-    field count, checksum, numbers, integer fields and dimension hold,
-    where ``numbers`` is the bytes of its p + vech_len(p) doubles."""
+    field count, checksum, numbers, integer fields, dimension and ``n_k``
+    hold, where ``numbers`` is the bytes of its p + vech_len(p) doubles.
+    This is the whole rule for one payload; the fields it returns make a
+    valid round."""
     try:
         text = payload.decode("ascii")
     except (UnicodeDecodeError, AttributeError) as exc:
@@ -362,42 +364,37 @@ def _checked_fields(payload: bytes) -> tuple:
         raise TruncatedMessageError(
             "declared dimension does not match the payload lengths"
         )
+    if n_k < 1:
+        raise ValueError("n_k must be >= 1")
     return sid_txt, n_k, p, numbers
+
+
+def _stacked_round(fields) -> RoundView:
+    """The round of checked payload fields of one dimension, from one
+    ``np.frombuffer`` over all their numbers and one stacked ``vech_inv``."""
+    p = fields[0][2] if fields else 0
+    values = np.frombuffer(b"".join(f[3] for f in fields), dtype=_WIRE_FLOAT)
+    block = values.reshape(len(fields), p + numkit.vech_len(p))
+    return RoundView(
+        [_decode_id(f[0]) for f in fields],
+        [f[1] for f in fields],
+        block[:, :p].copy(),
+        numkit.vech_inv_stack(block[:, p:], p),
+    )
 
 
 def decode_messages(payloads) -> RoundView:
     """The round of the estimates the wire payloads carry, in payload order.
 
-    A round runs straight through: the version, field count, checksum,
-    base64 numbers and declared dimension of every payload, then one
-    ``np.frombuffer`` over all their numbers and one stacked ``vech_inv``
-    give the round's arrays.  Payloads that differ in dimension are decoded
-    one at a time into the round's members.  If a round of more than one
-    payload fails, its payloads are decoded again one at a time, in order,
-    so the error raised is the one the first failing payload raises alone.
+    Each payload is checked once, in order, by :func:`_checked_fields`, so
+    the error raised is the one the first failing payload raises alone.  A
+    round of one dimension is then stacked whole; the members of a round
+    whose payloads differ in dimension are stacked one at a time.
     """
-    payloads = list(payloads)
-    try:
-        fields = [_checked_fields(payload) for payload in payloads]
-        dims = {f[2] for f in fields}
-        if len(dims) > 1:
-            return listed_round(decode_messages([payload])[0] for payload in payloads)
-        p = dims.pop() if dims else 0
-        values = np.frombuffer(b"".join(f[3] for f in fields), dtype=_WIRE_FLOAT)
-        block = values.reshape(len(fields), p + numkit.vech_len(p))
-        return RoundView(
-            [_decode_id(f[0]) for f in fields],
-            [f[1] for f in fields],
-            block[:, :p].copy(),
-            numkit.vech_inv_stack(block[:, p:], p),
-        )
-    except (RobustAggError, ValueError) as exc:
-        if len(payloads) == 1:
-            raise
-        error = exc
-    for payload in payloads:
-        decode_messages([payload])
-    raise error
+    fields = [_checked_fields(payload) for payload in payloads]
+    if len({f[2] for f in fields}) > 1:
+        return listed_round(_stacked_round([f])[0] for f in fields)
+    return _stacked_round(fields)
 
 
 def decode_message(payload: bytes) -> LocalEstimate:
@@ -445,8 +442,9 @@ def process(received, c: float, alpha: float, sigma_hat=None):
 
     The parameter dimension is the one a strict majority of the servers
     sends.  A server of another dimension is left out of everything but
-    the report, where its row records the ``DimensionError``; without a
-    strict majority, :class:`DimensionError` is raised.
+    the report, where its row's error reads "theta_hat dimension does not
+    match the estimate"; without a strict majority,
+    :class:`DimensionError` is raised.
 
     Sigma-hat goes through ``numkit.require_pd`` once, before any other
     stage (so a bad given ``sigma_hat`` raises before a bad ``c`` or a round

@@ -199,9 +199,10 @@ def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 def spatial_median(points, weights=None) -> SpatialMedianResult:
     """Minimize the weighted sum of Euclidean distances to the given points.
 
-    ``points`` is a sequence of :class:`WeightedPoint`, which is stacked
-    into the other form: a ``(K, d)`` array of finite point coordinates, one
-    row per point, with their ``weights``, K positive finite numbers.
+    ``points`` is a ``(K, d)`` array of finite point coordinates, one row
+    per point, with their ``weights``, K positive finite numbers; or a
+    sequence of :class:`WeightedPoint`, which must agree on dimension and
+    is stacked into that form and checked as it is.
     Exact duplicate points are merged first, summing their weights.
 
     The result leaves by one of these exits:
@@ -223,28 +224,23 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
     """
     if weights is None:
         pts = list(points)
-        if not pts:
-            raise ValueError("at least one point is required")
-        d = pts[0].value.size
-        for pt in pts:
-            if pt.value.size != d:
-                raise DimensionError("points disagree on dimension")
-        x_all = np.stack([pt.value for pt in pts])
-        w_all = np.array([pt.weight for pt in pts])
-    else:
-        x_all = np.asarray(points, dtype=float)
-        w_all = np.asarray(weights, dtype=float)
-        if x_all.ndim != 2 or w_all.shape != x_all.shape[:1]:
-            raise DimensionError(
-                f"points of shape {x_all.shape} and weights of shape {w_all.shape} do not align"
-            )
-        if not x_all.shape[0]:
-            raise ValueError("at least one point is required")
-        if not ((w_all > 0.0).all() and np.isfinite(w_all).all()):
-            raise ValueError("weight must be positive and finite")
-        if not np.isfinite(x_all).all():
-            raise ValueError("point coordinates must be finite")
-        d = x_all.shape[1]
+        d = pts[0].value.size if pts else 0
+        if any(pt.value.size != d for pt in pts):
+            raise DimensionError("points disagree on dimension")
+        points = np.array([pt.value for pt in pts]).reshape(len(pts), d)
+        weights = [pt.weight for pt in pts]
+    x_all = np.asarray(points, dtype=float)
+    w_all = np.asarray(weights, dtype=float)
+    if x_all.ndim != 2 or w_all.shape != x_all.shape[:1]:
+        raise DimensionError(
+            f"points of shape {x_all.shape} and weights of shape {w_all.shape} do not align"
+        )
+    if not x_all.shape[0]:
+        raise ValueError("at least one point is required")
+    if not ((w_all > 0.0).all() and np.isfinite(w_all).all()):
+        raise ValueError("weight must be positive and finite")
+    if not np.isfinite(x_all).all():
+        raise ValueError("point coordinates must be finite")
     x, w = _merge_duplicates(x_all, w_all)
     k = x.shape[0]
     iterations = 0
@@ -262,7 +258,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         return done(x[int(np.argmax(w))].copy(), True)
 
     scale = np.maximum(1.0, _norms(x))
-    eta = np.array([weighted_median(x[:, j], w) for j in range(d)])
+    eta = np.array([weighted_median(col, w) for col in x.T])
     best_eta, best_foc = eta.copy(), math.inf
     prev_delta = None
     while True:

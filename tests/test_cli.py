@@ -26,6 +26,10 @@ def write_config(tmp_path, text):
     return path
 
 
+def no_read(*args, **kwargs):
+    raise AssertionError("a shard was read")
+
+
 def namespace_with_defaults(**kwargs):
     ns = cli.build_parser().parse_args(["simulate"])
     for key, value in kwargs.items():
@@ -513,17 +517,36 @@ class TestPipelineCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--c", "0", "c must be positive"),
+            pytest.param("--c", "0", "tuning constant c must be positive", id="--c-0-c must be positive"),
+            ("--c", "-inf", "tuning constant c must be positive"),
             ("--alpha", "1", "alpha must lie strictly between 0 and 1"),
         ],
     )
-    def test_bad_tuning_value_is_rejected(self, tmp_path, capsys, flag, value, message):
+    def test_bad_tuning_value_is_rejected(self, tmp_path, capsys, monkeypatch, flag, value, message):
         paths = make_shards(tmp_path, k=2, n=100)
+        monkeypatch.setattr(cli, "_read_shard", no_read)
         out = tmp_path / "out"
-        rc = main(["fit-aggregate-detect", *map(str, paths), flag, value, "--out-dir", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        # Checked before any shard is read, so a dry run rejects it too.
+        for dry_run in ([], ["--dry-run"]):
+            rc = main(["fit-aggregate-detect", *map(str, paths), f"{flag}={value}", "--out-dir", str(out), *dry_run])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_worker_variable_is_not_read(self, tmp_path, monkeypatch):
+        # Only a study runs workers; the shard command takes no worker count.
+        monkeypatch.setenv("ROBUSTAGG_WORKERS", "none")
+        paths = make_shards(tmp_path, k=2, n=100)
+        assert main(["fit-aggregate-detect", *map(str, paths), "--dry-run"]) == 0
+
+    def test_model_choices_are_the_model_kinds(self, capsys):
+        parser = cli.build_parser()
+        for kind in ModelKind:
+            assert parser.parse_args(["fit-aggregate-detect", "s.csv", "--model", kind.value]).model == kind.value
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["fit-aggregate-detect", "s.csv", "--model", "probit"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'probit'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("layout", ["two_directories", "one_file_twice"])
     @pytest.mark.parametrize("dry_run", [False, True])
@@ -532,9 +555,6 @@ class TestPipelineCommand:
     ):
         # The server id is the file stem: a/s0.csv and b/s0.csv would both
         # be server 's0', and naming one file twice would count its rows twice.
-        def no_read(*args, **kwargs):
-            raise AssertionError("a shard was read")
-
         shards = make_shards(tmp_path, k=5, n=100)
         if layout == "two_directories":
             (tmp_path / "a").mkdir()
@@ -579,7 +599,7 @@ class TestPipelineCommand:
         assert rc == 0
         assert not out.exists()
 
-    def test_trusted_server_option(self, tmp_path):
+    def test_trusted_server_option(self, tmp_path, capsys, monkeypatch):
         paths = make_shards(tmp_path, k=3, n=400, seed=33)
         out = tmp_path / "out"
         rc = main(
@@ -589,13 +609,18 @@ class TestPipelineCommand:
             ]
         )
         assert rc == 0
-        rc = main(
-            [
-                "fit-aggregate-detect", *map(str, paths),
-                "--trusted-server", "missing", "--out-dir", str(out),
-            ]
-        )
-        assert rc == 1
+        capsys.readouterr()
+        # Checked against the shard stems before any shard is read.
+        monkeypatch.setattr(cli, "_read_shard", no_read)
+        for dry_run in ([], ["--dry-run"]):
+            rc = main(
+                [
+                    "fit-aggregate-detect", *map(str, paths),
+                    "--trusted-server", "missing", "--out-dir", str(out), *dry_run,
+                ]
+            )
+            assert rc == 1
+            assert capsys.readouterr().err == "error: trusted server 'missing' not among shards\n"
 
     def test_trusted_server_matrix_is_decomposed_once(self, tmp_path, monkeypatch):
         # The CLI checks the trusted matrix, and process(), the Huber step
@@ -858,7 +883,17 @@ class TestSmallCommands:
 
     def test_tau_of_zero_is_rejected(self, capsys):
         assert main(["tau", "0"]) == 1
-        assert capsys.readouterr().err == "error: c must be positive\n"
+        assert capsys.readouterr().err == "error: tuning constant c must be positive\n"
+
+    @pytest.mark.parametrize("text", ["-inf", "nan"])
+    def test_tau_of_minus_inf_or_nan_is_rejected(self, capsys, text):
+        assert main(["tau", "--", text]) == 1
+        assert capsys.readouterr().err == "error: tuning constant c must be positive\n"
+
+    @pytest.mark.parametrize("text", ["inf", "INF", "Infinity"])
+    def test_tau_of_infinity_is_one(self, capsys, text):
+        assert main(["tau", text]) == 0
+        assert capsys.readouterr().out == f"tau_c({text}) = 1\n"
 
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0

@@ -320,12 +320,13 @@ def wire_estimates(draw):
     return LocalEstimate(draw(SERVER_IDS), draw(st.integers(1, 10**18)), theta, sigma)
 
 
-def ten_payloads():
-    """Ten estimates of mixed dimension and id type."""
+def ten_payloads(dims=(1, 2, 3)):
+    """Ten estimates of mixed id type, estimate k of dimension
+    ``dims[k % len(dims)]``."""
     rng = np.random.default_rng(41)
     ests = []
     for k in range(10):
-        p = 1 + k % 3
+        p = dims[k % len(dims)]
         a = rng.standard_normal((p, p))
         sid = k + 1 if k % 2 else f"shard{k:02d}"
         ests.append(LocalEstimate(sid, 50 + k, rng.standard_normal(p), a @ a.T + np.eye(p)))
@@ -454,6 +455,22 @@ ENCODE_DEFECTS = {
 }
 
 
+# The rounds a defect is put in: ten_payloads' mixed dimensions, whose
+# members are stacked one at a time, and a round of one dimension, stacked
+# whole as every simulated and shard round is.
+ROUND_DIMS = {"mixed": (1, 2, 3), "one p": (2,)}
+
+
+def in_each_round(defects):
+    """``(dims, defect)`` for each defect in each round of ``ROUND_DIMS``;
+    in the mixed round its id is the defect's name alone."""
+    return [
+        pytest.param(dims, defect, id=defect if name == "mixed" else f"{name}, {defect}")
+        for name, dims in ROUND_DIMS.items()
+        for defect in sorted(defects)
+    ]
+
+
 class TestBatchedTransport:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(wire_estimates(), min_size=1, max_size=10))
@@ -519,9 +536,9 @@ class TestBatchedTransport:
         with pytest.raises(TruncatedMessageError, match="malformed numeric field: Only base64 data"):
             decode_message(wire)
 
-    @pytest.mark.parametrize("defect", sorted(NUMBERS_DEFECTS))
-    def test_hostile_numbers_field_is_a_truncated_message(self, defect):
-        wire = encode_messages(ten_payloads())
+    @pytest.mark.parametrize("dims, defect", in_each_round(NUMBERS_DEFECTS))
+    def test_hostile_numbers_field_is_a_truncated_message(self, dims, defect):
+        wire = encode_messages(ten_payloads(dims))
         wire[3] = NUMBERS_DEFECTS[defect](wire[3])
         with pytest.raises(TruncatedMessageError):
             decode_message(wire[3])
@@ -537,17 +554,44 @@ class TestBatchedTransport:
         assert encode_messages([]) == []
         assert list(decode_messages([])) == []
 
-    @pytest.mark.parametrize("defect", sorted(DECODE_DEFECTS))
-    def test_decode_error_is_that_of_the_failing_payload(self, defect):
-        wire = encode_messages(ten_payloads())
+    @pytest.mark.parametrize("dims, defect", in_each_round(DECODE_DEFECTS))
+    def test_decode_error_is_that_of_the_failing_payload(self, dims, defect):
+        wire = encode_messages(ten_payloads(dims))
         wire[3] = DECODE_DEFECTS[defect](wire[3])
+        # A later payload failing the first check a payload meets.
+        wire[7] = DECODE_DEFECTS["not ascii"](wire[7])
         want = outcome(decode_message, wire[3])
         assert want[0] != "ok"
         assert outcome(decode_messages, wire) == want
 
-    @pytest.mark.parametrize("defect", sorted(ENCODE_DEFECTS))
-    def test_encode_error_is_that_of_the_failing_estimate(self, defect):
-        ests = ten_payloads()
+    @pytest.mark.parametrize(
+        "dims, broken, reached",
+        [
+            ((2,), {3: "flipped byte"}, 4),
+            ((2,), {3: "zero n_k", 7: "flipped byte"}, 4),
+            ((1, 2, 3), {}, 10),
+        ],
+        ids=["one p, 4th fails", "one p, 4th n_k 0, 8th bad crc", "mixed"],
+    )
+    def test_each_payload_is_checked_once(self, monkeypatch, dims, broken, reached):
+        # Payloads are checked in order up to the first that fails, each once.
+        wire = encode_messages(ten_payloads(dims))
+        for k, defect in broken.items():
+            wire[k] = DECODE_DEFECTS[defect](wire[k])
+        checked = []
+        check = distsim._checked_fields
+
+        def counting(payload):
+            checked.append(payload)
+            return check(payload)
+
+        monkeypatch.setattr(distsim, "_checked_fields", counting)
+        assert (outcome(decode_messages, wire)[0] == "ok") == (not broken)
+        assert checked == wire[:reached]
+
+    @pytest.mark.parametrize("dims, defect", in_each_round(ENCODE_DEFECTS))
+    def test_encode_error_is_that_of_the_failing_estimate(self, dims, defect):
+        ests = ten_payloads(dims)
         ests[3] = ENCODE_DEFECTS[defect](ests[3])
         want = outcome(encode_message, ests[3])
         assert want[0] != "ok"

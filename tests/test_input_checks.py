@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from robustagg import models
-from robustagg.aggregate import RoundView, tau_c
+from robustagg.aggregate import LocalEstimate, RoundView, huber_aggregate, tau_c
 from robustagg.distsim import (
     ContaminationKind,
     ContaminationSpec,
@@ -33,6 +33,14 @@ def linear_round(k=2, n=20):
 
 CHECKS = {
     "tau_c of 0": (lambda: tau_c(0.0), ValueError, "tuning constant c must be positive"),
+    # tau_c is the one rule for c: -inf and NaN fail it ahead of tau(inf) = 1.
+    "tau_c of -inf": (lambda: tau_c(-math.inf), ValueError, "tuning constant c must be positive"),
+    "tau_c of nan": (lambda: tau_c(math.nan), ValueError, "tuning constant c must be positive"),
+    "huber_aggregate with c -inf": (
+        lambda: huber_aggregate([LocalEstimate(1, 3, [1.0], [[1.0]])], [[1.0]], -math.inf),
+        ValueError,
+        "tuning constant c must be positive",
+    ),
     "negative contamination count": (
         lambda: ContaminationSpec(count=-1), ValueError, "contamination count must be >= 0"
     ),
@@ -54,6 +62,7 @@ CHECKS = {
     "zero shard size": (lambda: StudyConfig(shard_size=0), ValueError, "shard_size must be >= 1"),
     "zero replicates": (lambda: StudyConfig(replicates=0), ValueError, "replicates must be >= 1"),
     "zero c": (lambda: StudyConfig(c=0), ValueError, "tuning constant c must be positive"),
+    "c of -inf": (lambda: StudyConfig(c=-math.inf), ValueError, "tuning constant c must be positive"),
     "empty theta0": (
         lambda: StudyConfig(theta0=()), ValueError, "theta0 must have at least one coordinate"
     ),
