@@ -111,6 +111,15 @@ def _distances(sizes: np.ndarray, mats: np.ndarray, diffs: np.ndarray) -> list:
         return np.sqrt(sizes * np.where(0.0 > q, 0.0, q)).tolist()
 
 
+def detection_threshold(p: int, alpha: float) -> float:
+    """The common cutoff of d1 and d2: sqrt of the upper-``alpha``
+    chi-squared quantile with ``p`` degrees of freedom.  ``alpha`` must lie
+    strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return math.sqrt(float(special.chdtri(p, alpha)))
+
+
 def detect(
     estimates,
     theta_hat,
@@ -130,12 +139,10 @@ def detect(
     Per-server failures are recorded on the corresponding row instead of
     aborting.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     p = theta_hat.size
+    threshold = detection_threshold(p, alpha)
     view = round_view(estimates, p)
-    threshold = math.sqrt(float(special.chdtri(p, alpha)))
 
     sym = numkit.require_pd(sigma_hat, p).sym
     sizes = np.array([float(n) for n in view.n_k])

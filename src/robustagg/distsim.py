@@ -49,7 +49,7 @@ from .aggregate import (
     tau_c,
     weighted_average,
 )
-from .detect import DEFAULT_ALPHA, detect
+from .detect import DEFAULT_ALPHA, detect, detection_threshold
 from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_shards, sandwich_variance
 from .spatialmed import aggregate_sigma
 
@@ -124,10 +124,9 @@ class StudyConfig:
             raise ValueError("n_servers must be >= 1")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        if self.replicates < 2:
+            raise ValueError("a study needs at least 2 replicates")
+        detection_threshold(self.p, self.alpha)
         tau_c(self.c)
         if len(self.theta0) < 1:
             raise ValueError("theta0 must have at least one coordinate")
@@ -410,17 +409,18 @@ def decode_message(payload: bytes) -> LocalEstimate:
 
 @dataclass
 class ReplicateRecord:
+    """What one replicate measured: each estimator's theta and standard
+    errors, and the ids step 1 flagged.  A replicate failed exactly when
+    ``error`` is set; its other fields are then left at their defaults.
+    Coverage, hits and flag counts are derived from these by
+    :func:`_summarize`."""
+
     index: int
     theta_huber: np.ndarray | None = None
     se_huber: np.ndarray | None = None
-    cover_huber: np.ndarray | None = None
     theta_wa: np.ndarray | None = None
     se_wa: np.ndarray | None = None
-    cover_wa: np.ndarray | None = None
-    detection_ratio: float | None = None
     flagged_ids: tuple = ()
-    huber_iterations: int = 0
-    failed: bool = False
     error: str | None = None
 
 
@@ -485,30 +485,13 @@ def run_replicate(config: StudyConfig, replicate_index: int) -> ReplicateRecord:
     received = decode_messages(encode_messages(sent))
 
     result, theta_bar, se_wa, report = process(received, config.c, config.alpha)
-
-    theta0 = np.asarray(config.theta0, dtype=float)
-    cover_huber = np.abs(result.theta_hat - theta0) <= _Z_95 * result.se
-    cover_wa = np.abs(theta_bar - theta0) <= _Z_95 * se_wa
-
-    flagged = tuple(report.flagged_theta_ids())
-    count = config.contamination.resolved_count(config.n_servers)
-    if count > 0:
-        corrupted = {k + 1 for k in range(count)}
-        detection_ratio = len(corrupted.intersection(flagged)) / count
-    else:
-        detection_ratio = None
-
     return ReplicateRecord(
         index=replicate_index,
         theta_huber=result.theta_hat,
         se_huber=result.se,
-        cover_huber=cover_huber,
         theta_wa=theta_bar,
         se_wa=se_wa,
-        cover_wa=cover_wa,
-        detection_ratio=detection_ratio,
-        flagged_ids=flagged,
-        huber_iterations=result.iterations,
+        flagged_ids=tuple(report.flagged_theta_ids()),
     )
 
 
@@ -543,34 +526,38 @@ class StudyMetrics:
 
 
 def _summarize(records: list[ReplicateRecord], config: StudyConfig) -> StudyMetrics:
+    """Every metric of the study, each derived once from the records that
+    completed: per estimator BIAS, SD, ASE and CP (the share of replicates
+    whose 95% interval covers theta0 coordinatewise), RE, the hit rate (the
+    mean share of the corrupted servers a replicate flags in step 1, None
+    without corrupted servers) and the step-1 flag rates."""
     theta0 = np.asarray(config.theta0, dtype=float)
-    ok = [r for r in records if not r.failed]
+    ok = [r for r in records if r.error is None]
 
-    def estimator(theta_attr, se_attr, cover_attr) -> EstimatorMetrics:
+    def estimator(theta_attr, se_attr) -> EstimatorMetrics:
         thetas = np.stack([getattr(r, theta_attr) for r in ok])
         ses = np.stack([getattr(r, se_attr) for r in ok])
-        covers = np.stack([getattr(r, cover_attr) for r in ok])
         mean = thetas.mean(axis=0)
         return EstimatorMetrics(
             bias=mean - theta0,
             sd=np.sqrt(((thetas - mean) ** 2).mean(axis=0)),
             ase=ses.mean(axis=0),
-            cp=covers.mean(axis=0),
+            cp=(np.abs(thetas - theta0) <= _Z_95 * ses).mean(axis=0),
         )
 
-    hub = estimator("theta_huber", "se_huber", "cover_huber")
-    wa = estimator("theta_wa", "se_wa", "cover_wa")
+    hub = estimator("theta_huber", "se_huber")
+    wa = estimator("theta_wa", "se_wa")
     re = wa.mse() / hub.mse()
 
-    ratios = [r.detection_ratio for r in ok if r.detection_ratio is not None]
-    hit_rate = float(np.mean(ratios)) if ratios else None
+    count = config.contamination.resolved_count(config.n_servers)
+    hit_rate = None
+    if count > 0:
+        corrupted = set(range(1, count + 1))
+        hit_rate = float(np.mean([len(corrupted.intersection(r.flagged_ids)) / count for r in ok]))
 
     k = config.n_servers
-    flag_counts = {sid: 0 for sid in range(1, k + 1)}
-    for r in ok:
-        for sid in r.flagged_ids:
-            flag_counts[sid] += 1
-    per_server = {sid: flag_counts[sid] / len(ok) for sid in flag_counts}
+    flag_counts = Counter(sid for r in ok for sid in r.flagged_ids)
+    per_server = {sid: flag_counts[sid] / len(ok) for sid in range(1, k + 1)}
     flag_rate = float(np.mean([len(r.flagged_ids) / k for r in ok]))
 
     return StudyMetrics(
@@ -591,7 +578,7 @@ def _replicate_or_failure(config: StudyConfig, index: int) -> ReplicateRecord:
     try:
         return run_replicate(config, index)
     except RobustAggError as exc:
-        return ReplicateRecord(index=index, failed=True, error=str(exc))
+        return ReplicateRecord(index=index, error=str(exc))
 
 
 def check_workers(workers, source: str = "workers") -> int:
@@ -616,14 +603,13 @@ def default_workers() -> int:
 def run_study(config: StudyConfig, workers: int | None = None) -> StudyMetrics:
     """Run all replicates and reduce them into the metrics table.
 
-    Replicates are independent and may execute in a process pool; the
-    reduction happens in replicate order, so the metrics are identical for
-    any worker count.  The study aborts if more than 10% of the replicates
+    Replicates are independent and may execute in a process pool, whose
+    ``map`` yields them in replicate order as the serial loop does; the
+    reduction happens in that order, so the metrics are identical for any
+    worker count.  The study aborts if more than 10% of the replicates
     fail.  ``workers`` None means :func:`default_workers`; any other value
     must pass :func:`check_workers`.
     """
-    if config.replicates < 2:
-        raise ValueError("a study needs at least 2 replicates")
     workers = default_workers() if workers is None else check_workers(workers)
     started = time.perf_counter()
     indices = range(config.replicates)
@@ -634,11 +620,10 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyMetrics:
             )
     else:
         records = [_replicate_or_failure(config, i) for i in indices]
-    records.sort(key=lambda r: r.index)
 
-    failed = sum(1 for r in records if r.failed)
+    failed = sum(1 for r in records if r.error is not None)
     if failed > 0.1 * config.replicates:
-        first = next(r for r in records if r.failed)
+        first = next(r for r in records if r.error is not None)
         raise StudyError(
             f"{failed} of {config.replicates} replicates failed "
             f"(first failure: {first.error})"

@@ -36,11 +36,17 @@ class WeightedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "value", np.array(self.value, dtype=float).ravel())
-        if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ValueError("weight must be positive and finite")
-        if not np.isfinite(self.value).all():
-            raise ValueError("point coordinates must be finite")
+        _check_points(self.value, np.asarray(self.weight))
         self.value.flags.writeable = False
+
+
+def _check_points(x: np.ndarray, w: np.ndarray) -> None:
+    """The rule for weighted points, of one point or of a stack: every
+    weight positive and finite, then every coordinate finite."""
+    if not ((w > 0.0).all() and np.isfinite(w).all()):
+        raise ValueError("weight must be positive and finite")
+    if not np.isfinite(x).all():
+        raise ValueError("point coordinates must be finite")
 
 
 @dataclass
@@ -237,10 +243,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         )
     if not x_all.shape[0]:
         raise ValueError("at least one point is required")
-    if not ((w_all > 0.0).all() and np.isfinite(w_all).all()):
-        raise ValueError("weight must be positive and finite")
-    if not np.isfinite(x_all).all():
-        raise ValueError("point coordinates must be finite")
+    _check_points(x_all, w_all)
     x, w = _merge_duplicates(x_all, w_all)
     k = x.shape[0]
     iterations = 0

@@ -276,6 +276,20 @@ class TestSimulateCommand:
         assert "dry run" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_one_replicate_rejected_up_front(self, tmp_path, capsys, monkeypatch, dry_run):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        out = tmp_path / "out"
+        args = ["simulate", "--replicates", "1", "--out-dir", str(out)]
+        assert main(args + (["--dry-run"] if dry_run else [])) == 1
+        captured = capsys.readouterr()
+        assert "a study needs at least 2 replicates" in captured.err
+        assert "dry run" not in captured.out
+        assert not out.exists()
+
     def test_extreme_omniscient_value_completes(self, tmp_path):
         rc = main(
             [

@@ -22,6 +22,7 @@ from robustagg.detect import detect
 from robustagg.distsim import (
     ContaminationKind,
     ContaminationSpec,
+    ReplicateRecord,
     StudyConfig,
     contaminate,
     decode_message,
@@ -849,7 +850,7 @@ class TestQuietRounds:
         [
             StudyConfig(
                 contamination=ContaminationSpec(kind=ContaminationKind.OMNISCIENT, count=2),
-                replicates=1,
+                replicates=2,
             ),
             StudyConfig(
                 model=ModelKind.LINEAR,
@@ -857,7 +858,7 @@ class TestQuietRounds:
                 n_servers=400,
                 shard_size=50,
                 contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN),
-                replicates=1,
+                replicates=2,
             ),
         ],
         ids=["desk omniscient", "linear gaussian"],
@@ -962,7 +963,6 @@ class TestRunReplicate:
         rec = run_replicate(cfg, 0)
         assert np.abs(rec.theta_huber - [2.0, 1.0]).max() <= 0.5
         assert np.abs(rec.theta_wa - [2.0, 1.0]).max() <= 0.5
-        assert rec.detection_ratio is None
 
     def test_omniscient_linear_displacement(self):
         cfg = StudyConfig(
@@ -978,7 +978,7 @@ class TestRunReplicate:
         assert np.abs(rec.theta_huber - [2.0, 1.0]).max() <= 0.5
         # weighted average is dragged about a quarter of the way to -1e6
         assert np.abs(rec.theta_wa - (-250_000)).max() <= 1000
-        assert rec.detection_ratio == 1.0
+        assert 1 in rec.flagged_ids
 
     @pytest.mark.parametrize("base_seed,index", [(102008, 5), (203000, 5), (306041, 9)])
     def test_weiszfeld_stall_completes(self, base_seed, index):
@@ -1008,6 +1008,62 @@ class TestRunStudy:
             assert np.isfinite(est.sd).all()
             assert all(v in (0.0, 0.5, 1.0) for v in est.cp)
         assert metrics.hit_rate is None
+
+    def test_summary_of_hand_built_records(self):
+        cfg = StudyConfig(
+            model=ModelKind.LINEAR,
+            theta0=(0.0, 1.0),
+            n_servers=4,
+            contamination=ContaminationSpec(kind=ContaminationKind.BIT_FLIP, count=2),
+            replicates=3,
+        )
+        records = [
+            ReplicateRecord(
+                index=0,
+                theta_huber=np.array([0.98, 1.0]),
+                se_huber=np.array([0.5, 0.25]),
+                theta_wa=np.array([3.0, 1.0]),
+                se_wa=np.array([1.0, 1.0]),
+                flagged_ids=(1, 2),
+            ),
+            ReplicateRecord(
+                index=1,
+                theta_huber=np.array([-0.98, 1.5]),
+                se_huber=np.array([0.5, 0.25]),
+                theta_wa=np.array([-1.0, 1.0]),
+                se_wa=np.array([1.0, 1.0]),
+                flagged_ids=(2, 4),
+            ),
+            # A failed replicate is left out of every metric.
+            ReplicateRecord(
+                index=2,
+                theta_huber=np.array([9.0, 9.0]),
+                se_huber=np.array([9.0, 9.0]),
+                theta_wa=np.array([9.0, 9.0]),
+                se_wa=np.array([9.0, 9.0]),
+                flagged_ids=(3,),
+                error="boom",
+            ),
+        ]
+        metrics = distsim._summarize(records, cfg)
+        assert (metrics.replicates_completed, metrics.replicates_failed) == (2, 1)
+        assert metrics.huber.bias.tolist() == [0.0, 0.25]
+        assert metrics.huber.sd.tolist() == [0.98, 0.25]
+        assert metrics.huber.ase.tolist() == [0.5, 0.25]
+        # Replicate 0's first coordinate lies exactly 1.96 se from theta0,
+        # and is covered; replicate 1's second lies 2 se away.
+        assert abs(0.98 - 0.0) == 1.96 * 0.5
+        assert metrics.huber.cp.tolist() == [1.0, 0.5]
+        assert metrics.weighted.bias.tolist() == [1.0, 0.0]
+        assert metrics.weighted.sd.tolist() == [2.0, 0.0]
+        assert metrics.weighted.ase.tolist() == [1.0, 1.0]
+        assert metrics.weighted.cp.tolist() == [0.5, 1.0]
+        # Corrupted servers 1 and 2: replicate 0 flags both, replicate 1 one.
+        assert metrics.hit_rate == (1.0 + 0.5) / 2
+        assert metrics.per_server_flag_rate == {1: 0.5, 2: 1.0, 3: 0.0, 4: 0.5}
+        assert metrics.flag_rate == 0.5
+        clean = dataclasses.replace(cfg, contamination=ContaminationSpec())
+        assert distsim._summarize(records, clean).hit_rate is None
 
     def test_worker_count_invariance(self):
         cfg = StudyConfig(
@@ -1134,4 +1190,3 @@ class TestStudyLevelInvariants:
         for index in range(3):
             rec = run_replicate(cfg, index)
             assert {1, 2} <= set(rec.flagged_ids)
-            assert rec.detection_ratio == 1.0

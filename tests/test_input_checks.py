@@ -60,7 +60,9 @@ CHECKS = {
         "gaussian_scale must be positive and finite",
     ),
     "zero shard size": (lambda: StudyConfig(shard_size=0), ValueError, "shard_size must be >= 1"),
-    "zero replicates": (lambda: StudyConfig(replicates=0), ValueError, "replicates must be >= 1"),
+    "zero replicates": (
+        lambda: StudyConfig(replicates=0), ValueError, "a study needs at least 2 replicates"
+    ),
     "zero c": (lambda: StudyConfig(c=0), ValueError, "tuning constant c must be positive"),
     "c of -inf": (lambda: StudyConfig(c=-math.inf), ValueError, "tuning constant c must be positive"),
     "empty theta0": (
