@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,8 @@ class RoundView:
     The round travels in this form from ``contaminate`` through the wire
     codec to the central stages, which read the arrays instead of sorting,
     stacking and checking K estimates each time.  The constructor checks
-    that the rows align and that every ``n_k >= 1``, and makes the arrays
-    read-only.
+    that the rows align, that every ``n_k >= 1`` and that the total size N
+    is at most the largest double, and makes the arrays read-only.
 
     ``estimates``, when given, are the round's members in round order, as
     they were received; those of dimension ``p`` are the rows, in the same
@@ -149,6 +150,9 @@ class RoundView:
             )
         if k and min(self.n_k) < 1:
             raise ValueError("n_k must be >= 1")
+        # N enters sqrt(n_k) and N * tau as a double.
+        if self.n_total > sys.float_info.max:
+            raise ValueError("total size N must be at most the largest double")
         self.thetas.flags.writeable = False
         self.sigmas.flags.writeable = False
 

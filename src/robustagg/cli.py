@@ -8,7 +8,10 @@ Subcommands:
                              aggregate robustly and by weighted average, and
                              write the aggregation and detection reports.
 * ``tau``                 -- print the efficiency constant for a tuning value.
-* ``check``               -- run quick numerical self-tests.
+* ``check``               -- compare each numerical kernel's output on fixed
+                             inputs with the bits the published artifacts
+                             were made with; a FAIL means this host will not
+                             reproduce them.
 
 Configuration files are flat ``key = value`` text (``#`` comments allowed);
 any command-line override wins over the file.  All output files are written
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
-import math
 import sys
 from enum import Enum
 from pathlib import Path
@@ -32,6 +35,7 @@ from scipy.special import expit
 from .errors import ConfigError, NotPositiveDefiniteError, RobustAggError
 from . import distsim, numkit
 from .aggregate import LocalEstimate, tau_c, weighted_average
+from .detect import detection_threshold
 from .distsim import (
     WORKERS_ENV_VAR,
     ContaminationKind,
@@ -39,16 +43,14 @@ from .distsim import (
     StudyConfig,
     check_workers,
     contaminate,
-    decode_message,
     decode_messages,
     default_workers,
     detection_rates_to_csv,
-    encode_message,
     encode_messages,
     run_study,
     study_metrics_to_csv,
 )
-from .models import DEFAULT_TOL, ModelKind, ModelSpec, Observations, fit_local, fit_shards
+from .models import ModelKind, ModelSpec, Observations, fit_local, fit_shards
 
 # The study keys, in the order of the `simulate` flags.  Each key has a type
 # (int, float, an enum, or tuple for a comma-separated list of numbers), the
@@ -202,8 +204,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"workers={workers}) and write {out_dir / 'metrics.csv'}"
         )
         return 0
-    metrics = run_study(config, workers=workers)
+    # Made first, so a path that cannot be a directory fails before the study.
     out_dir.mkdir(parents=True, exist_ok=True)
+    metrics = run_study(config, workers=workers)
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         study_metrics_to_csv(metrics, fh)
     with open(out_dir / "detection_rates.csv", "w", newline="") as fh:
@@ -370,6 +373,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
         return 0
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = ModelSpec(config.model, len(covariates))
     try:
         fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
@@ -403,7 +407,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     result, theta_bar, se_wa, report = distsim.process(received, config.c, config.alpha, sigma_hat)
 
     rows = list(zip(covariates, result.theta_hat, result.se, theta_bar, se_wa))
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -433,243 +436,129 @@ def cmd_tau(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    """Fast self-tests of the numerical kernels; exit nonzero on any failure."""
-    rng = np.random.default_rng(7)
-    failures = []
+def _bits(out) -> bytes:
+    """The bytes a kernel's output is pinned by: bytes as they are, a list
+    or tuple as its items' bytes in order, anything else as little-endian
+    doubles."""
+    if isinstance(out, (list, tuple)):
+        return b"".join(map(_bits, out))
+    return out if isinstance(out, bytes) else np.asarray(out, dtype="<f8").tobytes()
 
-    def check(name: str, ok: bool) -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
 
-    a = rng.standard_normal((4, 4))
-    sym = (a + a.T) / 2
-    check("vech round trip", np.array_equal(numkit.vech_inv(numkit.vech(sym), 4), sym))
+def _spd(rng, k: int, p: int) -> np.ndarray:
+    """A ``(k, p, p)`` stack of positive definite matrices."""
+    a = rng.standard_normal((k, p, p))
+    return a @ a.swapaxes(-1, -2) + 0.1 * np.eye(p)
 
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    pd = (q * np.array([5.0, 2.0, 1.0, 0.5, 0.01])) @ q.T
-    b = numkit.inv_sqrt_pd(pd)
-    check("inverse square root identity", np.abs(b @ pd @ b - np.eye(5)).max() < 1e-8)
 
-    check("pd projection floor", numkit.min_eigenvalue(numkit.pd_project(sym)) >= numkit.PD_EPSILON - 1e-12)
+def _fits(model, shards) -> list:
+    return [(f.theta_hat, f.sigma_hat, f.newton_iters, f.grad_norm) for f in fit_shards(model, shards)]
 
-    check("tau_c(1.345) ~ 0.95", abs(tau_c(1.345) - 0.950) < 1e-3)
-    check("tau_c(inf) = 1", tau_c(math.inf) == 1.0)
 
-    est = LocalEstimate(server_id=3, n_k=17, theta_star=rng.standard_normal(3), sigma_star=pd[:3, :3])
-    check("wire codec round trip", decode_message(encode_message(est)).theta_star.tolist() == est.theta_star.tolist())
+def _column_sums(rng):
+    # Columns that cancel to a survivor far below their terms, span 600
+    # decades, go beyond the extraction guard (so fsum sums them) or hold
+    # products; and a 50 x 20 block, the size of a 50-row shard's sandwich.
+    cancel = np.repeat(rng.standard_normal(1000) * 1e8, 2) * np.tile([1.0, -1.0], 1000)
+    cancel[7] += 1e-9
+    guard = np.tile([1e308, -1e308], 1000)
+    guard[0] = 1.0
+    spread = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+    cols = np.stack([cancel, spread, guard, rng.standard_normal(2000) * rng.standard_normal(2000)], axis=1)
+    return numkit.exact_column_means(cols), numkit.exact_column_means(rng.standard_normal((50, 20)) ** 3)
 
-    # The wire carries little-endian doubles in standard base64; a host of
-    # another byte order or base64 would send other bytes for the same bits.
-    golden = LocalEstimate("7", 120, [1.5, -0.0], [[2.0, 0.5], [0.5, 5e-324]])
-    golden_wire = b"v2|'7|120|2|AAAAAAAA+D8AAAAAAAAAgAAAAAAAAABAAAAAAAAA4D8BAAAAAAAAAA==|fc0f2a62"
-    back = decode_message(golden_wire)
-    check(
-        "wire payload of a fixed estimate equals its golden bytes",
-        encode_message(golden) == golden_wire
-        and back.theta_star.tobytes() == golden.theta_star.tobytes()
-        and back.sigma_star.tobytes() == golden.sigma_star.tobytes(),
-    )
 
-    # A round goes over the wire as one batch; it must carry the bytes and
-    # bits of one payload at a time, whatever its mix of ids and dimensions.
-    # A round of one dimension, as every study and shard run sends, is
-    # stacked whole; one of mixed dimensions is stacked a member at a time.
-    sym_pd = numkit.symmetrize(pd)
-    mixed = [
-        LocalEstimate(sid, 10 + k, rng.standard_normal(p), sym_pd[:p, :p])
-        for k, (sid, p) in enumerate(((4, 2), ("s07", 3), ("12", 2), (-1, 3), ("'q", 3)))
-    ]
-    one_p = [LocalEstimate(e.server_id, e.n_k, e.theta_star[:2], e.sigma_star[:2, :2]) for e in mixed]
-    check(
-        "batched wire codec equals one payload at a time, bit for bit",
-        all(
-            encode_messages(batch) == [encode_message(e) for e in batch]
-            and all(
-                type(b.server_id) is type(e.server_id)
-                and b.server_id == e.server_id
-                and b.theta_star.tobytes() == e.theta_star.tobytes()
-                and b.sigma_star.tobytes() == e.sigma_star.tobytes()
-                for b, e in zip(decode_messages(encode_messages(batch)), batch)
-            )
-            for batch in (mixed, one_p)
-        ),
-    )
-
-    # tau_c against E psi_c(Z)^2 by the midpoint rule, which checks the
-    # standard normal density inside its closed form.
-    c = 1.345
-    h = 2 * c / 200_000
-    u = -c + h * (np.arange(200_000) + 0.5)
-    inner = h * float(np.sum(u * u * np.exp(-0.5 * u * u))) / math.sqrt(2 * math.pi)
-    b = math.erf(c / math.sqrt(2))
-    check("tau_c(1.345) matches quadrature", abs(tau_c(c) - b * b / (inner + c * c * (1 - b))) < 1e-9)
-
-    twins = [LocalEstimate(k, 100, [2.0, 1.0], np.eye(2)) for k in (1, 2, 3)]
-    report = distsim.process(twins, 1.345, 0.05)[3]
-    check("detection threshold dof=2", abs(report.threshold**2 - (-2.0 * math.log(0.05))) < 1e-9)
-
-    # The central processor screens and standardizes all servers with stacked
-    # eigh/solve calls; its output is reproducible only if this LAPACK returns
-    # the same bits for a stack as for one matrix at a time.
-    a = rng.standard_normal((6, 3, 3))
-    stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
-    rhs = rng.standard_normal((6, 3))
-    values, vectors = np.linalg.eigh(stack)
-    sols = np.linalg.solve(stack, rhs[..., None])[..., 0]
-    shared = np.linalg.solve(np.broadcast_to(stack[0], stack.shape), rhs[..., None])[..., 0]
-    check(
-        "stacked eigh and solve equal per-matrix calls bit for bit",
-        all(
-            np.array_equal(values[k], np.linalg.eigh(stack[k])[0])
-            and np.array_equal(vectors[k], np.linalg.eigh(stack[k])[1])
-            and np.array_equal(sols[k], np.linalg.solve(stack[k], rhs[k]))
-            and np.array_equal(shared[k], np.linalg.solve(stack[0], rhs[k]))
-            for k in range(len(stack))
-        ),
-    )
-
-    # The weighted average adds the servers' weighted rows with
-    # add.accumulate; it gives the published bits only if this numpy's
-    # accumulate adds one row at a time, as a += loop in server order does
-    # (a pairwise sum would differ at p = 1).
-    averages_equal = True
-    for p in (1, 3):
-        servers = [
-            LocalEstimate(k, int(rng.integers(1, 10**6)), rng.standard_normal(p), sym_pd[:p, :p] * (1 + k))
-            for k in range(300)
-        ]
-        n_total = sum(e.n_k for e in servers)
-        theta, sigma = np.zeros(p), np.zeros((p, p))
-        for e in servers:
-            theta += e.n_k / n_total * e.theta_star
-            sigma += e.n_k / n_total * e.sigma_star
-        got = weighted_average(reversed(servers))
-        averages_equal &= got[0].tobytes() == theta.tobytes() and got[1].tobytes() == sigma.tobytes()
-    check("weighted average equals the server-order loop bit for bit", averages_equal)
-
-    # fit-aggregate-detect reads a plain-decimal shard body with numpy's C
-    # text reader and any other with csv and one numpy conversion of the str
-    # cells; it reads the doubles float() reads only if this numpy parses a
-    # cell as float() does on both paths.
-    def per_cell(body: str) -> bytes:
-        return np.array([[float(c) for c in row] for row in csv.reader(io.StringIO(body))]).tobytes()
-
-    spread = rng.standard_normal(30) * 10.0 ** rng.uniform(-320.0, 300.0, 30)
-    cells = [repr(v) for v in spread.tolist()] + ["-0", ".5", "5.", "+3", "00012", "1e-400"]
-    plain = "".join(f"{k % 2},{a},{b}\n" for k, (a, b) in enumerate(zip(cells, reversed(cells))))
-    spelled = f'1,{0.1!r},{5e-324!r}\n0,"{math.pi!r}",1_0\n1, {-2 / 3!r} ,{1e300 / 7!r}\r\n'
-    plain_table = _read_plain(io.StringIO(plain), 3)
-    check(
-        "shard parser equals float() bit for bit",
-        plain_table is not None
-        and plain_table.tobytes() == per_cell(plain)
-        and _read_plain(io.StringIO(spelled), 3) is None
-        and np.array(list(csv.reader(io.StringIO(spelled))), dtype=float).tobytes()
-        == per_cell(spelled),
-    )
-
-    # Every sandwich variance is summed by exact_column_means; its bits equal
-    # fsum's only if this numpy adds and rounds doubles as IEEE 754 says.
-    n = 2000
-    half = rng.standard_normal(n // 2) * 1e8
-    cancelling = np.concatenate([half, -half[::-1]])
-    cancelling[7] += 1e-9
-    mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
-    beyond_guard = np.array([1e308, -1e308] * (n // 2))  # summed by fsum itself
-    beyond_guard[0] = 1.0
-    products = rng.standard_normal(n) * rng.standard_normal(n)
-    cols = np.stack([cancelling, mixed, beyond_guard, products], axis=1)
-    # A small call too: a 50-row shard's 20 sandwich columns of products, one
-    # of them cancelling down to a survivor far below its terms.
-    small = rng.standard_normal((50, 20)) * rng.standard_normal((50, 20))
-    small[:, 0] = np.concatenate([small[:25, 1], -small[24::-1, 1]])
-    small[3, 0] *= 1.0 + 2.0**-52
-    check(
-        "exact column sums equal math.fsum bit for bit",
-        all(
-            np.array_equal(
-                numkit.exact_column_means(a),
-                [math.fsum(col) / a.shape[0] for col in a.T.tolist()],
-            )
-            for a in (cols, small)
-        ),
-    )
-
-    # A replicate fits its equal-size shards in one stacked pass; that gives
-    # the published bits only if the stacked einsum, matmul, solve and eigh
-    # of this numpy and LAPACK equal one call per shard.
-    stacked_equal = True
-    for model, n in ((ModelSpec.linear(3), 50), (ModelSpec.logistic(2), 300)):
-        X = rng.standard_normal((6 * n, model.p))
-        eta = X @ np.linspace(1.0, -0.5, model.p)
-        y = eta + rng.standard_normal(6 * n)
-        if model.kind is ModelKind.LOGISTIC:
-            y = (rng.random(6 * n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        shards = [Observations(y[k * n : (k + 1) * n], X[k * n : (k + 1) * n]) for k in range(6)]
-        singles = [fit_local(model, shard) for shard in shards]
-        for one, fit in zip(singles, fit_shards(model, shards)):
-            stacked_equal &= (
-                np.array_equal(one.theta_hat, fit.theta_hat)
-                and np.array_equal(one.sigma_hat, fit.sigma_hat)
-                and one.grad_norm == fit.grad_norm
-            )
-    check("stacked local fits equal per-shard fits bit for bit", stacked_equal)
-
-    # Logistic shards of one size run Newton in lockstep, their Hessian
-    # entries summed by add.accumulate; that gives the published bits only if
-    # this numpy's accumulate adds as its three-operand einsum does, which a
-    # Newton run per shard uses here.  Mislabelled far-out rows make some of
-    # these shards halve their steps, and they converge at different
-    # iterations.
-    def newton_alone(data: Observations):
-        y, X, n = data.y, data.X, data.n
-
-        def evaluate(theta):
-            eta = X @ theta
-            pi = expit(eta)
-            value = float(np.add.reduce(y * eta - np.logaddexp(0.0, eta))) / n
-            hess = -np.einsum("i,ij,ik->jk", pi * (1.0 - pi), X, X) / n
-            return value, np.einsum("i,ij->j", y - pi, X) / n, numkit.symmetrize(hess)
-
-        theta = np.zeros(data.p)
-        value, grad, hess = evaluate(theta)
-        iters = 0
-        while float(np.linalg.norm(grad)) > DEFAULT_TOL:
-            step = np.linalg.solve(-hess, grad)
-            scale = 1.0
-            for _ in range(60):
-                cand = theta + scale * step
-                cand_value, cand_grad, cand_hess = evaluate(cand)
-                if cand_value >= value - 1e-14 * abs(value):
-                    break
-                scale /= 2.0
-            theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
-            iters += 1
-        return theta, iters, float(np.linalg.norm(grad))
-
-    lever = np.random.default_rng(48)
+def _lockstep_newton(rng) -> list:
+    # Mislabelled far-out rows make some shards halve their steps, and the
+    # shards converge at different iterations.
     shards = []
     for _ in range(6):
-        X = lever.standard_normal((300, 2))
-        X[:3] *= 10.0 ** lever.uniform(1.0, 2.5, (3, 1))
-        y = (lever.random(300) < expit(X @ np.array([5.0, 3.0]))).astype(float)
+        X = rng.standard_normal((300, 2))
+        X[:3] *= 10.0 ** rng.uniform(1.0, 2.5, (3, 1))
+        y = (rng.random(300) < expit(X @ [5.0, 3.0])).astype(float)
         y[:3] = 1.0 - y[:3]
         shards.append(Observations(y, X))
-    check(
-        "stacked logistic Newton equals per-shard Newton bit for bit",
-        all(
-            (fit.theta_hat.tobytes(), fit.newton_iters, fit.grad_norm)
-            == (theta.tobytes(), iters, grad_norm)
-            for fit, (theta, iters, grad_norm) in zip(
-                fit_shards(ModelSpec.logistic(2), shards), map(newton_alone, shards)
-            )
-        ),
-    )
+    return _fits(ModelSpec.logistic(2), shards)
 
-    if failures:
-        print(f"{len(failures)} self-test(s) failed")
+
+def _round(rng, dims) -> list:
+    """Estimates of the dimensions ``dims`` from servers of int and str ids."""
+    ids = (4, "s07", "12", -1, "'q", *range(5, len(dims)))
+    sizes = rng.integers(1, 10**6, len(dims)).tolist()
+    return [
+        LocalEstimate(sid, n_k, rng.standard_normal(p), _spd(rng, 1, p)[0])
+        for sid, n_k, p in zip(ids, sizes, dims)
+    ]
+
+
+def _codec(estimates) -> list:
+    """The payloads of a round and the ids, estimates and variance matrices
+    they decode to."""
+    payloads = encode_messages(estimates)
+    back = decode_messages(payloads)
+    return [payloads, *((repr(e.server_id).encode(), e.theta_star, e.sigma_star) for e in back)]
+
+
+def _plain_table(rng):
+    cells = [repr(v) for v in (rng.standard_normal(30) * 10.0 ** rng.uniform(-320.0, 300.0, 30)).tolist()]
+    cells += ["-0", ".5", "5.", "+3", "00012", "1e-400"]
+    body = "".join(f"{k % 2},{a},{b}\n" for k, (a, b) in enumerate(zip(cells, reversed(cells))))
+    return _read_plain(io.StringIO(body), 3)
+
+
+def _csv_table(rng):
+    # Quotes, spaces, "1_0", a blank line and CRLF, which _read_plain refuses.
+    a, b, c = map(repr, rng.standard_normal(3).tolist())
+    body = f'1,{a},5e-324\n0,"{b}",1_0\n\n1, {c} ,-inf\r\n'
+    return _read_records(Path("check.csv"), ["y", "a", "b"], csv.reader(io.StringIO(body)))
+
+
+# The lines of ``check``: a name, the seed of the line's own Generator, the
+# first 16 hex digits (64 bits) of the sha256 of the kernel's output bytes
+# (see _bits) on the host that made the published artifacts, and the kernel,
+# run on that Generator.  A deliberate change to a kernel is re-pinned by
+# pasting the digest its FAIL line prints.
+_CHECKS = (
+    ("numpy Generator draws, on which every line below and every artifact rest", 0, "b0e0aaf43dea71fc",
+     lambda rng: (rng.bytes(32), rng.random(4), rng.standard_normal(4), rng.integers(0, 2**53, 4))),
+    ("numkit.vech and vech_inv", 1, "b1ba785bcc749aac",
+     lambda rng: (v := numkit.vech(_spd(rng, 1, 4)[0]), numkit.vech_inv(v, 4))),
+    ("numkit.inv_sqrt_pd", 2, "aa064864278a9353", lambda rng: numkit.inv_sqrt_pd(_spd(rng, 1, 5)[0])),
+    ("numkit.pd_project", 3, "609c94ddd31e0aa0",
+     lambda rng: numkit.pd_project(_spd(rng, 1, 4)[0] - 2.0 * np.eye(4))),
+    ("tau_c(1.345) and tau_c(inf)", 4, "24b4237edc95acd2", lambda rng: (tau_c(1.345), tau_c(np.inf))),
+    ("detection_threshold(2, 0.05)", 5, "af31b6f637e3c23c", lambda rng: detection_threshold(2, 0.05)),
+    ("exact column sums equal math.fsum (numkit.exact_column_means)", 6, "391c15c08acd4e57", _column_sums),
+    ("stacked linear fit_shards", 7, "041f34f51e41e3c3", lambda rng: _fits(
+        ModelSpec.linear(3), map(Observations, rng.standard_normal((6, 50)), rng.standard_normal((6, 50, 3))))),
+    ("stacked logistic fit_shards: the lockstep Newton", 48, "9c945c28e1397f14", _lockstep_newton),
+    ("stacked numpy.linalg.eigh and solve", 8, "621ac5420d3c5c1b", lambda rng: (
+        np.linalg.eigh(stack := _spd(rng, 6, 3)), np.linalg.solve(stack, rhs := rng.standard_normal((6, 3, 1))),
+        np.linalg.solve(np.broadcast_to(stack[0], stack.shape), rhs))),
+    ("weighted_average", 9, "5799f89675f95086",
+     lambda rng: [weighted_average(_round(rng, (p,) * 300)) for p in (1, 3)]),
+    ("_read_plain: a plain shard body read as float() reads it", 10, "5d2f8b255e2b3007", _plain_table),
+    ("csv shard path: spelled cells read as float() reads them", 11, "70fc378315c2ebff", _csv_table),
+    ("encode_messages/decode_messages, one dimension", 12, "9e4a9ac1fc1eee63",
+     lambda rng: _codec(_round(rng, (2,) * 5))),
+    ("encode_messages/decode_messages, mixed dimensions", 13, "795e5cee80360c50",
+     lambda rng: _codec(_round(rng, (2, 3, 2, 3, 3)))),
+    ("wire payload of a fixed estimate equals its golden bytes", 14, "076b24945acdd8ea",
+     lambda rng: _codec([LocalEstimate("7", 120, [1.5, -0.0], [[2.0, 0.5], [0.5, 5e-324]])])),
+)
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    """Run each kernel of ``_CHECKS`` and compare the digest of its output
+    with the published one; exit nonzero on any mismatch."""
+    failed = 0
+    for name, seed, digest, kernel in _CHECKS:
+        got = hashlib.sha256(_bits(kernel(np.random.default_rng(seed)))).hexdigest()[:16]
+        failed += got != digest
+        line = f"{name}: sha256 {got}"
+        print(f"ok   {line}" if got == digest else f"FAIL {line}, published {digest}")
+    if failed:
+        print(f"{failed} self-test(s) failed: this host will not reproduce the published artifacts either")
         return 1
     print("all self-tests passed")
     return 0
@@ -719,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     tau.add_argument("c", help="tuning constant (or 'inf')")
     tau.set_defaults(func=cmd_tau)
 
-    chk = sub.add_parser("check", help="run quick numerical self-tests")
+    chk = sub.add_parser("check", help="compare each kernel's output with its published bits")
     chk.set_defaults(func=cmd_check)
 
     return parser
@@ -730,7 +619,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RobustAggError, ValueError) as exc:
+    except (RobustAggError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

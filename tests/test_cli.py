@@ -351,6 +351,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_out_dir_is_an_error_before_the_study(self, tmp_path, monkeypatch, capsys, below):
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("the study ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        argv = [
+            "simulate", "--model", "linear", "--theta0", "1,2", "--K", "4", "--n", "50",
+            "--replicates", "3", "--out-dir", str(out),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+        # A dry run makes no directory, so it does not test the path.
+        assert main(argv + ["--dry-run"]) == 0
+
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", "--K", "0", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -604,6 +620,19 @@ class TestPipelineCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_out_dir_is_an_error_before_the_fits(self, tmp_path, monkeypatch, capsys, below):
+        paths = make_shards(tmp_path, k=2, n=100)
+        monkeypatch.setattr(cli, "fit_shards", lambda *a, **k: pytest.fail("a shard was fit"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        argv = ["fit-aggregate-detect", *map(str, paths), "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+        assert main(argv + ["--dry-run"]) == 0
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         paths = make_shards(tmp_path, k=2, n=100)
         out = tmp_path / "out"
@@ -676,7 +705,8 @@ class TestPipelineCommand:
             "matrix is not positive definite (smallest eigenvalue "
         )
         assert "pd_project" not in err
-        assert not out.exists()
+        # The directory is made before the shards are fit; nothing is written.
+        assert list(out.iterdir()) == []
 
     @staticmethod
     def run_pipeline(paths, out, capsys):
@@ -887,6 +917,84 @@ class TestShardParser:
         assert obs.X.tobytes() == np.delete(table, y_idx, axis=1).tobytes()
 
 
+def nudged(module, attr):
+    """A fault that moves the output of ``module.attr`` up one ulp (the
+    first item, if it returns a tuple)."""
+
+    def apply(monkeypatch, *_):
+        real = getattr(module, attr)
+
+        def up(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if isinstance(out, tuple):
+                return (np.nextafter(out[0], np.inf), *out[1:])
+            return np.nextafter(out, np.inf)
+
+        monkeypatch.setattr(module, attr, up)
+
+    return apply
+
+
+def flipped(monkeypatch, name):
+    """Flip one bit of the output of the check line ``name``."""
+
+    def flip(kernel):
+        def run(rng):
+            data = bytearray(cli._bits(kernel(rng)))
+            data[0] ^= 1
+            return bytes(data)
+
+        return run
+
+    lines = [(n, s, d, flip(k) if n == name else k) for n, s, d, k in cli._CHECKS]
+    monkeypatch.setattr(cli, "_CHECKS", tuple(lines))
+
+
+# The fault that moves one line of ``check`` alone, by the kernel its name
+# contains: a one-ulp nudge at the name the line calls, or, where other
+# lines reach the same kernel, a flipped bit of the line's output.
+CHECK_FAULTS = {
+    "Generator": flipped,
+    "numkit.vech": nudged(numkit, "vech"),
+    "numkit.inv_sqrt_pd": nudged(numkit, "inv_sqrt_pd"),
+    "numkit.pd_project": nudged(numkit, "pd_project"),
+    "tau_c": nudged(cli, "tau_c"),
+    "detection_threshold": nudged(cli, "detection_threshold"),
+    "exact_column_means": flipped,
+    "linear fit_shards": flipped,
+    "lockstep Newton": nudged(models, "_newton"),
+    "eigh and solve": flipped,
+    "weighted_average": nudged(cli, "weighted_average"),
+    "_read_plain": nudged(cli, "_read_plain"),
+    "csv shard path": nudged(cli, "_read_records"),
+    "one dimension": flipped,
+    "mixed dimensions": flipped,
+    "golden bytes": flipped,
+}
+
+
+def reseeded(monkeypatch):
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: real(seed + 1))
+
+
+def big_endian_wire(monkeypatch):
+    monkeypatch.setattr(distsim, "_WIRE_FLOAT", np.dtype(">f8"))
+
+
+# For each line whose fault above is a flipped bit, a fault of the kernel
+# itself, which the line must report among others.
+SHARED_KERNEL_FAULTS = {
+    "Generator": reseeded,
+    "exact_column_means": nudged(numkit, "exact_column_means"),
+    "linear fit_shards": nudged(models, "_stacked_sandwich"),
+    "eigh and solve": nudged(np.linalg, "solve"),
+    "one dimension": big_endian_wire,
+    "mixed dimensions": big_endian_wire,
+    "golden bytes": big_endian_wire,
+}
+
+
 class TestSmallCommands:
     def test_tau(self, capsys):
         assert main(["tau", "1.345"]) == 0
@@ -930,6 +1038,32 @@ class TestSmallCommands:
         )
         assert main(["check"]) == 1
         assert "FAIL exact column sums equal math.fsum" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [line[0] for line in cli._CHECKS])
+    def test_check_fails_each_line_alone(self, monkeypatch, capsys, name):
+        [kernel] = [k for k in CHECK_FAULTS if k in name]
+        CHECK_FAULTS[kernel](monkeypatch, name)
+        assert main(["check"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"FAIL {name}: sha256 ")
+        assert kernel in failed[0]
+
+    @pytest.mark.parametrize("kernel", sorted(SHARED_KERNEL_FAULTS))
+    def test_check_line_runs_its_shared_kernel(self, monkeypatch, capsys, kernel):
+        # These kernels are reached by more than one line, so the fault
+        # fails this one among others.
+        SHARED_KERNEL_FAULTS[kernel](monkeypatch)
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert any(line.startswith("FAIL") and kernel in line for line in out.splitlines())
+
+    def test_check_prints_each_digest_once(self, capsys):
+        assert main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cli._CHECKS) + 1
+        for _, _, digest, _ in cli._CHECKS:
+            assert sum(digest in line for line in lines) == 1
 
     def test_simulate_loads_neither_scipy_optimize_nor_stats(self, tmp_path):
         # Either module costs ~20 MB of resident memory in a run.

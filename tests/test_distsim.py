@@ -199,6 +199,16 @@ class TestTransport:
         est = LocalEstimate(2, 7, theta, np.eye(theta.size))
         assert decode_message(encode_message(est)).theta_star.tobytes() == theta.tobytes()
 
+    def test_fixed_estimate_has_its_golden_payload(self):
+        # Little-endian doubles in standard base64 behind the v2 header; a
+        # quoted str id, -0.0 and the smallest subnormal keep their bits.
+        golden = LocalEstimate("7", 120, [1.5, -0.0], [[2.0, 0.5], [0.5, 5e-324]])
+        wire = b"v2|'7|120|2|AAAAAAAA+D8AAAAAAAAAgAAAAAAAAABAAAAAAAAA4D8BAAAAAAAAAA==|fc0f2a62"
+        assert encode_message(golden) == wire
+        back = decode_message(wire)
+        assert back.theta_star.tobytes() == golden.theta_star.tobytes()
+        assert back.sigma_star.tobytes() == golden.sigma_star.tobytes()
+
     def test_flipped_byte_detected(self):
         est = LocalEstimate(3, 50, np.array([2.0, 1.0]), np.eye(2))
         msg = bytearray(encode_message(est))

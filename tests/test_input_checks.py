@@ -13,8 +13,11 @@ from robustagg.distsim import (
     ContaminationSpec,
     StudyConfig,
     contaminate,
+    decode_messages,
+    encode_messages,
     generate_dataset,
     partition,
+    process,
     run_study,
 )
 from robustagg.errors import DimensionError
@@ -29,6 +32,11 @@ def linear_round(k=2, n=20):
     """``(fits, shards)`` of a small linear round."""
     shards = partition(generate_dataset(ModelKind.LINEAR, (1.0, 2.0), k * n, 3), k)
     return models.fit_shards(LINEAR2, shards), shards
+
+
+def clean_round():
+    """Nine clean servers of p = 2."""
+    return [LocalEstimate(k, 100, [1.0, 2.0], np.eye(2)) for k in range(9)]
 
 
 CHECKS = {
@@ -143,6 +151,27 @@ CHECKS = {
         DimensionError,
         r"1 ids, 2 sizes, estimates of shape \(1, 2\) and variance matrices "
         r"of shape \(1, 2, 2\) do not align",
+    ),
+    # N enters sqrt(n_k) and N * tau as a double, so a round whose N no
+    # double holds is refused where any entry point builds its RoundView.
+    "one size beyond the largest double": (
+        lambda: process(
+            decode_messages(encode_messages(clean_round() + [LocalEstimate(9, 10**309, [1.0, 2.0], np.eye(2))])),
+            1.345,
+            0.05,
+        ),
+        ValueError,
+        "total size N must be at most the largest double",
+    ),
+    "one size beyond the largest double, in a list": (
+        lambda: process(clean_round() + [LocalEstimate(9, 10**309, [1.0, 2.0], np.eye(2))], 1.345, 0.05),
+        ValueError,
+        "total size N must be at most the largest double",
+    ),
+    "sizes whose sum is beyond the largest double": (
+        lambda: process([LocalEstimate(k, 10**308, [1.0, 2.0], np.eye(2)) for k in (1, 2)], 1.345, 0.05),
+        ValueError,
+        "total size N must be at most the largest double",
     ),
     "fits without their shards": (
         lambda: contaminate(LINEAR2, linear_round()[0], [], ContaminationSpec(), 0),
