@@ -32,7 +32,9 @@ from .distsim import (
     run_study,
 )
 from .models import (
+    EqualShards,
     LocalFit,
+    LocalFits,
     ModelKind,
     ModelSpec,
     Observations,

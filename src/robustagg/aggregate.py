@@ -101,7 +101,8 @@ def tau_c(c: float) -> float:
     Closed form: b_c = erf(c / sqrt 2), sigma_c^2 = b_c - 2 c phi(c)
     + c^2 (1 - b_c), tau = b_c^2 / sigma_c^2.  The quadrature identity
     behind the middle term is verified against direct numerical integration
-    in the test suite.  tau(inf) = 1 by convention (no clipping).
+    in the test suite.  tau(inf) = 1 by convention (no clipping); a finite
+    c far enough out (above ~38) gives 1 as well.
 
     This is the one rule for c: a c that is not > 0 (0, -inf or NaN)
     raises ``ValueError``, and every caller that takes a c calls this.
@@ -112,7 +113,13 @@ def tau_c(c: float) -> float:
         return 1.0
     b = math.erf(c / math.sqrt(2.0))
     pdf_c = _INV_SQRT_2PI * math.exp(-0.5 * c * c)  # standard normal density
-    sigma2 = b - 2.0 * c * pdf_c + c * c * (1.0 - b)
+    # Far out the density underflows to 0 and b rounds to 1; the terms they
+    # zero are then left out, since 2 c or c * c may be inf.
+    sigma2 = b
+    if pdf_c > 0.0:
+        sigma2 -= 2.0 * c * pdf_c
+    if b < 1.0:
+        sigma2 += c * c * (1.0 - b)
     return b * b / sigma2
 
 

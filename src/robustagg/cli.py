@@ -468,6 +468,19 @@ def _column_sums(rng):
     return numkit.exact_column_means(cols), numkit.exact_column_means(rng.standard_normal((50, 20)) ** 3)
 
 
+def _wide_sums(rng):
+    # More columns than rows, the block of a stacked pass of 32 shards of 50
+    # rows: products over eight decades, a column that cancels, one with an
+    # inf entry and one beyond the extraction guard.
+    block = rng.standard_normal((50, 640)) * rng.standard_normal((50, 640)) * 10.0 ** rng.integers(-8, 9, 640)
+    block[:, 5] = np.repeat(rng.standard_normal(25) * 1e8, 2) * np.tile([1.0, -1.0], 25)
+    block[7, 5] += 1e-9
+    block[3, 17] = np.inf
+    block[:, 300] = np.tile([1e308, -1e308], 25)
+    block[0, 300] = 1.0
+    return numkit.exact_column_means(block)
+
+
 def _lockstep_newton(rng) -> list:
     # Mislabelled far-out rows make some shards halve their steps, and the
     # shards converge at different iterations.
@@ -529,6 +542,7 @@ _CHECKS = (
     ("tau_c(1.345) and tau_c(inf)", 4, "24b4237edc95acd2", lambda rng: (tau_c(1.345), tau_c(np.inf))),
     ("detection_threshold(2, 0.05)", 5, "af31b6f637e3c23c", lambda rng: detection_threshold(2, 0.05)),
     ("exact column sums equal math.fsum (numkit.exact_column_means)", 6, "391c15c08acd4e57", _column_sums),
+    ("exact sums of a block wider than long (numkit.exact_column_means)", 15, "952d3f5c2e59b94a", _wide_sums),
     ("stacked linear fit_shards", 7, "041f34f51e41e3c3", lambda rng: _fits(
         ModelSpec.linear(3), map(Observations, rng.standard_normal((6, 50)), rng.standard_normal((6, 50, 3))))),
     ("stacked logistic fit_shards: the lockstep Newton", 48, "9c945c28e1397f14", _lockstep_newton),

@@ -19,12 +19,15 @@ flagged on average.
 Every server's distance comes from one stacked pass over the round's
 :class:`~robustagg.aggregate.RoundView`, with the bits of
 ``math.sqrt(n_k * max(float(diff @ sol), 0.0))`` for one server at a time;
-README.md (Reproducibility) records how that was measured.
+README.md (Reproducibility) records how that was measured.  The report
+keeps the distances and flags as arrays, and makes its per-server
+:class:`ServerDetection` rows only when they are read.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,18 +59,46 @@ class ServerDetection:
     error: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionReport:
-    records: list[ServerDetection]
+    """The screen of a round, columnar: one row per server, in server order
+    (with a member of another dimension at its place in the round).
+
+    ``d1`` and ``d2`` are float arrays; ``errors`` maps the row of a
+    server whose distances could not be computed to its message, and
+    ``d1`` is read at every other row, ``d2`` where ``has_d2`` holds.
+    ``records``, one :class:`ServerDetection` per row, is made from the
+    columns when first read.
+    """
+
+    server_ids: tuple
+    n_k: tuple
+    d1: np.ndarray
+    d2: np.ndarray
+    has_d2: np.ndarray
+    theta_flagged: np.ndarray
+    sigma_flagged: np.ndarray
+    errors: dict
     alpha: float
     threshold: float
     p: int
 
+    @functools.cached_property
+    def records(self) -> list[ServerDetection]:
+        d1, d2 = self.d1.tolist(), self.d2.tolist()
+        rows = zip(self.server_ids, self.n_k, self.has_d2.tolist(),
+                   self.theta_flagged.tolist(), self.sigma_flagged.tolist())
+        return [
+            _error_record(sid, n_k, self.errors[i]) if i in self.errors else
+            ServerDetection(sid, n_k, d1[i], d2[i] if stepped else None, theta, sigma)
+            for i, (sid, n_k, stepped, theta, sigma) in enumerate(rows)
+        ]
+
     def flagged_theta_ids(self) -> list:
-        return [r.server_id for r in self.records if r.theta_flagged]
+        return [self.server_ids[i] for i in np.flatnonzero(self.theta_flagged).tolist()]
 
     def flagged_sigma_ids(self) -> list:
-        return [r.server_id for r in self.records if r.sigma_flagged]
+        return [self.server_ids[i] for i in np.flatnonzero(self.sigma_flagged).tolist()]
 
     def to_csv(self, fileobj) -> None:
         """Write one row per server: id, n_k, d1, d2, flags, error."""
@@ -89,10 +120,10 @@ class DetectionReport:
             )
 
 
-def _distances(sizes: np.ndarray, mats: np.ndarray, diffs: np.ndarray) -> list:
+def _distances(sizes: np.ndarray, mats: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, dict]:
     """sqrt{n_k diff^T Sigma^{-1} diff} of every row, with ``sizes`` the
-    rows' ``float(n_k)`` and ``mats`` their Sigma, or the ``LinAlgError``
-    of a row whose solve raised.
+    rows' ``float(n_k)`` and ``mats`` their Sigma; and a dict from each row
+    whose solve raised to its ``LinAlgError``, whose distance is NaN.
 
     One stacked ``solve``, which returns the same bits as one solve per
     row; it raises for the whole stack if one matrix is singular, so it is
@@ -104,11 +135,12 @@ def _distances(sizes: np.ndarray, mats: np.ndarray, diffs: np.ndarray) -> list:
         sols = np.linalg.solve(mats, diffs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         if len(diffs) == 1:
-            return [exc]
-        return [_distances(sizes[i : i + 1], mats[i : i + 1], diffs[i : i + 1])[0] for i in range(len(diffs))]
+            return np.full(1, np.nan), {0: exc}
+        rows = [_distances(sizes[i : i + 1], mats[i : i + 1], diffs[i : i + 1]) for i in range(len(diffs))]
+        return np.concatenate([d for d, _ in rows]), {i: f[0] for i, (_, f) in enumerate(rows) if f}
     with np.errstate(over="ignore"):
         q = numkit.row_dots(diffs, sols)
-        return np.sqrt(sizes * np.where(0.0 > q, 0.0, q)).tolist()
+        return np.sqrt(sizes * np.where(0.0 > q, 0.0, q)), {}
 
 
 def detection_threshold(p: int, alpha: float) -> float:
@@ -137,7 +169,8 @@ def detect(
     A raw matrix is decomposed once per call; a ``numkit.PDMatrix`` (what
     ``require_pd`` and ``aggregate_sigma`` return) is used as it is.
     Per-server failures are recorded on the corresponding row instead of
-    aborting.
+    aborting.  The report holds the distances and flags as arrays; its
+    :class:`ServerDetection` rows are made only when read.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     p = theta_hat.size
@@ -147,44 +180,44 @@ def detect(
     sym = numkit.require_pd(sigma_hat, p).sym
     sizes = np.array([float(n) for n in view.n_k])
     diffs = view.thetas - theta_hat
-    d1s = _distances(sizes, np.broadcast_to(sym, (len(sizes), p, p)), diffs)
+    d1, failed = _distances(sizes, np.broadcast_to(sym, (len(sizes), p, p)), diffs)
     # Step 2 runs only for servers that step 1 neither failed nor flagged,
     # against their own matrix where it passes the view's one PD screen.
     # A non-finite d1 (a payload with an infinite or NaN coordinate) fails
-    # ``d1 <= threshold`` and so is flagged.
-    passed = np.array(
-        [i for i, d1 in enumerate(d1s) if not isinstance(d1, Exception) and d1 <= threshold],
-        dtype=np.intp,
-    )
-    d2s = {}
-    if passed.size:
+    # ``d1 <= threshold`` and so is flagged; a failed row's NaN is neither.
+    passed = d1 <= threshold
+    theta_flagged = ~passed
+    theta_flagged[list(failed)] = False
+    d2 = np.full(len(sizes), np.nan)
+    has_d2 = np.zeros(len(sizes), dtype=bool)
+    rows = np.flatnonzero(passed)
+    if rows.size:
         pd, screened = view.screen
-        rows = passed[pd[passed]]
-        found = _distances(sizes[rows], screened[rows], diffs[rows])
-        # A solve that failed leaves d2 None, which flags the server.
-        d2s = {i: d2 for i, d2 in zip(rows.tolist(), found) if not isinstance(d2, Exception)}
+        rows = rows[pd[rows]]
+        d2[rows], unsolved = _distances(sizes[rows], screened[rows], diffs[rows])
+        # A solve that failed leaves d2 unset, which flags the server.
+        has_d2[rows] = True
+        has_d2[rows[list(unsolved)]] = False
+    columns = [d1, d2, has_d2, theta_flagged, passed & (~has_d2 | (d2 > threshold))]
+    ids, sizes_k = view.server_ids, view.n_k
+    errors = {i: str(exc) for i, exc in failed.items()}
+    if view.others:
+        # Members of another dimension get their rows at their places.
+        at = np.ones(len(view), dtype=bool)
+        at[[i for i, _ in view.others]] = False
+        columns = [_spread(column, at) for column in columns]
+        ids, sizes_k = [e.server_id for e in view.members], [e.n_k for e in view.members]
+        rows_at = np.flatnonzero(at).tolist()
+        errors = {rows_at[i]: msg for i, msg in errors.items()}
+        errors.update((i, "theta_hat dimension does not match the estimate") for i, _ in view.others)
+    return DetectionReport(tuple(ids), tuple(sizes_k), *columns, errors, alpha, threshold, p)
 
-    records = []
-    for row, (sid, n_k, d1) in enumerate(zip(view.server_ids, view.n_k, d1s)):
-        if isinstance(d1, Exception):
-            records.append(_error_record(sid, n_k, str(d1)))
-            continue
-        d2 = d2s.get(row)
-        theta_flagged = not d1 <= threshold
-        records.append(
-            ServerDetection(
-                server_id=sid,
-                n_k=n_k,
-                d1=d1,
-                d2=d2,
-                theta_flagged=theta_flagged,
-                sigma_flagged=not theta_flagged and (d2 is None or d2 > threshold),
-            )
-        )
-    # Members of another dimension get their rows at their places.
-    for i, e in view.others:
-        records.insert(i, _error_record(e.server_id, e.n_k, "theta_hat dimension does not match the estimate"))
-    return DetectionReport(records=records, alpha=alpha, threshold=threshold, p=p)
+
+def _spread(column: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``column`` at the rows where ``at`` holds, zeros at the others."""
+    full = np.zeros(at.size, dtype=column.dtype)
+    full[at] = column
+    return full
 
 
 def _error_record(server_id, n_k: int, error: str) -> ServerDetection:

@@ -50,7 +50,15 @@ from .aggregate import (
     weighted_average,
 )
 from .detect import DEFAULT_ALPHA, detect, detection_threshold
-from .models import LocalFit, ModelKind, ModelSpec, Observations, fit_shards, sandwich_variance
+from .models import (
+    EqualShards,
+    LocalFits,
+    ModelKind,
+    ModelSpec,
+    Observations,
+    fit_shards,
+    sandwich_variances,
+)
 from .spatialmed import aggregate_sigma
 
 PROTOCOL_VERSION = "v2"
@@ -174,43 +182,50 @@ def generate_dataset(kind: ModelKind, theta0, total: int, seed) -> Observations:
     return Observations(y, X)
 
 
-def partition(data: Observations, n_servers: int) -> list[Observations]:
-    """Split into K contiguous, disjoint, equal-size shards."""
+def partition(data: Observations, n_servers: int) -> EqualShards:
+    """Split into K contiguous, disjoint, equal-size shards, held as one
+    stacked view of ``data``'s arrays (see :class:`EqualShards`)."""
     if n_servers < 1:
         raise ValueError("n_servers must be >= 1")
     if data.n % n_servers != 0:
         raise ValueError(
             f"dataset size {data.n} is not divisible by {n_servers} servers"
         )
-    size = data.n // n_servers
-    return [data[i * size : (i + 1) * size] for i in range(n_servers)]
+    return EqualShards(data, n_servers)
 
 
 def contaminate(
     model: ModelSpec,
-    fits: list[LocalFit],
-    shards: list[Observations],
+    fits,
+    shards,
     spec: ContaminationSpec,
     seed,
 ) -> RoundView:
     """The round of payloads that actually reaches the processor: the fits
-    stacked once, in server order, with the corrupted rows replaced.
+    (a :class:`LocalFits`, or a sequence of :class:`LocalFit`) in server
+    order, copied once, with the corrupted rows replaced.
 
     The first ``spec.resolved_count(K)`` servers in server-id order
     transmit a corrupted estimate, drawn in the order of ``fits``; their
     variance matrix is the sandwich recomputed on the server's own data at
     the corrupted parameter value (a corrupted estimate corrupts the
-    variance with it).  Everything else passes through unchanged.
+    variance with it), for all of them in one
+    ``models.sandwich_variances`` call.  At an extreme value a server's
+    sums may go beyond the largest double; its matrix then comes out all
+    NaN, which the processor leaves out and flags.  Everything else passes
+    through unchanged.
     """
     if len(fits) != len(shards):
         raise DimensionError("fits and shards must align one-to-one")
-    order = server_positions(fit.server_id for fit in fits)
-    k, p = len(fits), model.p
-    thetas = np.array([fits[i].theta_hat for i in order], dtype=float).reshape(k, p)
-    sigmas = np.array([fits[i].sigma_hat for i in order], dtype=float).reshape(k, p, p)
+    p = model.p
+    if not isinstance(fits, LocalFits):
+        fits = LocalFits.stack(fits, p)
+    order = server_positions(fits.server_ids)
+    thetas, sigmas = fits.thetas[order], fits.sigmas[order]
     rng = _rng(seed)
     # Row j of the round is fits[order[j]]; the corrupted rows draw in fits order.
-    for j in sorted(range(spec.resolved_count(k)), key=order.__getitem__):
+    corrupted = sorted(range(spec.resolved_count(len(order))), key=order.__getitem__)
+    for j in corrupted:
         if spec.kind is ContaminationKind.OMNISCIENT:
             if spec.omniscient_value is not None:
                 theta_star = np.asarray(spec.omniscient_value, dtype=float).ravel()
@@ -221,16 +236,16 @@ def contaminate(
         elif spec.kind is ContaminationKind.GAUSSIAN:
             theta_star = rng.standard_normal(p) * math.sqrt(spec.gaussian_scale)
         elif spec.kind is ContaminationKind.BIT_FLIP:
-            theta_star = -fits[order[j]].theta_hat
+            theta_star = -fits.thetas[order[j]]
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown contamination kind {spec.kind}")
         thetas[j] = theta_star
-        # At an extreme value the sandwich's products may overflow; it then
-        # comes out all NaN, which the processor leaves out and flags.
-        with np.errstate(over="ignore"):
-            sigmas[j] = sandwich_variance(model, shards[order[j]], theta_star, allow_singular=True)
+    if corrupted:
+        sigmas[corrupted] = sandwich_variances(
+            model, [shards[order[j]] for j in corrupted], thetas[corrupted]
+        )
     return RoundView(
-        [fits[i].server_id for i in order], [fits[i].n_k for i in order], thetas, sigmas
+        [fits.server_ids[i] for i in order], [fits.n_k[i] for i in order], thetas, sigmas
     )
 
 

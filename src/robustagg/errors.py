@@ -36,6 +36,11 @@ class NotPositiveDefiniteError(NumericalError, ValueError):
         self.eigenvalue = eigenvalue
 
 
+class NonFiniteSumError(NumericalError, ValueError):
+    """An exactly rounded sum is beyond the largest double, or its terms
+    hold ``inf - inf``, so it has no finite value."""
+
+
 class SingularMatrixError(NumericalError):
     """A matrix that must be inverted is (numerically) singular."""
 

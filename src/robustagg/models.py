@@ -4,7 +4,11 @@ A local server fits its own shard and reports the estimate together with the
 empirical sandwich variance of the estimator.  Observation sequences are held
 columnar (response vector plus design matrix) so the criterion, gradient and
 Hessian evaluate as vectorized reductions; indexing an :class:`Observations`
-still yields individual ``(y, x)`` pairs.
+still yields individual ``(y, x)`` pairs.  So are the fits of a round:
+:func:`fit_shards` writes every stacked pass into the arrays of one
+:class:`LocalFits`, whose :class:`LocalFit` rows are made only when read,
+and the equal shards of one dataset (:class:`EqualShards`) reach the passes
+as views of its arrays.
 
 Summation discipline: fitting uses single-threaded ``einsum``/``add.reduce``
 reductions (deterministic for a fixed observation order), while the sandwich
@@ -29,6 +33,7 @@ from scipy.special import expit
 from .errors import (
     DimensionError,
     NonConvergenceError,
+    NonFiniteSumError,
     RankDeficiencyError,
     RobustAggError,
     SeparationError,
@@ -130,6 +135,33 @@ class Observations:
         return shard
 
 
+class EqualShards:
+    """The ``n_servers`` contiguous, disjoint, equal-size shards of one
+    :class:`Observations`, held as views of its arrays: the ``(K, n, p)``
+    design ``X`` and the ``(K, n)`` responses ``y``.
+
+    Shard ``k`` is rows ``k * n`` to ``(k + 1) * n``; indexing builds its
+    :class:`Observations` view.  :func:`fit_shards` reads the stacked views
+    directly, with one check of ``data`` for all the shards.  ``data.n``
+    must be a multiple of ``n_servers``.
+    """
+
+    def __init__(self, data: Observations, n_servers: int):
+        self.data = data
+        self.size = data.n // n_servers
+        self.X = data.X.reshape(n_servers, self.size, data.p)
+        self.y = data.y.reshape(n_servers, self.size)
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return [self[k] for k in rows]
+        return self.data[rows * self.size : (rows + 1) * self.size]
+
+
 @dataclass(frozen=True)
 class LocalFit:
     """One server's fitted estimate and its sandwich variance."""
@@ -154,6 +186,60 @@ class LocalFit:
         return bool(numkit.screen_positive_definite(self.sigma_hat[None])[0][0])
 
 
+@dataclass(frozen=True, eq=False)
+class LocalFits:
+    """The fits of K shards, columnar: ids, sizes, ``(K, p)`` estimates,
+    ``(K, p, p)`` sandwich variances, Newton iterations and gradient norms,
+    one row per shard in shard order, the arrays read-only.
+
+    A sequence of :class:`LocalFit`: indexing or iterating reads the
+    ``LocalFit`` views of the rows, made when first asked for.
+    """
+
+    server_ids: tuple
+    n_k: tuple
+    thetas: np.ndarray  # (K, p)
+    sigmas: np.ndarray  # (K, p, p)
+    newton_iters: np.ndarray  # (K,) int
+    grad_norms: np.ndarray  # (K,)
+
+    def __post_init__(self):
+        for array in (self.thetas, self.sigmas, self.newton_iters, self.grad_norms):
+            array.flags.writeable = False
+
+    @classmethod
+    def stack(cls, fits, p: int) -> "LocalFits":
+        """The columnar form of a sequence of :class:`LocalFit` of dimension ``p``."""
+        fits = list(fits)
+        k = len(fits)
+        return cls(
+            tuple(f.server_id for f in fits),
+            tuple(f.n_k for f in fits),
+            np.array([f.theta_hat for f in fits], dtype=float).reshape(k, p),
+            np.array([f.sigma_hat for f in fits], dtype=float).reshape(k, p, p),
+            np.array([f.newton_iters for f in fits], dtype=int),
+            np.array([f.grad_norm for f in fits], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.n_k)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        """The :class:`LocalFit` of every row, in shard order."""
+        rows = zip(
+            self.thetas, self.sigmas, self.n_k, self.server_ids,
+            self.newton_iters.tolist(), self.grad_norms.tolist(),
+        )
+        return tuple(LocalFit(*row) for row in rows)
+
+
 def _check_data(model: ModelSpec, data: Observations) -> None:
     if data.n == 0:
         raise DimensionError("observation sequence is empty")
@@ -163,6 +249,13 @@ def _check_data(model: ModelSpec, data: Observations) -> None:
         )
     if model.kind is ModelKind.LOGISTIC and not data.binary:
         raise ValueError("logistic responses must be 0 or 1")
+
+
+def _check_shard(model: ModelSpec, data: Observations, n: int) -> None:
+    """The rule a shard of ``n`` rows of ``data`` must pass to be fitted."""
+    _check_data(model, data)
+    if n < model.p:
+        raise DimensionError(f"need at least p={model.p} observations, shard has {n}")
 
 
 def criterion_eval(model: ModelSpec, data: Observations, theta):
@@ -247,7 +340,14 @@ def _row_means(stack: np.ndarray) -> np.ndarray:
     each on its own, so the means are the bits of one call per matrix.
     """
     k, m, n = stack.shape
-    return numkit.exact_column_means(stack.reshape(k * m, n).T).reshape(k, m)
+    try:
+        return numkit.exact_column_means(stack.reshape(k * m, n).T).reshape(k, m)
+    except (OverflowError, ValueError) as exc:
+        # math.fsum's errors: an exact sum beyond the largest double, or
+        # inf - inf among the products.
+        raise NonFiniteSumError(
+            f"sandwich variance undefined: a sum is inf or beyond the largest double ({exc})"
+        ) from None
 
 
 def _mean_outer(cols: np.ndarray) -> np.ndarray:
@@ -261,6 +361,9 @@ def _mean_outer(cols: np.ndarray) -> np.ndarray:
     return numkit.vech_inv_stack(_row_means(_outer_rows(cols)), cols.shape[-2])
 
 
+# Products beyond the largest double are inf, and their sums then raise
+# NonFiniteSumError; the overflow itself is not worth a warning.
+@np.errstate(over="ignore")
 def _stacked_sandwich(
     model: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray, allow_singular: bool
 ) -> np.ndarray:
@@ -272,7 +375,8 @@ def _stacked_sandwich(
     a stacked ``matmul`` for the linear predictor, elementwise products, two
     :func:`_row_means` calls over all shards' sums and two stacked
     ``solve`` calls.  If one shard's U is singular the stacked ``solve``
-    raises for the whole stack.
+    raises for the whole stack, and if one shard's sums are not finite,
+    :class:`NonFiniteSumError` does.
     """
     p = model.p
     eta = (X @ thetas[..., None])[..., 0]
@@ -331,12 +435,38 @@ def sandwich_variance(
         return _stacked_sandwich(
             model, data.X[None], data.y[None], theta_hat[None], allow_singular
         )[0]
-    except (OverflowError, ValueError):
-        # math.fsum's errors: an exact sum beyond the largest double, or
-        # inf - inf among the products.
+    except ValueError:  # NonFiniteSumError among them
         if not allow_singular:
             raise
         return np.full((model.p, model.p), np.nan)
+
+
+def sandwich_variances(model: ModelSpec, shards, thetas) -> np.ndarray:
+    """``sandwich_variance(model, shards[i], thetas[i], allow_singular=True)``
+    of every shard, as one ``(m, p, p)`` stack.
+
+    The shards are checked in order.  Shards of one size share one
+    :func:`_stacked_sandwich` call, which gives every matrix the bits of its
+    own call; if it raises (one shard's sums are not finite), or the sizes
+    differ, each shard is computed on its own, so a matrix is all NaN only
+    for the shard whose sums are not finite.
+    """
+    shards = list(shards)
+    thetas = np.asarray(thetas, dtype=float)
+    for data in shards:
+        _check_data(model, data)
+    if thetas.shape != (len(shards), model.p):
+        raise DimensionError(f"thetas have shape {thetas.shape}, expected ({len(shards)}, {model.p})")
+    if len({data.n for data in shards}) == 1:
+        X = np.stack([data.X for data in shards])
+        y = np.stack([data.y for data in shards])
+        try:
+            return _stacked_sandwich(model, X, y, thetas, allow_singular=True)
+        except ValueError:
+            pass
+    return np.array(
+        [sandwich_variance(model, data, theta, allow_singular=True) for data, theta in zip(shards, thetas)]
+    ).reshape(len(shards), model.p, model.p)
 
 
 def _pinv_sym(a: np.ndarray) -> np.ndarray:
@@ -446,8 +576,11 @@ def _newton(X: np.ndarray, y: np.ndarray):
     return thetas, iters, grads
 
 
-def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFit]:
-    """Fit shards of one size in one stacked pass.
+def _fit_group(model: ModelSpec, X: np.ndarray, y: np.ndarray):
+    """Fit K equal-size shards, ``(K, n, p)`` designs ``X`` and ``(K, n)``
+    responses ``y``, in one stacked pass; the shards must pass
+    :func:`_check_shard`.  Returns ``(thetas, sigmas, iterations, gradient
+    norms)``, one row per shard.
 
     The linear fit is closed form: stacked ``einsum`` for X'X, stacked
     ``matmul`` for X'y and the linear predictor, and a stacked ``solve``.
@@ -456,15 +589,6 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
     :func:`fit_local`, errors included; for more, a stacked step that raises
     does so for the whole group.
     """
-    for data in shards:
-        _check_data(model, data)
-        if data.n < model.p:
-            raise DimensionError(
-                f"need at least p={model.p} observations, shard has {data.n}"
-            )
-    X = np.stack([data.X for data in shards])
-    y = np.stack([data.y for data in shards])
-
     if model.kind is ModelKind.LINEAR:
         xtx = np.einsum("kij,kil->kjl", X, X)
         xty = X.swapaxes(-1, -2) @ y[..., None]
@@ -477,22 +601,11 @@ def _fit_group(model: ModelSpec, shards: list, server_ids: list) -> list[LocalFi
         # The gradient of criterion_eval, for every shard at once.
         resid = y - (X @ thetas[..., None])[..., 0]
         grads = 2.0 * np.einsum("ki,kij->kj", resid, X) / X.shape[1]
-        iters = [0] * len(shards)
+        iters = [0] * X.shape[0]
     else:
         thetas, iters, grads = _newton(X, y)
-
     sigmas = _stacked_sandwich(model, X, y, thetas, allow_singular=False)
-    return [
-        LocalFit(
-            theta_hat=thetas[k],
-            sigma_hat=sigmas[k],
-            n_k=shards[k].n,
-            server_id=server_ids[k],
-            newton_iters=iters[k],
-            grad_norm=grad_norm,
-        )
-        for k, grad_norm in enumerate(_norms(grads))
-    ]
+    return thetas, sigmas, iters, _norms(grads)
 
 
 def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) -> LocalFit:
@@ -505,45 +618,78 @@ def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) ->
     only one response class is present), :class:`RankDeficiencyError` for a
     singular Hessian, and :class:`NonConvergenceError` at the iteration cap.
     """
-    return _fit_group(model, [data], [server_id])[0]
+    _check_shard(model, data, data.n)
+    thetas, sigmas, iters, norms = _fit_group(model, data.X[None], data.y[None])
+    return LocalFit(thetas[0], sigmas[0], data.n, server_id, iters[0], norms[0])
 
 
-def fit_shards(model: ModelSpec, shards, server_ids=None) -> list[LocalFit]:
-    """:func:`fit_local` of every shard, with the shards of each size fitted
-    in one stacked pass.
+def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
+    """:func:`fit_local` of every shard, as one :class:`LocalFits`, with the
+    shards of each size fitted in stacked passes of at most
+    ``STACK_ENTRIES`` products.
 
-    ``server_ids`` defaults to the shard positions.  The fits are the bits
-    of one :func:`fit_local` call per shard.  If a stacked step raises, the
-    shards of that size are refit one :func:`fit_local` call at a time, in
-    shard order once every size has been tried, so the error raised is the
-    one the first failing shard raises on its own.
+    ``shards`` is a sequence of :class:`Observations`, whose shards are
+    grouped by size and stacked pass by pass, or an :class:`EqualShards`,
+    whose passes are views of its stacked arrays.  ``server_ids`` defaults
+    to the shard positions.  Every pass writes its rows into the columns of
+    the result, and the fits are the bits of one :func:`fit_local` call per
+    shard.  A shard that fails the input checks, or whose stacked pass
+    raises, or that is alone in its pass, is fit by one :func:`fit_local`
+    call, in shard order once every size has been tried, so the error
+    raised is the one the first failing shard raises on its own.
     """
-    shards = list(shards)
-    server_ids = list(range(len(shards)) if server_ids is None else server_ids)
-    if len(server_ids) != len(shards):
+    groups = {}  # size -> positions of the shards that passed the checks
+    if isinstance(shards, EqualShards):
+        stacked = shards
+        n_k = (stacked.size,) * len(stacked)
+
+        def take(rows):
+            return stacked.X[rows[0] : rows[-1] + 1], stacked.y[rows[0] : rows[-1] + 1]
+
+        try:
+            _check_shard(model, stacked.data, stacked.size)
+            groups[stacked.size] = list(range(len(stacked)))
+        except (RobustAggError, ValueError):
+            pass
+    else:
+        shards = list(shards)
+        n_k = tuple(data.n for data in shards)
+
+        def take(rows):
+            return np.stack([shards[i].X for i in rows]), np.stack([shards[i].y for i in rows])
+
+        for i, data in enumerate(shards):
+            try:
+                _check_shard(model, data, data.n)
+            except (RobustAggError, ValueError):
+                continue
+            groups.setdefault(data.n, []).append(i)
+    k, p = len(n_k), model.p
+    server_ids = tuple(range(k) if server_ids is None else server_ids)
+    if len(server_ids) != k:
         raise DimensionError("shards and server_ids must align one-to-one")
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(shards):
-        groups.setdefault(data.n, []).append(i)
-    fits: list = [None] * len(shards)
-    width = model.p + numkit.vech_len(model.p)
+
+    thetas, sigmas = np.empty((k, p)), np.empty((k, p, p))
+    iters, norms = np.zeros(k, dtype=int), np.empty(k)
+    left = np.ones(k, dtype=bool)
+    width = p + numkit.vech_len(p)
     if model.kind is ModelKind.LOGISTIC:
-        width = max(width, model.p * model.p)
+        width = max(width, p * p)
     for n, same_size in groups.items():
         per_pass = max(1, STACK_ENTRIES // (n * width))
         for start in range(0, len(same_size), per_pass):
-            idx = same_size[start : start + per_pass]
-            if len(idx) < 2:
+            rows = same_size[start : start + per_pass]
+            if len(rows) < 2:
                 continue
             try:
-                group = _fit_group(
-                    model, [shards[i] for i in idx], [server_ids[i] for i in idx]
-                )
+                fitted = _fit_group(model, *take(rows))
             except (RobustAggError, ValueError):
                 continue
-            for i, fit in zip(idx, group):
-                fits[i] = fit
-    return [
-        fit if fit is not None else fit_local(model, shards[i], server_id=server_ids[i])
-        for i, fit in enumerate(fits)
-    ]
+            thetas[rows], sigmas[rows], iters[rows], norms[rows] = fitted
+            left[rows] = False
+    for i in np.flatnonzero(left).tolist():
+        fit = fit_local(model, shards[i], server_id=server_ids[i])
+        thetas[i], sigmas[i], iters[i], norms[i] = (
+            fit.theta_hat, fit.sigma_hat, fit.newton_iters, fit.grad_norm
+        )
+    return LocalFits(server_ids, n_k, thetas, sigmas, iters, norms)

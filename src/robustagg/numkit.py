@@ -235,13 +235,13 @@ def exact_column_means(a) -> np.ndarray:
     a few vectorized passes of error-free extraction (Rump, Ogita & Oishi
     2008, *Accurate floating-point summation*).
 
-    The columns are laid out as rows.  Let ``k = ceil(log2(n + 2))`` and,
-    for a row, ``2**E >= max|p|`` (``E`` from ``frexp`` on the first pass).
-    A pass sets ``sigma = 2**(k + E)`` and splits every entry exactly as
+    Let ``k = ceil(log2(n + 2))`` and, for a column, ``2**E >= max|p|``
+    (``E`` from ``frexp`` on the first pass).  A pass sets
+    ``sigma = 2**(k + E)`` and splits every entry exactly as
     ``q = (p + sigma) - sigma``, ``p -= q``.  Every ``q`` is a multiple of
-    ``2**(k + E - 53)`` with ``|q| <= 2**E``, so every partial sum of a row
-    of ``q`` is such a multiple below ``n * 2**E < sigma`` in magnitude,
-    which is a double: numpy's pairwise row sum is exact in whatever order
+    ``2**(k + E - 53)`` with ``|q| <= 2**E``, so every partial sum of a
+    column of ``q`` is such a multiple below ``n * 2**E < sigma`` in
+    magnitude, which is a double: numpy's sum is exact in whatever order
     it adds.  The pass leaves ``|p| <= 2**(k + E - 53)``, which is the next
     pass's ``2**E``; once every ``p`` is zero (two or three passes for
     sandwich products) the pass sums add up exactly to the column sum, and
@@ -252,6 +252,12 @@ def exact_column_means(a) -> np.ndarray:
     (``q`` is ``+0.0`` or nonzero) and stays below ``sigma <= 2**1021``, so
     the addition cannot overflow.  Three or more go to ``math.fsum``.
 
+    Since every pass sum is exact in any order, the layout is free: a block
+    with more columns than rows (``m > n``, such as the sandwich sums of a
+    stacked pass of short shards) is worked on as ``(n, m)`` and summed
+    down its rows, each pass one long vectorized addition per row; any
+    other block is worked on as ``(m, n)``, one contiguous row per column.
+
     Columns with a non-finite entry, or with ``k + E`` above
     ``_MAX_SIGMA_EXP`` (where ``sigma`` or ``p + sigma`` could overflow), go
     to one ``fsum`` each, so ``inf``, ``nan`` and ``fsum``'s own errors come
@@ -261,33 +267,38 @@ def exact_column_means(a) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got shape {a.shape}")
     n, m = a.shape
-    rows = np.array(a.T, order="C")
+    # ``cols`` is the working copy with one column of ``a`` per entry of
+    # its axis ``ax``; the sums run along the other axis.
+    ax = 1 if m > n else 0
+    cols = np.array(a if ax else a.T, order="C")
+    along = 1 - ax
+    across = (1, -1) if ax else (-1, 1)  # the shape of one number per column
     k = (n + 1).bit_length()  # smallest k with 2**k >= n + 2
-    amax = np.abs(rows).max(axis=1)
+    amax = np.abs(cols).max(axis=along)
     exp = np.frexp(amax)[1] + k
     fallback = ~np.isfinite(amax) | (exp > _MAX_SIGMA_EXP)
     sums = np.empty(m)
     live = slice(None)
     if fallback.any():
         for j in np.flatnonzero(fallback):
-            sums[j] = math.fsum(rows[j].tolist())
+            sums[j] = math.fsum(a[:, j].tolist())
         live = np.flatnonzero(~fallback)
         if not live.size:
             return sums / n
-        rows, exp = rows[live], exp[live]
+        cols, exp = cols.take(live, axis=ax), exp[live]
 
     # The next exponent follows from the bound, without another max.  It
     # stops at E = -1074, the subnormal spacing, where a pass takes every
     # remaining p whole.
     passes = []
-    q = np.empty_like(rows)
+    q = np.empty_like(cols)
     while True:
-        sigma = np.ldexp(1.0, exp)[:, None]
-        np.add(rows, sigma, out=q)
+        sigma = np.ldexp(1.0, exp).reshape(across)
+        np.add(cols, sigma, out=q)
         q -= sigma
-        passes.append(q.sum(axis=1))
-        rows -= q
-        if not rows.any():
+        passes.append(q.sum(axis=along))
+        cols -= q
+        if not cols.any():
             break
         exp = np.maximum(exp + (k - 53), k - 1074)
     if len(passes) == 1:

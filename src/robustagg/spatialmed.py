@@ -57,15 +57,22 @@ class SpatialMedianResult:
     anchored: bool
 
 
-def weighted_median(values, weights) -> float:
-    """Lower weighted median: smallest v with cumulative weight >= half."""
+def weighted_median(values, weights):
+    """Lower weighted median: smallest v with cumulative weight >= half.
+
+    ``values`` is K numbers, or a ``(K, d)`` array whose d columns share
+    the K ``weights`` and are sorted and summed in one call each, one
+    median per column (each the bits of its own 1-D call).
+    """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
+    order = np.argsort(values, axis=0, kind="stable")
+    cum = np.cumsum(weights[order], axis=0)
     half = cum[-1] / 2.0
-    idx = int(np.searchsorted(cum, half))
-    return float(values[order][min(idx, values.size - 1)])
+    # Where half falls in the ascending cum, as searchsorted finds it.
+    idx = np.minimum((cum < half).sum(axis=0), values.shape[0] - 1)
+    median = np.take_along_axis(values, np.take_along_axis(order, idx[None], axis=0), axis=0)[0]
+    return float(median) if values.ndim == 1 else median
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -261,9 +268,10 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         return done(x[int(np.argmax(w))].copy(), True)
 
     scale = np.maximum(1.0, _norms(x))
-    eta = np.array([weighted_median(col, w) for col in x.T])
+    eta = weighted_median(x, w)
     best_eta, best_foc = eta.copy(), math.inf
     prev_delta = None
+    rejected = set()  # data points whose anchor test failed
     while True:
         diff = x - eta
         dist = _norms(diff)
@@ -271,8 +279,12 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         # Subgradient optimality at the nearest data point: the pull of all
         # the other points must not exceed its own weight.  The condition is
         # sufficient for global optimality, so it may be tested at any time.
-        if float(np.linalg.norm(_pull(x, w, nearest)[2])) <= w[nearest]:
-            return done(x[nearest].copy(), True)
+        # It depends on the point alone, so a point that failed it once is
+        # not tested again.
+        if nearest not in rejected:
+            if float(np.linalg.norm(_pull(x, w, nearest)[2])) <= w[nearest]:
+                return done(x[nearest].copy(), True)
+            rejected.add(nearest)
         coincident = dist <= _ANCHOR_ATOL * scale
 
         if coincident.any():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,29 @@ class TestTau:
 
     def test_infinity(self):
         assert tau_c(math.inf) == 1.0
+
+    def test_finite_c_beyond_the_square_root_of_the_largest_double(self):
+        # c * c and 2 c overflow to inf, where the terms they multiply are 0.
+        assert tau_c(1e155) == tau_c(1e308) == tau_c(sys.float_info.max) == 1.0
+
+    def test_bits_of_the_written_out_formula(self):
+        # Up to c = 1e154, where c * c is finite, tau_c is the formula as
+        # written, bit for bit (or the same error).
+        def outcome(tau, c):
+            try:
+                return tau(c).hex()
+            except ArithmeticError as exc:
+                return type(exc).__name__
+
+        def written_out(c):
+            b = math.erf(c / math.sqrt(2.0))
+            pdf_c = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * c * c)
+            return b * b / (b - 2.0 * c * pdf_c + c * c * (1.0 - b))
+
+        rng = np.random.default_rng(31)
+        grid = np.concatenate([10.0 ** rng.uniform(-300.0, 154.0, 4000), np.arange(1, 401) / 10.0, [1e154]])
+        for c in grid.tolist():
+            assert outcome(tau_c, c) == outcome(written_out, c), c
 
     def test_closed_form_against_quadrature(self):
         # sigma_c^2 = int_{-c}^{c} u^2 phi(u) du + c^2 (1 - b_c), by quadrature.

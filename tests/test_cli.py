@@ -317,6 +317,20 @@ class TestSimulateCommand:
         assert rc == 0
         assert (out / "metrics.csv").read_text() == EXTREME_OMNISCIENT_METRICS
 
+    @pytest.mark.filterwarnings("error")
+    def test_fits_whose_sandwich_sums_overflow_fail_their_replicates(self, tmp_path, capsys):
+        # At theta0 = (1e300, 2) every clean fit's sandwich sums overflow:
+        # each replicate fails with the package's error, which the study
+        # counts, and numpy warns of nothing.
+        argv = [
+            "simulate", "--model", "linear", "--theta0", "1e300,2", "--K", "5", "--n", "50",
+            "--replicates", "3", "--workers", "1", "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 of 3 replicates failed (first failure: sandwich variance ")
+        assert "inf" in err
+
     def test_non_numeric_theta0_is_rejected(self, tmp_path, capsys):
         # A field with an inner space, or an empty field, is not a number;
         # neither is glued to or dropped from its neighbours.
@@ -1012,7 +1026,7 @@ class TestSmallCommands:
         assert main(["tau", "--", text]) == 1
         assert capsys.readouterr().err == "error: tuning constant c must be positive\n"
 
-    @pytest.mark.parametrize("text", ["inf", "INF", "Infinity"])
+    @pytest.mark.parametrize("text", ["inf", "INF", "Infinity", "1e155", "1e308"])
     def test_tau_of_infinity_is_one(self, capsys, text):
         assert main(["tau", text]) == 0
         assert capsys.readouterr().out == f"tau_c({text}) = 1\n"

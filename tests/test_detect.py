@@ -321,3 +321,39 @@ class TestDetect:
         ests = [est(1, 100, [2.0, 1.0], np.eye(2))]
         with pytest.raises(ValueError):
             detect(ests, [2.0, 1.0], np.eye(2), alpha=0.0)
+
+
+class TestColumnarReport:
+    def test_columns_are_the_rows(self, monkeypatch):
+        # A round with a step-1 flag, a failed step-1 solve, a failed step-2
+        # solve, a sigma that is not PD and a member of another dimension:
+        # the arrays say what the rows made from them say.
+        rng = np.random.default_rng(41)
+        ests = clean_estimates(rng, k=9)
+        ests[1] = est(2, 1000, [2.001, 1.001], FORCED_SINGULAR)
+        ests[3] = est(4, 400, [-1e6, -1e6], np.eye(2))
+        ests[5] = est(6, 1000, [2.0, 1.0], np.diag([1.0, -1.0]))
+        ests[4] = LocalEstimate(5, 10, np.zeros(3), np.eye(3))
+        solve_rejecting(monkeypatch, FORCED_SINGULAR)
+        report = detect(ests, [2.0, 1.0], np.eye(2), alpha=0.05)
+        assert "records" not in vars(report)  # made only when read
+        records = report.records
+        assert [r.server_id for r in records] == list(report.server_ids) == list(range(1, 10))
+        assert report.flagged_theta_ids() == [r.server_id for r in records if r.theta_flagged] == [4]
+        assert report.flagged_sigma_ids() == [r.server_id for r in records if r.sigma_flagged] == [2, 6]
+        assert records[4].error == "theta_hat dimension does not match the estimate"
+        assert records[1].d2 is None and records[5].d2 is None
+        assert set(report.errors) == {4}
+        for i, r in enumerate(records):
+            assert (r.theta_flagged, r.sigma_flagged) == (report.theta_flagged[i], report.sigma_flagged[i])
+            if r.error is None:
+                assert r.d1 == report.d1[i] and type(r.d1) is float
+            assert (r.d2 is not None) == report.has_d2[i]
+
+    def test_failed_step1_solve_is_an_error_row(self, monkeypatch):
+        ests = [est(1, 100, [2.0, 1.0], np.eye(2)), est(2, 100, [2.0, 1.0], np.eye(2))]
+        solve_rejecting(monkeypatch, FORCED_SINGULAR)
+        report = detect(ests, [2.0, 1.0], FORCED_SINGULAR, alpha=0.05)
+        assert report.errors == {0: "Singular matrix", 1: "Singular matrix"}
+        assert not report.theta_flagged.any() and not report.sigma_flagged.any()
+        assert report.flagged_theta_ids() == report.flagged_sigma_ids() == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustagg import distsim, numkit
+from robustagg import distsim, models, numkit
 from robustagg.aggregate import (
     LocalEstimate,
     huber_aggregate,
@@ -44,7 +44,7 @@ from robustagg.errors import (
     TruncatedMessageError,
     VersionMismatchError,
 )
-from robustagg.models import ModelKind, ModelSpec, fit_local, sandwich_variance
+from robustagg.models import ModelKind, ModelSpec, Observations, fit_local, sandwich_variance
 from robustagg.spatialmed import aggregate_sigma
 
 
@@ -152,6 +152,45 @@ class TestContaminate:
         )
         assert np.array_equal(ests[0].sigma_star, expected)
         assert not np.array_equal(ests[0].sigma_star, fits[0].sigma_hat)
+
+    def test_one_overflowing_server_alone_comes_out_nan(self, monkeypatch):
+        # Three corrupted servers share one stacked sandwich; the middle
+        # one's products overflow, so the stacked call raises and each is
+        # recomputed alone: only that one's matrix is all NaN.
+        model = ModelSpec.linear(2)
+        shards, fits = fit_shards(model, (2.0, 1.0), 5, 40, 17)
+        shards = list(shards)
+        shards[1] = Observations(shards[1].y, shards[1].X * 1e160)
+        calls = []
+        stacked = models._stacked_sandwich
+        monkeypatch.setattr(
+            models, "_stacked_sandwich", lambda m, X, *a, **k: calls.append(len(X)) or stacked(m, X, *a, **k)
+        )
+        spec = ContaminationSpec(kind=ContaminationKind.BIT_FLIP, count=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = contaminate(model, fits, shards, spec, 0)
+        assert calls == [3, 1, 1, 1]
+        assert np.isnan(ests[1].sigma_star).all()
+        for k in (0, 2):
+            alone = sandwich_variance(model, shards[k], -fits[k].theta_hat, allow_singular=True)
+            assert np.isfinite(alone).all()
+            assert ests[k].sigma_star.tobytes() == alone.tobytes()
+        for k in (3, 4):
+            assert ests[k].sigma_star.tobytes() == fits[k].sigma_hat.tobytes()
+
+    def test_columnar_fits_give_the_round_of_the_listed_fits(self):
+        model = ModelSpec.linear(3)
+        data = generate_dataset(model.kind, (1.0, -2.0, 0.5), 8 * 30, 21)
+        shards = partition(data, 8)
+        fits = models.fit_shards(model, shards, server_ids=[5, 3, 8, 1, 2, 7, 6, 4])
+        spec = ContaminationSpec(kind=ContaminationKind.GAUSSIAN, count=3)
+        a = contaminate(model, fits, shards, spec, 9)
+        b = contaminate(model, list(fits), [shards[i] for i in range(8)], spec, 9)
+        assert a.server_ids == b.server_ids == tuple(range(1, 9))
+        assert a.thetas.tobytes() == b.thetas.tobytes()
+        assert a.sigmas.tobytes() == b.sigmas.tobytes()
+        assert not fits.thetas.flags.writeable
 
     def test_default_count_fourth_root(self):
         assert ContaminationSpec(kind=ContaminationKind.BIT_FLIP).resolved_count(20) == 2

@@ -151,6 +151,45 @@ class TestAgainstFsum:
         assert_same_as_fsum(a)
 
 
+def inf_entry(rng, n):
+    col = rng.standard_normal(n)
+    col[rng.integers(0, n)] = rng.choice([np.inf, -np.inf])
+    return col
+
+
+def nan_entry(rng, n):
+    col = rng.standard_normal(n)
+    col[rng.integers(0, n)] = np.nan
+    return col
+
+
+def beyond_the_guard(rng, n):
+    # Entries at the extraction guard, which fsum sums: exactly, or to an
+    # overflow it raises for.
+    col = rng.choice([1.0, -1.0], n) * 2.0 ** sigma_exponent_limit(n)
+    col[0] = rng.standard_normal()
+    return col
+
+
+SPECIALS = [inf_entry, nan_entry, beyond_the_guard]
+
+
+@st.composite
+def wide_arrays(draw):
+    """More columns than rows, with inf, NaN and guard columns among them."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(n + 1, 700))
+    seed = draw(st.integers(0, 2**32 - 1))
+    special_share = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    rng = np.random.default_rng(seed)
+    kinds = [
+        SPECIALS[rng.integers(len(SPECIALS))] if rng.random() < special_share
+        else GENERATORS[rng.integers(len(GENERATORS))]
+        for _ in range(m)
+    ]
+    return np.stack([kind(rng, n) for kind in kinds], axis=1)
+
+
 class TestFallbackColumns:
     N = 2000
 
@@ -297,4 +336,39 @@ class TestFinish:
             assert 2.0**52 <= abs(rounded) < 2.0**53
             assert abs(Fraction(rounded) - exact) == Fraction(1, 2)
             assert rounded % 2.0 == 0.0  # ties to even
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+
+class TestWideBlocks:
+    """A block with more columns than rows is summed down its rows; the
+    doubles (and errors) are those of one fsum per column all the same."""
+
+    @SETTINGS
+    @given(wide_arrays())
+    def test_structured_wide_blocks(self, a):
+        assert_same_as_fsum(a)
+        # The layout of the memory does not matter either.
+        assert_same_as_fsum(np.asfortranarray(a))
+
+    @pytest.mark.parametrize(
+        "make, passes",
+        [(one_pass_columns, 1), (two_pass_columns, 2), (three_pass_columns, 3)],
+    )
+    def test_wide_blocks_of_known_pass_count(self, monkeypatch, make, passes):
+        rng = np.random.default_rng(passes)
+        a = np.concatenate([make(rng, 40) for _ in range(30)], axis=1)  # (40, 90)
+        got, counted = extraction_passes(monkeypatch, a)
+        assert counted == passes
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    def test_fallback_columns_among_live_ones(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((30, 200)) * rng.standard_normal((30, 200))
+        a[4, 10], a[:, 50], a[9, 120] = np.inf, 2.0 ** sigma_exponent_limit(30), np.nan
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(numkit, "math", types.SimpleNamespace(fsum=lambda v: calls.append(1) or fsum(v)))
+        got = exact_column_means(a)
+        monkeypatch.undo()
+        assert len(calls) == 3
         assert got.tobytes() == fsum_means(a).tobytes()

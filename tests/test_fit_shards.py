@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from robustagg import distsim, models, numkit
+from robustagg import distsim, models, numkit, spatialmed
+from robustagg.detect import ServerDetection
 from robustagg.distsim import ContaminationKind, ContaminationSpec, StudyConfig, run_replicate
 from robustagg.errors import (
     DimensionError,
@@ -90,9 +91,9 @@ class TestBits:
         groups = []
         fit_group = models._fit_group
 
-        def spy(model, group, *args):
-            groups.append([s.n for s in group])
-            return fit_group(model, group, *args)
+        def spy(model, X, *args):
+            groups.append([len(x) for x in X])
+            return fit_group(model, X, *args)
 
         monkeypatch.setattr(models, "_fit_group", spy)
         got = fit_shards(model, shards)
@@ -238,7 +239,96 @@ class TestErrorParity:
         assert calls == [4, 4, 1, 1]
 
 
-def test_replicate_calls_sandwich_only_for_contaminated_servers(monkeypatch):
+def stacked_and_listed(kind, p, k, n, seed):
+    """The equal shards of one dataset, as ``partition`` holds them and as a
+    list of the same shards."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((k * n, p))
+    if kind == "linear":
+        y = X @ np.linspace(1.0, -0.5, p) + rng.standard_normal(k * n)
+    else:
+        y = (rng.random(k * n) < expit(X @ np.linspace(0.5, -0.5, p))).astype(float)
+    stacked = distsim.partition(Observations(y, X), k)
+    return ModelSpec(models.ModelKind(kind), p), stacked, [stacked[i] for i in range(k)]
+
+
+class TestEqualShards:
+    def test_shards_are_views_of_the_data(self):
+        _, stacked, listed = stacked_and_listed("linear", 3, 5, 8, seed=1)
+        assert isinstance(stacked, models.EqualShards) and len(stacked) == 5
+        assert np.shares_memory(stacked.X, stacked.data.X)
+        for i, shard in enumerate(listed):
+            assert np.array_equal(shard.X, stacked.data.X[8 * i : 8 * (i + 1)])
+            assert np.array_equal(shard.y, stacked.y[i])
+        assert [s.n for s in stacked[1:4]] == [8, 8, 8]
+        assert np.array_equal(stacked[-1].X, listed[4].X)
+        with pytest.raises(IndexError):
+            stacked[5]
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("k,n", [(1, 60), (2, 60), (70, 50), (5, 800)])
+    def test_stacked_views_fit_the_bits_of_the_list(self, kind, k, n, monkeypatch):
+        model, stacked, listed = stacked_and_listed(kind, 3, k, n, seed=k + n)
+        ids = list(range(1, k + 1))
+        want = per_shard(model, listed, ids)
+        passes = []
+        fit_group = models._fit_group
+
+        def spy(model, X, y):
+            # Every pass reads views of the data, not a stacked copy.
+            passes.append(np.shares_memory(X, stacked.data.X) and np.shares_memory(y, stacked.data.y))
+            return fit_group(model, X, y)
+
+        monkeypatch.setattr(models, "_fit_group", spy)
+        got = fit_shards(model, stacked, server_ids=ids)
+        monkeypatch.undo()
+        assert passes and all(passes)
+        assert_same_fits(got, want)
+        assert_same_fits(fit_shards(model, listed, server_ids=ids), want)
+
+    def test_a_failing_shard_raises_its_own_error(self):
+        model, stacked, listed = stacked_and_listed("logistic", 2, 9, 40, seed=4)
+        y = stacked.data.y.copy()
+        y[3 * 40 : 4 * 40] = 1.0  # shard 3 has one response class
+        bad = distsim.partition(Observations(y, stacked.data.X), 9)
+        want = outcome(lambda: per_shard(model, [bad[i] for i in range(9)]))
+        assert want[0] is SeparationError
+        assert outcome(lambda: fit_shards(model, bad)) == want
+
+    def test_data_failing_the_checks_is_fit_shard_by_shard(self):
+        # Two rows per shard cannot fit three parameters: the first shard
+        # raises what it raises alone.
+        model, stacked, listed = stacked_and_listed("linear", 3, 4, 2, seed=5)
+        want = outcome(lambda: [fit_local(model, listed[0])])
+        assert want[0] is DimensionError
+        assert outcome(lambda: fit_shards(model, stacked)) == want
+
+
+class TestLocalFits:
+    def test_columns_and_row_views(self):
+        model, shards = make_shards("linear", 2, [30, 40, 30], seed=8)
+        fits = fit_shards(model, shards, server_ids=["a", "b", "c"])
+        assert isinstance(fits, models.LocalFits) and len(fits) == 3
+        assert fits.server_ids == ("a", "b", "c") and fits.n_k == (30, 40, 30)
+        for array in (fits.thetas, fits.sigmas, fits.newton_iters, fits.grad_norms):
+            assert not array.flags.writeable
+        assert [f.server_id for f in fits] == ["a", "b", "c"]
+        assert fits[-1] is fits.members[2] and list(fits[1:]) == list(fits.members[1:])
+        for i, fit in enumerate(fits):
+            assert np.shares_memory(fit.theta_hat, fits.thetas)
+            assert np.array_equal(fit.sigma_hat, fits.sigmas[i])
+            assert type(fit.grad_norm) is float and type(fit.newton_iters) is int
+        assert_same_fits(models.LocalFits.stack(list(fits), 2), list(fits))
+
+    def test_no_fits(self):
+        fits = fit_shards(ModelSpec.linear(2), [])
+        assert len(fits) == 0 and fits.thetas.shape == (0, 2) and list(fits) == []
+
+
+def test_replicate_recomputes_contaminated_sandwiches_in_one_call(monkeypatch):
+    # A K = 400 replicate keeps its round columnar: the fits, the corrupted
+    # servers' sandwiches and the report are arrays, and the spatial median
+    # tests each data point for an anchor at most once.
     config = StudyConfig(
         model=models.ModelKind.LINEAR,
         theta0=(1.0, -1.0, 0.5, 2.0, 0.0),
@@ -247,17 +337,27 @@ def test_replicate_calls_sandwich_only_for_contaminated_servers(monkeypatch):
         contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN),
         replicates=2,
     )
-    calls = []
-    for module in (models, distsim):
-        original = module.sandwich_variance
+    recomputed = []
+    stacked = models._stacked_sandwich
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    def spy(model, X, y, thetas, allow_singular):
+        if allow_singular:
+            recomputed.append(len(X))
+        return stacked(model, X, y, thetas, allow_singular)
 
-        monkeypatch.setattr(module, "sandwich_variance", counted)
+    def built(self, *args, **kwargs):
+        pytest.fail(f"a {type(self).__name__} was built")
+
+    pulls = []
+    pull = spatialmed._pull
+    monkeypatch.setattr(models, "_stacked_sandwich", spy)
+    monkeypatch.setattr(models, "sandwich_variance", lambda *a, **k: pytest.fail("a sandwich was computed alone"))
+    monkeypatch.setattr(models.LocalFit, "__post_init__", built)
+    monkeypatch.setattr(ServerDetection, "__init__", built)
+    monkeypatch.setattr(spatialmed, "_pull", lambda x, w, j: pulls.append(j) or pull(x, w, j))
     run_replicate(config, 0)
-    assert len(calls) == config.contamination.resolved_count(400) == 4
+    assert recomputed == [config.contamination.resolved_count(400)] == [4]
+    assert pulls and len(pulls) == len(set(pulls))
 
 
 # The per-shard logistic Newton that the lockstep Newton replaced, kept as the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.special import expit
 from robustagg import models, numkit
 from robustagg.errors import (
     DimensionError,
+    NonFiniteSumError,
+    NumericalError,
     SeparationError,
     SingularMatrixError,
 )
@@ -16,6 +19,7 @@ from robustagg.models import (
     Observations,
     criterion_eval,
     fit_local,
+    fit_shards,
     sandwich_variance,
 )
 
@@ -279,6 +283,21 @@ class TestSandwich:
         assert sigma.shape == (2, 2) and np.isnan(sigma).all()
         with pytest.raises(DimensionError):
             sandwich_variance(LINEAR2, data, [1.0, 2.0, 3.0], allow_singular=True)
+
+    def test_fit_whose_sandwich_sums_overflow_raises_a_numerical_error(self):
+        # At theta0 = (1e300, 2) the fitted residuals are ~1e284 and their
+        # squared gradients overflow: the fit raises an error of the package
+        # (a ValueError too), naming the sandwich, and numpy warns of nothing.
+        rng = np.random.default_rng(62)
+        X = rng.standard_normal((50, 2))
+        data = make_obs(X @ [1e300, 2.0] + rng.standard_normal(50), X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (fit_local, lambda model, data: fit_shards(model, [data, data])):
+                with pytest.raises(NonFiniteSumError, match="^sandwich variance .*inf") as excinfo:
+                    fit(LINEAR2, data)
+                assert isinstance(excinfo.value, NumericalError)
+                assert isinstance(excinfo.value, ValueError)
 
 
 class TestObservations:

@@ -115,6 +115,28 @@ class TestWeightedMedian:
     def test_heavy_value_wins(self):
         assert weighted_median([0.0, 10.0], [1.0, 9.0]) == 10.0
 
+    def test_columns_are_the_one_dimensional_medians(self):
+        # The columns of a (K, d) array, sorted and summed in one call each,
+        # against the 1-D rule written out: a stable argsort, the running
+        # weight and searchsorted.  Ties, signed zeros and unequal weights.
+        def one_column(values, weights):
+            order = np.argsort(values, kind="stable")
+            cum = np.cumsum(weights[order])
+            idx = int(np.searchsorted(cum, cum[-1] / 2.0))
+            return values[order][min(idx, values.size - 1)]
+
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            k, d = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+            x = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-5.0, 5.0, d)
+            if trial % 3 == 0:
+                x = np.round(x)
+            x[rng.random((k, d)) < 0.1] = -0.0
+            w = np.ones(k) if trial % 4 == 0 else rng.random(k) ** 3 * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            want = np.array([one_column(col, w) for col in x.T])
+            assert weighted_median(x, w).tobytes() == want.tobytes()
+            assert weighted_median(x[:, 0], w) == want[0]
+
 
 class TestSpatialMedian:
     def test_all_points_equal(self):
