@@ -102,7 +102,9 @@ def tau_c(c: float) -> float:
     + c^2 (1 - b_c), tau = b_c^2 / sigma_c^2.  The quadrature identity
     behind the middle term is verified against direct numerical integration
     in the test suite.  tau(inf) = 1 by convention (no clipping); a finite
-    c far enough out (above ~38) gives 1 as well.
+    c far enough out (above ~38) gives 1 as well.  Below c = 1e-2 the two
+    quotients of tau = (b_c / c)^2 / (sigma_c^2 / c^2) are summed as series,
+    which stay within 1e-13 relative down to the smallest double.
 
     This is the one rule for c: a c that is not > 0 (0, -inf or NaN)
     raises ``ValueError``, and every caller that takes a c calls this.
@@ -111,6 +113,15 @@ def tau_c(c: float) -> float:
         raise ValueError("tuning constant c must be positive")
     if math.isinf(c):
         return 1.0
+    if c < 1e-2:
+        # Here b - 2 c phi(c) cancels and b * b underflows, so the closed
+        # form loses about eps / c.  tau = (b / c)^2 / ((b - 2 c phi(c)) / c^2
+        # + 1 - b), both quotients by their alternating series in z = -c^2 / 2
+        # (the omitted terms are below 1e-20 of the sums); the limit is 2/pi.
+        terms = [(-0.5 * c * c) ** k / math.factorial(k) for k in range(5)]
+        b_by_c = math.sqrt(2.0 / math.pi) * sum(t / (2 * k + 1) for k, t in enumerate(terms))
+        gap_by_c2 = math.sqrt(2.0 / math.pi) * c * sum(t / (2 * k + 3) for k, t in enumerate(terms))
+        return b_by_c * b_by_c / (gap_by_c2 + 1.0 - c * b_by_c)
     b = math.erf(c / math.sqrt(2.0))
     pdf_c = _INV_SQRT_2PI * math.exp(-0.5 * c * c)  # standard normal density
     # Far out the density underflows to 0 and b rounds to 1; the terms they

@@ -85,8 +85,9 @@ class TestTau:
         assert tau_c(1e155) == tau_c(1e308) == tau_c(sys.float_info.max) == 1.0
 
     def test_bits_of_the_written_out_formula(self):
-        # Up to c = 1e154, where c * c is finite, tau_c is the formula as
-        # written, bit for bit (or the same error).
+        # From c = 1e-2, below which the formula cancels and tau_c sums
+        # series instead, up to c = 1e154, where c * c is finite, tau_c is
+        # the formula as written, bit for bit (or the same error).
         def outcome(tau, c):
             try:
                 return tau(c).hex()
@@ -99,9 +100,26 @@ class TestTau:
             return b * b / (b - 2.0 * c * pdf_c + c * c * (1.0 - b))
 
         rng = np.random.default_rng(31)
-        grid = np.concatenate([10.0 ** rng.uniform(-300.0, 154.0, 4000), np.arange(1, 401) / 10.0, [1e154]])
+        grid = np.concatenate([10.0 ** rng.uniform(-2.0, 154.0, 4000), np.arange(1, 401) / 10.0, [1e154]])
         for c in grid.tolist():
             assert outcome(tau_c, c) == outcome(written_out, c), c
+
+    def test_against_mpmath_down_to_the_smallest_double(self):
+        # 60 digits beyond the ~2 log10(1/c) that the formula's b - 2 c
+        # phi(c) cancels in the reference itself.
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(c):
+            with mpmath.workdps(60 + 2 * max(0, -math.floor(math.log10(c)))):
+                c = mpmath.mpf(c)
+                b = mpmath.erf(c / mpmath.sqrt(2))
+                return b * b / (b - 2 * c * mpmath.npdf(c) + c * c * (1 - b))
+
+        rng = np.random.default_rng(37)
+        grid = np.concatenate([10.0 ** rng.uniform(-323.3, 0.0, 1500), [5e-324, 1e-160, 1e-12, 1e-8, 1e-2, 1.0]])
+        for c in [*grid.tolist(), math.nextafter(1e-2, 0.0)]:
+            want = reference(c)
+            assert abs(tau_c(c) - want) <= 1e-13 * want, c
 
     def test_closed_form_against_quadrature(self):
         # sigma_c^2 = int_{-c}^{c} u^2 phi(u) du + c^2 (1 - b_c), by quadrature.

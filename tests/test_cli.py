@@ -1031,6 +1031,11 @@ class TestSmallCommands:
         assert main(["tau", text]) == 0
         assert capsys.readouterr().out == f"tau_c({text}) = 1\n"
 
+    @pytest.mark.parametrize("text", ["1e-160", "5e-324"])
+    def test_tau_of_a_tiny_c_is_two_over_pi(self, capsys, text):
+        assert main(["tau", text]) == 0
+        assert capsys.readouterr().out == f"tau_c({text}) = 0.63662\n"
+
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         assert "all self-tests passed" in capsys.readouterr().out

@@ -340,10 +340,10 @@ def test_replicate_recomputes_contaminated_sandwiches_in_one_call(monkeypatch):
     recomputed = []
     stacked = models._stacked_sandwich
 
-    def spy(model, X, y, thetas, allow_singular):
+    def spy(model, X, y, thetas, allow_singular, **kwargs):
         if allow_singular:
             recomputed.append(len(X))
-        return stacked(model, X, y, thetas, allow_singular)
+        return stacked(model, X, y, thetas, allow_singular, **kwargs)
 
     def built(self, *args, **kwargs):
         pytest.fail(f"a {type(self).__name__} was built")
@@ -373,8 +373,11 @@ def reference_eval(data, theta):
     return value, grad, numkit.symmetrize(-np.einsum("i,ij,ik->jk", w, X, X) / n)
 
 
-def reference_newton(data):
-    """``(theta, iterations, gradient, halvings)`` of one shard."""
+def reference_newton(data, on_decision=None):
+    """``(theta, iterations, gradient, halvings)`` of one shard.
+
+    ``on_decision(theta, cand, value, cand_value)``, if given, sees every
+    step-halving decision before it is taken."""
     if np.unique(data.y).size < 2:
         raise SeparationError("only one response class present; logistic MLE does not exist")
     theta = np.zeros(data.p)
@@ -399,6 +402,8 @@ def reference_newton(data):
         for _ in range(60):
             cand = theta + scale * step
             cand_value, cand_grad, cand_hess = reference_eval(data, cand)
+            if on_decision is not None:
+                on_decision(theta, cand, value, cand_value)
             if cand_value >= value - 1e-14 * abs(value):
                 break
             scale /= 2.0
@@ -530,6 +535,84 @@ class TestLockstepNewton:
             want[2].tobytes(),
         )
 
+
+
+def evaluated(fit):
+    """What ``fit()`` returns, and how many shard evaluations it made."""
+    rows = []
+    real = models._logistic_eval
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_logistic_eval", lambda X, y, thetas: rows.append(len(thetas)) or real(X, y, thetas))
+        return fit(), sum(rows)
+
+
+def scaled_shards(rng, p, k, n, scale, col_scales, leverage):
+    """k logistic shards around a theta0 of the given scale, with mislabelled
+    leverage rows and their columns scaled."""
+    theta0 = rng.standard_normal(p) * scale
+    shards = [logistic_shard(rng, n, theta0, min(leverage, n // 4)) for _ in range(k)]
+    return [Observations(data.y, data.X * col_scales[:p]) for data in shards]
+
+
+class TestHalvingDecisions:
+    """The lockstep Newton decides each step halving from a criterion value
+    computed with numpy's vectorized ``exp`` and ``log1p``; the reference
+    decides from ``logaddexp``.  The two must always decide alike."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        p=st.integers(1, 4),
+        k=st.integers(1, 6),
+        n=st.integers(10, 300),
+        scale=st.floats(0.0, 12.0),
+        col_scales=st.lists(st.floats(0.3, 3.0), min_size=4, max_size=4),
+        leverage=st.sampled_from([0, 1, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fits_and_halvings_equal_the_reference(self, p, k, n, scale, col_scales, leverage, seed):
+        shards = scaled_shards(np.random.default_rng(seed), p, k, n, scale, col_scales, leverage)
+        want = assert_lockstep_matches_reference(shards)
+        if any(isinstance(w[0], type) for w in want):
+            return
+        # One evaluation at theta = 0, one per iteration, one per halving.
+        model = ModelSpec.logistic(p)
+        for data, w in zip(shards, want):
+            assert evaluated(lambda: fit_local(model, data))[1] == 1 + w[1] + w[4]
+        assert evaluated(lambda: fit_shards(model, shards))[1] == sum(1 + w[1] + w[4] for w in want)
+
+    def test_both_values_decide_alike_with_a_wide_margin(self):
+        # The high-leverage shards of test_halving_shards_converge_at_different_iterations,
+        # which halve where random shards rarely do, and 250 random shards.
+        shards = []
+        for seed in (2, 15, 48):
+            rng = np.random.default_rng(seed)
+            shards += [logistic_shard(rng, 300, np.array([5.0, 3.0]), 3) for _ in range(6)]
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            shards += scaled_shards(
+                rng, int(rng.integers(1, 5)), 5, int(rng.integers(10, 301)), rng.uniform(0.0, 12.0),
+                rng.uniform(0.3, 3.0, 4), int(rng.choice([0, 0, 2, 3, 5])),
+            )
+        margins = []  # (exact, fast): each value's distance from its threshold
+
+        def decide(theta, cand, value, cand_value):
+            fast_value, fast_cand = (
+                float(models._logistic_eval(data.X[None], data.y[None], t[None])[0][0]) for t in (theta, cand)
+            )
+            margins.append((
+                cand_value - (value - 1e-14 * abs(value)),
+                fast_cand - (fast_value - 1e-14 * abs(fast_value)),
+            ))
+
+        for data in shards:
+            try:
+                reference_newton(data, decide)
+            except (SeparationError, RankDeficiencyError, NonConvergenceError):
+                pass
+        exact, fast = np.array(margins).T
+        assert ((exact >= 0.0) == (fast >= 0.0)).all()
+        assert (np.abs(fast - exact) < 0.25 * np.abs(exact)).all()
+        assert (exact < 0.0).any()
 
 
 def slow_shard(seed):
