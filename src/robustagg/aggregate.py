@@ -18,7 +18,9 @@ A round is one :class:`RoundView` from ``contaminate`` through the wire
 codec to the central stages (``aggregate_sigma``, :func:`huber_aggregate`,
 :func:`weighted_average` and ``detect``), which read it in server order:
 as it arrives when it already is, sorted and stacked once when it is not.
-Its PD screen is run once.  Each stage also takes a plain iterable of
+Which servers a round admits is decided once, by :func:`admit`: those of
+one dimension are its rows, and every other server is on its ``rejected``
+list.  Its PD screen is run once.  Each stage also takes a plain iterable of
 estimates and builds the same view from it.  The stacked forms keep the
 bits of the per-server loops they replaced; README.md (Reproducibility)
 records how that was measured.
@@ -30,6 +32,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,28 +137,41 @@ def tau_c(c: float) -> float:
     return b * b / sigma2
 
 
+class Rejected(NamedTuple):
+    """A server a round leaves out: its place in the round's server order,
+    its claimed id, its ``n_k`` and why it was left out."""
+
+    position: int
+    server_id: int | str
+    n_k: int
+    error: str
+
+
+# Why :func:`admit` leaves a server out.
+OTHER_DIMENSION = "theta_hat dimension does not match the estimate"
+
+
 @dataclass(frozen=True, eq=False)
 class RoundView:
     """One round: the ids, sizes, ``(K, p)`` estimates and ``(K, p, p)``
-    variance matrices of its servers, one row each, in one order.
+    variance matrices of the servers it admits, one row each, in one order,
+    and ``rejected``, the servers it leaves out, in server order.
 
     The round travels in this form from ``contaminate`` through the wire
     codec to the central stages, which read the arrays instead of sorting,
     stacking and checking K estimates each time.  The constructor checks
     that the rows align, that every ``n_k >= 1`` and that the total size N
-    is at most the largest double, and makes the arrays read-only.
-
-    ``estimates``, when given, are the round's members in round order, as
-    they were received; those of dimension ``p`` are the rows, in the same
-    order, and the others are members only.  Without them the members are
-    :class:`LocalEstimate` views of the rows, made when first asked for.
+    is at most the largest double, and makes the arrays read-only.  Its
+    members are :class:`LocalEstimate` views of the rows, made when first
+    asked for.  Only :func:`admit` leaves servers out; every other round
+    has no ``rejected``.
     """
 
     server_ids: tuple
     n_k: tuple
     thetas: np.ndarray  # (K, p)
     sigmas: np.ndarray  # (K, p, p)
-    estimates: tuple | None = None
+    rejected: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "server_ids", tuple(self.server_ids))
@@ -179,7 +195,7 @@ class RoundView:
         return self.thetas.shape[1]
 
     def __len__(self) -> int:
-        return len(self.n_k if self.estimates is None else self.estimates)
+        return len(self.n_k)
 
     def __iter__(self):
         return iter(self.members)
@@ -189,22 +205,14 @@ class RoundView:
 
     @functools.cached_property
     def members(self) -> tuple:
-        """Every estimate of the round, in round order."""
-        if self.estimates is not None:
-            return self.estimates
+        """The estimate of every row, in round order."""
         rows = zip(self.server_ids, self.n_k, list(self.thetas), list(self.sigmas))
         return tuple(_row_estimate(*row) for row in rows)
 
     @functools.cached_property
-    def others(self) -> tuple:
-        """``(position, estimate)`` of every member of another dimension."""
-        return tuple((i, e) for i, e in enumerate(self.estimates or ()) if e.p != self.p)
-
-    @functools.cached_property
     def ordered(self) -> bool:
-        """Whether the members are in server order."""
-        ids = self.server_ids if self.estimates is None else [e.server_id for e in self.estimates]
-        return server_positions(ids) == list(range(len(ids)))
+        """Whether the rows are in server order."""
+        return server_positions(self.server_ids) == list(range(len(self)))
 
     @functools.cached_property
     def n_total(self) -> int:
@@ -233,43 +241,64 @@ def _row_estimate(server_id, n_k, theta, sigma) -> LocalEstimate:
     return est
 
 
-def listed_round(estimates, p: int | None = None) -> RoundView:
-    """The :class:`RoundView` of ``estimates`` in the order given, its rows
-    those of dimension ``p`` (the first estimate's when None)."""
-    members = tuple(estimates)
-    if p is None:
-        p = members[0].p if members else 0
-    rows = [e for e in members if e.p == p]
+def _stacked(rows, p: int, rejected=()) -> RoundView:
+    """The :class:`RoundView` of ``rows``, estimates of dimension ``p``, in
+    the order given."""
     k = len(rows)
     return RoundView(
         [e.server_id for e in rows],
         [e.n_k for e in rows],
         np.array([e.theta_star for e in rows], dtype=float).reshape(k, p),
         np.array([e.sigma_star for e in rows], dtype=float).reshape(k, p, p),
-        members,
+        rejected,
     )
 
 
-def round_view(estimates, p: int | None = None) -> RoundView:
-    """The :class:`RoundView` of ``estimates`` in server order, returned as
-    it is if it already is one of dimension ``p`` in server order.
+def listed_round(estimates) -> RoundView:
+    """The :class:`RoundView` of ``estimates``, all of one dimension, in
+    the order given."""
+    rows = tuple(estimates)
+    return _stacked(rows, rows[0].p if rows else 0)
 
-    With ``p`` None the estimates must be at least one and of one
-    dimension, which is admitted.  With ``p`` given, the estimates of
-    dimension ``p`` are admitted and the others are members only; there
-    must still be at least one estimate.
+
+def round_view(estimates) -> RoundView:
+    """The :class:`RoundView` of ``estimates`` in server order, returned as
+    it is if it already is one in server order.  Estimates not yet in a view
+    must be at least one and of one dimension."""
+    view = admit(estimates)
+    if view.rejected and view is not estimates:
+        raise DimensionError("local estimates disagree on parameter dimension")
+    return view
+
+
+def admit(received, p: int | None = None) -> RoundView:
+    """The receive rule: the round of ``received`` (a :class:`RoundView`, or
+    estimates in any order) that the central stages read.
+
+    Its rows are the servers of dimension ``p``, in server order; every
+    other server is left out, on ``rejected`` with its place in server
+    order and :data:`OTHER_DIMENSION`.  With ``p`` None it is the dimension
+    a strict majority of the servers sends, and without one
+    :class:`DimensionError` is raised (the processor's rule); detection
+    passes theta-hat's.  There must be at least one server.  A view in
+    server order that already is such a round is returned as it is.
     """
-    if isinstance(estimates, RoundView):
-        if len(estimates) and estimates.ordered and (p is None or p == estimates.p):
-            return estimates
-        estimates = estimates.members
-    estimates = list(estimates)
-    members = [estimates[i] for i in server_positions(e.server_id for e in estimates)]
+    if isinstance(received, RoundView):
+        if received.ordered and p in (None, received.p) and (len(received) or received.rejected):
+            return received
+        if received.rejected:
+            raise DimensionError(f"the round was admitted for dimension {received.p}")
+    received = list(received)
+    members = [received[i] for i in server_positions(e.server_id for e in received)]
     if not members:
         raise ValueError("at least one local estimate is required")
-    if p is None and any(e.p != members[0].p for e in members):
-        raise DimensionError("local estimates disagree on parameter dimension")
-    return listed_round(members, p)
+    if p is None:
+        dims = [e.p for e in members]
+        p = max(set(dims), key=dims.count)
+        if 2 * dims.count(p) <= len(dims):
+            raise DimensionError("local estimates disagree on parameter dimension")
+    rejected = [Rejected(i, e.server_id, e.n_k, OTHER_DIMENSION) for i, e in enumerate(members) if e.p != p]
+    return _stacked([e for e in members if e.p == p], p, tuple(rejected))
 
 
 def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import sys
 from enum import Enum
 from pathlib import Path
@@ -171,13 +172,13 @@ def _print_metrics_table(metrics) -> None:
         f"runtime: {metrics.runtime_seconds:.2f}s"
     )
     print(
-        f"{'estimator':<18}{'coef':>5}{'bias':>14}{'sd':>14}{'ase':>14}{'cp':>8}{'re':>14}"
+        f"{'estimator':<18}{'coef':>5}{'bias':>14}{'sd':>14}{'ase':>14}{'cp':>10}{'re':>14}"
     )
     for name, coef, bias, sd, ase, cp, re in distsim.metric_rows(metrics):
         re_cell = "" if re is None else _sig6(re)
         print(
             f"{name:<18}{coef:>5}{_sig6(bias):>14}{_sig6(sd):>14}"
-            f"{_sig6(ase):>14}{_sig6(cp):>8}{re_cell:>14}"
+            f"{_sig6(ase):>14}{_sig6(cp):>10}{re_cell:>14}"
         )
     if metrics.hit_rate is not None:
         print(f"hit rate (HR): {_sig6(metrics.hit_rate)}")
@@ -224,7 +225,9 @@ def _read_shard(path: Path, expected_header: list[str] | None):
     so does text that ``csv`` cannot split or the file's encoding cannot
     decode.  A body of plain decimal text (see :func:`_read_plain`) is read
     by numpy's C text reader; any other body, and so every error, goes
-    through ``csv``.
+    through ``csv``.  A shard that reads but holds a cell that is not
+    finite (``inf``, ``nan``, or ``1e400``, which reads as inf) raises
+    ``ConfigError`` for the first such cell in file order.
     """
     try:
         fh = open(path, newline="")
@@ -253,6 +256,10 @@ def _read_shard(path: Path, expected_header: list[str] | None):
             fh.seek(0)
             next(reader)
             table = _read_records(path, header, reader)
+        if not np.isfinite(table).all():
+            fh.seek(0)
+            next(reader)
+            _raise_first_defect(path, header, list(reader), finite=True)
     y_idx = header.index("y")
     x_cols = [i for i in range(len(header)) if i != y_idx]
     return header, Observations(table[:, y_idx], table[:, x_cols])
@@ -320,9 +327,11 @@ def _read_records(path: Path, header: list[str], reader) -> np.ndarray:
     return table
 
 
-def _raise_first_defect(path: Path, header: list[str], records: list[list[str]]) -> None:
+def _raise_first_defect(path: Path, header: list[str], records: list[list[str]],
+                        finite: bool = False) -> None:
     """Raise the ConfigError for the first ragged row or non-numeric cell of
-    a shard's records, in file order (a ragged row before its own cells);
+    a shard's records, or with ``finite`` for the first cell that is not
+    finite either, in file order (a ragged row before its own cells);
     return if there is none."""
     for rowno, row in enumerate(records, start=2):
         if not row:
@@ -333,12 +342,16 @@ def _raise_first_defect(path: Path, header: list[str], records: list[list[str]])
             )
         for colno, cell in enumerate(row, start=1):
             try:
-                float(cell)
+                value = float(cell)
             except ValueError:
+                defect = "numeric"
+            else:
+                defect = "finite" if finite and not math.isfinite(value) else None
+            if defect:
                 raise ConfigError(
                     f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
-                    f"is not numeric: {cell!r}"
-                ) from None
+                    f"is not {defect}: {cell!r}"
+                )
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:

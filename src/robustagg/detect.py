@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from . import numkit
-from .aggregate import round_view
+from .aggregate import admit
 
 DEFAULT_ALPHA = 0.05
 
@@ -62,13 +62,13 @@ class ServerDetection:
 @dataclass(eq=False)
 class DetectionReport:
     """The screen of a round, columnar: one row per server, in server order
-    (with a member of another dimension at its place in the round).
+    (with a server the round left out at its place, on an error row).
 
     ``d1`` and ``d2`` are float arrays; ``errors`` maps the row of a
-    server whose distances could not be computed to its message, and
-    ``d1`` is read at every other row, ``d2`` where ``has_d2`` holds.
-    ``records``, one :class:`ServerDetection` per row, is made from the
-    columns when first read.
+    server whose distances could not be computed, or that the round left
+    out, to its message, and ``d1`` is read at every other row, ``d2``
+    where ``has_d2`` holds.  ``records``, one :class:`ServerDetection` per
+    row, is made from the columns when first read.
     """
 
     server_ids: tuple
@@ -168,14 +168,16 @@ def detect(
     eigenvalue that is not > 0 raises :class:`NotPositiveDefiniteError`.
     A raw matrix is decomposed once per call; a ``numkit.PDMatrix`` (what
     ``require_pd`` and ``aggregate_sigma`` return) is used as it is.
-    Per-server failures are recorded on the corresponding row instead of
-    aborting.  The report holds the distances and flags as arrays; its
-    :class:`ServerDetection` rows are made only when read.
+    The servers screened are those ``aggregate.admit`` admits for
+    theta-hat's dimension; each other server gets an error row at its place
+    in server order.  Per-server failures are recorded on the corresponding
+    row instead of aborting.  The report holds the distances and flags as
+    arrays; its :class:`ServerDetection` rows are made only when read.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
     p = theta_hat.size
     threshold = detection_threshold(p, alpha)
-    view = round_view(estimates, p)
+    view = admit(estimates, p)
 
     sym = numkit.require_pd(sigma_hat, p).sym
     sizes = np.array([float(n) for n in view.n_k])
@@ -199,35 +201,22 @@ def detect(
         has_d2[rows] = True
         has_d2[rows[list(unsolved)]] = False
     columns = [d1, d2, has_d2, theta_flagged, passed & (~has_d2 | (d2 > threshold))]
-    ids, sizes_k = view.server_ids, view.n_k
-    errors = {i: str(exc) for i, exc in failed.items()}
-    if view.others:
-        # Members of another dimension get their rows at their places.
-        at = np.ones(len(view), dtype=bool)
-        at[[i for i, _ in view.others]] = False
-        columns = [_spread(column, at) for column in columns]
-        ids, sizes_k = [e.server_id for e in view.members], [e.n_k for e in view.members]
-        rows_at = np.flatnonzero(at).tolist()
-        errors = {rows_at[i]: msg for i, msg in errors.items()}
-        errors.update((i, "theta_hat dimension does not match the estimate") for i, _ in view.others)
+    ids, sizes_k, errors = list(view.server_ids), list(view.n_k), [None] * len(sizes)
+    for i, exc in failed.items():
+        errors[i] = str(exc)
+    if view.rejected:
+        # Each server the round left out gets its error row at its place in
+        # server order, with no distance and no flag.
+        at = [r.position - j for j, r in enumerate(view.rejected)]
+        columns = [np.insert(column, at, 0) for column in columns]
+        for r in view.rejected:
+            ids.insert(r.position, r.server_id)
+            sizes_k.insert(r.position, r.n_k)
+            errors.insert(r.position, r.error)
+    errors = {i: error for i, error in enumerate(errors) if error is not None}
     return DetectionReport(tuple(ids), tuple(sizes_k), *columns, errors, alpha, threshold, p)
-
-
-def _spread(column: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``column`` at the rows where ``at`` holds, zeros at the others."""
-    full = np.zeros(at.size, dtype=column.dtype)
-    full[at] = column
-    return full
 
 
 def _error_record(server_id, n_k: int, error: str) -> ServerDetection:
     """The report row of a server whose distances could not be computed."""
-    return ServerDetection(
-        server_id=server_id,
-        n_k=n_k,
-        d1=None,
-        d2=None,
-        theta_flagged=False,
-        sigma_flagged=False,
-        error=error,
-    )
+    return ServerDetection(server_id, n_k, None, None, False, False, error)

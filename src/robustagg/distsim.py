@@ -41,9 +41,9 @@ from .aggregate import (
     DEFAULT_HUBER_C,
     LocalEstimate,
     RoundView,
+    admit,
     huber_aggregate,
     listed_round,
-    round_view,
     server_positions,
     standard_errors,
     tau_c,
@@ -304,12 +304,15 @@ def encode_messages(estimates) -> list[bytes]:
     matrix with a non-finite entry is sent too, as the vech of its
     symmetrized form, since the decoder accepts it and the processor leaves
     it out and flags it.  The rows share one stacked symmetry test and one
-    ``tobytes``, and each payload takes one base64 call and one CRC.  A
-    round whose members differ in dimension is sent one member at a time.
+    ``tobytes``, and each payload takes one base64 call and one CRC.
+    Estimates that differ in dimension are sent one at a time.
     """
-    view = estimates if isinstance(estimates, RoundView) else listed_round(estimates)
-    if view.others:
-        return [encode_messages([e])[0] for e in view.members]
+    view = estimates
+    if not isinstance(view, RoundView):
+        estimates = list(estimates)
+        if len({e.p for e in estimates}) > 1:
+            return [encode_messages([e])[0] for e in estimates]
+        view = listed_round(estimates)
     k, p = view.thetas.shape
     sendable = np.zeros(k, dtype=bool)
     numbers: list = [b""] * k
@@ -397,17 +400,19 @@ def _stacked_round(fields) -> RoundView:
     )
 
 
-def decode_messages(payloads) -> RoundView:
-    """The round of the estimates the wire payloads carry, in payload order.
+def decode_messages(payloads):
+    """The estimates the wire payloads carry, in payload order.
 
     Each payload is checked once, in order, by :func:`_checked_fields`, so
     the error raised is the one the first failing payload raises alone.  A
-    round of one dimension is then stacked whole; the members of a round
-    whose payloads differ in dimension are stacked one at a time.
+    round of one dimension is then stacked whole into one
+    :class:`RoundView`; payloads that differ in dimension come back as a
+    tuple of estimates, each stacked alone, for the processor's receive
+    rule (``aggregate.admit``) to decide which it admits.
     """
     fields = [_checked_fields(payload) for payload in payloads]
     if len({f[2] for f in fields}) > 1:
-        return listed_round(_stacked_round([f])[0] for f in fields)
+        return tuple(_stacked_round([f])[0] for f in fields)
     return _stacked_round(fields)
 
 
@@ -455,8 +460,9 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     a non-finite variance diagonal entry into ``se_wa``.  A nonpositive
     pooled variance gives a NaN standard error too, as a NaN one does.
 
-    The parameter dimension is the one a strict majority of the servers
-    sends.  A server of another dimension is left out of everything but
+    ``received`` goes through the receive rule, ``aggregate.admit``, once:
+    the parameter dimension is the one a strict majority of the servers
+    sends, and a server of another dimension is left out of everything but
     the report, where its row's error reads "theta_hat dimension does not
     match the estimate"; without a strict majority,
     :class:`DimensionError` is raised.
@@ -466,14 +472,9 @@ def process(received, c: float, alpha: float, sigma_hat=None):
     without a finite estimate does), and the stages reuse its
     factorization.
     """
-    received = received if isinstance(received, RoundView) else listed_round(received)
-    dims = Counter(e.p for _, e in received.others)
-    dims[received.p] += len(received.n_k)
-    p = max(dims, key=dims.get)
     # In server order (sorted and stacked only if it is not yet); every
-    # stage below reads this view.  Without a strict majority, the view of
-    # the members raises.
-    view = round_view(received, p) if 2 * dims[p] > len(received) else round_view(received.members)
+    # stage below reads this view.
+    view = admit(received)
     # Checked and factored once; the stages below pass it through.
     sigma_hat = aggregate_sigma(view) if sigma_hat is None else numkit.require_pd(sigma_hat, view.p)
     result = huber_aggregate(view, sigma_hat, c)

@@ -209,6 +209,24 @@ class TestSimulateCommand:
         table = capsys.readouterr().out
         assert "huber" in table and "weighted_average" in table
 
+    def test_printed_rows_split_into_the_header_cells(self, tmp_path, capsys):
+        # Coverages such as 0.0666667 take nine characters.
+        args = [
+            "simulate", "--model", "linear", "--theta0", "1,2", "--K", "5", "--n", "50",
+            "--replicates", "3", "--c", "0.5", "--out-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("estimator"))
+        header = lines[start].split()
+        rows = [line.split() for line in lines[start + 1 :] if line.startswith(("huber", "weighted"))]
+        assert [row[0] for row in rows] == ["huber", "huber", "weighted_average", "weighted_average"]
+        for row in rows:
+            # The weighted average is the reference, so its re cell is empty.
+            assert len(row) == len(header) - (row[0] == "weighted_average")
+            for cell in row[1:]:
+                float(cell)  # raises where two cells ran together
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "simulate", "--model", "linear", "--K", "4", "--n", "50",
@@ -433,14 +451,14 @@ class TestPipelineCommand:
         assert [p.stem for p in sorted(nested)] == stems
 
         sorts = []
-        round_view = distsim.round_view
+        admit = distsim.admit
 
         def counting(received, p=None):
-            view = round_view(received, p)
+            view = admit(received, p)
             sorts.append(view is not received)
             return view
 
-        monkeypatch.setattr(distsim, "round_view", counting)
+        monkeypatch.setattr(distsim, "admit", counting)
         written = {}
         for name, paths in (("flat", flat), ("nested", nested)):
             out = tmp_path / name / "out"
@@ -490,6 +508,20 @@ class TestPipelineCommand:
         path.write_bytes(("y,x1\n" + body).encode())
         assert main(["fit-aggregate-detect", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+    @pytest.mark.parametrize(
+        "cell, blank",
+        [("inf", ""), ("-inf", ""), ("nan", ""), ("1e400", ""), ("inf", "\n")],
+        ids=["inf", "-inf", "nan", "1e400 (plain text)", "after a blank line"],
+    )
+    def test_non_finite_cell_is_named(self, tmp_path, capsys, cell, blank):
+        paths = make_shards(tmp_path, k=3, n=200)
+        lines = paths[1].read_text().splitlines(keepends=True)
+        lines.insert(4, f"{blank}1,0.3,{cell}\n")
+        paths[1].write_text("".join(lines))
+        line = 5 + len(blank)
+        assert main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {paths[1]}:{line}: column 3 ('x2') is not finite: {cell!r}\n"
 
     def test_defect_before_an_undecodable_byte_is_reported_first(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from robustagg import aggregate, distsim, numkit
-from robustagg.aggregate import LocalEstimate, huber_aggregate, round_view, standard_errors
+from robustagg.aggregate import OTHER_DIMENSION, LocalEstimate, admit, huber_aggregate, round_view, standard_errors
 from robustagg.detect import detect
 from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
@@ -351,30 +351,33 @@ class TestOneViewPerRound:
         assert events == ["round"]
         assert [r.server_id for r in report.records] == sorted(e.server_id for e in received)
 
-    def test_minority_rows_are_members_only(self):
+    def test_minority_servers_are_rejected(self):
         ests = [LocalEstimate(k, 10, np.zeros(2), np.eye(2)) for k in (3, 1, 2)]
         ests.append(LocalEstimate("x", 10, np.zeros(3), np.eye(3)))
-        view = round_view(ests, 2)
-        assert [e.server_id for e in view.members] == [1, 2, 3, "x"]
+        view = admit(ests)
         assert view.server_ids == (1, 2, 3) and view.thetas.shape == (3, 2)
+        assert view.rejected == ((3, "x", 10, OTHER_DIMENSION),)
+        assert [e.server_id for e in view.members] == [1, 2, 3]
         assert not view.thetas.flags.writeable and not view.sigmas.flags.writeable
+        assert admit(view) is view and admit(view, 2) is view and round_view(view) is view
         with pytest.raises(DimensionError, match="disagree on parameter dimension"):
             round_view(ests)
         with pytest.raises(ValueError, match="at least one local estimate"):
-            round_view([], 2)
+            admit([], 2)
 
-    def test_view_of_another_dimension_refilters_its_members(self):
+    def test_view_read_at_another_dimension_rejects_its_rows(self):
         ests = [LocalEstimate(k, 10, np.full(2, k), np.eye(2)) for k in (3, 1, 2)]
-        ests += [LocalEstimate(s, 20, np.ones(3), 2.0 * np.eye(3)) for s in ("y", "x")]
-        view = round_view(ests, 2)
-        assert round_view(view) is view and round_view(view, 2) is view
-        other = round_view(view, 3)
-        direct = round_view(ests, 3)
-        assert other.p == 3 and other.members == view.members
-        assert other.server_ids == direct.server_ids == ("x", "y")
-        assert other.n_k == (20, 20)
-        assert other.thetas.tobytes() == direct.thetas.tobytes()
-        assert other.sigmas.tobytes() == direct.sigmas.tobytes()
+        plain = round_view(ests)
+        other = admit(plain, 3)
+        assert other.p == 3 and len(other) == 0
+        assert other.rejected == tuple((i, k, 10, OTHER_DIMENSION) for i, k in enumerate((1, 2, 3)))
+        report = detect(plain, np.zeros(3), np.eye(3))
+        assert [(r.server_id, r.error) for r in report.records] == [(k, OTHER_DIMENSION) for k in (1, 2, 3)]
+        # The estimates of the servers a view left out are gone, so it
+        # cannot be read at another dimension.
+        mixed = admit(ests + [LocalEstimate("x", 20, np.ones(3), np.eye(3))])
+        with pytest.raises(DimensionError, match="admitted for dimension 2"):
+            admit(mixed, 3)
 
     def test_stacked_spatial_median_is_the_weighted_points(self):
         rng = np.random.default_rng(5)
