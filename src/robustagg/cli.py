@@ -494,17 +494,17 @@ def _wide_sums(rng):
     return numkit.exact_column_means(block)
 
 
-def _lockstep_newton(rng) -> list:
+def _lockstep_newton(rng, theta0=(5.0, 3.0), sizes=(300,) * 6) -> list:
     # Mislabelled far-out rows make some shards halve their steps, and the
     # shards converge at different iterations.
     shards = []
-    for _ in range(6):
-        X = rng.standard_normal((300, 2))
+    for n in sizes:
+        X = rng.standard_normal((n, len(theta0)))
         X[:3] *= 10.0 ** rng.uniform(1.0, 2.5, (3, 1))
-        y = (rng.random(300) < expit(X @ [5.0, 3.0])).astype(float)
+        y = (rng.random(n) < expit(X @ theta0)).astype(float)
         y[:3] = 1.0 - y[:3]
         shards.append(Observations(y, X))
-    return _fits(ModelSpec.logistic(2), shards)
+    return _fits(ModelSpec.logistic(len(theta0)), shards)
 
 
 def _round(rng, dims) -> list:
@@ -559,6 +559,10 @@ _CHECKS = (
     ("stacked linear fit_shards", 7, "041f34f51e41e3c3", lambda rng: _fits(
         ModelSpec.linear(3), map(Observations, rng.standard_normal((6, 50)), rng.standard_normal((6, 50, 3))))),
     ("stacked logistic fit_shards: the lockstep Newton", 48, "9c945c28e1397f14", _lockstep_newton),
+    ("stacked logistic fit_shards at p = 1: the doubled Hessian column", 49, "820d25f7a949a12b",
+     lambda rng: _lockstep_newton(rng, (5.0,))),
+    ("ragged logistic fit_shards at p = 4: one shard per pass", 50, "e751373bd18c719c",
+     lambda rng: _lockstep_newton(rng, (1.0, -0.5, 0.25, 2.0), (1050, 1908, 700))),
     ("stacked numpy.linalg.eigh and solve", 8, "621ac5420d3c5c1b", lambda rng: (
         np.linalg.eigh(stack := _spd(rng, 6, 3)), np.linalg.solve(stack, rhs := rng.standard_normal((6, 3, 1))),
         np.linalg.solve(np.broadcast_to(stack[0], stack.shape), rhs))),

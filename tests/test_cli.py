@@ -1008,7 +1008,9 @@ CHECK_FAULTS = {
     "detection_threshold": nudged(cli, "detection_threshold"),
     "exact_column_means": flipped,
     "linear fit_shards": flipped,
-    "lockstep Newton": nudged(models, "_newton"),
+    "lockstep Newton": flipped,
+    "doubled Hessian column": flipped,
+    "one shard per pass": flipped,
     "eigh and solve": flipped,
     "weighted_average": nudged(cli, "weighted_average"),
     "_read_plain": nudged(cli, "_read_plain"),
@@ -1034,6 +1036,9 @@ SHARED_KERNEL_FAULTS = {
     "Generator": reseeded,
     "exact_column_means": nudged(numkit, "exact_column_means"),
     "linear fit_shards": nudged(models, "_stacked_sandwich"),
+    "lockstep Newton": nudged(models, "_newton"),
+    "doubled Hessian column": nudged(models, "_logistic_hessians"),
+    "one shard per pass": nudged(models, "_logistic_hessians"),
     "eigh and solve": nudged(np.linalg, "solve"),
     "one dimension": big_endian_wire,
     "mixed dimensions": big_endian_wire,
