@@ -495,8 +495,8 @@ def _wide_sums(rng):
 
 
 def _lockstep_newton(rng, theta0=(5.0, 3.0), sizes=(300,) * 6) -> list:
-    # Mislabelled far-out rows make some shards halve their steps, and the
-    # shards converge at different iterations.
+    # Mislabelled far-out rows make some of the default p = 2 shards halve
+    # their steps, and the shards converge at different iterations.
     shards = []
     for n in sizes:
         X = rng.standard_normal((n, len(theta0)))

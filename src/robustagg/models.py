@@ -13,7 +13,12 @@ as views of its arrays.
 Summation discipline: fitting uses single-threaded ``einsum``/``add.reduce``
 reductions (deterministic for a fixed observation order), while the sandwich
 variance accumulates every entry with exactly rounded summation so the
-transmitted matrix is bit-identical under any permutation of the shard.
+transmitted matrix is bit-identical under any permutation of the shard.  The
+logistic Hessian sums each entry one observation at a time, as the
+three-operand ``einsum("i,ij,ik->jk")`` does: a Newton call lays out its
+shards' designs once as two C-contiguous ``(K, n, C)`` factors, C = p²
+columns (two at p = 1), along which einsum's inner loop runs (see
+:func:`_logistic_hessians`).
 
 Every published number depends on these exact bits, so a faster form of a
 reduction is acceptable only where it returns the same doubles.  The one
@@ -27,6 +32,7 @@ records which forms were measured, which are used and why.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,10 +63,11 @@ _DIVERGENCE_RATIO = 1e4
 _SATURATED_MARGIN = 13.8
 
 
-# Product entries in one stacked pass of fit_shards: per shard, n * (p +
-# p(p+1)/2) sandwich products or, where more, the n * p * p Hessian products
-# of a logistic Newton iteration.  The stacked arrays of a pass are a few
-# copies of that many doubles, so this bounds the memory a pass adds.
+# Entries in one stacked pass of fit_shards: per shard, n * (p + p(p+1)/2)
+# sandwich products or, where more, the n * p * p entries of each of the two
+# Hessian factors a logistic Newton call holds from start to end.  The
+# stacked arrays of a pass are a few copies of that many doubles, so this
+# bounds the memory a pass adds.
 STACK_ENTRIES = 1 << 15
 
 
@@ -285,7 +292,7 @@ def criterion_eval(model: ModelSpec, data: Observations, theta):
 
     _, grad, eta, pi = _logistic_eval(X[None], y[None], theta[None])
     value = float(np.add.reduce(y * eta[0] - np.logaddexp(0.0, eta[0]))) / n
-    return value, grad[0], _logistic_hessians(np.ascontiguousarray(X.T)[None], pi)[0]
+    return value, grad[0], _logistic_hessians(_hessian_factors(X[None]), pi)[0]
 
 
 def _logistic_eval(X: np.ndarray, y: np.ndarray, thetas: np.ndarray):
@@ -315,22 +322,36 @@ def _logistic_eval(X: np.ndarray, y: np.ndarray, thetas: np.ndarray):
     return values, grads, eta, pi
 
 
-def _logistic_hessians(cols: np.ndarray, pi: np.ndarray) -> np.ndarray:
+def _hessian_factors(X: np.ndarray):
+    """The factors :func:`_logistic_hessians` reads for the ``(K, n, p)``
+    designs ``X``: two C-contiguous ``(K, n, C)`` arrays whose column
+    ``c = j * p + k`` holds ``x_j`` and ``x_k``, so C = p².  At p = 1 each
+    holds the column twice (C = 2).
+    """
+    reps = max(X.shape[-1], 2)
+    return np.repeat(X, reps, axis=-1), np.tile(X, reps)
+
+
+def _logistic_hessians(factors, pi: np.ndarray) -> np.ndarray:
     """Averaged logistic Hessians of K shards with probabilities ``pi``,
-    given their designs one coordinate per row as a ``(K, p, n)`` stack.
+    given their :func:`_hessian_factors`.
 
     Each entry sums its products ``(w * x_j) * x_k`` one at a time in
-    observation order, the sums of ``einsum("i,ij,ik->jk", w, X, X)``.  The
-    first partial sum of ``add.accumulate`` is the first product, not
-    ``0 + product``, so ``+ 0.0`` turns an all ``-0.0`` sum into einsum's
-    ``+0.0``.  Both (j, k) and (k, j) are summed: they round differently and
-    ``symmetrize`` averages them.
+    observation order from ``+0.0`` (so an all ``-0.0`` sum is ``+0.0``),
+    the sums of ``einsum("i,ij,ik->jk", w, X, X)``: einsum's inner loop runs
+    along the C contiguous columns and adds one observation's products at a
+    time.  Those bits rest on the layout.  With C = 1, or a factor that is
+    not C-contiguous, the inner loop runs along the observations, and past
+    einsum's 8,192-element buffer the sum is split into chunks with other
+    bits; hence the doubled column at p = 1, and an active-set subset must
+    index axis 0.  Both (j, k) and (k, j) are summed: they round
+    differently and ``symmetrize`` averages them.
     """
-    n = cols.shape[-1]
-    w_cols = (pi * (1.0 - pi))[:, None, :] * cols
-    prods = w_cols[:, :, None, :] * cols[:, None, :, :]
-    sums = np.add.accumulate(prods, axis=-1, out=prods)[..., -1] + 0.0
-    return numkit.symmetrize(-sums / n)
+    xj, xk = factors
+    k, n, width = xj.shape
+    p = math.isqrt(width)  # width is p², or 2 at p = 1
+    sums = np.einsum("ki,kij,kij->kj", pi * (1.0 - pi), xj, xk)[:, : p * p]
+    return numkit.symmetrize(-sums.reshape(k, p, p) / n)
 
 
 def _outer_rows(cols: np.ndarray) -> np.ndarray:
@@ -514,25 +535,26 @@ def _newton(X: np.ndarray, y: np.ndarray):
     Each iteration evaluates the shards still active in one stacked call and
     solves for their steps in one stacked ``solve``; every shard keeps its
     own step halving, convergence test and divergence and saturation checks,
-    and leaves the active set when it converges.  A shard's iterates are the
-    bits of a Newton run on that shard alone.  Returns ``(thetas,
-    iterations, gradients, probabilities)``, the last ``expit`` of each
-    shard's linear predictor at its estimate; if any shard fails, the call
-    raises.
+    and leaves the active set when it converges.  The Hessian factors are
+    laid out once per call, and the active set takes rows of them on axis 0.
+    A shard's iterates are the bits of a Newton run on that shard alone.
+    Returns ``(thetas, iterations, gradients, probabilities)``, the last
+    ``expit`` of each shard's linear predictor at its estimate; if any shard
+    fails, the call raises.
     """
     if (y.min(axis=1) == y.max(axis=1)).any():
         raise SeparationError(
             "only one response class present; logistic MLE does not exist"
         )
     k, _, p = X.shape
-    cols = np.ascontiguousarray(X.swapaxes(-1, -2))
+    xj, xk = _hessian_factors(X)
     thetas = np.zeros((k, p))
     values, grads, etas, pis = _logistic_eval(X, y, thetas)
     iters = [0] * k
     first_norms = [0.0] * k
     # The shards still iterating and, in the same order, their data and state.
     active = list(range(k))
-    X_a, y_a, cols_a, theta, value, grad, eta, pi = X, y, cols, thetas, values, grads, etas, pis
+    X_a, y_a, xj_a, xk_a, theta, value, grad, eta, pi = X, y, xj, xk, thetas, values, grads, etas, pis
     it = 0
     while True:
         keep = []
@@ -543,8 +565,8 @@ def _newton(X: np.ndarray, y: np.ndarray):
                 keep.append(pos)
         if len(keep) < len(active):
             active = [active[pos] for pos in keep]
-            X_a, y_a, cols_a, theta, value, grad, eta, pi = (
-                a[keep] for a in (X_a, y_a, cols_a, theta, value, grad, eta, pi)
+            X_a, y_a, xj_a, xk_a, theta, value, grad, eta, pi = (
+                a[keep] for a in (X_a, y_a, xj_a, xk_a, theta, value, grad, eta, pi)
             )
         if not active:
             break
@@ -555,7 +577,7 @@ def _newton(X: np.ndarray, y: np.ndarray):
                 residual=_norms(grad[:1])[0],
             )
         try:
-            step = np.linalg.solve(-_logistic_hessians(cols_a, pi), grad[..., None])[..., 0]
+            step = np.linalg.solve(-_logistic_hessians((xj_a, xk_a), pi), grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(
                 "logistic Hessian is singular at the current iterate"

@@ -536,6 +536,65 @@ class TestLockstepNewton:
         )
 
 
+def accumulated_hessians(X, pi):
+    """The Hessians of K shards summed one product at a time: the
+    ``(K, p, p, n)`` products ``(w * x_j) * x_k`` summed by
+    ``np.add.accumulate`` along n, the last partial sum ``+ 0.0`` (an all
+    ``-0.0`` sum is then ``+0.0``, as einsum's is)."""
+    cols = np.ascontiguousarray(X.swapaxes(-1, -2))
+    w_cols = (pi * (1.0 - pi))[:, None, :] * cols
+    prods = w_cols[:, :, None, :] * cols[:, None, :, :]
+    sums = np.add.accumulate(prods, axis=-1)[..., -1] + 0.0
+    return numkit.symmetrize(-sums / X.shape[1])
+
+
+def same_bits(a, b):
+    """Equal as int64 views, so signed zeros and NaN payloads count."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestHessianKernel:
+    @staticmethod
+    def assert_kernel_bits(rng, X, per_shard=True):
+        k, n, p = X.shape
+        pi = expit(3.0 * rng.standard_normal((k, n)))
+        factors = models._hessian_factors(X)
+        assert all(f.flags.c_contiguous and f.shape == (k, n, max(p * p, 2)) for f in factors)
+        got = models._logistic_hessians(factors, pi)
+        assert same_bits(got, accumulated_hessians(X, pi))
+        if per_shard:
+            w = pi * (1.0 - pi)
+            want = [numkit.symmetrize(-np.einsum("i,ij,ik->jk", w[i], X[i], X[i]) / n) for i in range(k)]
+            assert same_bits(got, np.array(want))
+        # The active set shrinks by indexing axis 0, which keeps the layout.
+        keep = sorted(rng.choice(k, int(rng.integers(1, k + 1)), replace=False).tolist())
+        subset = tuple(f[keep] for f in factors)
+        assert all(f.flags.c_contiguous for f in subset)
+        assert same_bits(models._logistic_hessians(subset, pi[keep]), got[keep])
+
+    def test_equals_sequential_and_per_shard_sums(self):
+        # Column scales e^N(0, 4); every fifth stack has an all -0.0 column
+        # next to a positive one, whose products are all -0.0.
+        rng = np.random.default_rng(31)
+        for case in range(2500):
+            k, n, p = int(rng.integers(1, 8)), int(rng.integers(1, 501)), int(rng.integers(1, 7))
+            X = rng.standard_normal((k, n, p)) * np.exp(rng.normal(0.0, 2.0, p))
+            if case % 5 == 0:
+                X[..., 0] = np.abs(X[..., 0])
+                X[..., p - 1] = -0.0
+            self.assert_kernel_bits(rng, X)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_long_shards_keep_the_layout_bits(self, p):
+        # Beyond einsum's 8,192-element buffer a single column (C = 1) or a
+        # gathered, non-contiguous factor has its sum split into chunks, and
+        # the bits differ; the contiguous layout keeps the sequential sum.
+        # So does the per-shard einsum at p = 1, whose sum is chunked there.
+        rng = np.random.default_rng(40 + p)
+        for n in (8193, 12000):
+            X = rng.standard_normal((2, n, p)) * np.exp(rng.normal(0.0, 2.0, p))
+            self.assert_kernel_bits(rng, X, per_shard=p > 1)
+
 
 def evaluated(fit):
     """What ``fit()`` returns, and how many shard evaluations it made."""
