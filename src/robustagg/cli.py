@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, NotPositiveDefiniteError, RobustAggError
-from . import distsim, numkit
+from . import distsim, numkit, spatialmed
 from .aggregate import LocalEstimate, tau_c, weighted_average
 from .detect import detection_threshold
 from .distsim import (
@@ -539,6 +539,56 @@ def _csv_table(rng):
     return _read_records(Path("check.csv"), ["y", "a", "b"], csv.reader(io.StringIO(body)))
 
 
+def _screen_stack(rng) -> list:
+    # For p = 1, 2, 3 and 5, forty matrices with eigenvalues from e^-40 to
+    # e^5 scaled by 10^-300 to 10^300: a quarter indefinite by one eigenvalue
+    # just below zero, a quarter near singular by one just above it; and an
+    # all-zero, a subnormal, a NaN, an inf and an asymmetric matrix, and at
+    # p = 2 the desk matrix an unshifted Cholesky rejects (README,
+    # Reproducibility).
+    out = []
+    for p in (1, 2, 3, 5):
+        q = np.linalg.qr(rng.standard_normal((40, p, p)))[0]
+        lam = np.exp(rng.uniform(-40.0, 5.0, (40, p)))
+        top = lam.max(axis=1)
+        lam[10:20, 0] = -top[10:20] * 2.0 ** rng.uniform(-60.0, -40.0, 10)
+        lam[20:30, 0] = top[20:30] * 2.0 ** rng.uniform(-60.0, -40.0, 10)
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, 40)
+        stack = ((q * lam[:, None, :]) @ q.swapaxes(-1, -2)) * scale[:, None, None]
+        stack[0] = 0.0
+        stack[1] = 5e-324 * np.eye(p)
+        stack[2, 0, 0] = np.nan
+        stack[3, -1, -1] = np.inf
+        stack[4, 0, -1] += 1e-6 * np.abs(stack[4]).max() * (p > 1)
+        if p == 2:
+            stack[5] = [[13027255262208.805, -13027708157195.771], [-13027708157195.771, 13028161067927.719]]
+        out += numkit.screen_positive_definite(stack)
+    return out
+
+
+def _spatial_medians(rng) -> list:
+    # K from 3 to 400 and d from 1 to 15, sqrt(n) weights: equal weights on
+    # a line at even K (a tie segment), points repeated exactly (and a 0.0
+    # and a -0.0), and optima just off one point, one of which runs to the
+    # iteration cap.
+    out = []
+    for k, d in ((3, 1), (4, 1), (20, 1), (5, 2), (12, 3), (40, 6), (400, 15), (400, 5), (60, 10), (7, 15)):
+        x = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        w = np.sqrt(rng.integers(1, 100, k).astype(float))
+        if d == 1 and k % 2 == 0:
+            w[:] = w[0]
+        if k >= 12:
+            x[: k // 4] = x[k // 4 : 2 * (k // 4)]
+            x[0, 0], x[1, 0] = 0.0, -0.0
+        if k in (5, 7, 60):
+            # Just short of anchoring on point 0: the optimum lies next to it.
+            u = (x[1:] - x[0]) / np.linalg.norm(x[1:] - x[0], axis=1)[:, None]
+            w[0] = 0.999 * np.linalg.norm(w[1:] @ u)
+        res = spatialmed.spatial_median(x, w)
+        out += [res.eta, float(res.iterations), float(res.anchored), res.objective]
+    return out
+
+
 # The lines of ``check``: a name, the seed of the line's own Generator, the
 # first 16 hex digits (64 bits) of the sha256 of the kernel's output bytes
 # (see _bits) on the host that made the published artifacts, and the kernel,
@@ -576,6 +626,10 @@ _CHECKS = (
      lambda rng: _codec(_round(rng, (2, 3, 2, 3, 3)))),
     ("wire payload of a fixed estimate equals its golden bytes", 14, "076b24945acdd8ea",
      lambda rng: _codec([LocalEstimate("7", 120, [1.5, -0.0], [[2.0, 0.5], [0.5, 5e-324]])])),
+    ("numkit.screen_positive_definite verdicts on an adversarial stack", 16, "529f99b0da5b6786",
+     _screen_stack),
+    ("spatialmed.spatial_median with duplicates, ties and near-anchors", 17, "a50a5ff658f6c1df",
+     _spatial_medians),
 )
 
 

@@ -13,6 +13,13 @@ eigenvalue of its symmetrized form > 0 (a NaN eigenvalue fails).
 matrices and returns verdicts; :func:`require_pd` applies it to one matrix,
 such as the aggregated variance matrix, and raises or returns the checked
 :class:`PDMatrix`, which it passes through unchanged when it meets it again.
+
+The screen reaches most verdicts without ``eigh``: a Cholesky factorization
+of ``S - 2**-30 max|s_ij| I`` that runs to completion proves the smallest
+eigenvalue of the symmetrized ``S`` positive by a margin far wider than
+``eigh``'s rounding, so ``eigh`` would say > 0 as well (the bound is in
+:func:`screen_positive_definite`).  Only the finite symmetric matrices that
+run cannot certify go to ``eigh``, which decides them as before.
 """
 
 from __future__ import annotations
@@ -123,6 +130,41 @@ def min_eigenvalue(a) -> float:
     return float(_eigh(ensure_symmetric(a))[0][0])
 
 
+# The Cholesky certificate of screen_positive_definite: the shift relative
+# to the largest entry m, the range of m (delta = m * shift stays normal),
+# and the largest p, where p (p + 1) eps <= 2**-40.
+_CERT_SHIFT = 2.0**-30
+_CERT_RANGE = (2.0**-960, 2.0**960)
+_CERT_MAX_P = 63
+
+
+@np.errstate(all="ignore")
+def _certified_pd(sym: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack of finite symmetric matrices, of largest
+    entries ``scale``, a Cholesky factorization of ``S - delta I``,
+    ``delta = 2**-30 scale``, proves positive definite: each run completes
+    with every pivot > 0.
+
+    The factorization runs on all matrices at once, column by column, on a
+    ``(p, p, K)`` copy, so that each step is a few contiguous operations
+    across the matrices.  A run that fails may overflow or take the root
+    of a negative pivot on its way; such values only make a later pivot
+    fail, since every entry below the diagonal is squared into a later
+    pivot, so their warnings are silenced, and a run that completes
+    overflowed nowhere.
+    """
+    b = sym.transpose(1, 2, 0).copy()
+    diag = np.arange(sym.shape[-1])
+    b[diag, diag] -= _CERT_SHIFT * scale
+    certified = np.ones(sym.shape[0], dtype=bool)
+    for j in diag:
+        pivot = b[j, j]
+        certified &= pivot > 0.0
+        col = b[j + 1 :, j] / np.sqrt(pivot)
+        b[j + 1 :, j + 1 :] -= col[:, None] * col[None]
+    return certified
+
+
 def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices of a ``(K, p, p)`` stack pass :func:`require_pd`'s rule:
     every entry finite, symmetric within ``SYM_RTOL``, and the smallest
@@ -130,16 +172,50 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ok, sym)``: the boolean verdicts and the symmetrized stack.
     The finiteness and symmetry tests are exact elementwise work, silent
-    about an infinite entry, and the
-    matrices that pass them share one stacked ``eigh``, which returns the
-    same bits as one call per matrix.  If the stacked call raises, the
-    matrices are decomposed one at a time, so a failure is reported as
-    :class:`NumericalError` for the matrix that caused it.
+    about an infinite entry.  A matrix that passes them is certified
+    positive definite by :func:`_certified_pd`, without ``eigh``, when
+    ``m = max|s_ij|`` lies in ``[2**-960, 2**960]`` and ``p <= 63``.  The
+    certificate gives the verdict ``eigh`` would give:
+
+    * With ``delta = 2**-30 m`` and ``B`` the computed ``S - delta I`` (only
+      its diagonal is rounded, by at most ``u m``, ``u = 2**-53``), a
+      Cholesky factorization of ``B`` that runs to completion gives
+      ``R^T R = B + E`` with ``|E| <= gamma |R^T| |R|``, ``gamma =
+      (p + 1) u / (1 - (p + 1) u)`` (Demmel 1989, *On floating point errors
+      in Cholesky*, LAPACK Working Note 14; Higham 2002, *Accuracy and
+      Stability of Numerical Algorithms*, Thm 10.3), in any order of the
+      sums.  Since ``||R||_F^2 = tr(B + E) <= tr(B) + gamma ||R||_F^2``,
+      ``||E||_2 <= gamma / (1 - gamma) tr(B) <= p gamma / (1 - gamma) m``,
+      and ``R^T R`` is positive semidefinite, so ``lambda_min(S) >= delta -
+      ||E||_2 - u m >= (2**-30 - 2**-40) m``.
+    * The range keeps ``delta`` a normal double: an underflowing product or
+      quotient adds at most ``2**-1075`` per operation, far below ``delta``,
+      and no quantity of a completed run exceeds ``max(m, sqrt(m))`` by
+      more than rounding, so none overflows.
+    * ``eigh`` is backward stable: its smallest eigenvalue is within a
+      modest multiple of ``p u ||S||_2 <= p**2 u m`` (< ``2**-40 m`` for
+      ``p <= 63``) of the exact one, so it is > 0 too.
+
+    A round of clean matrices calls no ``eigh``; a round with one hostile
+    matrix sends that matrix alone.  Those not certified (a pivot not > 0,
+    ``m`` out of range, zero included, or ``p > 63``) share one stacked
+    ``eigh``, which returns the same bits as one call per matrix.  If the
+    stacked call raises, they are decomposed one at a time, so a failure is
+    reported as :class:`NumericalError` for the matrix that caused it.
+
+    An unshifted Cholesky would not do: it rejects matrices whose smallest
+    ``eigh`` eigenvalue is positive but within rounding of zero (README,
+    Reproducibility), which ``eigh`` keeps and so does this screen.
     """
     stack = _as_square_stack(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
     sym = symmetrize(stack)
     symmetric = np.flatnonzero(symmetric_mask(stack) & np.isfinite(stack).all(axis=(1, 2)))
+    if symmetric.size and stack.shape[1] <= _CERT_MAX_P:
+        scale = np.abs(sym[symmetric]).max(axis=(1, 2))
+        inside = (scale >= _CERT_RANGE[0]) & (scale <= _CERT_RANGE[1])
+        ok[symmetric[inside]] = _certified_pd(sym[symmetric[inside]], scale[inside])
+        symmetric = symmetric[~ok[symmetric]]
     if symmetric.size:
         try:
             smallest = np.linalg.eigh(sym[symmetric])[0][:, 0]

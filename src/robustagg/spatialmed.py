@@ -14,6 +14,7 @@ anchor test sees their combined weight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,17 +79,25 @@ def weighted_median(values, weights):
 def _norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of ``a``.
 
-    ``np.linalg.norm`` squares the entries, so a finite row with an entry
-    beyond ~1.3e154 would get norm inf.  Only such rows are divided by their
-    largest magnitude before squaring; every other row keeps numpy's bits.
+    ``np.sqrt(np.add.reduce(a * a, axis=1))`` is ``np.linalg.norm(a,
+    axis=1)``'s own code for a real array, so it has numpy's bits.  Squaring
+    makes a finite row with an entry beyond ~1.3e154 overflow to norm inf
+    (silently, under :func:`spatial_median`'s error state): only such rows
+    are divided by their largest magnitude before squaring.
     """
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))
     over = np.isinf(norms)
     if over.any():
         over &= np.isfinite(a).all(axis=1)
         big = np.abs(a[over]).max(axis=1)
-        norms[over] = big * np.linalg.norm(a[over] / big[:, None], axis=1)
+        norms[over] = big * _norms(a[over] / big[:, None])
     return norms
+
+
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a real vector, bit for bit: the
+    square root of its ``dot``, numpy's path for it."""
+    return math.sqrt(v.dot(v))
 
 
 def _objective(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
@@ -106,7 +115,7 @@ def _rounding_floor(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
     """
     eps = np.finfo(float).eps
     dist = _norms(x - eta)
-    spread = _norms(x) + np.linalg.norm(eta)
+    spread = _norms(x) + _norm(eta)
     return eps * float(np.sum(w * spread / dist))
 
 
@@ -130,6 +139,34 @@ def _pull(x: np.ndarray, w: np.ndarray, j: int):
     return diff, dist, (w[others] / dist) @ diff
 
 
+# The Newton steps _settle may take from Weiszfeld's best iterate.
+_NEWTON_STEPS = 5
+
+
+def _newton_path(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray, first):
+    """Newton's iterates for the objective from ``eta``, whose first-order
+    terms are ``first``: yields each iterate and whether its residual is
+    within ``max(DEFAULT_TOL, floor)``, its rounding floor, and stops at a
+    singular Hessian or at an iterate on a data point.
+
+    The Hessian is ``sum_k (w_k / d_k) (I - u_k u_k^T)``, which scales each
+    direction by its own curvature where the Weiszfeld step length,
+    ``1 / sum_k w_k / d_k``, is set by the nearest point."""
+    while True:
+        diff, dist, foc = first
+        inv = w / dist
+        u = diff / dist[:, None]
+        hess = inv.sum() * np.eye(eta.size) - (u * inv[:, None]).T @ u
+        try:
+            eta = eta + np.linalg.solve(hess, foc)
+        except np.linalg.LinAlgError:
+            return
+        first = _first_order(x, w, scale, eta)
+        if first is None:
+            return
+        yield eta, _norm(first[2]) <= max(DEFAULT_TOL, _rounding_floor(x, w, eta))
+
+
 def _settle(
     x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarray, j: int
 ) -> tuple[np.ndarray, bool] | None:
@@ -137,14 +174,9 @@ def _settle(
 
     First Weiszfeld's best iterate ``eta``: it is returned, unanchored, if
     its residual is within the rounding floor, or else one Newton step from
-    it if the residual there is within ``max(DEFAULT_TOL, floor)``.  The
-    Newton step serves the case where the optimum sits just off a data
-    point: the Weiszfeld step length, ``1 / sum_k w_k / d_k``, is then set
-    by that point, and the iterates crawl along the direction to it, while
-    Newton's Hessian ``sum_k (w_k / d_k) (I - u_k u_k^T)`` scales each
-    direction by its own curvature.  One step is enough only from an iterate
-    already close to the optimum, so a run that has really not converged
-    still raises.
+    it (:func:`_newton_path`) if that step converged.  The Newton step
+    serves the case where the optimum sits just off a data point, where the
+    Weiszfeld iterates crawl along the direction to that point.
 
     Failing both, data point ``j``, the one nearest the last iterate.  The
     point is optimal when the pull of the others, ``sum_{i != j} w_i u_i``,
@@ -159,43 +191,58 @@ def _settle(
     the pull; its midpoint is returned, unanchored as for two points of
     equal weight, if its own residual is within its rounding floor.
     Otherwise ``x_j`` is returned, anchored.
+
+    When the point is not optimal either, the Newton path goes on from its
+    first step, up to ``_NEWTON_STEPS`` steps in all, and the first step
+    that converged is returned, unanchored: one step reaches the tolerance
+    only from an iterate already close to the optimum, and a few more carry
+    one that is not yet.  Failing that, None: a run that has really not
+    converged still raises.
     """
+    path = iter(())
     first = _first_order(x, w, scale, eta)
     if first is not None:
-        diff, dist, foc = first
-        if float(np.linalg.norm(foc)) <= _rounding_floor(x, w, eta):
+        if _norm(first[2]) <= _rounding_floor(x, w, eta):
             return eta, False
-        inv = w / dist
-        u = diff / dist[:, None]
-        hess = inv.sum() * np.eye(eta.size) - (u * inv[:, None]).T @ u
-        try:
-            cand = eta + np.linalg.solve(hess, foc)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            first = _first_order(x, w, scale, cand)
-            if first is not None and float(np.linalg.norm(first[2])) <= max(
-                DEFAULT_TOL, _rounding_floor(x, w, cand)
-            ):
+        path = _newton_path(x, w, scale, eta, first)
+        for cand, converged in itertools.islice(path, 1):
+            if converged:
                 return cand, False
 
     diff, dist, pull = _pull(x, w, j)
     others = np.arange(x.shape[0]) != j
-    excess = float(np.linalg.norm(pull)) - w[j]
+    excess = _norm(pull) - w[j]
     floor = _rounding_floor(x[others], w[others], x[j])
     if excess > floor:
+        for cand, converged in itertools.islice(path, _NEWTON_STEPS - 1):
+            if converged:
+                return cand, False
         return None
     ahead = diff @ pull > 0.0
     if excess >= -floor and ahead.any():
         mid = (x[j] + x[others][ahead][np.argmin(dist[ahead])]) / 2.0
         first = _first_order(x, w, scale, mid)
-        if first is not None and float(np.linalg.norm(first[2])) <= _rounding_floor(x, w, mid):
+        if first is not None and _norm(first[2]) <= _rounding_floor(x, w, mid):
             return mid, False
     return x[j].copy(), True
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse exactly equal rows, summing their weights."""
+    """Collapse exactly equal rows, summing their weights.
+
+    Rows equal entry by entry (``-0.0 == 0.0``, as ``np.unique`` compares)
+    have equal projections ``sum_j x_ij r_j`` on the fixed direction
+    ``r_j = sqrt(j + 2)``, since the products and their sum are the same
+    IEEE operations on equal values.  So when every projection is finite
+    and no two are equal, no two rows are, and ``(x, w)`` come back as
+    they are; only a possible duplicate, or a projection that overflowed,
+    goes to ``np.unique``.
+    """
+    proj = np.add.reduce(x * np.sqrt(np.arange(2.0, x.shape[1] + 2.0)), axis=1)
+    ordered = np.sort(proj)
+    if np.isfinite(ordered).all() and (ordered[1:] != ordered[:-1]).all():
+        return x, w
     uniq, inverse = np.unique(x, axis=0, return_inverse=True)
     if uniq.shape[0] == x.shape[0]:
         return x, w
@@ -272,9 +319,14 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
     best_eta, best_foc = eta.copy(), math.inf
     prev_delta = None
     rejected = set()  # data points whose anchor test failed
+    carried = None  # (diff, dist) at eta, where a rejected Aitken jump left them
     while True:
-        diff = x - eta
-        dist = _norms(diff)
+        if carried is None:
+            diff = x - eta
+            dist = _norms(diff)
+        else:
+            diff, dist = carried
+            carried = None
         nearest = int(np.argmin(dist / scale))
         # Subgradient optimality at the nearest data point: the pull of all
         # the other points must not exceed its own weight.  The condition is
@@ -282,7 +334,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         # It depends on the point alone, so a point that failed it once is
         # not tested again.
         if nearest not in rejected:
-            if float(np.linalg.norm(_pull(x, w, nearest)[2])) <= w[nearest]:
+            if _norm(_pull(x, w, nearest)[2]) <= w[nearest]:
                 return done(x[nearest].copy(), True)
             rejected.add(nearest)
         coincident = dist <= _ANCHOR_ATOL * scale
@@ -293,38 +345,43 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
             j = int(np.argmin(dist))
             others = np.arange(k) != j
             pull = (w[others] / dist[others]) @ diff[others]
-            pull_norm = float(np.linalg.norm(pull))
+            pull_norm = _norm(pull)
             t_plain = (w[others] / dist[others]) @ x[others] / np.sum(w[others] / dist[others])
             r = w[j] / pull_norm
             eta_new = (1.0 - r) * t_plain + r * eta
             prev_delta = None
         else:
-            foc = (w / dist) @ diff
-            foc_norm = float(np.linalg.norm(foc))
+            inv = w / dist
+            foc = inv @ diff
+            foc_norm = _norm(foc)
             if foc_norm < best_foc:
                 best_eta, best_foc = eta.copy(), foc_norm
             if foc_norm <= DEFAULT_TOL:
                 return done(eta, False)
-            inv = w / dist
             eta_new = (inv @ x) / inv.sum()
             # The plain iteration converges only linearly, with rate close to
             # one when the optimum sits just off a data point.  Successive
             # steps are then nearly collinear with a stable contraction
             # factor, so an Aitken jump to the geometric-series limit cuts
             # through the crawl; it is accepted only if it does not increase
-            # the objective.
+            # the objective.  A rejected jump leaves the distances it
+            # computed at eta_new to the next iteration.
             delta = eta_new - eta
             if prev_delta is not None:
-                dn = float(np.linalg.norm(delta))
-                pn = float(np.linalg.norm(prev_delta))
+                dn = _norm(delta)
+                pn = _norm(prev_delta)
                 if dn > 0.0 and pn > 0.0:
                     cos = float(delta @ prev_delta) / (dn * pn)
                     rho = dn / pn
                     if cos > 0.99 and 0.2 < rho < 0.9999:
                         cand = eta_new + delta * (rho / (1.0 - rho))
-                        if _objective(x, w, cand) <= _objective(x, w, eta_new):
+                        diff_new = x - eta_new
+                        dist_new = _norms(diff_new)
+                        if _objective(x, w, cand) <= math.fsum((w * dist_new).tolist()):
                             eta_new = cand
                             delta = None
+                        else:
+                            carried = diff_new, dist_new
             prev_delta = delta
 
         if iterations >= DEFAULT_MAX_ITER:

@@ -16,7 +16,7 @@ from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
 from robustagg.distsim import ContaminationKind, StudyConfig, generate_dataset, partition
 from robustagg.errors import ConfigError
-from robustagg import distsim, models, numkit
+from robustagg import distsim, models, numkit, spatialmed
 from robustagg.models import ModelKind
 
 
@@ -1018,6 +1018,8 @@ CHECK_FAULTS = {
     "one dimension": flipped,
     "mixed dimensions": flipped,
     "golden bytes": flipped,
+    "screen_positive_definite": flipped,
+    "spatial_median": flipped,
 }
 
 
@@ -1043,6 +1045,9 @@ SHARED_KERNEL_FAULTS = {
     "one dimension": big_endian_wire,
     "mixed dimensions": big_endian_wire,
     "golden bytes": big_endian_wire,
+    # Every matrix certified: the indefinite ones pass.
+    "screen_positive_definite": nudged(numkit, "_certified_pd"),
+    "spatial_median": nudged(spatialmed, "_norms"),
 }
 
 

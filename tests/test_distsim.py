@@ -927,11 +927,11 @@ class TestProcessProperty:
         non-finite aggregate, and each is reported: a non-finite payload is
         flagged, one of another dimension gets an error row.
 
-        The servers keep equal n_k, yet two solvers can still fail on such a
-        round until they are fixed (see the strict xfails below): the Huber
-        solver stalls, as it can on ragged sizes, and the test fails with
-        "stalled"; or the variance median crawls next to one server's point
-        and fails with "spatial median did not converge".
+        The servers keep equal n_k, yet the Huber solver can still stall on
+        such a round, as it can on ragged sizes, and the test then fails with
+        "stalled" (see the strict xfails below).  A variance median that
+        crawls next to one server's point used to fail it too; the round
+        below pins that case.
         """
         p, received = round_
         with np.errstate(all="ignore"):
@@ -999,17 +999,14 @@ class TestProcessProperty:
         assert np.isfinite(result.theta_hat).all()
 
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NonConvergenceError,
-        reason="server 1's matrix is repaired to ~1e-5 I, and the variance median's optimum lies "
-        "just off server 3's point (the others pull 3.16675 against its weight sqrt(10) = 3.16228): "
-        "Weiszfeld crawls there and _settle's single Newton step does not reach the tolerance",
-    )
     def test_variance_median_next_to_a_data_point(self):
         # A round the property test above drew, as it printed it: K = 4,
         # p = 2, every n_k = 10, server 1's matrix not positive definite.
-        # The spatial median stops with best residual 1.611e-03.
+        # It is repaired to ~1e-5 I, and the variance median's optimum lies
+        # just off server 3's point (the others pull 3.16675 against its
+        # weight sqrt(10) = 3.16228).  Weiszfeld crawls there and stops at
+        # best residual 1.611e-03; one Newton step from it is not enough,
+        # and the third reaches the tolerance.
         rows = [
             ([0.85622047, 1.68641383], [[-1.00803254, 0.02397578], [0.02397578, -1.07814748]]),
             ([1.15490166, 2.11285758], [[1.16198147, -0.07750557], [-0.07750557, 1.05645307]]),

@@ -220,6 +220,99 @@ class TestPositiveDefiniteScreen:
         assert ok.shape == (0,) and sym.shape == (0, 3, 3)
 
 
+def adversarial_stack(rng, n, p):
+    """``n`` symmetric p x p matrices with eigenvalues from e^-40 to e^5,
+    scaled by 10^-300 to 10^300.  A quarter are indefinite by one eigenvalue
+    just below zero and a quarter near singular by one just above it, some
+    within rounding of zero and some near the certificate's shift 2^-30;
+    the first few are all-zero, subnormal and README's desk matrix."""
+    q = np.linalg.qr(rng.standard_normal((n, p, p)))[0]
+    lam = np.exp(rng.uniform(-40.0, 5.0, (n, p)))
+    top = lam.max(axis=1)
+    gap = top * 2.0 ** rng.choice([-60.0, -45.0, -31.0, -29.0], n)
+    quarter = np.arange(n) % 4
+    lam[quarter == 1, 0] = -gap[quarter == 1]
+    lam[quarter == 2, 0] = gap[quarter == 2]
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    stack = ((q * lam[:, None, :]) @ q.swapaxes(-1, -2)) * scale[:, None, None]
+    stack = (stack + stack.swapaxes(-1, -2)) / 2.0
+    stack[0] = 0.0
+    stack[1] = 5e-324 * np.eye(p)
+    stack[2] = 1e-310 * random_pd(rng, p)
+    if p == 2:
+        stack[3] = NEAR_SINGULAR
+    return stack
+
+
+class TestCertifiedScreen:
+    """The Cholesky certificate of ``screen_positive_definite`` decides no
+    verdict ``eigh`` would not, and spares ``eigh`` every matrix it proves
+    positive definite."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_adversarial_sweep_matches_eigh(self, p):
+        rng = np.random.default_rng(700 + p)
+        stack = adversarial_stack(rng, 400, p)
+        ok, sym = numkit.screen_positive_definite(stack)
+        assert ok.tolist() == [is_pd_reference(m) for m in stack]
+        assert sym.tobytes() == numkit.symmetrize(stack).tobytes()
+        # The certificate alone certifies only what eigh keeps.  It
+        # certifies something, and above p = 1 (where it decides alone)
+        # leaves some matrices eigh keeps to eigh: the sweep reaches both.
+        scale = np.abs(sym).max(axis=(1, 2))
+        certified = numkit._certified_pd(sym, scale)
+        assert not (certified & ~ok).any()
+        assert certified.any() and (p == 1 or (ok & ~certified).any())
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_zero_subnormal_and_desk_matrices_go_to_eigh(self, p):
+        rng = np.random.default_rng(760 + p)
+        stack = adversarial_stack(rng, 4, p)[:4 if p == 2 else 3]
+        calls = self.count_eigh_calls(stack)
+        assert calls == [(len(stack), p, p)]
+
+    def test_clean_round_calls_no_eigh(self):
+        rng = np.random.default_rng(780)
+        stack = np.stack([random_pd(rng, 5) for _ in range(400)])
+        assert self.count_eigh_calls(stack) == []
+
+    def test_one_hostile_matrix_goes_to_eigh_alone(self):
+        rng = np.random.default_rng(781)
+        stack = np.stack([random_pd(rng, 5) for _ in range(400)])
+        stack[137] = -stack[137]
+        assert self.count_eigh_calls(stack) == [(1, 5, 5)]
+        assert numkit.screen_positive_definite(stack)[0].tolist() == [k != 137 for k in range(400)]
+
+    @pytest.mark.parametrize("factor", [2.0**-961, 2.0**961])
+    def test_largest_entry_out_of_range_goes_to_eigh(self, factor):
+        rng = np.random.default_rng(782)
+        stack = np.stack([random_pd(rng, 3) for _ in range(4)])
+        stack *= factor / np.abs(stack).max(axis=(1, 2))[:, None, None]
+        assert self.count_eigh_calls(stack) == [(4, 3, 3)]
+
+    def test_large_p_goes_to_eigh(self):
+        rng = np.random.default_rng(783)
+        stack = np.stack([random_pd(rng, 64) for _ in range(2)])
+        assert self.count_eigh_calls(stack) == [(2, 64, 64)]
+
+    @staticmethod
+    def count_eigh_calls(stack):
+        """The shapes ``np.linalg.eigh`` is called on by one screen, which
+        must keep ``is_pd_reference``'s verdicts."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", counting)
+            ok, _ = numkit.screen_positive_definite(stack)
+        assert ok.tolist() == [is_pd_reference(m) for m in stack]
+        return calls
+
+
 def aggregate_sigma_reference(estimates):
     """The variance aggregation with one PD test and one vech per server."""
     ests = sorted(estimates, key=server_order)

@@ -233,10 +233,25 @@ class TestSpatialMedian:
             wp([math.cos(a), math.sin(a)])
             for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
         ]
+        # From the start, a few Newton steps reach the optimum (see the
+        # test below); with one, the cap raises.
         monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
+        monkeypatch.setattr(spatialmed, "_NEWTON_STEPS", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
             spatial_median(pts)
         assert excinfo.value.best is not None
+
+    def test_cap_settles_by_newton_steps_from_the_best_iterate(self, monkeypatch):
+        # The three vertices of an equilateral triangle, whose optimum is
+        # the centre; Weiszfeld starts at the coordinate-wise median, off it.
+        pts = [
+            wp([math.cos(a), math.sin(a)])
+            for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+        ]
+        monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
+        res = spatial_median(pts)
+        assert res.iterations == 0 and not res.anchored
+        assert np.abs(res.eta).max() <= 1e-10
 
     def test_rounding_stall_returns_best_iterate(self):
         # The vech points of desk omniscient replicate 5 at base seed 102008.
@@ -315,6 +330,86 @@ class TestSpatialMedian:
         assert res.iterations >= 0
 
 
+def merge_reference(x, w):
+    """Exactly equal rows (``np.unique``'s comparison) collapsed, weights
+    summed; rows and weights as they are when no two rows are equal."""
+    uniq, inverse = np.unique(x, axis=0, return_inverse=True)
+    if uniq.shape[0] == x.shape[0]:
+        return x, w
+    merged = np.zeros(uniq.shape[0])
+    np.add.at(merged, inverse, w)
+    return uniq, merged
+
+
+class TestMergeDuplicates:
+    @staticmethod
+    def merged(x, w=None):
+        """``_merge_duplicates`` of ``x``, checked against the reference,
+        with the number of ``np.unique`` calls it made."""
+        x = np.asarray(x, dtype=float)
+        w = np.arange(1.0, x.shape[0] + 1.0) if w is None else w
+        calls = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "unique", counting)
+            got_x, got_w = spatialmed._merge_duplicates(x, w)
+        want_x, want_w = merge_reference(x, w)
+        assert got_x.tobytes() == want_x.tobytes() and got_w.tobytes() == want_w.tobytes()
+        return got_x, got_w, len(calls)
+
+    def test_distinct_rows_come_back_without_unique(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((400, 15))
+        w = rng.uniform(1.0, 10.0, 400)
+        got_x, got_w, calls = self.merged(x, w)
+        assert got_x is x and got_w is w and calls == 0
+
+    def test_signed_zeros_are_merged(self):
+        got_x, got_w, calls = self.merged([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [4.0, -0.0]])
+        assert got_x.shape == (3, 2) and calls == 1
+        assert got_w.sum() == 10.0 and 4.0 in got_w
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 15])
+    def test_exact_duplicates_anywhere_are_merged(self, d):
+        rng = np.random.default_rng(12 + d)
+        x = rng.standard_normal((400, d))
+        src = rng.integers(0, 400, 30)
+        dst = rng.integers(0, 400, 30)
+        x[dst] = x[src]
+        got_x, got_w, calls = self.merged(x)
+        assert calls == 1 and got_x.shape[0] < 400
+        assert got_w.sum() == pytest.approx(400 * 401 / 2)
+
+    def test_rows_a_bit_apart_are_kept_apart(self):
+        x = np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0], [1.0, np.nextafter(2.0, 0.0)]])
+        got_x, _, _ = self.merged(x)
+        assert got_x.shape == (3, 2)
+
+    def test_colliding_projections_go_to_unique_and_stay_apart(self):
+        # Distinct rows, but the second coordinate is lost beside the first
+        # in any projection on weights of moderate size: the one call of
+        # np.unique is the collision's.
+        x = np.array([[1e20, 0.0], [1e20, 1e-20], [3.0, 4.0]])
+        got_x, _, calls = self.merged(x)
+        assert calls == 1 and got_x.shape == (3, 2)
+
+    def test_rows_near_the_largest_double_go_to_unique(self):
+        # Their projections overflow to inf and inf - inf: no proof of
+        # distinct rows, so unique decides, and silently.
+        x = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308], [-1.5e308, 1.0], [1.5e308, 1.5e308]])
+        with np.errstate(all="raise"):
+            got_x, got_w, calls = self.merged(x)
+        assert calls == 1 and got_x.shape == (3, 2)
+        x = x[:3]
+        got_x, _, calls = self.merged(x)
+        assert calls == 1 and got_x is x
+
+
 class TestAggregateSigma:
     def test_identical_identity_matrices(self):
         ests = [
@@ -382,7 +477,10 @@ class TestAggregateSigma:
 
     def test_norms_rescale_only_rows_that_overflow(self):
         rows = np.array([[3e200, -4e200], [0.3, 0.4], [1e-200, 0.0], [1e308, 1e308]])
-        norms = _norms(rows)
+        # Squaring overflows silently only under spatial_median's error
+        # state, which a direct call has to set.
+        with np.errstate(over="ignore"):
+            norms = _norms(rows)
         assert norms[0] == pytest.approx(5e200, rel=1e-15)
         assert norms[3] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
         assert norms[1:3].tobytes() == np.linalg.norm(rows[1:3], axis=1).tobytes()
