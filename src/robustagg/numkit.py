@@ -18,8 +18,9 @@ The screen reaches most verdicts without ``eigh``: a Cholesky factorization
 of ``S - 2**-30 max|s_ij| I`` that runs to completion proves the smallest
 eigenvalue of the symmetrized ``S`` positive by a margin far wider than
 ``eigh``'s rounding, so ``eigh`` would say > 0 as well (the bound is in
-:func:`screen_positive_definite`).  Only the finite symmetric matrices that
-run cannot certify go to ``eigh``, which decides them as before.
+:func:`screen_positive_definite`).  It is used for p <= 8.  Only the finite
+symmetric matrices that run cannot certify, and all of them for larger p,
+go to ``eigh``, which decides them as before.
 """
 
 from __future__ import annotations
@@ -132,10 +133,11 @@ def min_eigenvalue(a) -> float:
 
 # The Cholesky certificate of screen_positive_definite: the shift relative
 # to the largest entry m, the range of m (delta = m * shift stays normal),
-# and the largest p, where p (p + 1) eps <= 2**-40.
+# and the largest p, the largest one the verdict-parity sweep against eigh
+# covered.
 _CERT_SHIFT = 2.0**-30
 _CERT_RANGE = (2.0**-960, 2.0**960)
-_CERT_MAX_P = 63
+_CERT_MAX_P = 8
 
 
 @np.errstate(all="ignore")
@@ -174,7 +176,7 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
     The finiteness and symmetry tests are exact elementwise work, silent
     about an infinite entry.  A matrix that passes them is certified
     positive definite by :func:`_certified_pd`, without ``eigh``, when
-    ``m = max|s_ij|`` lies in ``[2**-960, 2**960]`` and ``p <= 63``.  The
+    ``m = max|s_ij|`` lies in ``[2**-960, 2**960]`` and ``p <= 8``.  The
     certificate gives the verdict ``eigh`` would give:
 
     * With ``delta = 2**-30 m`` and ``B`` the computed ``S - delta I`` (only
@@ -193,12 +195,16 @@ def screen_positive_definite(stack) -> tuple[np.ndarray, np.ndarray]:
       and no quantity of a completed run exceeds ``max(m, sqrt(m))`` by
       more than rounding, so none overflows.
     * ``eigh`` is backward stable: its smallest eigenvalue is within a
-      modest multiple of ``p u ||S||_2 <= p**2 u m`` (< ``2**-40 m`` for
-      ``p <= 63``) of the exact one, so it is > 0 too.
+      modest multiple of ``p u ||S||_2 <= p**2 u m`` (``<= 2**-47 m`` for
+      ``p <= 8``, so a multiple up to ``2**7`` is covered) of the exact
+      one, so it is > 0 too.  That multiple is not proven; 12,000 seeded
+      matrices with p from 1 to 8, some within rounding of zero and some
+      at the shift, gave no verdict other than ``eigh``'s, so the
+      certificate is used only up to p = 8.
 
     A round of clean matrices calls no ``eigh``; a round with one hostile
     matrix sends that matrix alone.  Those not certified (a pivot not > 0,
-    ``m`` out of range, zero included, or ``p > 63``) share one stacked
+    ``m`` out of range, zero included, or ``p > 8``) share one stacked
     ``eigh``, which returns the same bits as one call per matrix.  If the
     stacked call raises, they are decomposed one at a time, so a failure is
     reported as :class:`NumericalError` for the matrix that caused it.

@@ -79,25 +79,17 @@ def weighted_median(values, weights):
 def _norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of ``a``.
 
-    ``np.sqrt(np.add.reduce(a * a, axis=1))`` is ``np.linalg.norm(a,
-    axis=1)``'s own code for a real array, so it has numpy's bits.  Squaring
-    makes a finite row with an entry beyond ~1.3e154 overflow to norm inf
-    (silently, under :func:`spatial_median`'s error state): only such rows
-    are divided by their largest magnitude before squaring.
+    ``np.linalg.norm`` squares the entries, so a finite row with an entry
+    beyond ~1.3e154 would get norm inf.  Only such rows are divided by their
+    largest magnitude before squaring; every other row keeps numpy's bits.
     """
-    norms = np.sqrt(np.add.reduce(a * a, axis=1))
+    norms = np.linalg.norm(a, axis=1)
     over = np.isinf(norms)
     if over.any():
         over &= np.isfinite(a).all(axis=1)
         big = np.abs(a[over]).max(axis=1)
-        norms[over] = big * _norms(a[over] / big[:, None])
+        norms[over] = big * np.linalg.norm(a[over] / big[:, None], axis=1)
     return norms
-
-
-def _norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a real vector, bit for bit: the
-    square root of its ``dot``, numpy's path for it."""
-    return math.sqrt(v.dot(v))
 
 
 def _objective(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
@@ -115,7 +107,7 @@ def _rounding_floor(x: np.ndarray, w: np.ndarray, eta: np.ndarray) -> float:
     """
     eps = np.finfo(float).eps
     dist = _norms(x - eta)
-    spread = _norms(x) + _norm(eta)
+    spread = _norms(x) + np.linalg.norm(eta)
     return eps * float(np.sum(w * spread / dist))
 
 
@@ -164,7 +156,7 @@ def _newton_path(x: np.ndarray, w: np.ndarray, scale: np.ndarray, eta: np.ndarra
         first = _first_order(x, w, scale, eta)
         if first is None:
             return
-        yield eta, _norm(first[2]) <= max(DEFAULT_TOL, _rounding_floor(x, w, eta))
+        yield eta, float(np.linalg.norm(first[2])) <= max(DEFAULT_TOL, _rounding_floor(x, w, eta))
 
 
 def _settle(
@@ -202,7 +194,7 @@ def _settle(
     path = iter(())
     first = _first_order(x, w, scale, eta)
     if first is not None:
-        if _norm(first[2]) <= _rounding_floor(x, w, eta):
+        if float(np.linalg.norm(first[2])) <= _rounding_floor(x, w, eta):
             return eta, False
         path = _newton_path(x, w, scale, eta, first)
         for cand, converged in itertools.islice(path, 1):
@@ -211,7 +203,7 @@ def _settle(
 
     diff, dist, pull = _pull(x, w, j)
     others = np.arange(x.shape[0]) != j
-    excess = _norm(pull) - w[j]
+    excess = float(np.linalg.norm(pull)) - w[j]
     floor = _rounding_floor(x[others], w[others], x[j])
     if excess > floor:
         for cand, converged in itertools.islice(path, _NEWTON_STEPS - 1):
@@ -222,7 +214,7 @@ def _settle(
     if excess >= -floor and ahead.any():
         mid = (x[j] + x[others][ahead][np.argmin(dist[ahead])]) / 2.0
         first = _first_order(x, w, scale, mid)
-        if first is not None and _norm(first[2]) <= _rounding_floor(x, w, mid):
+        if first is not None and float(np.linalg.norm(first[2])) <= _rounding_floor(x, w, mid):
             return mid, False
     return x[j].copy(), True
 
@@ -279,8 +271,11 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
       unit-vector sum (see :func:`_rounding_floor`), which for far-apart
       points can exceed ``DEFAULT_TOL``; else one Newton step from it; else
       the data point nearest the last iterate, anchored, or the midpoint of
-      a tie segment from it, unanchored.  Otherwise
-      :class:`NonConvergenceError` is raised with the best iterate.
+      a tie segment from it, unanchored.  When that point is not optimal
+      either, Newton steps go on from the first, up to ``_NEWTON_STEPS`` in
+      all, and the first within ``max(DEFAULT_TOL, floor)`` is returned,
+      unanchored.  Otherwise :class:`NonConvergenceError` is raised with
+      the best iterate.
     """
     if weights is None:
         pts = list(points)
@@ -319,14 +314,9 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
     best_eta, best_foc = eta.copy(), math.inf
     prev_delta = None
     rejected = set()  # data points whose anchor test failed
-    carried = None  # (diff, dist) at eta, where a rejected Aitken jump left them
     while True:
-        if carried is None:
-            diff = x - eta
-            dist = _norms(diff)
-        else:
-            diff, dist = carried
-            carried = None
+        diff = x - eta
+        dist = _norms(diff)
         nearest = int(np.argmin(dist / scale))
         # Subgradient optimality at the nearest data point: the pull of all
         # the other points must not exceed its own weight.  The condition is
@@ -334,7 +324,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         # It depends on the point alone, so a point that failed it once is
         # not tested again.
         if nearest not in rejected:
-            if _norm(_pull(x, w, nearest)[2]) <= w[nearest]:
+            if float(np.linalg.norm(_pull(x, w, nearest)[2])) <= w[nearest]:
                 return done(x[nearest].copy(), True)
             rejected.add(nearest)
         coincident = dist <= _ANCHOR_ATOL * scale
@@ -345,7 +335,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
             j = int(np.argmin(dist))
             others = np.arange(k) != j
             pull = (w[others] / dist[others]) @ diff[others]
-            pull_norm = _norm(pull)
+            pull_norm = float(np.linalg.norm(pull))
             t_plain = (w[others] / dist[others]) @ x[others] / np.sum(w[others] / dist[others])
             r = w[j] / pull_norm
             eta_new = (1.0 - r) * t_plain + r * eta
@@ -353,7 +343,7 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         else:
             inv = w / dist
             foc = inv @ diff
-            foc_norm = _norm(foc)
+            foc_norm = float(np.linalg.norm(foc))
             if foc_norm < best_foc:
                 best_eta, best_foc = eta.copy(), foc_norm
             if foc_norm <= DEFAULT_TOL:
@@ -364,24 +354,19 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
             # steps are then nearly collinear with a stable contraction
             # factor, so an Aitken jump to the geometric-series limit cuts
             # through the crawl; it is accepted only if it does not increase
-            # the objective.  A rejected jump leaves the distances it
-            # computed at eta_new to the next iteration.
+            # the objective.
             delta = eta_new - eta
             if prev_delta is not None:
-                dn = _norm(delta)
-                pn = _norm(prev_delta)
+                dn = float(np.linalg.norm(delta))
+                pn = float(np.linalg.norm(prev_delta))
                 if dn > 0.0 and pn > 0.0:
                     cos = float(delta @ prev_delta) / (dn * pn)
                     rho = dn / pn
                     if cos > 0.99 and 0.2 < rho < 0.9999:
                         cand = eta_new + delta * (rho / (1.0 - rho))
-                        diff_new = x - eta_new
-                        dist_new = _norms(diff_new)
-                        if _objective(x, w, cand) <= math.fsum((w * dist_new).tolist()):
+                        if _objective(x, w, cand) <= _objective(x, w, eta_new):
                             eta_new = cand
                             delta = None
-                        else:
-                            carried = diff_new, dist_new
             prev_delta = delta
 
         if iterations >= DEFAULT_MAX_ITER:

@@ -290,10 +290,12 @@ class TestCertifiedScreen:
         stack *= factor / np.abs(stack).max(axis=(1, 2))[:, None, None]
         assert self.count_eigh_calls(stack) == [(4, 3, 3)]
 
-    def test_large_p_goes_to_eigh(self):
+    def test_p_beyond_the_sweep_goes_to_eigh(self):
+        # The certificate is used up to the p its parity sweep covered.
         rng = np.random.default_rng(783)
-        stack = np.stack([random_pd(rng, 64) for _ in range(2)])
-        assert self.count_eigh_calls(stack) == [(2, 64, 64)]
+        stack = np.stack([random_pd(rng, 9) for _ in range(2)])
+        assert self.count_eigh_calls(stack) == [(2, 9, 9)]
+        assert self.count_eigh_calls(stack[:, :8, :8]) == []
 
     @staticmethod
     def count_eigh_calls(stack):

@@ -477,10 +477,7 @@ class TestAggregateSigma:
 
     def test_norms_rescale_only_rows_that_overflow(self):
         rows = np.array([[3e200, -4e200], [0.3, 0.4], [1e-200, 0.0], [1e308, 1e308]])
-        # Squaring overflows silently only under spatial_median's error
-        # state, which a direct call has to set.
-        with np.errstate(over="ignore"):
-            norms = _norms(rows)
+        norms = _norms(rows)
         assert norms[0] == pytest.approx(5e200, rel=1e-15)
         assert norms[3] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
         assert norms[1:3].tobytes() == np.linalg.norm(rows[1:3], axis=1).tobytes()
