@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,6 +150,7 @@ class Rejected(NamedTuple):
 
 # Why :func:`admit` leaves a server out.
 OTHER_DIMENSION = "theta_hat dimension does not match the estimate"
+REPEATED_ID = "server id is sent by more than one server"
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +213,9 @@ class RoundView:
 
     @functools.cached_property
     def ordered(self) -> bool:
-        """Whether the rows are in server order."""
-        return server_positions(self.server_ids) == list(range(len(self)))
+        """Whether the rows are in server order, each id once."""
+        ids = self.server_ids
+        return server_positions(ids) == list(range(len(ids))) and len(set(ids)) == len(ids)
 
     @functools.cached_property
     def n_total(self) -> int:
@@ -263,10 +266,16 @@ def listed_round(estimates) -> RoundView:
 
 def round_view(estimates) -> RoundView:
     """The :class:`RoundView` of ``estimates`` in server order, returned as
-    it is if it already is one in server order.  Estimates not yet in a view
-    must be at least one and of one dimension."""
+    it is if it already is one in server order with distinct ids.  Estimates
+    not yet in a view must be at least one, of one dimension and with
+    distinct ids: one that :func:`admit` would leave out raises its reason,
+    ``ValueError`` for a repeated id and :class:`DimensionError` for
+    another dimension."""
     view = admit(estimates)
     if view.rejected and view is not estimates:
+        first = view.rejected[0]
+        if first.error == REPEATED_ID:
+            raise ValueError(f"server {first.server_id!r}: {REPEATED_ID}")
         raise DimensionError("local estimates disagree on parameter dimension")
     return view
 
@@ -275,13 +284,17 @@ def admit(received, p: int | None = None) -> RoundView:
     """The receive rule: the round of ``received`` (a :class:`RoundView`, or
     estimates in any order) that the central stages read.
 
-    Its rows are the servers of dimension ``p``, in server order; every
-    other server is left out, on ``rejected`` with its place in server
-    order and :data:`OTHER_DIMENSION`.  With ``p`` None it is the dimension
-    a strict majority of the servers sends, and without one
+    Every copy of an id that more than one server sends is left out, on
+    ``rejected`` with its place in server order and :data:`REPEATED_ID`: a
+    forger can silence the id it copies, but cannot displace or join that
+    server.  The other rows are the servers of dimension ``p``, in server
+    order; every other server is left out, on ``rejected`` with
+    :data:`OTHER_DIMENSION`.  With ``p`` None it is the dimension a strict
+    majority of the servers with their own ids sends, and without one
     :class:`DimensionError` is raised (the processor's rule); detection
     passes theta-hat's.  There must be at least one server.  A view in
-    server order that already is such a round is returned as it is.
+    server order with distinct ids that already is such a round is returned
+    as it is.
     """
     if isinstance(received, RoundView):
         if received.ordered and p in (None, received.p) and (len(received) or received.rejected):
@@ -292,13 +305,15 @@ def admit(received, p: int | None = None) -> RoundView:
     members = [received[i] for i in server_positions(e.server_id for e in received)]
     if not members:
         raise ValueError("at least one local estimate is required")
+    copies = Counter(e.server_id for e in members)
     if p is None:
-        dims = [e.p for e in members]
-        p = max(set(dims), key=dims.count)
+        dims = [e.p for e in members if copies[e.server_id] == 1]
+        p = max(set(dims), key=dims.count, default=None)
         if 2 * dims.count(p) <= len(dims):
             raise DimensionError("local estimates disagree on parameter dimension")
-    rejected = [Rejected(i, e.server_id, e.n_k, OTHER_DIMENSION) for i, e in enumerate(members) if e.p != p]
-    return _stacked([e for e in members if e.p == p], p, tuple(rejected))
+    reasons = [REPEATED_ID if copies[e.server_id] > 1 else OTHER_DIMENSION if e.p != p else None for e in members]
+    rejected = [Rejected(i, e.server_id, e.n_k, r) for i, (e, r) in enumerate(zip(members, reasons)) if r]
+    return _stacked([e for e, r in zip(members, reasons) if r is None], p, tuple(rejected))
 
 
 def weighted_average(estimates) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,7 @@ from .distsim import (
     run_study,
     study_metrics_to_csv,
 )
-from .models import ModelKind, ModelSpec, Observations, fit_local, fit_shards
+from .models import ModelKind, ModelSpec, Observations, fit_shards
 
 # The study keys, in the order of the `simulate` flags.  Each key has a type
 # (int, float, an enum, or tuple for a comma-separated list of numbers), the
@@ -390,15 +390,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     model = ModelSpec(config.model, len(covariates))
     try:
         fits = fit_shards(model, shards, server_ids=[path.stem for path in shard_paths])
-    except (RobustAggError, ValueError):
-        # fit_shards raises what the first failing shard raises alone; find
-        # that shard to name its file.
-        for path, obs in zip(shard_paths, shards):
-            try:
-                fit_local(model, obs, server_id=path.stem)
-            except (RobustAggError, ValueError) as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        raise
+    except (RobustAggError, ValueError) as exc:
+        # What the first failing shard raises alone, with its id set.
+        raise ConfigError(f"{by_stem[exc.server_id]}: {exc}") from None
     # The round of the fits in server order, as a study sends it when no
     # server is corrupted, over the same wire codec.
     received = decode_messages(encode_messages(contaminate(model, fits, shards, ContaminationSpec(), 0)))

@@ -196,14 +196,14 @@ def partition(data: Observations, n_servers: int) -> EqualShards:
 
 def contaminate(
     model: ModelSpec,
-    fits,
+    fits: LocalFits,
     shards,
     spec: ContaminationSpec,
     seed,
 ) -> RoundView:
-    """The round of payloads that actually reaches the processor: the fits
-    (a :class:`LocalFits`, or a sequence of :class:`LocalFit`) in server
-    order, copied once, with the corrupted rows replaced.
+    """The round of payloads that actually reaches the processor: the
+    :class:`LocalFits` that ``models.fit_shards`` returns, in server order,
+    copied once, with the corrupted rows replaced.
 
     The first ``spec.resolved_count(K)`` servers in server-id order
     transmit a corrupted estimate, drawn in the order of ``fits``; their
@@ -218,8 +218,6 @@ def contaminate(
     if len(fits) != len(shards):
         raise DimensionError("fits and shards must align one-to-one")
     p = model.p
-    if not isinstance(fits, LocalFits):
-        fits = LocalFits.stack(fits, p)
     order = server_positions(fits.server_ids)
     thetas, sigmas = fits.thetas[order], fits.sigmas[order]
     rng = _rng(seed)

@@ -5,10 +5,12 @@ empirical sandwich variance of the estimator.  Observation sequences are held
 columnar (response vector plus design matrix) so the criterion, gradient and
 Hessian evaluate as vectorized reductions; indexing an :class:`Observations`
 still yields individual ``(y, x)`` pairs.  So are the fits of a round:
-:func:`fit_shards` writes every stacked pass into the arrays of one
+:func:`fit_shards`, the one loop that fits a shard (:func:`fit_local` is
+``fit_shards`` of one), writes every stacked pass into the arrays of one
 :class:`LocalFits`, whose :class:`LocalFit` rows are made only when read,
 and the equal shards of one dataset (:class:`EqualShards`) reach the passes
-as views of its arrays.
+as views of its arrays.  A shard that cannot be fitted raises its own
+error, with its id set as the error's ``server_id``.
 
 Summation discipline: fitting uses single-threaded ``einsum``/``add.reduce``
 reductions (deterministic for a fixed observation order), while the sandwich
@@ -216,20 +218,6 @@ class LocalFits:
     def __post_init__(self):
         for array in (self.thetas, self.sigmas, self.newton_iters, self.grad_norms):
             array.flags.writeable = False
-
-    @classmethod
-    def stack(cls, fits, p: int) -> "LocalFits":
-        """The columnar form of a sequence of :class:`LocalFit` of dimension ``p``."""
-        fits = list(fits)
-        k = len(fits)
-        return cls(
-            tuple(f.server_id for f in fits),
-            tuple(f.n_k for f in fits),
-            np.array([f.theta_hat for f in fits], dtype=float).reshape(k, p),
-            np.array([f.sigma_hat for f in fits], dtype=float).reshape(k, p, p),
-            np.array([f.newton_iters for f in fits], dtype=int),
-            np.array([f.grad_norm for f in fits], dtype=float),
-        )
 
     def __len__(self) -> int:
         return len(self.n_k)
@@ -625,9 +613,9 @@ def _fit_group(model: ModelSpec, X: np.ndarray, y: np.ndarray):
     Logistic shards run one lockstep :func:`_newton`.  Both then share one
     :func:`_stacked_sandwich`, which takes the logistic probabilities from
     Newton's last evaluation: the same stacked ``matmul`` rows and ``expit``
-    at the same estimates, so the same doubles.  For a single shard this is
-    :func:`fit_local`, errors included; for more, a stacked step that raises
-    does so for the whole group.
+    at the same estimates, so the same doubles.  A stacked step that raises
+    does so for the whole group, so :func:`fit_shards` fits each shard of
+    such a group again in a pass of its own, whose error is that shard's.
     """
     if model.kind is ModelKind.LINEAR:
         xtx = np.einsum("kij,kil->kjl", X, X)
@@ -649,34 +637,36 @@ def _fit_group(model: ModelSpec, X: np.ndarray, y: np.ndarray):
 
 
 def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) -> LocalFit:
-    """Maximize the local criterion on one shard.
+    """Maximize the local criterion on one shard: :func:`fit_shards` of
+    one, errors included."""
+    return fit_shards(model, [data], server_ids=[server_id])[0]
+
+
+def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
+    """Maximize the local criterion on every shard, as one :class:`LocalFits`,
+    with the shards of each size fitted in stacked passes of at most
+    ``STACK_ENTRIES`` products.  This is the one loop that fits a shard.
 
     Linear regression solves the normal equations in closed form; logistic
     regression runs Newton-Raphson from the zero vector with step halving,
     to gradient norm ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.
-    Raises :class:`SeparationError` when the logistic iterates diverge (or
-    only one response class is present), :class:`RankDeficiencyError` for a
-    singular Hessian, and :class:`NonConvergenceError` at the iteration cap.
-    """
-    _check_shard(model, data, data.n)
-    thetas, sigmas, iters, norms = _fit_group(model, data.X[None], data.y[None])
-    return LocalFit(thetas[0], sigmas[0], data.n, server_id, iters[0], norms[0])
-
-
-def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
-    """:func:`fit_local` of every shard, as one :class:`LocalFits`, with the
-    shards of each size fitted in stacked passes of at most
-    ``STACK_ENTRIES`` products.
 
     ``shards`` is a sequence of :class:`Observations`, whose shards are
     grouped by size and stacked pass by pass, or an :class:`EqualShards`,
     whose passes are views of its stacked arrays.  ``server_ids`` defaults
     to the shard positions.  Every pass writes its rows into the columns of
-    the result, and the fits are the bits of one :func:`fit_local` call per
-    shard.  A shard that fails the input checks, or whose stacked pass
-    raises, or that is alone in its pass, is fit by one :func:`fit_local`
-    call, in shard order once every size has been tried, so the error
-    raised is the one the first failing shard raises on its own.
+    the result, and each fit has the bits of its shard fitted alone.  A
+    shard that fails the input checks, or whose stacked pass raises, or
+    that is alone in its pass, is left over: once every size has been tried,
+    the leftover shards are checked and fitted one by one in shard order, so
+    the error raised is the one the first failing shard raises on its own,
+    with that shard's id set as its ``server_id`` attribute.  Besides the
+    input checks' :class:`DimensionError` and ``ValueError``, a fit raises
+    :class:`SeparationError` when the logistic iterates diverge (or only one
+    response class is present), :class:`RankDeficiencyError` for a singular
+    Hessian, :class:`NonConvergenceError` at the iteration cap, and
+    :class:`SingularMatrixError` or :class:`NonFiniteSumError` when the
+    sandwich variance is undefined.
     """
     groups = {}  # size -> positions of the shards that passed the checks
     if isinstance(shards, EqualShards):
@@ -728,8 +718,11 @@ def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
             thetas[rows], sigmas[rows], iters[rows], norms[rows] = fitted
             left[rows] = False
     for i in np.flatnonzero(left).tolist():
-        fit = fit_local(model, shards[i], server_id=server_ids[i])
-        thetas[i], sigmas[i], iters[i], norms[i] = (
-            fit.theta_hat, fit.sigma_hat, fit.newton_iters, fit.grad_norm
-        )
+        data = shards[i]
+        try:
+            _check_shard(model, data, data.n)
+            thetas[[i]], sigmas[[i]], iters[[i]], norms[[i]] = _fit_group(model, data.X[None], data.y[None])
+        except (RobustAggError, ValueError) as exc:
+            exc.server_id = server_ids[i]
+            raise
     return LocalFits(server_ids, n_k, thetas, sigmas, iters, norms)

@@ -478,6 +478,43 @@ class TestPipelineCommand:
             f"error: {paths[2]}: only one response class present; logistic MLE does not exist\n"
         )
 
+    @pytest.mark.parametrize(
+        "sizes, bad, rows",
+        [
+            # Every size its own, the bad shard last: each shard is fitted
+            # once, alone.
+            ((120, 150, 180, 210, 240), 5, 5),
+            # The bad shard s03 shares a stacked pass with s01: the pass (2
+            # rows) raises, then s01, s02 and s03 are fitted alone, in order,
+            # up to the bad one; s04 is never fitted.
+            ((150, 200, 150, 260), 3, 5),
+        ],
+    )
+    def test_failing_run_fits_in_fit_shards_only(self, tmp_path, capsys, monkeypatch, sizes, bad, rows):
+        data = generate_dataset(ModelKind.LOGISTIC, (2.0, 1.0), sum(sizes), 9)
+        paths, start = [], 0
+        for k, n in enumerate(sizes, start=1):
+            y = data.y[start : start + n] * (k != bad)
+            path = tmp_path / f"s{k:02d}.csv"
+            path.write_text("y,x1,x2\n" + "".join(
+                f"{v!r},{a!r},{b!r}\n" for v, (a, b) in zip(y.tolist(), data.X[start : start + n].tolist())
+            ))
+            paths.append(path)
+            start += n
+        fitted = []
+        fit_group = models._fit_group
+
+        def counting(model, X, y):
+            fitted.append(len(X))
+            return fit_group(model, X, y)
+
+        monkeypatch.setattr(models, "_fit_group", counting)
+        assert main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[bad - 1]}: only one response class present; logistic MLE does not exist\n"
+        )
+        assert sum(fitted) == rows
+
     def test_header_mismatch_rejected(self, tmp_path):
         paths = make_shards(tmp_path, k=2, n=100)
         bad = tmp_path / "server_99.csv"

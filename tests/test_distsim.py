@@ -1,4 +1,5 @@
 import base64
+import collections
 import dataclasses
 import io
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from robustagg import distsim, models, numkit
 from robustagg.aggregate import (
+    REPEATED_ID,
     LocalEstimate,
     huber_aggregate,
     standard_errors,
@@ -98,10 +100,10 @@ def csv_text(report):
     return buf.getvalue()
 
 
-def fit_shards(model, theta0, k, n, seed):
+def fit_shards(model, theta0, k, n, seed, server_ids=None):
     data = generate_dataset(model.kind, theta0, k * n, seed)
     shards = partition(data, k)
-    fits = [fit_local(model, s, server_id=i + 1) for i, s in enumerate(shards)]
+    fits = models.fit_shards(model, shards, server_ids=server_ids or range(1, k + 1))
     return shards, fits
 
 
@@ -179,19 +181,6 @@ class TestContaminate:
             assert ests[k].sigma_star.tobytes() == alone.tobytes()
         for k in (3, 4):
             assert ests[k].sigma_star.tobytes() == fits[k].sigma_hat.tobytes()
-
-    def test_columnar_fits_give_the_round_of_the_listed_fits(self):
-        model = ModelSpec.linear(3)
-        data = generate_dataset(model.kind, (1.0, -2.0, 0.5), 8 * 30, 21)
-        shards = partition(data, 8)
-        fits = models.fit_shards(model, shards, server_ids=[5, 3, 8, 1, 2, 7, 6, 4])
-        spec = ContaminationSpec(kind=ContaminationKind.GAUSSIAN, count=3)
-        a = contaminate(model, fits, shards, spec, 9)
-        b = contaminate(model, list(fits), [shards[i] for i in range(8)], spec, 9)
-        assert a.server_ids == b.server_ids == tuple(range(1, 9))
-        assert a.thetas.tobytes() == b.thetas.tobytes()
-        assert a.sigmas.tobytes() == b.sigmas.tobytes()
-        assert not fits.thetas.flags.writeable
 
     def test_default_count_fourth_root(self):
         assert ContaminationSpec(kind=ContaminationKind.BIT_FLIP).resolved_count(20) == 2
@@ -702,7 +691,7 @@ class TestProcess:
         )
         model = ModelSpec(cfg.model, cfg.p)
         shards = partition(generate_dataset(cfg.model, cfg.theta0, cfg.total_size, 5), 8)
-        fits = [fit_local(model, s, server_id=k + 1) for k, s in enumerate(shards)]
+        fits = models.fit_shards(model, shards, server_ids=range(1, 9))
         ests = contaminate(model, fits, shards, cfg.contamination, 6)
         received = [decode_message(encode_message(e)) for e in ests]
         assert sum(e.n_k for e in received) == cfg.total_size
@@ -858,12 +847,14 @@ def hostile_payload(draw, rng, sid, p, n):
 
 @st.composite
 def hostile_rounds(draw):
-    """K servers of equal n_k, fewer than half of them hostile."""
+    """K servers of equal n_k, fewer than half of them hostile; a hostile
+    server may claim another server's id."""
     p, k, n = draw(st.integers(1, 3)), draw(st.integers(3, 12)), draw(st.integers(10, 10_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hostile = draw(st.lists(st.integers(1, k), unique=True, max_size=(k - 1) // 2))
+    claims = {sid: draw(st.one_of(st.just(sid), st.integers(1, k))) for sid in hostile}
     received = [
-        draw(hostile_payload(rng, sid, p, n)) if sid in hostile else clean_payload(rng, sid, p, n)
+        draw(hostile_payload(rng, claims[sid], p, n)) if sid in hostile else clean_payload(rng, sid, p, n)
         for sid in range(1, k + 1)
     ]
     return p, received
@@ -925,7 +916,8 @@ class TestProcessProperty:
     def test_no_hostile_minority_aborts_or_escapes(self, round_):
         """No minority of hostile servers makes process() raise or return a
         non-finite aggregate, and each is reported: a non-finite payload is
-        flagged, one of another dimension gets an error row.
+        flagged, one of another dimension gets an error row, and every copy
+        of a repeated id gets a row with the repeated-id error.
 
         The servers keep equal n_k, yet the Huber solver can still stall on
         such a round, as it can on ragged sizes, and the test then fails with
@@ -937,8 +929,15 @@ class TestProcessProperty:
         with np.errstate(all="ignore"):
             result, _, _, report = process(received, 1.345, 0.05)
         assert np.isfinite(result.theta_hat).all() and np.isfinite(result.se).all()
+        copies = collections.Counter(e.server_id for e in received)
+        assert len(report.records) == len(received)
+        for r in report.records:
+            if copies[r.server_id] > 1:
+                assert r.error == REPEATED_ID and not (r.theta_flagged or r.sigma_flagged)
         rows = {r.server_id: r for r in report.records}
         for e in received:
+            if copies[e.server_id] > 1:
+                continue
             row = rows[e.server_id]
             if e.p != p:
                 assert row.error is not None
@@ -1232,9 +1231,8 @@ class TestStudyLevelInvariants:
         # server-id order, ints before strs, and the corrupted servers are
         # its first `count`.
         model = ModelSpec.linear(2)
-        shards, fits = fit_shards(model, (2.0, 1.0), 6, 100, 15)
         ids = [7, "b", 2, "a", 11, 3]
-        fits = [dataclasses.replace(f, server_id=sid) for f, sid in zip(fits, ids)]
+        shards, fits = fit_shards(model, (2.0, 1.0), 6, 100, 15, server_ids=ids)
         by_id = {f.server_id: f for f in fits}
         for count, corrupted in ((3, {2, 3, 7}), (5, {2, 3, 7, 11, "a"})):
             spec = ContaminationSpec(kind=ContaminationKind.BIT_FLIP, count=count)

@@ -103,7 +103,7 @@ class TestBits:
     def test_passes_are_bounded_by_stack_entries(self, monkeypatch):
         # n * (p + p(p+1)/2) = 40 * 9 entries per shard; a budget of three
         # shards splits seven into passes of 3, 3 and a lone shard, which
-        # fit_local fits.  A bad shard in the second pass fails only that pass.
+        # is fitted alone.  A bad shard in the second pass fails only that pass.
         model, shards = make_shards("linear", 3, [40] * 7, seed=21)
         monkeypatch.setattr(models, "STACK_ENTRIES", 3 * 40 * 9 + 5)
         passes = []
@@ -304,6 +304,83 @@ class TestEqualShards:
         assert outcome(lambda: fit_shards(model, stacked)) == want
 
 
+def alone(model, data):
+    """The class and message of the error ``data`` raises fitted by itself:
+    the shard checks, then one pass of one shard."""
+    try:
+        models._check_shard(model, data, data.n)
+        models._fit_group(model, data.X[None], data.y[None])
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+def spoil(model, y, X, defect):
+    """A shard's responses and design with one defect that keeps it from
+    being fitted."""
+    y, X = y.copy(), X.copy()
+    if defect == "one response class":
+        y[:] = 0.0
+    elif defect == "rank deficient":
+        X[:, 1] = 0.0  # X'X then has an exact zero row
+    elif defect == "non-binary y":
+        y[0] = 0.5
+    else:  # "p mismatch"
+        X = np.column_stack([X, X[:, :1]])
+    return y, X
+
+
+DEFECTS = {  # defect -> model kind it is tried on, and the error it raises
+    "one response class": ("logistic", SeparationError),
+    "rank deficient": ("linear", RankDeficiencyError),
+    "non-binary y": ("logistic", ValueError),
+    "p mismatch": ("linear", DimensionError),
+}
+
+
+class TestErrorContract:
+    """The error ``fit_shards`` raises is the one the first failing shard
+    raises alone, same class and message, with that shard's id set as its
+    ``server_id``."""
+
+    @pytest.mark.parametrize("in_pass", [True, False], ids=["in a pass", "alone"])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_listed_shards(self, defect, in_pass):
+        kind, error = DEFECTS[defect]
+        # Shard "c" shares its size with "a" (a stacked pass), or has a size
+        # of its own; "b" and "d" come before and after it.
+        model, shards = make_shards(kind, 2, [40, 55, 40 if in_pass else 47, 60], seed=11)
+        shards[2] = Observations(*spoil(model, shards[2].y, shards[2].X, defect))
+        want = alone(model, shards[2])
+        assert want is not None and issubclass(want[0], error)
+        with pytest.raises(error) as info:
+            fit_shards(model, shards, server_ids=["a", "b", "c", "d"])
+        assert (type(info.value), str(info.value)) == want
+        assert info.value.server_id == "c"
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_equal_shards(self, defect):
+        kind, error = DEFECTS[defect]
+        model, stacked, listed = stacked_and_listed(kind, 2, 5, 30, seed=12)
+        y, X = stacked.data.y.copy(), stacked.data.X.copy()
+        if defect == "p mismatch":
+            # Every shard has the data's width, so the first one raises.
+            model, bad = ModelSpec(model.kind, 3), 0
+        else:
+            y[60:90], X[60:90] = spoil(model, y[60:90], X[60:90], defect)
+            bad = 2
+        shards = distsim.partition(Observations(y, X), 5)
+        want = alone(model, shards[bad])
+        assert want is not None and issubclass(want[0], error)
+        with pytest.raises(error) as info:
+            fit_shards(model, shards, server_ids=[7, 8, 9, 10, 11])
+        assert (type(info.value), str(info.value)) == want
+        assert info.value.server_id == 7 + bad
+        with pytest.raises(error) as info:
+            fit_local(model, shards[bad], server_id="one")
+        assert (type(info.value), str(info.value), info.value.server_id) == (*want, "one")
+
+
 class TestLocalFits:
     def test_columns_and_row_views(self):
         model, shards = make_shards("linear", 2, [30, 40, 30], seed=8)
@@ -318,7 +395,6 @@ class TestLocalFits:
             assert np.shares_memory(fit.theta_hat, fits.thetas)
             assert np.array_equal(fit.sigma_hat, fits.sigmas[i])
             assert type(fit.grad_norm) is float and type(fit.newton_iters) is int
-        assert_same_fits(models.LocalFits.stack(list(fits), 2), list(fits))
 
     def test_no_fits(self):
         fits = fit_shards(ModelSpec.linear(2), [])

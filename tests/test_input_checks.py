@@ -201,4 +201,4 @@ def test_rejected_with_its_message(name):
 
 
 def test_no_fits_contaminate_to_no_payloads():
-    assert list(contaminate(LINEAR2, [], [], ContaminationSpec(), 0)) == []
+    assert list(contaminate(LINEAR2, models.fit_shards(LINEAR2, []), [], ContaminationSpec(), 0)) == []

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 from robustagg import aggregate, distsim, numkit
-from robustagg.aggregate import OTHER_DIMENSION, LocalEstimate, admit, huber_aggregate, round_view, standard_errors
+from robustagg.aggregate import (
+    OTHER_DIMENSION, REPEATED_ID, LocalEstimate, admit, huber_aggregate, round_view, standard_errors,
+)
 from robustagg.detect import detect
 from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
@@ -364,6 +366,51 @@ class TestOneViewPerRound:
             round_view(ests)
         with pytest.raises(ValueError, match="at least one local estimate"):
             admit([], 2)
+
+    def test_a_forged_id_silences_the_server_it_copies(self):
+        # Ten clean servers and an eleventh payload claiming id 3 with
+        # theta (50, 50): both copies of id 3 are left out, so the forger
+        # neither joins the round nor gets flagged in server 3's name.
+        rng = np.random.default_rng(3)
+        clean = [LocalEstimate(k, 100, rng.normal(0.0, 0.05, 2) + [1.0, 2.0], np.eye(2)) for k in range(1, 11)]
+        forged = LocalEstimate(3, 100, [50.0, 50.0], np.eye(2))
+        want = process([e for e in clean if e.server_id != 3], 1.345, 0.05)
+        for received in (clean + [forged], decode_messages(encode_messages(clean + [forged]))):
+            view = admit(received)
+            assert view.server_ids == (1, 2, 4, 5, 6, 7, 8, 9, 10)
+            assert view.rejected == ((2, 3, 100, REPEATED_ID), (3, 3, 100, REPEATED_ID))
+            got = process(received, 1.345, 0.05)
+            assert got[0].theta_hat.tobytes() == want[0].theta_hat.tobytes()
+            report = got[3]
+            assert [(r.server_id, r.error) for r in report.records if r.server_id == 3] == [(3, REPEATED_ID)] * 2
+            assert report.flagged_theta_ids() == [] and sum(report.n_k) == 1100
+        with pytest.raises(ValueError, match=f"^server 3: {REPEATED_ID}$"):
+            round_view(clean + [forged])
+
+    def test_an_ordered_view_with_a_repeated_id_is_not_passed_through(self):
+        # Rows in server order, id 2 twice: the view is not admitted as it is.
+        ids = (1, 2, 2, 3)
+        view = aggregate.RoundView(ids, (10,) * 4, np.arange(8.0).reshape(4, 2), np.stack([np.eye(2)] * 4))
+        assert not view.ordered
+        admitted = admit(view)
+        assert admitted is not view and admitted.server_ids == (1, 3)
+        assert admitted.rejected == ((1, 2, 10, REPEATED_ID), (2, 2, 10, REPEATED_ID))
+        assert admit(admitted) is admitted and admit(admitted, 2) is admitted
+        with pytest.raises(ValueError, match=REPEATED_ID):
+            huber_aggregate(view, np.eye(2))
+        report = detect(view, np.zeros(2), np.eye(2))
+        assert [r.error for r in report.records] == [None, REPEATED_ID, REPEATED_ID, None]
+
+    def test_copies_of_an_id_do_not_decide_the_dimension(self):
+        # Four copies of id 9 at p = 3 outnumber the three p = 2 servers, but
+        # the majority is counted among the servers with their own ids.
+        ests = [LocalEstimate(k, 10, np.zeros(2), np.eye(2)) for k in (1, 2, 3)]
+        ests += [LocalEstimate(9, 10, np.ones(3), np.eye(3)) for _ in range(4)]
+        view = admit(ests)
+        assert view.p == 2 and view.server_ids == (1, 2, 3)
+        assert [r.error for r in view.rejected] == [REPEATED_ID] * 4
+        with pytest.raises(DimensionError, match="disagree on parameter dimension"):
+            admit(ests[3:])
 
     def test_view_read_at_another_dimension_rejects_its_rows(self):
         ests = [LocalEstimate(k, 10, np.full(2, k), np.eye(2)) for k in (3, 1, 2)]
