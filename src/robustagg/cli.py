@@ -501,6 +501,14 @@ def _lockstep_newton(rng, theta0=(5.0, 3.0), sizes=(300,) * 6) -> list:
     return _fits(ModelSpec.logistic(len(theta0)), shards)
 
 
+def _desk_round(rng) -> list:
+    # The fits of a desk round, K = 20 shards of 1000 rows at theta0 = (2, 1)
+    # as run_replicate draws and partitions them; STACK_ENTRIES splits the
+    # round into passes of several shards.
+    data = distsim.generate_dataset(ModelKind.LOGISTIC, (2.0, 1.0), 20_000, rng)
+    return _fits(ModelSpec.logistic(2), distsim.partition(data, 20))
+
+
 def _round(rng, dims) -> list:
     """Estimates of the dimensions ``dims`` from servers of int and str ids."""
     ids = (4, "s07", "12", -1, "'q", *range(5, len(dims)))
@@ -607,6 +615,7 @@ _CHECKS = (
      lambda rng: _lockstep_newton(rng, (5.0,))),
     ("ragged logistic fit_shards at p = 4: one shard per pass", 50, "e751373bd18c719c",
      lambda rng: _lockstep_newton(rng, (1.0, -0.5, 0.25, 2.0), (1050, 1908, 700))),
+    ("stacked logistic fit_shards of a desk round, K = 20, n = 1000", 51, "7362dc497ddb36ad", _desk_round),
     ("stacked numpy.linalg.eigh and solve", 8, "621ac5420d3c5c1b", lambda rng: (
         np.linalg.eigh(stack := _spd(rng, 6, 3)), np.linalg.solve(stack, rhs := rng.standard_normal((6, 3, 1))),
         np.linalg.solve(np.broadcast_to(stack[0], stack.shape), rhs))),

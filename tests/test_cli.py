@@ -1048,6 +1048,7 @@ CHECK_FAULTS = {
     "lockstep Newton": flipped,
     "doubled Hessian column": flipped,
     "one shard per pass": flipped,
+    "desk round": flipped,
     "eigh and solve": flipped,
     "weighted_average": nudged(cli, "weighted_average"),
     "_read_plain": nudged(cli, "_read_plain"),
@@ -1078,6 +1079,7 @@ SHARED_KERNEL_FAULTS = {
     "lockstep Newton": nudged(models, "_newton"),
     "doubled Hessian column": nudged(models, "_logistic_hessians"),
     "one shard per pass": nudged(models, "_logistic_hessians"),
+    "desk round": nudged(models, "_newton"),
     "eigh and solve": nudged(np.linalg, "solve"),
     "one dimension": big_endian_wire,
     "mixed dimensions": big_endian_wire,
