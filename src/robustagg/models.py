@@ -69,8 +69,11 @@ _SATURATED_MARGIN = 13.8
 # sandwich products or, where more, the n * p * p entries of each of the two
 # Hessian factors a logistic Newton call holds from start to end.  The
 # stacked arrays of a pass are a few copies of that many doubles, so this
-# bounds the memory a pass adds.
-STACK_ENTRIES = 1 << 15
+# bounds the memory a pass adds.  2**16 (512 KiB per stacked array) puts 13
+# desk shards (n = 1000, p = 2) or 65 linear ones (n = 50, p = 5) in a pass.
+# Once the CLI keeps freed memory in the process (cli._keep_freed_memory) it
+# is faster than 2**15; 2**17 slowed the linear passes and raised peak memory.
+STACK_ENTRIES = 1 << 16
 
 
 class ModelKind(Enum):

@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import functools
 import math
 import os
 import re
@@ -14,7 +16,13 @@ from hypothesis import strategies as st
 import robustagg
 from robustagg import cli
 from robustagg.cli import _read_shard, main, make_study_config, parse_config_file
-from robustagg.distsim import ContaminationKind, StudyConfig, generate_dataset, partition
+from robustagg.distsim import (
+    ContaminationKind,
+    ContaminationSpec,
+    StudyConfig,
+    generate_dataset,
+    partition,
+)
 from robustagg.errors import ConfigError
 from robustagg import distsim, models, numkit, spatialmed
 from robustagg.models import ModelKind
@@ -1226,3 +1234,57 @@ class TestSmallCommands:
             default_workers()
         monkeypatch.delenv("ROBUSTAGG_WORKERS")
         assert default_workers() == 1
+
+
+def has_mallopt() -> bool:
+    try:
+        return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(not has_mallopt(), reason="needs glibc's mallopt")
+    def test_desk_replicate_takes_no_page_faults(self):
+        # The first robustagg command sets malloc to keep what a stacked
+        # pass frees; at glibc's defaults a desk replicate faults hundreds
+        # of pages in again.  A fresh process, since how a heap faults
+        # depends on what the process allocated and freed before.
+        code = (
+            "import resource\n"
+            "from robustagg import distsim\n"
+            "from robustagg.cli import main\n"
+            "from robustagg.distsim import ContaminationKind, ContaminationSpec, StudyConfig\n"
+            "assert main(['tau', '1.345']) == 0\n"
+            "config = StudyConfig(contamination=ContaminationSpec(ContaminationKind.OMNISCIENT, count=2))\n"
+            "for index in range(2):\n"
+            "    distsim.run_replicate(config, index)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for index in range(2, 12):\n"
+            "    distsim.run_replicate(config, index)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(robustagg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        faults = int(out.stdout.splitlines()[-1])
+        assert faults < 20 * 10, faults
+
+    def test_without_mallopt_main_runs_and_looks_once(self, monkeypatch, capsys):
+        lookups = []
+
+        def missing(name):
+            lookups.append(name)
+            raise OSError("no C library")
+
+        # A fresh once-per-process helper, so this test sees its first call.
+        monkeypatch.setattr(cli, "_keep_freed_memory", functools.cache(cli._keep_freed_memory.__wrapped__))
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert main(["tau", "1.345"]) == 0
+        assert main(["tau", "inf"]) == 0
+        assert "tau_c(inf) = 1" in capsys.readouterr().out
+        assert lookups == ([None] if sys.platform.startswith("linux") else [])

@@ -138,6 +138,37 @@ class TestBits:
         assert len(fits) == 800
         assert peak - kept < 3e6, (peak - base, kept - base)
 
+    @pytest.mark.parametrize(
+        "kind,theta0,k,n,passes",
+        [
+            ("logistic", (2.0, 1.0), 20, 1000, [13, 7]),
+            ("linear", (1.0, -1.0, 0.5, 2.0, 0.0), 400, 50, [65] * 6 + [10]),
+            ("logistic", (2.0, 1.0), 4, 5000, [2, 2]),
+        ],
+        ids=["desk", "linear-400", "paper-n"],
+    )
+    def test_pass_size_moves_no_bit(self, kind, theta0, k, n, passes, monkeypatch):
+        # The simulator's designs: desk, linear K = 400 and the paper's
+        # shard size.  Every shard alone (0), or the passes of 2**15,
+        # 2**16 and 2**17 entries, give the same bytes.
+        model = ModelSpec(models.ModelKind(kind), len(theta0))
+        shards = distsim.partition(distsim.generate_dataset(model.kind, theta0, k * n, k + n), k)
+        sizes = []
+        fit_group = models._fit_group
+
+        def spy(model, X, *args):
+            sizes.append(len(X))
+            return fit_group(model, X, *args)
+
+        monkeypatch.setattr(models, "_fit_group", spy)
+        fits = fit_shards(model, shards)
+        assert sizes == passes
+        for entries in (0, 1 << 15, 1 << 16, 1 << 17):
+            monkeypatch.setattr(models, "STACK_ENTRIES", entries)
+            other = fit_shards(model, shards)
+            for column in ("thetas", "sigmas", "newton_iters", "grad_norms"):
+                assert getattr(other, column).tobytes() == getattr(fits, column).tobytes(), (entries, column)
+
     def test_default_ids_are_positions(self):
         model, shards = make_shards("linear", 2, [30] * 3, seed=3)
         assert [f.server_id for f in fit_shards(model, shards)] == [0, 1, 2]
