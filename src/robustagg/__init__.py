@@ -44,6 +44,6 @@ from .models import (
     sandwich_variance,
 )
 from .numkit import inv_sqrt_pd, pd_project, vech, vech_inv
-from .spatialmed import SpatialMedianResult, WeightedPoint, aggregate_sigma, spatial_median
+from .spatialmed import SpatialMedianResult, aggregate_sigma, spatial_median
 
 __version__ = "0.1.0"

@@ -221,17 +221,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _read_shard(path: Path, expected_header: list[str] | None):
     """Parse one server's CSV shard; returns (header, observations).
 
-    Cells are read as ``float()`` reads them; a ragged row or non-numeric
-    cell raises ``ConfigError`` for the first such defect in file order, and
-    so does text that ``csv`` cannot split or the file's encoding cannot
-    decode.  A body of plain decimal text (see :func:`_read_plain`) is read
-    by numpy's C text reader; any other body, and so every error, goes
-    through ``csv``.  A shard that reads but holds a cell that is not
+    The file is read as UTF-8, past a leading byte-order mark if it has
+    one, as spreadsheets write "CSV UTF-8".  Cells are read as ``float()``
+    reads them; a ragged row or non-numeric cell raises ``ConfigError`` for
+    the first such defect in file order, and so does text that ``csv``
+    cannot split or UTF-8 cannot decode.  A body of plain decimal text (see
+    :func:`_read_plain`) is read by numpy's C text reader; any other body,
+    and so every error, goes through ``csv``.  A shard that reads but holds a cell that is not
     finite (``inf``, ``nan``, or ``1e400``, which reads as inf) raises
     ``ConfigError`` for the first such cell in file order.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot open shard {path}: {exc}") from None
     with fh:

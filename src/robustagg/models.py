@@ -3,8 +3,8 @@
 A local server fits its own shard and reports the estimate together with the
 empirical sandwich variance of the estimator.  Observation sequences are held
 columnar (response vector plus design matrix) so the criterion, gradient and
-Hessian evaluate as vectorized reductions; indexing an :class:`Observations`
-still yields individual ``(y, x)`` pairs.  So are the fits of a round:
+Hessian evaluate as vectorized reductions; a slice of an
+:class:`Observations` is another one.  So are the fits of a round:
 :func:`fit_shards`, the one loop that fits a shard (:func:`fit_local` is
 ``fit_shards`` of one), writes every stacked pass into the arrays of one
 :class:`LocalFits`, whose :class:`LocalFit` rows are made only when read,
@@ -102,7 +102,10 @@ class ModelSpec:
 
 
 class Observations:
-    """A sequence of observations (y_i, x_i), stored columnar and immutable."""
+    """Observations (y_i, x_i), stored columnar and immutable.
+
+    Indexing selects rows: a unit-step slice is a read-only view, and any
+    other index goes through the checks of the constructor."""
 
     def __init__(self, y, X):
         y = np.ascontiguousarray(y, dtype=float)
@@ -135,13 +138,8 @@ class Observations:
     def p(self) -> int:
         return self.X.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i):
-        if not isinstance(i, slice):
-            return float(self.y[i]), self.X[i]
-        if i.step not in (None, 1):
+        if not isinstance(i, slice) or i.step not in (None, 1):
             return Observations(self.y[i], self.X[i])
         # Rows of checked data need no new checks, and a unit-step slice of
         # read-only contiguous arrays is a read-only contiguous view.
@@ -155,8 +153,8 @@ class EqualShards:
     :class:`Observations`, held as views of its arrays: the ``(K, n, p)``
     design ``X`` and the ``(K, n)`` responses ``y``.
 
-    Shard ``k`` is rows ``k * n`` to ``(k + 1) * n``; indexing builds its
-    :class:`Observations` view.  :func:`fit_shards` reads the stacked views
+    Shard ``k`` is rows ``k * n`` to ``(k + 1) * n``; indexing by the int
+    ``k`` builds its :class:`Observations` view.  :func:`fit_shards` reads the stacked views
     directly, with one check of ``data`` for all the shards.  ``data.n``
     must be a multiple of ``n_servers``.
     """
@@ -170,11 +168,9 @@ class EqualShards:
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def __getitem__(self, i):
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return [self[k] for k in rows]
-        return self.data[rows * self.size : (rows + 1) * self.size]
+    def __getitem__(self, k: int):
+        k = range(len(self))[k]
+        return self.data[k * self.size : (k + 1) * self.size]
 
 
 @dataclass(frozen=True)
@@ -191,14 +187,6 @@ class LocalFit:
     def __post_init__(self):
         self.theta_hat.flags.writeable = False
         self.sigma_hat.flags.writeable = False
-
-    @functools.cached_property
-    def sigma_pd(self) -> bool:
-        """False when the sandwich came out numerically singular or indefinite
-        (possible for degenerate shards, e.g. an exact fit with zero
-        residuals); callers may repair such a matrix with ``numkit.pd_project``.
-        Screened when first read."""
-        return bool(numkit.screen_positive_definite(self.sigma_hat[None])[0][0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,8 +79,8 @@ def symmetrize(a) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def symmetric_mask(a: np.ndarray) -> np.ndarray:
-    """The symmetry test of :func:`is_symmetric` for a matrix or for each
-    matrix of a ``(..., p, p)`` stack.
+    """Whether the asymmetry of a matrix, or of each matrix of a
+    ``(..., p, p)`` stack, is within ``SYM_RTOL`` relative to its scale.
 
     The NaN of ``inf - inf`` fails the test, and a finite pair whose
     difference overflows is asymmetric, so neither warns.  An inf entry
@@ -91,11 +91,6 @@ def symmetric_mask(a: np.ndarray) -> np.ndarray:
     return (scale == 0.0) | (asym <= SYM_RTOL * scale)
 
 
-def is_symmetric(a) -> bool:
-    """True when the asymmetry of ``a`` is below ``SYM_RTOL`` relative to its scale."""
-    return bool(symmetric_mask(_as_square(a)))
-
-
 def ensure_symmetric(a) -> np.ndarray:
     """Validate near-symmetry and return the symmetrized matrix.
 
@@ -103,7 +98,7 @@ def ensure_symmetric(a) -> np.ndarray:
     when the asymmetry exceeds ``SYM_RTOL``.
     """
     a = _as_square(a)
-    if not is_symmetric(a):
+    if not symmetric_mask(a):
         raise ValueError(
             f"matrix is not symmetric within relative tolerance {SYM_RTOL:g}"
         )
@@ -124,11 +119,6 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"symmetric eigendecomposition did not converge: {exc}",
             condition_estimate=cond,
         ) from exc
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a (near-)symmetric matrix."""
-    return float(_eigh(ensure_symmetric(a))[0][0])
 
 
 # The Cholesky certificate of screen_positive_definite: the shift relative

@@ -30,26 +30,6 @@ DEFAULT_MAX_ITER = 500
 _ANCHOR_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
-    value: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", np.array(self.value, dtype=float).ravel())
-        _check_points(self.value, np.asarray(self.weight))
-        self.value.flags.writeable = False
-
-
-def _check_points(x: np.ndarray, w: np.ndarray) -> None:
-    """The rule for weighted points, of one point or of a stack: every
-    weight positive and finite, then every coordinate finite."""
-    if not ((w > 0.0).all() and np.isfinite(w).all()):
-        raise ValueError("weight must be positive and finite")
-    if not np.isfinite(x).all():
-        raise ValueError("point coordinates must be finite")
-
-
 @dataclass
 class SpatialMedianResult:
     eta: np.ndarray
@@ -248,13 +228,11 @@ def _merge_duplicates(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 # of a tie segment overflow to inf, which is their value; none of it is an
 # error to warn of.
 @np.errstate(over="ignore")
-def spatial_median(points, weights=None) -> SpatialMedianResult:
+def spatial_median(points, weights) -> SpatialMedianResult:
     """Minimize the weighted sum of Euclidean distances to the given points.
 
     ``points`` is a ``(K, d)`` array of finite point coordinates, one row
-    per point, with their ``weights``, K positive finite numbers; or a
-    sequence of :class:`WeightedPoint`, which must agree on dimension and
-    is stacked into that form and checked as it is.
+    per point, with their ``weights``, K positive finite numbers.
     Exact duplicate points are merged first, summing their weights.
 
     The result leaves by one of these exits:
@@ -277,13 +255,6 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
       unanchored.  Otherwise :class:`NonConvergenceError` is raised with
       the best iterate.
     """
-    if weights is None:
-        pts = list(points)
-        d = pts[0].value.size if pts else 0
-        if any(pt.value.size != d for pt in pts):
-            raise DimensionError("points disagree on dimension")
-        points = np.array([pt.value for pt in pts]).reshape(len(pts), d)
-        weights = [pt.weight for pt in pts]
     x_all = np.asarray(points, dtype=float)
     w_all = np.asarray(weights, dtype=float)
     if x_all.ndim != 2 or w_all.shape != x_all.shape[:1]:
@@ -292,7 +263,10 @@ def spatial_median(points, weights=None) -> SpatialMedianResult:
         )
     if not x_all.shape[0]:
         raise ValueError("at least one point is required")
-    _check_points(x_all, w_all)
+    if not ((w_all > 0.0).all() and np.isfinite(w_all).all()):
+        raise ValueError("weight must be positive and finite")
+    if not np.isfinite(x_all).all():
+        raise ValueError("point coordinates must be finite")
     x, w = _merge_duplicates(x_all, w_all)
     k = x.shape[0]
     iterations = 0

@@ -582,14 +582,37 @@ class TestPipelineCommand:
             f"error: {path}: cannot read shard: field larger than field limit (131072)\n"
         )
 
-    @pytest.mark.parametrize("head", [b"y,x1\n1.0,0.5\n", b""])
+    @pytest.mark.parametrize("head", [b"y,x1\n1.0,0.5\n", b"", b"\xef\xbb\xbfy,x1\n1.0,0.5\n"])
     def test_undecodable_byte_is_a_config_error(self, tmp_path, capsys, head):
         path = tmp_path / "bytes.csv"
         path.write_bytes(head + b"0.0,0.\xff\n")
         assert main(["fit-aggregate-detect", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: cannot read shard: ")
-        assert "can't decode byte 0xff" in err
+        assert "'utf-8' codec can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain reader", "csv reader"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, quoted):
+        # A leading BOM, as "CSV UTF-8" exports write it, on one shard with
+        # LF endings, which np.loadtxt reads.  A quoted cell sends its body
+        # to csv instead, which reads it again from the start of the file.
+        paths = make_shards(tmp_path, k=3, n=200)
+        body = paths[1].read_text().encode()
+        if quoted:
+            header, first, rest = body.split(b"\n", 2)
+            y, cells = first.split(b",", 1)
+            body = b"\n".join([header, b'"' + y + b'",' + cells, rest])
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            paths[1].write_bytes(bom + body)
+            out = tmp_path / f"out{len(bom)}"
+            assert main(["fit-aggregate-detect", *map(str, paths), "--out-dir", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("aggregate.csv", "detection.csv")])
+        assert outputs[0] == outputs[1]
+        assert len(calls) == (0 if quoted else 2)
 
     def test_header_naming_y_twice_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "twice.csv"

@@ -23,7 +23,7 @@ from robustagg.distsim import (
 from robustagg.errors import DimensionError
 from robustagg.models import ModelKind, ModelSpec, Observations, criterion_eval
 from robustagg.numkit import vech_inv
-from robustagg.spatialmed import WeightedPoint, spatial_median
+from robustagg.spatialmed import spatial_median
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
 
@@ -131,20 +131,27 @@ CHECKS = {
         lambda: vech_inv([], 0), DimensionError, "matrix dimension must be >= 1"
     ),
     "zero weight": (
-        lambda: WeightedPoint([1.0], 0.0), ValueError, "weight must be positive and finite"
+        lambda: spatial_median(np.ones((1, 1)), [0.0]), ValueError, "weight must be positive and finite"
     ),
     "non-finite point": (
-        lambda: WeightedPoint([math.nan], 1.0), ValueError, "point coordinates must be finite"
-    ),
-    "ragged points": (
-        lambda: spatial_median([WeightedPoint([1.0], 1.0), WeightedPoint([1.0, 2.0], 1.0)]),
-        DimensionError,
-        "points disagree on dimension",
+        lambda: spatial_median(np.array([[math.nan]]), [1.0]), ValueError, "point coordinates must be finite"
     ),
     "no rows": (
         lambda: spatial_median(np.zeros((0, 2)), np.zeros(0)),
         ValueError,
         "at least one point is required",
+    ),
+    # LocalEstimate and the wire codec refuse such a size first; a round
+    # view built directly refuses it too.
+    "round view with a size of 0": (
+        lambda: RoundView([1, 2], [10, 0], np.zeros((2, 2)), np.zeros((2, 2, 2))),
+        ValueError,
+        "n_k must be >= 1",
+    ),
+    "sandwich estimates of another shape": (
+        lambda: models.sandwich_variances(LINEAR2, linear_round()[1], np.zeros((2, 3))),
+        DimensionError,
+        r"thetas have shape \(2, 3\), expected \(2, 2\)",
     ),
     "misaligned stack": (
         lambda: RoundView([1], [10, 20], np.zeros((1, 2)), np.zeros((1, 2, 2))),

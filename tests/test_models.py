@@ -168,7 +168,7 @@ class TestFitLocal:
         fit = fit_local(LOGISTIC2, make_obs(y, X))
         assert np.abs(fit.theta_hat - [2.0, 1.0]).max() <= 0.05
         assert fit.grad_norm <= 1e-10
-        assert fit.sigma_pd
+        assert numkit.screen_positive_definite(fit.sigma_hat[None])[0][0]
 
     def test_logistic_single_class_raises(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -217,8 +217,8 @@ class TestSandwich:
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([2.0, 5.0])
         fit = fit_local(LINEAR2, make_obs(y, X))
-        assert not fit.sigma_pd
-        assert numkit.min_eigenvalue(fit.sigma_hat) <= 0.0
+        assert not numkit.screen_positive_definite(fit.sigma_hat[None])[0][0]
+        assert np.linalg.eigvalsh(numkit.ensure_symmetric(fit.sigma_hat))[0] <= 0.0
 
     def test_logistic_against_brute_force_expectation(self):
         # Oracle: U and V estimated by direct 1e6-draw expectations at the
@@ -301,12 +301,6 @@ class TestSandwich:
 
 
 class TestObservations:
-    def test_columnar_sequence_access(self):
-        data = make_obs([1.0, 0.0], [[1.0, 2.0], [3.0, 4.0]])
-        assert len(data) == 2
-        y0, x0 = data[0]
-        assert y0 == 1.0 and np.array_equal(x0, [1.0, 2.0])
-
     def test_immutability(self):
         data = make_obs([1.0], [[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -325,6 +319,13 @@ class TestObservations:
         for a in (shard.y, shard.X):
             assert a.flags.c_contiguous and not a.flags.writeable
         assert shard.binary == bool(np.isin(y[rows], (0.0, 1.0)).all())
+
+    def test_an_int_index_is_not_a_row(self):
+        data = make_obs([1.0, 0.0], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DimensionError, match="X must be two-dimensional"):
+            data[0]
+        assert np.array_equal(data[[1]].X, [[3.0, 4.0]])
+        assert not np.shares_memory(data[::-1].X, data.X)
 
     def test_logistic_requires_binary(self):
         with pytest.raises(ValueError):

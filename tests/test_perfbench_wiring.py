@@ -67,9 +67,7 @@ def returned_objects() -> dict:
     assert report.records[-1].error == aggregate.OTHER_DIMENSION
     return {
         "models.fit_local": models.fit_local(ModelSpec(ModelKind.LINEAR, 2), obs),
-        "spatialmed.spatial_median": spatialmed.spatial_median(
-            [spatialmed.WeightedPoint(rng.standard_normal(3), 1.0) for _ in range(5)]
-        ),
+        "spatialmed.spatial_median": spatialmed.spatial_median(rng.standard_normal((5, 3)), np.ones(5)),
         "aggregate.huber_aggregate": aggregate.huber_aggregate(ests[:-1], np.eye(2)),
         "detect.detect": report,
         "distsim.encode_message": distsim.encode_message(ests[0]),

@@ -5,8 +5,8 @@ The references below are written out here, one server at a time, so a
 rewrite of the library code cannot silently move the reference with it:
 the weighted average as a ``+=`` loop in server order, each detection
 distance as ``math.sqrt(n_k * max(float(diff @ sol), 0.0))`` after a 1-D
-solve, and the variance median as ``spatial_median`` over a list of
-``WeightedPoint``.
+solve, and the variance median as ``spatial_median`` over the vech rows
+gathered one server at a time.
 """
 
 import io
@@ -28,7 +28,7 @@ from robustagg.detect import detect
 from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from robustagg.models import ModelKind
-from robustagg.spatialmed import WeightedPoint, spatial_median
+from robustagg.spatialmed import spatial_median
 
 
 def csv_text(report):
@@ -55,7 +55,7 @@ def weighted_average_reference(ests):
 
 
 def aggregate_sigma_reference(ests):
-    points = []
+    vechs, weights = [], []
     for e in ests:
         if not np.isfinite(e.sigma_star).all():
             continue
@@ -63,10 +63,11 @@ def aggregate_sigma_reference(ests):
         kept = sym[0] if ok[0] else numkit.pd_project(e.sigma_star)
         vech = numkit.vech_stack(kept)
         if np.isfinite(vech).all():
-            points.append(WeightedPoint(value=vech, weight=math.sqrt(e.n_k)))
-    if not points:
+            vechs.append(vech)
+            weights.append(math.sqrt(e.n_k))
+    if not vechs:
         raise NumericalError("no variance matrix with finite entries to aggregate")
-    sigma = numkit.vech_inv(spatial_median(points).eta, ests[0].p)
+    sigma = numkit.vech_inv(spatial_median(np.array(vechs), weights).eta, ests[0].p)
     numkit.require_pd(sigma, ests[0].p)
     return sigma
 
@@ -431,7 +432,7 @@ class TestOneViewPerRound:
         x = rng.standard_normal((40, 6))
         w = rng.uniform(0.5, 3.0, 40)
         got = spatial_median(x, w)
-        want = spatial_median([WeightedPoint(v, float(c)) for v, c in zip(x, w)])
+        want = spatial_median(np.array([list(v) for v in x]), [float(c) for c in w])
         assert got.eta.tobytes() == want.eta.tobytes()
         assert (got.iterations, got.anchored, got.objective) == (want.iterations, want.anchored, want.objective)
         for bad in ([np.inf] * 6, [np.nan] * 6):

@@ -10,7 +10,8 @@ from robustagg.spatialmed import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     SpatialMedianResult,
-    WeightedPoint,
+    _first_order,
+    _newton_path,
     _norms,
     _rounding_floor,
     _settle,
@@ -80,26 +81,30 @@ def residual_and_floor(points, eta):
     return foc, _rounding_floor(x, w, eta)
 
 
-def wp(values, weight=1.0):
-    return WeightedPoint(np.asarray(values, dtype=float), weight)
+# The vertices of an equilateral triangle, whose optimum is the centre.
+TRIANGLE = np.array([[math.cos(a), math.sin(a)] for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)])
 
 
-def objective(points, eta):
-    return math.fsum(
-        p.weight * float(np.linalg.norm(p.value - eta)) for p in points
-    )
+def stack(pts):
+    """The ``(value, weight)`` pairs ``pts`` as ``spatial_median``'s
+    ``(K, d)`` points and K weights."""
+    pts = list(pts)
+    return np.array([v for v, _ in pts], dtype=float), np.array([c for _, c in pts], dtype=float)
 
 
-def nelder_mead_oracle(points, rng, starts=10):
+def objective(x, w, eta):
+    return math.fsum(float(c) * float(np.linalg.norm(v - eta)) for v, c in zip(x, w))
+
+
+def nelder_mead_oracle(x, w, rng, starts=10):
     """Derivative-free minimizer of the weighted-distance objective."""
     best = math.inf
-    x0s = [p.value for p in points[: max(1, starts // 2)]]
-    d = points[0].value.size
+    x0s = list(x[: max(1, starts // 2)])
     while len(x0s) < starts:
-        x0s.append(rng.standard_normal(d) * 2.0)
+        x0s.append(rng.standard_normal(x.shape[1]) * 2.0)
     for x0 in x0s:
         res = minimize(
-            lambda eta: objective(points, eta),
+            lambda eta: objective(x, w, eta),
             x0,
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
@@ -140,8 +145,7 @@ class TestWeightedMedian:
 
 class TestSpatialMedian:
     def test_all_points_equal(self):
-        pts = [wp([1.0, -2.0], 3.0) for _ in range(6)]
-        res = spatial_median(pts)
+        res = spatial_median(np.tile([1.0, -2.0], (6, 1)), np.full(6, 3.0))
         assert np.array_equal(res.eta, [1.0, -2.0])
         assert res.anchored
         assert res.objective == 0.0
@@ -149,52 +153,44 @@ class TestSpatialMedian:
     def test_one_dimensional_weighted_median(self):
         # Equal weights on {0, 1, 10}: the objective is piecewise linear and
         # minimized at the middle point.  Grid oracle confirms.
-        pts = [wp([v]) for v in (0.0, 1.0, 10.0)]
+        x, w = np.array([[0.0], [1.0], [10.0]]), np.ones(3)
         grid = np.linspace(-2.0, 12.0, 2801)
-        grid_best = grid[np.argmin([objective(pts, np.array([g])) for g in grid])]
+        grid_best = grid[np.argmin([objective(x, w, np.array([g])) for g in grid])]
         assert grid_best == pytest.approx(1.0, abs=0.01)
-        res = spatial_median(pts)
+        res = spatial_median(x, w)
         assert res.eta[0] == pytest.approx(1.0, abs=1e-12)
         assert res.anchored
 
     def test_equilateral_triangle_centroid(self):
-        pts = [
-            wp([math.cos(a), math.sin(a)])
-            for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-        ]
-        res = spatial_median(pts)
+        res = spatial_median(TRIANGLE, np.ones(3))
         assert np.abs(res.eta).max() <= 1e-9
 
     def test_two_points_heavy_anchor(self):
         # Subgradient check by hand: at the heavy point the pull of the light
         # point has norm 1 <= 10, so the heavy point is optimal.
-        res = spatial_median([wp([0.0, 0.0], 10.0), wp([5.0, 1.0], 1.0)])
+        res = spatial_median(np.array([[0.0, 0.0], [5.0, 1.0]]), [10.0, 1.0])
         assert np.array_equal(res.eta, [0.0, 0.0])
         assert res.anchored
 
     def test_two_points_equal_weights_midpoint(self):
-        res = spatial_median([wp([0.0, 0.0], 2.0), wp([4.0, 2.0], 2.0)])
+        res = spatial_median(np.array([[0.0, 0.0], [4.0, 2.0]]), [2.0, 2.0])
         assert np.allclose(res.eta, [2.0, 1.0])
         assert not res.anchored
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(3)
-        pts = [wp(rng.standard_normal(3), rng.uniform(0.5, 4.0)) for _ in range(9)]
+        x, w = stack((rng.standard_normal(3), rng.uniform(0.5, 4.0)) for _ in range(9))
         t = np.array([5.0, -2.0, 0.25])
-        base = spatial_median(pts)
-        shifted = spatial_median(
-            [WeightedPoint(p.value + t, p.weight) for p in pts]
-        )
+        base = spatial_median(x, w)
+        shifted = spatial_median(x + t, w)
         assert np.abs(shifted.eta - (base.eta + t)).max() <= 1e-10
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
-        pts = [wp(rng.standard_normal(3), rng.uniform(0.5, 4.0)) for _ in range(9)]
+        x, w = stack((rng.standard_normal(3), rng.uniform(0.5, 4.0)) for _ in range(9))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        base = spatial_median(pts)
-        rotated = spatial_median(
-            [WeightedPoint(q @ p.value, p.weight) for p in pts]
-        )
+        base = spatial_median(x, w)
+        rotated = spatial_median(x @ q.T, w)
         assert np.abs(rotated.eta - q @ base.eta).max() <= 1e-8
 
     def test_objective_matches_derivative_free_oracle(self):
@@ -202,12 +198,9 @@ class TestSpatialMedian:
         for _ in range(10):
             k = int(rng.integers(3, 8))
             d = int(rng.integers(1, 4))
-            pts = [
-                wp(rng.standard_normal(d), math.sqrt(rng.integers(1, 50)))
-                for _ in range(k)
-            ]
-            res = spatial_median(pts)
-            oracle = nelder_mead_oracle(pts, rng)
+            x, w = stack((rng.standard_normal(d), math.sqrt(rng.integers(1, 50))) for _ in range(k))
+            res = spatial_median(x, w)
+            oracle = nelder_mead_oracle(x, w, rng)
             assert res.objective <= oracle + 1e-6
             assert abs(res.objective - oracle) <= 1e-6
 
@@ -216,40 +209,31 @@ class TestSpatialMedian:
         # median by less than 10x the clean-case error.
         rng = np.random.default_rng(11)
         eta0 = np.array([1.0, -0.5, 2.0])
-        clean_pts = [wp(eta0 + 0.05 * rng.standard_normal(3)) for _ in range(100)]
-        clean_err = float(np.linalg.norm(spatial_median(clean_pts).eta - eta0))
-        dirty = clean_pts[3:] + [wp(np.full(3, 1e6)) for _ in range(3)]
-        dirty_err = float(np.linalg.norm(spatial_median(dirty).eta - eta0))
+        clean = np.array([eta0 + 0.05 * rng.standard_normal(3) for _ in range(100)])
+        clean_err = float(np.linalg.norm(spatial_median(clean, np.ones(100)).eta - eta0))
+        dirty = np.vstack([clean[3:], np.full((3, 3), 1e6)])
+        dirty_err = float(np.linalg.norm(spatial_median(dirty, np.ones(100)).eta - eta0))
         assert dirty_err <= 10 * max(clean_err, 1e-3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            spatial_median([])
+        with pytest.raises(ValueError, match="at least one point"):
+            spatial_median(np.empty((0, 2)), np.empty(0))
 
     def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
-        pts = [
-            wp([math.cos(a), math.sin(a)])
-            for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-        ]
         # From the start, a few Newton steps reach the optimum (see the
         # test below); with one, the cap raises.
         monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
         monkeypatch.setattr(spatialmed, "_NEWTON_STEPS", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            spatial_median(pts)
+            spatial_median(TRIANGLE, np.ones(3))
         assert excinfo.value.best is not None
 
     def test_cap_settles_by_newton_steps_from_the_best_iterate(self, monkeypatch):
-        # The three vertices of an equilateral triangle, whose optimum is
-        # the centre; Weiszfeld starts at the coordinate-wise median, off it.
-        pts = [
-            wp([math.cos(a), math.sin(a)])
-            for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-        ]
+        # Weiszfeld starts at the coordinate-wise median, off the centre.
         monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 0)
-        res = spatial_median(pts)
+        res = spatial_median(TRIANGLE, np.ones(3))
         assert res.iterations == 0 and not res.anchored
         assert np.abs(res.eta).max() <= 1e-10
 
@@ -258,24 +242,24 @@ class TestSpatialMedian:
         # Weiszfeld's residual bottoms out at 1.24e-10 > tol = 1e-10, below
         # its own rounding floor of 2.80e-10, so the cap returns the best
         # iterate instead of raising.
-        pts = [wp(v, STALL_WEIGHT) for v in STALL_POINTS]
-        res = spatial_median(pts)
+        x, w = np.array(STALL_POINTS), np.full(len(STALL_POINTS), STALL_WEIGHT)
+        res = spatial_median(x, w)
         assert res.iterations == DEFAULT_MAX_ITER
         assert not res.anchored
         foc, floor = residual_and_floor(STALL_POINTS, res.eta)
         assert DEFAULT_TOL < foc <= floor
-        assert res.objective == pytest.approx(objective(pts, res.eta), rel=1e-14)
+        assert res.objective == pytest.approx(objective(x, w, res.eta), rel=1e-14)
 
     def test_crawl_next_to_a_data_point_ends_with_a_newton_step(self, monkeypatch):
-        pts = [wp(v, STALL_WEIGHT) for v in CRAWL_POINTS]
-        res = spatial_median(pts)
+        x, w = np.array(CRAWL_POINTS), np.full(len(CRAWL_POINTS), STALL_WEIGHT)
+        res = spatial_median(x, w)
         assert res.iterations == DEFAULT_MAX_ITER
         assert not res.anchored
         foc, floor = residual_and_floor(CRAWL_POINTS, res.eta)
         assert foc <= floor
         # Weiszfeld itself gets there only with 40 times the budget.
         monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 40 * DEFAULT_MAX_ITER)
-        slow = spatial_median(pts)
+        slow = spatial_median(x, w)
         assert np.abs(res.eta - slow.eta).max() <= 1e-9
         assert res.objective <= slow.objective * (1.0 + 1e-15)
 
@@ -283,10 +267,9 @@ class TestSpatialMedian:
     def test_unconverged_iterate_still_raises(self, points, monkeypatch):
         from robustagg.errors import NonConvergenceError
 
-        pts = [wp(v, STALL_WEIGHT) for v in points]
         monkeypatch.setattr(spatialmed, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            spatial_median(pts)
+            spatial_median(np.array(points), np.full(len(points), STALL_WEIGHT))
         foc, floor = residual_and_floor(points, excinfo.value.best)
         assert foc == pytest.approx(excinfo.value.residual) and foc > floor
 
@@ -303,15 +286,15 @@ class TestSpatialMedian:
         settled = 0
         for _ in range(30):
             t = np.sort(rng.uniform(0.5, 2.0, 20))
-            pts = [wp(v * unit, STALL_WEIGHT) for v in t]
-            res = spatial_median(pts)
-            middle = [pts[9].value, pts[10].value]
+            x, w = t[:, None] * unit, np.full(20, STALL_WEIGHT)
+            res = spatial_median(x, w)
+            middle = [x[9], x[10]]
             if res.anchored:
                 assert any(np.array_equal(res.eta, m) for m in middle)
             elif res.iterations == DEFAULT_MAX_ITER:
                 assert np.array_equal(res.eta, (middle[0] + middle[1]) / 2.0)
                 settled += 1
-            best = objective(pts, middle[0])
+            best = objective(x, w, middle[0])
             assert res.objective <= best * (1.0 + 1e-14)
         assert settled > 0
 
@@ -325,9 +308,42 @@ class TestSpatialMedian:
         assert _settle(x, np.array([0.99, 0.6, 0.8]), scale, x[0], 0) is None
 
     def test_result_type(self):
-        res = spatial_median([wp([0.0]), wp([1.0]), wp([2.0])])
+        res = spatial_median(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
         assert isinstance(res, SpatialMedianResult)
         assert res.iterations >= 0
+
+
+class TestNewtonPath:
+    @staticmethod
+    def run(monkeypatch, x, w, eta):
+        """The iterates of ``_newton_path`` from ``eta``, and each solve's
+        step, None where it raised."""
+        steps = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            steps.append(None)  # stays None if the solve raises
+            steps[-1] = solve(a, b)
+            return steps[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        scale = np.maximum(1.0, _norms(x))
+        return list(_newton_path(x, w, scale, eta, _first_order(x, w, scale, eta))), steps
+
+    def test_singular_hessian_ends_the_path(self, monkeypatch):
+        # On a line every u_k u_k^T is 1, so the Hessian is exactly 0.
+        x = np.array([[0.0], [1.0], [2.5]])
+        iterates, steps = self.run(monkeypatch, x, np.ones(3), np.array([0.5]))
+        assert iterates == [] and steps == [None]
+
+    def test_step_onto_a_data_point_ends_the_path(self, monkeypatch):
+        # From 0, u_1 = (1, 0) at distance 2 with weight 2 and u_2 at 120
+        # degrees, distance 1, weight 1: cos = -w_2 / w_1 and d_2 / d_1 =
+        # w_2 / w_1 put the Newton step on x_1, where the residual is undefined.
+        x = np.array([[2.0, 0.0], [-0.5, math.sqrt(3.0) / 2.0]])
+        iterates, steps = self.run(monkeypatch, x, np.array([2.0, 1.0]), np.zeros(2))
+        assert iterates == [] and len(steps) == 1
+        assert np.abs(steps[0] - x[0]).max() <= 1e-12
 
 
 def merge_reference(x, w):
@@ -426,15 +442,15 @@ class TestAggregateSigma:
             LocalEstimate(sid, 10, np.zeros(2), np.eye(2)) for sid in range(1, 10)
         ]
         ests.append(LocalEstimate(10, 10, np.zeros(2), np.diag([1.0, -1.0])))
-        out = aggregate_sigma(ests).sym
+        res = aggregate_sigma(ests)
+        out = res.sym
         assert np.linalg.norm(out - np.eye(2)) <= 1e-3
-        assert numkit.min_eigenvalue(out) > 0.0
+        assert res.values[-1] > 0.0
         # Oracle: derivative-free minimizer over the vech objective agrees.
-        pts = [
-            wp(numkit.vech(np.eye(2)), math.sqrt(10)) for _ in range(9)
-        ] + [wp(numkit.vech(np.diag([1.0, 1e-5])), math.sqrt(10))]
-        oracle = nelder_mead_oracle(pts, np.random.default_rng(13))
-        ours = objective(pts, numkit.vech(out))
+        x = np.array([numkit.vech(np.eye(2))] * 9 + [numkit.vech(np.diag([1.0, 1e-5]))])
+        w = np.full(10, math.sqrt(10))
+        oracle = nelder_mead_oracle(x, w, np.random.default_rng(13))
+        ours = objective(x, w, numkit.vech(out))
         assert ours <= oracle + 1e-6
 
     def test_single_server_passthrough(self):
@@ -464,11 +480,11 @@ class TestAggregateSigma:
                 for k in range(19)
             ]
             ests.append(LocalEstimate(19, 100, np.zeros(2), np.full((2, 2), entry) + np.eye(2)))
-            return aggregate_sigma(ests).sym
+            return aggregate_sigma(ests)
 
         out = aggregate(big)
-        assert numkit.min_eigenvalue(out) > 0.0
-        assert np.allclose(out, aggregate(1e150), rtol=0.0, atol=1e-12)
+        assert out.values[-1] > 0.0
+        assert np.allclose(out.sym, aggregate(1e150).sym, rtol=0.0, atol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("big", [1e155, 1e300])
@@ -511,5 +527,4 @@ class TestAggregateSigma:
                 ests.append(
                     LocalEstimate(sid, int(rng.integers(1, 1000)), np.zeros(p), sigma)
                 )
-            out = aggregate_sigma(ests).sym
-            assert numkit.min_eigenvalue(out) > 0.0
+            assert aggregate_sigma(ests).values[-1] > 0.0

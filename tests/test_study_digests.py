@@ -1,11 +1,15 @@
 """The output of ``tools/study_digests.py``: one ``sha256 run file`` line per
-artifact of its fixed runs."""
+artifact of its fixed runs, and exactly the lines saved in
+``tools/study_digests.txt``.  A change that keeps every artifact's bits keeps
+that file; one that moves an artifact must say so and save the new lines."""
 
 import importlib.util
 import re
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "study_digests.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SCRIPT = TOOLS / "study_digests.py"
+SAVED = TOOLS / "study_digests.txt"
 
 
 def test_one_line_per_artifact(capsys):
@@ -21,3 +25,4 @@ def test_one_line_per_artifact(capsys):
     assert [tuple(line.split()[1:]) for line in lines] == want
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+ \S+", line) for line in lines)
     assert len({line.split()[0] for line in lines}) == len(lines)
+    assert lines == SAVED.read_text().splitlines()

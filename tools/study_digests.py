@@ -8,6 +8,10 @@ place of the CSVs.  Each artifact gives one line, ``sha256 run file``.  Two
 checkouts whose outputs are identical wrote the same bytes in every run.
 
 Usage: python tools/study_digests.py   (from anywhere; it imports src/robustagg)
+
+``tests/test_study_digests.py`` checks the output against the lines saved in
+``tools/study_digests.txt``.  A change that moves an artifact on purpose
+saves the new lines: ``python tools/study_digests.py > tools/study_digests.txt``.
 """
 
 from __future__ import annotations
