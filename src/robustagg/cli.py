@@ -490,6 +490,36 @@ def _wide_sums(rng):
     return numkit.exact_column_means(block)
 
 
+def _certificate_edges(rng):
+    # Columns at the edges of the first-pass certificate of exact sums: a
+    # bulk below 2**b that sums to a double t0 (a power of two in odd
+    # columns), plus remainders half a gap from t0 (a quarter ulp toward
+    # zero in every other power of two) moved by nothing (a tie), one ulp,
+    # or 2**-3 to 2**3 times the certificate's eps; b runs from where eps
+    # and the remainders are subnormal up through the normal range.  Last,
+    # a gradient-like column that cancels.  A tall block and a wide one.
+    out = []
+    for n, m in ((1000, 24), (40, 300)):
+        block = np.zeros((n, m))
+        low = -917 - (n + 1).bit_length() - (n * n).bit_length()  # eps ~ 2**-1022
+        for j, b in enumerate(rng.integers(low - 60, 900, m).tolist()):
+            b = b if j % 3 else low + j % 7 - 3
+            col = block[:, j]
+            if j % 2:
+                col[: 1 << ((n // 2).bit_length() - 1)] = 2.0 ** (b - 1)
+            else:
+                col[: n // 2] = rng.integers(1, 1024, n // 2) * 2.0 ** (b - 10)
+            edge = np.spacing(math.fsum(col.tolist())) / (-4.0 if j % 4 == 3 else 2.0)
+            eps = math.ldexp(float(n * n), (n + 1).bit_length() + int(np.frexp(col.max())[1]) - 105)
+            col[n // 2] = edge
+            col[n // 2 + 1] = (0.0, np.spacing(edge), eps, -eps)[rng.integers(4)] * 2.0 ** rng.uniform(-3, 3)
+            col *= rng.choice([-1.0, 1.0])
+        x = rng.standard_normal(n)
+        block[:, -1] = x - x.mean()
+        out.append(numkit.exact_column_means(rng.permuted(block, axis=0)))
+    return out
+
+
 def _lockstep_newton(rng, theta0=(5.0, 3.0), sizes=(300,) * 6) -> list:
     # Mislabelled far-out rows make some of the default p = 2 shards halve
     # their steps, and the shards converge at different iterations.
@@ -610,6 +640,7 @@ _CHECKS = (
     ("detection_threshold(2, 0.05)", 5, "af31b6f637e3c23c", lambda rng: detection_threshold(2, 0.05)),
     ("exact column sums equal math.fsum (numkit.exact_column_means)", 6, "391c15c08acd4e57", _column_sums),
     ("exact sums of a block wider than long (numkit.exact_column_means)", 15, "952d3f5c2e59b94a", _wide_sums),
+    ("certified exact sums at the certificate's edges", 18, "d8c879d93723ed5e", _certificate_edges),
     ("stacked linear fit_shards", 7, "041f34f51e41e3c3", lambda rng: _fits(
         ModelSpec.linear(3), map(Observations, rng.standard_normal((6, 50)), rng.standard_normal((6, 50, 3))))),
     ("stacked logistic fit_shards: the lockstep Newton", 48, "9c945c28e1397f14", _lockstep_newton),

@@ -1075,6 +1075,7 @@ CHECK_FAULTS = {
     "tau_c": nudged(cli, "tau_c"),
     "detection_threshold": nudged(cli, "detection_threshold"),
     "exact_column_means": flipped,
+    "certificate's edges": flipped,
     "linear fit_shards": flipped,
     "lockstep Newton": flipped,
     "doubled Hessian column": flipped,
@@ -1106,6 +1107,7 @@ def big_endian_wire(monkeypatch):
 SHARED_KERNEL_FAULTS = {
     "Generator": reseeded,
     "exact_column_means": nudged(numkit, "exact_column_means"),
+    "certificate's edges": nudged(numkit, "exact_column_means"),
     "linear fit_shards": nudged(models, "_stacked_sandwich"),
     "lockstep Newton": nudged(models, "_newton"),
     "doubled Hessian column": nudged(models, "_logistic_hessians"),
