@@ -495,8 +495,9 @@ def _certificate_edges(rng):
     # bulk below 2**b that sums to a double t0 (a power of two in odd
     # columns), plus remainders half a gap from t0 (a quarter ulp toward
     # zero in every other power of two) moved by nothing (a tie), one ulp,
-    # or 2**-3 to 2**3 times the certificate's eps; b runs from where eps
-    # and the remainders are subnormal up through the normal range.  Last,
+    # or 2**-3 to 2**3 times eps = n**2 * 2**(k + E - 105), within a factor
+    # of 4 of the certificate's bound; b runs from where eps and the
+    # remainders are subnormal up through the normal range.  Last,
     # a gradient-like column that cancels.  A tall block and a wide one.
     out = []
     for n, m in ((1000, 24), (40, 300)):

@@ -386,8 +386,8 @@ def _stacked_sandwich(
     ``thetas``, as one ``(K, p, p)`` stack.
 
     Every step is a stacked form that returns the bits of one call per shard:
-    a stacked ``matmul`` for the linear predictor, elementwise products, two
-    :func:`_row_means` calls over all shards' sums and two stacked
+    a stacked ``matmul`` for the linear predictor, elementwise products,
+    three :func:`_row_means` calls over all shards' sums and two stacked
     ``solve`` calls.  Logistic probabilities ``pi`` already evaluated at
     ``thetas`` may be given.  If one shard's U is singular the stacked ``solve``
     raises for the whole stack, and if one shard's sums are not finite,
@@ -403,12 +403,11 @@ def _stacked_sandwich(
         grads = (y - pi)[:, None, :] * cols
         w = pi * (1.0 - pi)
         u_cols = np.sqrt(w)[:, None, :] * cols
-    # U does not depend on the mean gradient, so its sums share one call
-    # with those of gbar; V is centered at gbar and needs a second call.
-    # Each row is still summed on its own, so the bits are unchanged.
-    means = _row_means(np.concatenate((grads, _outer_rows(u_cols)), axis=1))
-    gbar = means[:, :p]
-    u_hat = numkit.vech_inv_stack(means[:, p:], p)
+    # The mean gradients cancel at the estimate, so their sums do not pass
+    # the first-pass certificate; summed apart, they let U's call stop after
+    # one pass.  Each row is summed on its own either way, so no bit moves.
+    gbar = _row_means(grads)
+    u_hat = _mean_outer(u_cols)
     if model.kind is ModelKind.LINEAR:
         u_hat = 2.0 * u_hat
     v_hat = _mean_outer(grads - gbar[:, :, None])

@@ -21,6 +21,12 @@ eigenvalue of the symmetrized ``S`` positive by a margin far wider than
 :func:`screen_positive_definite`).  It is used for p <= 8.  Only the finite
 symmetric matrices that run cannot certify, and all of them for larger p,
 go to ``eigh``, which decides them as before.
+
+:func:`exact_column_means` returns the bits of one ``math.fsum`` per
+column from vectorized error-free extraction passes.  Where a float sum of
+the first pass's remainders, with a bound on its error, leaves the
+rounding of the column sum certain, that column takes one pass; the others
+go on extracting until nothing is left (the rule is in its docstring).
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ SYM_RTOL = 1e-12
 
 # Eigenvalue floor used when projecting onto the positive definite cone.
 PD_EPSILON = 1e-5
+
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
 
 
 def _as_square(a) -> np.ndarray:
@@ -300,6 +309,31 @@ def inv_sqrt_pd(a) -> np.ndarray:
 _MAX_SIGMA_EXP = 1021
 
 
+def _extract(cols: np.ndarray, q: np.ndarray, sigma: np.ndarray, along: int) -> np.ndarray:
+    """One extraction pass at ``sigma`` (see :func:`exact_column_means`):
+    the high parts go to ``q`` and leave ``cols``; returns their sums."""
+    np.add(cols, sigma, out=q)
+    q -= sigma
+    cols -= q
+    return q.sum(axis=along)
+
+
+@np.errstate(under="ignore")
+def _certified(first: np.ndarray, rest: np.ndarray, sigma: np.ndarray, k: int):
+    """``t = first + rest`` and which of its entries the exact sums
+    ``first + R`` round to, for every ``R`` within ``eps = sigma *
+    2**(2k - 105)`` of ``rest``: those whose ``eps`` is a normal double and
+    whose TwoSum error ``e`` leaves ``|e| + eps`` strictly below half the
+    smaller gap from ``t`` to a neighbour.  A zero ``t`` has no such gap."""
+    eps = sigma * 2.0 ** (2 * k - 105)
+    t = first + rest
+    back = t - first
+    err = (first - (t - back)) + (rest - back)
+    size = np.abs(t)
+    half_gap = (size - np.nextafter(size, 0.0)) * 0.5
+    return t, (eps >= _TINY) & (np.abs(err) + eps < half_gap)
+
+
 def exact_column_means(a) -> np.ndarray:
     """``math.fsum(col) / n`` for every column of an ``(n, m)`` array.
 
@@ -323,6 +357,27 @@ def exact_column_means(a) -> np.ndarray:
     exactly as ``fsum`` of two doubles does; a pass sum is never ``-0.0``
     (``q`` is ``+0.0`` or nonzero) and stays below ``sigma <= 2**1021``, so
     the addition cannot overflow.  Three or more go to ``math.fsum``.
+
+    Most columns stop after the first pass, on a certificate (AccSum's
+    stopping idea in the paper above).  The n remainders it leaves, each
+    at most ``2**(k + E - 53)``, are summed once in floating point as
+    ``rest``; in any order that sum is within ``gamma(n - 1)`` times the sum
+    of their magnitudes of the exact one (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, 4.2; a sum in the subnormal range
+    is exact), so within ``n**2 * 2**(k + E - 105)``, and within
+    ``eps = 2**(3k + E - 105)``, as ``n < 2**k``.  With
+    ``t = first + rest`` and its TwoSum error ``e``, the column sum lies
+    within ``|e| + eps`` of ``t``.  Where that is strictly below half the
+    gap from ``t`` to its nearer neighbour (a quarter ulp when ``|t|`` is a
+    power of two, whose gap toward zero is half the one above), the column
+    sum rounds to ``t``, the double ``fsum`` returns.  ``eps`` is ``sigma``
+    times ``2**(2k - 105)``, exact while it is a normal double.  A column
+    is not certified when its ``eps`` is below the normal range,
+    its ``t`` is 0, or its bound reaches the half gap (as an exact tie's
+    always does); it goes on extracting from its remainders, pass 1 not
+    redone, through the finishes above.  The mean gradients of a sandwich
+    cancel at the estimate and are not certified; its outer-product sums
+    nearly always are.
 
     Since every pass sum is exact in any order, the layout is free: a block
     with more columns than rows (``m > n``, such as the sandwich sums of a
@@ -359,26 +414,32 @@ def exact_column_means(a) -> np.ndarray:
             return sums / n
         cols, exp = cols.take(live, axis=ax), exp[live]
 
-    # The next exponent follows from the bound, without another max.  It
-    # stops at E = -1074, the subnormal spacing, where a pass takes every
-    # remaining p whole.
-    passes = []
+    # The first pass, then the certificate: where it holds, the pass sum
+    # plus the float sum of the remainders is the correctly rounded sum.
+    # Every pass here is one ``np.ldexp`` call.
+    sigma = np.ldexp(1.0, exp)
     q = np.empty_like(cols)
-    while True:
-        sigma = np.ldexp(1.0, exp).reshape(across)
-        np.add(cols, sigma, out=q)
-        q -= sigma
-        passes.append(q.sum(axis=along))
-        cols -= q
-        if not cols.any():
-            break
-        exp = np.maximum(exp + (k - 53), k - 1074)
-    if len(passes) == 1:
-        sums[live] = passes[0]
-    elif len(passes) == 2:
-        sums[live] = passes[0] + passes[1]
-    else:
-        sums[live] = [math.fsum(col) for col in np.stack(passes, axis=1).tolist()]
+    first = _extract(cols, q, sigma.reshape(across), along)
+    t, done = _certified(first, cols.sum(axis=along), sigma, k)
+    if not done.all():
+        # The others go on extracting from their remainders, in place when
+        # none is done.  The next exponent follows from the bound, without
+        # another max.  It stops at E = -1074, the subnormal spacing, where
+        # a pass takes every remaining p whole.
+        todo = np.flatnonzero(~done)
+        if todo.size < done.size:
+            cols, exp, first = cols.take(todo, axis=ax), exp[todo], first[todo]
+            q = np.empty_like(cols)
+        passes = [first]
+        while cols.any():
+            exp = np.maximum(exp + (k - 53), k - 1074)
+            passes.append(_extract(cols, q, np.ldexp(1.0, exp).reshape(across), along))
+        # With one pass, ``t`` already is its sum (the remainders are zeros).
+        if len(passes) == 2:
+            t[todo] = first + passes[1]
+        elif len(passes) > 2:
+            t[todo] = [math.fsum(col) for col in np.stack(passes, axis=1).tolist()]
+    sums[live] = t
     return sums / n
 
 

@@ -16,6 +16,7 @@ from robustagg import distsim, models, numkit
 from robustagg.aggregate import (
     REPEATED_ID,
     LocalEstimate,
+    admit,
     huber_aggregate,
     standard_errors,
     weighted_average,
@@ -668,6 +669,24 @@ class TestBatchedTransport:
                 ests[3] = ENCODE_DEFECTS[first](ests[3])
                 ests[6] = ENCODE_DEFECTS[later](ests[6])
                 assert outcome(encode_messages, ests) == outcome(encode_message, ests[3]), (first, later)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ChecksumMismatchError,
+        reason="ROADMAP item 2(b): one payload that fails its checksum ends the whole round",
+    )
+    def test_one_corrupt_payload_among_twenty_is_one_report_row(self):
+        # The receive that ROADMAP item 16 designs, distsim.receive, is
+        # taken once it exists; decode_messages keeps its raising contract.
+        rng = np.random.default_rng(43)
+        ests = [LocalEstimate(k, 50, rng.standard_normal(2) * 0.01, np.eye(2)) for k in range(1, 21)]
+        wire = encode_messages(ests)
+        wire[7] = flip_number_byte(wire[7])
+        received = getattr(distsim, "receive", decode_messages)(wire)
+        assert len(admit(received)) == 19
+        report = process(received, 1.345, 0.05)[3]
+        assert len(report.server_ids) == 20
+        assert list(report.errors) == [7] and "checksum" in report.errors[7]
 
 
 def process_reference(received, c, alpha, sigma_hat=None):

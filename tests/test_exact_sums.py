@@ -85,7 +85,59 @@ def dyadic_mix(rng, n):
     )
 
 
-GENERATORS = [scaled_gaussian, mixed_magnitudes, cancelling_pairs, subnormals_and_zeros, dyadic_mix]
+def certificate_eps(col):
+    """The bound ``exact_column_means`` certifies a column's first pass with,
+    ``2**(3k + E - 105)``, subnormal or zero where it underflows."""
+    k = (col.size + 1).bit_length()
+    return math.ldexp(1.0, 3 * k + int(np.frexp(np.abs(col).max())[1]) - 105)
+
+
+def at_a_rounding_edge(rng, n, b, power_of_two=False):
+    """A bulk the first pass takes, entries below ``2**b`` that sum to a
+    double t0, plus remainders that put the exact sum at an edge of t0's
+    rounding interval, moved by a drawn delta: none (a tie), one ulp of the
+    remainder, or within a factor of 4 of the certificate's eps.  A power-of-two
+    t0 has the edge toward zero half as far as the one away from it."""
+    col = np.zeros(n)
+    bulk = max(1, n // 2)
+    if power_of_two:
+        col[: 1 << (bulk.bit_length() - 1)] = 2.0 ** (b - 1)
+    else:
+        col[:bulk] = rng.integers(1, 1024, bulk) * 2.0 ** (b - 10)
+    t0 = math.fsum(col.tolist())
+    edge = np.spacing(t0) / 2.0
+    if power_of_two and rng.random() < 0.5:
+        edge = -edge / 2.0
+    eps = certificate_eps(col)
+    delta = rng.choice([0.0, np.spacing(edge), -np.spacing(edge), eps * 2.0 ** rng.uniform(-2.0, 2.0)])
+    delta *= rng.choice([-1.0, 1.0])
+    low = rng.standard_normal(2) * edge
+    rest = [edge, delta, *low, *-low][: n - bulk]
+    col[bulk : bulk + len(rest)] = rest
+    return rng.permutation(col * rng.choice([-1.0, 1.0]))
+
+
+def midpoint_sums(rng, n):
+    return at_a_rounding_edge(rng, n, int(rng.integers(-900, 900)))
+
+
+def power_of_two_sums(rng, n):
+    return at_a_rounding_edge(rng, n, int(rng.integers(-900, 900)), power_of_two=True)
+
+
+def subnormal_remainders(rng, n):
+    # A normal bulk whose remainders fall below 2**-1022.
+    return at_a_rounding_edge(rng, n, int(rng.integers(-1000, -960)), rng.random() < 0.5)
+
+
+def eps_at_the_normal_edge(rng, n):
+    # Bulks whose certificate eps lies within a few binades of 2**-1022.
+    b = -1022 + 105 - 3 * (n + 1).bit_length() + int(rng.integers(-3, 4))
+    return at_a_rounding_edge(rng, n, b, rng.random() < 0.5)
+
+
+EDGES = [midpoint_sums, power_of_two_sums, subnormal_remainders, eps_at_the_normal_edge]
+GENERATORS = [scaled_gaussian, mixed_magnitudes, cancelling_pairs, subnormals_and_zeros, dyadic_mix, *EDGES]
 
 
 @st.composite
@@ -252,28 +304,38 @@ class TestFallbackColumns:
 
 
 # ---------------------------------------------------------------------------
-# The finish: one pass sum is the sum, two are added by one IEEE addition,
-# three or more go to fsum.  Each column below is built to need an exact
-# number of extraction passes, counted by the calls to ``np.ldexp`` (one per
-# pass).
+# The finish.  A column whose first pass certifies its rounding takes that
+# pass alone; every other column goes on extracting from its remainders, and
+# then one pass sum is the sum, two are added by one IEEE addition, three or
+# more go to fsum.  Passes are counted by the calls to ``np.ldexp`` (one per
+# pass), the verdicts by a spy on ``numkit._certified``.
 # ---------------------------------------------------------------------------
 
 
-def extraction_passes(monkeypatch, a):
-    """The result of ``exact_column_means(a)`` and its number of passes."""
-    calls = []
-    ldexp = np.ldexp
+def extraction_passes(monkeypatch, a, certify=True):
+    """The result of ``exact_column_means(a)``, its number of passes and
+    the certificate's verdict on each column; with ``certify`` False no
+    column is certified, so every one runs its extraction passes."""
+    calls, verdicts = [], []
+    ldexp, certified = np.ldexp, numkit._certified
 
     def counting_ldexp(*args):
         calls.append(1)
         return ldexp(*args)
 
+    def spy(*args):
+        t, done = certified(*args)
+        done &= certify
+        verdicts.extend(done.tolist())
+        return t, done
+
     monkeypatch.setattr(numkit.np, "ldexp", counting_ldexp)
+    monkeypatch.setattr(numkit, "_certified", spy)
     try:
         got = exact_column_means(a)
     finally:
         monkeypatch.undo()
-    return got, len(calls)
+    return got, len(calls), verdicts
 
 
 def exact_sum(col):
@@ -313,29 +375,95 @@ def halfway_columns(rng, n):
     return np.stack(cols, axis=1)
 
 
+def power_of_two_ties(rng, n):
+    """Columns whose exact sum is +-(2**52 - 1/4): a tie between 2**52 and
+    the double below it, on the narrow side of a power of two, where the gap
+    is half the one above.  Only the second pass takes the quarter;
+    integers that cancel ride along."""
+    bulk = 1 << ((n // 2).bit_length() - 1)
+    cols = []
+    for sign in (1.0, -1.0):
+        col = np.zeros(n)
+        col[:bulk] = sign * 2.0 ** (52 - bulk.bit_length() + 1)
+        ints = rng.integers(-500, 500, 5)
+        col[bulk : bulk + 10] = np.concatenate([ints, -ints])
+        col[-1] = -sign * 0.25
+        cols.append(rng.permutation(col))
+    return np.stack(cols, axis=1)
+
+
+def cancelling_gradients(rng, n):
+    """Columns like the score of a fit at its root: residuals of many
+    magnitudes (a logistic fit's ``y - pi``) times covariates, cancelled to
+    the rounding of their sum, with bits far below the first two passes."""
+    g = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-15.0, 0.0, (n, 2)) * rng.standard_normal((n, 2))
+    g[0] -= [math.fsum(col) for col in g.T.tolist()]
+    return g
+
+
+EXTRACTION_PASSES = {one_pass_columns: 1, two_pass_columns: 2, three_pass_columns: 3}
+
+
 class TestFinish:
-    @pytest.mark.parametrize(
-        "make, passes",
-        [(one_pass_columns, 1), (two_pass_columns, 2), (three_pass_columns, 3)],
-    )
+    @pytest.mark.parametrize("make, passes", EXTRACTION_PASSES.items())
     @pytest.mark.parametrize("n", [300, 2000])
     def test_columns_of_known_pass_count(self, monkeypatch, make, passes, n):
+        # With the certificate off, the remainders of the first pass go
+        # through each finish in turn, pass 1 not redone.
         a = make(np.random.default_rng(n + passes), n)
-        got, counted = extraction_passes(monkeypatch, a)
+        got, counted, verdicts = extraction_passes(monkeypatch, a, certify=False)
         assert counted == passes
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    @pytest.mark.parametrize(
+        "make, n, passes, certified",
+        [
+            (one_pass_columns, 300, 1, 3),
+            (one_pass_columns, 2000, 1, 3),
+            (two_pass_columns, 300, 2, 2),
+            (two_pass_columns, 2000, 2, 1),
+            (three_pass_columns, 300, 3, 2),
+            (three_pass_columns, 2000, 3, 2),
+        ],
+    )
+    def test_certified_columns_stop_after_one_pass(self, monkeypatch, make, n, passes, certified):
+        # The same blocks with the certificate on.  A column whose sum lies
+        # within the bound of a midpoint between doubles is not certified
+        # and goes on through every pass, without the certified columns.
+        a = make(np.random.default_rng(n + passes), n)
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert sum(verdicts) == certified
+        assert counted == (1 if certified == 3 else passes)
         assert got.tobytes() == fsum_means(a).tobytes()
 
     @pytest.mark.parametrize("n", [300, 400, 2000, 6000])
     def test_halfway_sums_round_to_even(self, monkeypatch, n):
         a = halfway_columns(np.random.default_rng(n), n)
-        got, counted = extraction_passes(monkeypatch, a)
-        assert counted == 2
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert counted == 2 and not any(verdicts)
         for col in a.T:
             exact = exact_sum(col)
             rounded = math.fsum(col.tolist())
             assert 2.0**52 <= abs(rounded) < 2.0**53
             assert abs(Fraction(rounded) - exact) == Fraction(1, 2)
             assert rounded % 2.0 == 0.0  # ties to even
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_power_of_two_ties_are_not_certified(self, monkeypatch, n):
+        # Half the gap above 2**52 would wrongly certify these ties.
+        a = power_of_two_ties(np.random.default_rng(n), n)
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert counted == 2 and not any(verdicts)
+        for col in a.T:
+            assert abs(Fraction(math.fsum(col.tolist())) - exact_sum(col)) == Fraction(1, 4)
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_cancelling_gradients_take_three_passes_or_more(self, monkeypatch, n):
+        a = cancelling_gradients(np.random.default_rng(n), n)
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert counted >= 3 and not any(verdicts)
         assert got.tobytes() == fsum_means(a).tobytes()
 
 
@@ -351,14 +479,31 @@ class TestWideBlocks:
         assert_same_as_fsum(np.asfortranarray(a))
 
     @pytest.mark.parametrize(
-        "make, passes",
-        [(one_pass_columns, 1), (two_pass_columns, 2), (three_pass_columns, 3)],
+        "make, passes, certified",
+        [(one_pass_columns, 1, 90), (two_pass_columns, 2, 87), (three_pass_columns, 1, 90)],
     )
-    def test_wide_blocks_of_known_pass_count(self, monkeypatch, make, passes):
-        rng = np.random.default_rng(passes)
+    def test_wide_blocks_of_known_pass_count(self, monkeypatch, make, passes, certified):
+        # Three of the two-pass columns sit within the bound of a midpoint.
+        rng = np.random.default_rng(EXTRACTION_PASSES[make])
         a = np.concatenate([make(rng, 40) for _ in range(30)], axis=1)  # (40, 90)
-        got, counted = extraction_passes(monkeypatch, a)
-        assert counted == passes
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert (counted, sum(verdicts)) == (passes, certified)
+        assert got.tobytes() == fsum_means(a).tobytes()
+        got, counted, verdicts = extraction_passes(monkeypatch, a, certify=False)
+        assert counted == EXTRACTION_PASSES[make]
+        assert got.tobytes() == fsum_means(a).tobytes()
+
+    @pytest.mark.parametrize(
+        "make, passes",
+        [(halfway_columns, 2), (power_of_two_ties, 2), (cancelling_gradients, 3)],
+    )
+    def test_wide_blocks_the_certificate_fails(self, monkeypatch, make, passes):
+        rng = np.random.default_rng(passes)
+        a = np.concatenate([make(rng, 40) for _ in range(30)], axis=1)
+        assert a.shape[1] > 40
+        got, counted, verdicts = extraction_passes(monkeypatch, a)
+        assert counted >= passes if make is cancelling_gradients else counted == passes
+        assert not any(verdicts)
         assert got.tobytes() == fsum_means(a).tobytes()
 
     def test_fallback_columns_among_live_ones(self, monkeypatch):
