@@ -33,7 +33,6 @@ from .distsim import (
 )
 from .models import (
     EqualShards,
-    LocalFit,
     LocalFits,
     ModelKind,
     ModelSpec,

@@ -14,8 +14,9 @@ b_c = P(|Z| <= c) and sigma_c^2 = E psi_c(Z)^2 for standard normal Z) gives
 the asymptotic relative efficiency of the clipped aggregate versus the
 weighted average; it increases from 2/pi to 1 as c grows.
 
-A round is one :class:`RoundView` from ``contaminate`` through the wire
-codec to the central stages (``aggregate_sigma``, :func:`huber_aggregate`,
+A round is one :class:`RoundView` from ``models.fit_shards`` (whose
+``LocalFits`` is one) through ``contaminate`` and the wire codec to the
+central stages (``aggregate_sigma``, :func:`huber_aggregate`,
 :func:`weighted_average` and ``detect``), which read it in server order:
 as it arrives when it already is, sorted and stacked once when it is not.
 Which servers a round admits is decided once, by :func:`admit`: those of
@@ -159,11 +160,13 @@ class RoundView:
     variance matrices of the servers it admits, one row each, in one order,
     and ``rejected``, the servers it leaves out, in server order.
 
-    The round travels in this form from ``contaminate`` through the wire
-    codec to the central stages, which read the arrays instead of sorting,
-    stacking and checking K estimates each time.  The constructor checks
-    that the rows align, that every ``n_k >= 1`` and that the total size N
-    is at most the largest double, and makes the arrays read-only.  Its
+    The round travels in this form from ``models.fit_shards``, whose
+    ``LocalFits`` is a round with Newton diagnostics, through
+    ``contaminate`` and the wire codec to the central stages, which read
+    the arrays instead of sorting, stacking and checking K estimates each
+    time.  The constructor checks that the rows align, that every
+    ``n_k >= 1`` and that the total size N is at most the largest double,
+    and makes the arrays read-only.  Its
     members are :class:`LocalEstimate` views of the rows, made when first
     asked for.  Only :func:`admit` leaves servers out; every other round
     has no ``rejected``.
@@ -394,6 +397,8 @@ def huber_aggregate(estimates, sigma_hat, c: float = DEFAULT_HUBER_C) -> Aggrega
     roots = view.sqrt_n[finite]                       # sqrt(n_k)
     shares = np.array([n / n_total for n in n_k])     # n_k / N
 
+    # An extreme estimate whitens to an infinite u, which np.clip maps to +-c.
+    @np.errstate(over="ignore")
     def residual(theta):
         u = (thetas - theta) @ whiten.T * roots[:, None]
         clipped = np.clip(u, -c, c)

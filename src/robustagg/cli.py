@@ -461,7 +461,8 @@ def _spd(rng, k: int, p: int) -> np.ndarray:
 
 
 def _fits(model, shards) -> list:
-    return [(f.theta_hat, f.sigma_hat, f.newton_iters, f.grad_norm) for f in fit_shards(model, shards)]
+    fits = fit_shards(model, shards)
+    return list(zip(fits.thetas, fits.sigmas, fits.newton_iters, fits.grad_norms))
 
 
 def _column_sums(rng):

@@ -201,9 +201,10 @@ def contaminate(
     spec: ContaminationSpec,
     seed,
 ) -> RoundView:
-    """The round of payloads that actually reaches the processor: the
-    :class:`LocalFits` that ``models.fit_shards`` returns, in server order,
-    copied once, with the corrupted rows replaced.
+    """The round of payloads that actually reaches the processor: the round
+    ``fits`` that ``models.fit_shards`` returns, in server order, copied
+    once, with the corrupted rows replaced and the Newton diagnostics left
+    behind.
 
     The first ``spec.resolved_count(K)`` servers in server-id order
     transmit a corrupted estimate, drawn in the order of ``fits``; their

@@ -7,10 +7,10 @@ Hessian evaluate as vectorized reductions; a slice of an
 :class:`Observations` is another one.  So are the fits of a round:
 :func:`fit_shards`, the one loop that fits a shard (:func:`fit_local` is
 ``fit_shards`` of one), writes every stacked pass into the arrays of one
-:class:`LocalFits`, whose :class:`LocalFit` rows are made only when read,
-and the equal shards of one dataset (:class:`EqualShards`) reach the passes
-as views of its arrays.  A shard that cannot be fitted raises its own
-error, with its id set as the error's ``server_id``.
+:class:`LocalFits`, the round (``aggregate.RoundView``) that every central
+stage reads, and the equal shards of one dataset (:class:`EqualShards`)
+reach the passes as views of its arrays.  A shard that cannot be fitted
+raises its own error, with its id set as the error's ``server_id``.
 
 Summation discipline: fitting uses single-threaded ``einsum``/``add.reduce``
 reductions (deterministic for a fixed observation order), while the sandwich
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -51,6 +51,7 @@ from .errors import (
     SingularMatrixError,
 )
 from . import numkit
+from .aggregate import RoundView
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
@@ -173,60 +174,25 @@ class EqualShards:
         return self.data[k * self.size : (k + 1) * self.size]
 
 
-@dataclass(frozen=True)
-class LocalFit:
-    """One server's fitted estimate and its sandwich variance."""
-
-    theta_hat: np.ndarray
-    sigma_hat: np.ndarray
-    n_k: int
-    server_id: int | str
-    newton_iters: int
-    grad_norm: float
-
-    def __post_init__(self):
-        self.theta_hat.flags.writeable = False
-        self.sigma_hat.flags.writeable = False
-
-
 @dataclass(frozen=True, eq=False)
-class LocalFits:
-    """The fits of K shards, columnar: ids, sizes, ``(K, p)`` estimates,
-    ``(K, p, p)`` sandwich variances, Newton iterations and gradient norms,
-    one row per shard in shard order, the arrays read-only.
+class LocalFits(RoundView):
+    """The fits of K shards: the round of their ids, sizes, ``(K, p)``
+    estimates and ``(K, p, p)`` sandwich variances, one row per shard in
+    shard order, with each fit's Newton iterations and gradient norm.
 
-    A sequence of :class:`LocalFit`: indexing or iterating reads the
-    ``LocalFit`` views of the rows, made when first asked for.
+    A ``RoundView`` like any other, checked by its constructor, so
+    ``fits[k]`` is the read-only ``LocalEstimate`` view of row k and every
+    central stage reads the fits as they are.  The two extra columns are
+    read-only too.
     """
 
-    server_ids: tuple
-    n_k: tuple
-    thetas: np.ndarray  # (K, p)
-    sigmas: np.ndarray  # (K, p, p)
-    newton_iters: np.ndarray  # (K,) int
-    grad_norms: np.ndarray  # (K,)
+    newton_iters: np.ndarray = field(kw_only=True)  # (K,) int
+    grad_norms: np.ndarray = field(kw_only=True)  # (K,)
 
     def __post_init__(self):
-        for array in (self.thetas, self.sigmas, self.newton_iters, self.grad_norms):
-            array.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.n_k)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    @functools.cached_property
-    def members(self) -> tuple:
-        """The :class:`LocalFit` of every row, in shard order."""
-        rows = zip(
-            self.thetas, self.sigmas, self.n_k, self.server_ids,
-            self.newton_iters.tolist(), self.grad_norms.tolist(),
-        )
-        return tuple(LocalFit(*row) for row in rows)
+        super().__post_init__()
+        self.newton_iters.flags.writeable = False
+        self.grad_norms.flags.writeable = False
 
 
 def _check_data(model: ModelSpec, data: Observations) -> None:
@@ -626,16 +592,18 @@ def _fit_group(model: ModelSpec, X: np.ndarray, y: np.ndarray):
     return thetas, sigmas, iters, _norms(grads)
 
 
-def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) -> LocalFit:
+def fit_local(model: ModelSpec, data: Observations, server_id: int | str = 0) -> LocalFits:
     """Maximize the local criterion on one shard: :func:`fit_shards` of
-    one, errors included."""
-    return fit_shards(model, [data], server_ids=[server_id])[0]
+    one, errors included, so the one-row :class:`LocalFits`."""
+    return fit_shards(model, [data], server_ids=[server_id])
 
 
 def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
     """Maximize the local criterion on every shard, as one :class:`LocalFits`,
     with the shards of each size fitted in stacked passes of at most
-    ``STACK_ENTRIES`` products.  This is the one loop that fits a shard.
+    ``STACK_ENTRIES`` products.  This is the one loop that fits a shard, and
+    its result is the round that ``contaminate``, the wire codec and every
+    central stage read as it is.
 
     Linear regression solves the normal equations in closed form; logistic
     regression runs Newton-Raphson from the zero vector with step halving,
@@ -715,4 +683,4 @@ def fit_shards(model: ModelSpec, shards, server_ids=None) -> LocalFits:
         except (RobustAggError, ValueError) as exc:
             exc.server_id = server_ids[i]
             raise
-    return LocalFits(server_ids, n_k, thetas, sigmas, iters, norms)
+    return LocalFits(server_ids, n_k, thetas, sigmas, newton_iters=iters, grad_norms=norms)

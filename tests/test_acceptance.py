@@ -200,7 +200,7 @@ def test_criterion_7_sandwich_identity_design():
     data = Observations(y, X)
     model = ModelSpec.linear(2)
     fit = fit_local(model, data)
-    sigma = sandwich_variance(model, data, fit.theta_hat)
+    sigma = sandwich_variance(model, data, fit.thetas[0])
     gap = float(np.abs(sigma - np.eye(2)).max())
     elapsed = time.perf_counter() - started
     ok = gap <= 0.05

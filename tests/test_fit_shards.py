@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from robustagg import distsim, models, numkit, spatialmed
+from robustagg import aggregate, distsim, models, numkit, spatialmed
 from robustagg.detect import ServerDetection
 from robustagg.distsim import ContaminationKind, ContaminationSpec, StudyConfig, run_replicate
 from robustagg.errors import (
@@ -42,21 +42,28 @@ def make_shards(kind, p, sizes, seed):
     return ModelSpec(models.ModelKind(kind), p), shards
 
 
+def rows(fits):
+    """Every row of a ``LocalFits``: (estimate, variance, n_k, id, Newton
+    iterations, gradient norm)."""
+    columns = (fits.newton_iters.tolist(), fits.grad_norms.tolist())
+    return list(zip(fits.thetas, fits.sigmas, fits.n_k, fits.server_ids, *columns))
+
+
 def assert_same_fits(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.theta_hat, w.theta_hat)
-        assert np.array_equal(g.sigma_hat, w.sigma_hat)
-        assert g.theta_hat.shape == w.theta_hat.shape
-        assert g.sigma_hat.shape == w.sigma_hat.shape
-        assert (g.n_k, g.server_id, g.newton_iters) == (w.n_k, w.server_id, w.newton_iters)
-        assert g.grad_norm == w.grad_norm
-        assert not g.theta_hat.flags.writeable and not g.sigma_hat.flags.writeable
+    for (g_theta, g_sigma, *g), (w_theta, w_sigma, *w) in zip(rows(got), want):
+        assert np.array_equal(g_theta, w_theta)
+        assert np.array_equal(g_sigma, w_sigma)
+        assert g_theta.shape == w_theta.shape
+        assert g_sigma.shape == w_sigma.shape
+        assert g == w  # n_k, id, Newton iterations and gradient norm
+        assert not g_theta.flags.writeable and not g_sigma.flags.writeable
 
 
 def per_shard(model, shards, server_ids=None):
+    """The rows of one ``fit_local`` per shard."""
     ids = range(len(shards)) if server_ids is None else server_ids
-    return [fit_local(model, s, server_id=sid) for s, sid in zip(shards, ids)]
+    return [row for s, sid in zip(shards, ids) for row in rows(fit_local(model, s, server_id=sid))]
 
 
 def outcome(fn):
@@ -65,7 +72,9 @@ def outcome(fn):
         fits = fn()
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
-    return [(f.theta_hat.tobytes(), f.sigma_hat.tobytes(), f.grad_norm) for f in fits]
+    if isinstance(fits, models.LocalFits):
+        fits = rows(fits)
+    return [(theta.tobytes(), sigma.tobytes(), norm) for theta, sigma, *_, norm in fits]
 
 
 class TestBits:
@@ -178,7 +187,8 @@ class TestBits:
         # forms rejected as different bits (einsum for X'y or for the linear
         # predictor, an axis norm) each differ on some of these shards.
         model, shards = make_shards("linear", p, [60] * 200 + [800] * 2, seed=50 + p)
-        for data, fit in zip(shards, fit_shards(model, shards)):
+        fits = fit_shards(model, shards)
+        for data, fit, grad_norm in zip(shards, fits, fits.grad_norms.tolist()):
             X, y, n = data.X, data.y, data.n
             theta = np.linalg.solve(np.einsum("ij,ik->jk", X, X), X.T @ y)
             grad = criterion_eval(model, data, theta)[1]
@@ -194,9 +204,9 @@ class TestBits:
             u_hat = 2.0 * mean_outer(X)
             half = np.linalg.solve(u_hat, mean_outer(grads - gbar))
             sigma = numkit.symmetrize(np.linalg.solve(u_hat, half.T).T)
-            assert np.array_equal(fit.theta_hat, theta)
-            assert fit.grad_norm == float(np.linalg.norm(grad))
-            assert np.array_equal(fit.sigma_hat, sigma)
+            assert np.array_equal(fit.theta_star, theta)
+            assert grad_norm == float(np.linalg.norm(grad))
+            assert np.array_equal(fit.sigma_star, sigma)
 
 
 def rank_deficient(rng, n, p):
@@ -242,7 +252,7 @@ class TestErrorParity:
         got = outcome(lambda: fit_shards(model, shards))
         assert got == want
         # The error is that of the first bad shard fitted on its own.
-        assert want == outcome(lambda: [fit_local(model, bad_a)])
+        assert want == outcome(lambda: fit_local(model, bad_a))
         if not swap:
             assert want[0] is error
 
@@ -327,7 +337,7 @@ class TestEqualShards:
         # Two rows per shard cannot fit three parameters: the first shard
         # raises what it raises alone.
         model, stacked, listed = stacked_and_listed("linear", 3, 4, 2, seed=5)
-        want = outcome(lambda: [fit_local(model, listed[0])])
+        want = outcome(lambda: fit_local(model, listed[0]))
         assert want[0] is DimensionError
         assert outcome(lambda: fit_shards(model, stacked)) == want
 
@@ -413,16 +423,17 @@ class TestLocalFits:
     def test_columns_and_row_views(self):
         model, shards = make_shards("linear", 2, [30, 40, 30], seed=8)
         fits = fit_shards(model, shards, server_ids=["a", "b", "c"])
-        assert isinstance(fits, models.LocalFits) and len(fits) == 3
+        assert isinstance(fits, models.LocalFits) and isinstance(fits, aggregate.RoundView) and len(fits) == 3
         assert fits.server_ids == ("a", "b", "c") and fits.n_k == (30, 40, 30)
         for array in (fits.thetas, fits.sigmas, fits.newton_iters, fits.grad_norms):
             assert not array.flags.writeable
         assert [f.server_id for f in fits] == ["a", "b", "c"]
         assert fits[-1] is fits.members[2] and list(fits[1:]) == list(fits.members[1:])
         for i, fit in enumerate(fits):
-            assert np.shares_memory(fit.theta_hat, fits.thetas)
-            assert np.array_equal(fit.sigma_hat, fits.sigmas[i])
-            assert type(fit.grad_norm) is float and type(fit.newton_iters) is int
+            assert type(fit) is aggregate.LocalEstimate
+            assert np.shares_memory(fit.theta_star, fits.thetas) and not fit.theta_star.flags.writeable
+            assert np.array_equal(fit.sigma_star, fits.sigmas[i])
+        assert fits.grad_norms.dtype == float and fits.newton_iters.dtype.kind == "i"
 
     def test_no_fits(self):
         fits = fit_shards(ModelSpec.linear(2), [])
@@ -452,11 +463,14 @@ def test_replicate_recomputes_contaminated_sandwiches_in_one_call(monkeypatch):
     def built(self, *args, **kwargs):
         pytest.fail(f"a {type(self).__name__} was built")
 
+    def row_built(*args):
+        pytest.fail("a row estimate was built")
+
     pulls = []
     pull = spatialmed._pull
     monkeypatch.setattr(models, "_stacked_sandwich", spy)
     monkeypatch.setattr(models, "sandwich_variance", lambda *a, **k: pytest.fail("a sandwich was computed alone"))
-    monkeypatch.setattr(models.LocalFit, "__post_init__", built)
+    monkeypatch.setattr(aggregate, "_row_estimate", row_built)
     monkeypatch.setattr(ServerDetection, "__init__", built)
     monkeypatch.setattr(spatialmed, "_pull", lambda x, w, j: pulls.append(j) or pull(x, w, j))
     run_replicate(config, 0)
@@ -544,15 +558,22 @@ def reference_outcome(data):
     return theta.tobytes(), iters, float(np.linalg.norm(grad)), sigma.tobytes(), halvings
 
 
+def row_bits(row):
+    """One row of :func:`rows` in reference_outcome's form."""
+    theta, sigma, _, _, iters, norm = row
+    return theta.tobytes(), iters, norm, sigma.tobytes()
+
+
 def fit_outcome(fn):
     """What ``fn`` returns (one fit's bits) or raises, in reference_outcome's form."""
     try:
-        fit = fn()
+        fits = fn()
     except NonConvergenceError as exc:
         return type(exc), str(exc), exc.best.tobytes(), exc.residual
     except (SeparationError, RankDeficiencyError) as exc:
         return type(exc), str(exc)
-    return fit.theta_hat.tobytes(), fit.newton_iters, fit.grad_norm, fit.sigma_hat.tobytes()
+    (row,) = rows(fits)
+    return row_bits(row)
 
 
 def logistic_shard(rng, n, theta0, leverage=0):
@@ -577,7 +598,7 @@ def assert_lockstep_matches_reference(shards):
         assert failed and (type(exc), str(exc)) == failed[0][:2]
         return want
     assert not failed
-    assert [fit_outcome(lambda: f) for f in fits] == [w[:4] for w in want]
+    assert [row_bits(row) for row in rows(fits)] == [w[:4] for w in want]
     return want
 
 
@@ -820,7 +841,7 @@ class TestLockstepErrorParity:
         rng = np.random.default_rng(17)
         shards = [logistic_shard(rng, 55, np.array([0.5, -0.3, 0.2])) for _ in range(7)]
         model = ModelSpec.logistic(3)
-        assert all(isinstance(fit_local(model, data), models.LocalFit) for data in shards)
+        assert all(isinstance(fit_local(model, data), models.LocalFits) for data in shards)
         shards[position] = bad = make_bad()
         alone = reference_outcome(bad)
         assert alone[0] is error and text in alone[1]

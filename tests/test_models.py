@@ -141,7 +141,7 @@ class TestFitLocal:
         X = rng.standard_normal((50, 2))
         data = make_obs(X @ [2.0, 1.0], X)
         fit = fit_local(LINEAR2, data)
-        assert np.abs(fit.theta_hat - [2.0, 1.0]).max() <= 1e-10
+        assert np.abs(fit.thetas[0] - [2.0, 1.0]).max() <= 1e-10
 
     def test_linear_matches_normal_equations(self):
         rng = np.random.default_rng(41)
@@ -150,14 +150,14 @@ class TestFitLocal:
         data = make_obs(y, X)
         fit = fit_local(LINEAR2, data)
         expected = np.linalg.solve(X.T @ X, X.T @ y)
-        assert np.abs(fit.theta_hat - expected).max() <= 1e-10
-        assert fit.grad_norm <= 1e-10
+        assert np.abs(fit.thetas[0] - expected).max() <= 1e-10
+        assert fit.grad_norms[0] <= 1e-10
 
     def test_linear_two_point_exact(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([2.0, 5.0])
         fit = fit_local(LINEAR2, make_obs(y, X))
-        assert np.allclose(fit.theta_hat, [2.0, 3.0])
+        assert np.allclose(fit.thetas[0], [2.0, 3.0])
 
     def test_logistic_consistency_large_n(self):
         # Monte Carlo oracle: at n = 200000 the MLE sits within 0.05 of truth.
@@ -166,9 +166,9 @@ class TestFitLocal:
         X = rng.standard_normal((n, 2))
         y = (rng.random(n) < expit(X @ [2.0, 1.0])).astype(float)
         fit = fit_local(LOGISTIC2, make_obs(y, X))
-        assert np.abs(fit.theta_hat - [2.0, 1.0]).max() <= 0.05
-        assert fit.grad_norm <= 1e-10
-        assert numkit.screen_positive_definite(fit.sigma_hat[None])[0][0]
+        assert np.abs(fit.thetas[0] - [2.0, 1.0]).max() <= 0.05
+        assert fit.grad_norms[0] <= 1e-10
+        assert numkit.screen_positive_definite(fit.sigmas)[0][0]
 
     def test_logistic_single_class_raises(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -209,7 +209,7 @@ class TestSandwich:
         y = X @ [2.0, 1.0] + rng.standard_normal(n)
         data = make_obs(y, X)
         fit = fit_local(LINEAR2, data)
-        sigma = sandwich_variance(LINEAR2, data, fit.theta_hat)
+        sigma = sandwich_variance(LINEAR2, data, fit.thetas[0])
         assert np.abs(sigma - np.eye(2)).max() <= 0.05
 
     def test_exact_fit_degenerate_not_pd(self):
@@ -217,8 +217,8 @@ class TestSandwich:
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([2.0, 5.0])
         fit = fit_local(LINEAR2, make_obs(y, X))
-        assert not numkit.screen_positive_definite(fit.sigma_hat[None])[0][0]
-        assert np.linalg.eigvalsh(numkit.ensure_symmetric(fit.sigma_hat))[0] <= 0.0
+        assert not numkit.screen_positive_definite(fit.sigmas)[0][0]
+        assert np.linalg.eigvalsh(numkit.ensure_symmetric(fit.sigmas[0]))[0] <= 0.0
 
     def test_logistic_against_brute_force_expectation(self):
         # Oracle: U and V estimated by direct 1e6-draw expectations at the
@@ -239,7 +239,7 @@ class TestSandwich:
         y = (rng.random(n) < expit(X @ theta0)).astype(float)
         data = make_obs(y, X)
         fit = fit_local(LOGISTIC2, data)
-        sigma = sandwich_variance(LOGISTIC2, data, fit.theta_hat)
+        sigma = sandwich_variance(LOGISTIC2, data, fit.thetas[0])
         assert np.abs(sigma - oracle).max() <= 0.05 * np.abs(oracle).max()
 
     def test_permutation_invariance_bit_level(self):

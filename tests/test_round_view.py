@@ -20,15 +20,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from robustagg import aggregate, distsim, numkit
+from robustagg import aggregate, distsim, models, numkit
 from robustagg.aggregate import (
     OTHER_DIMENSION, REPEATED_ID, LocalEstimate, admit, huber_aggregate, round_view, standard_errors,
 )
 from robustagg.detect import detect
 from robustagg.distsim import ContaminationKind, ContaminationSpec, decode_messages, encode_messages, process
 from robustagg.errors import DimensionError, NotPositiveDefiniteError, NumericalError
-from robustagg.models import ModelKind
-from robustagg.spatialmed import spatial_median
+from robustagg.models import ModelKind, Observations
+from robustagg.spatialmed import aggregate_sigma, spatial_median
 
 
 def csv_text(report):
@@ -318,9 +318,10 @@ class TestOneViewPerRound:
             assert csv_text(got[3]) == csv_text(want[3])
 
     def test_one_round_per_side_of_the_wire(self, monkeypatch):
-        # contaminate builds the round that is encoded and decode_messages
-        # the one the processor reads; process builds none for a round of
-        # one dimension in server order, and one for a round out of order.
+        # fit_shards builds the fits' round, contaminate the round that is
+        # encoded and decode_messages the one the processor reads; process
+        # builds none for a round of one dimension in server order, and one
+        # for a round out of order.
         events = []
         post_init = aggregate.RoundView.__post_init__
 
@@ -345,7 +346,7 @@ class TestOneViewPerRound:
             contamination=ContaminationSpec(kind=ContaminationKind.GAUSSIAN),
         )
         distsim.run_replicate(config, 0)
-        assert events == ["round", "encode_messages", "decode_messages", "round", "process"]
+        assert events == ["round", "round", "encode_messages", "decode_messages", "round", "process"]
 
         received = linear_round()
         assert not received.ordered
@@ -444,6 +445,57 @@ class TestOneViewPerRound:
             spatial_median(x, -w)
         with pytest.raises(DimensionError):
             spatial_median(x, w[:-1])
+
+
+# ---------------------------------------------------------------------------
+# The fits are a round
+# ---------------------------------------------------------------------------
+
+
+def fitted_round(name):
+    """The fits of a desk round (K = 20 logistic shards of 1000 rows, ids 1
+    to 20), or of ragged logistic shards whose str ids are out of server order."""
+    if name == "desk":
+        model = models.ModelSpec.logistic(2)
+        data = distsim.generate_dataset(model.kind, (2.0, 1.0), 20 * 1000, 5)
+        return models.fit_shards(model, distsim.partition(data, 20), server_ids=range(1, 21))
+    rng = np.random.default_rng(6)
+    theta0 = np.array([1.0, -1.0, 0.5])
+    shards = []
+    for n in (150, 300, 150, 420, 90, 300, 260):
+        X = rng.standard_normal((n, 3))
+        shards.append(Observations((rng.random(n) < special.expit(X @ theta0)).astype(float), X))
+    ids = ["s3", "s1", "b", "s7", "a", "s2", "s10"]
+    return models.fit_shards(models.ModelSpec.logistic(3), shards, server_ids=ids)
+
+
+def stage_bits(received):
+    """What every central stage, the encoder and ``process`` make of a round."""
+    sigma = aggregate_sigma(received)
+    result = huber_aggregate(received, sigma, 1.345)
+    theta_bar, sigma_bar = aggregate.weighted_average(received)
+    report = detect(received, result.theta_hat, sigma)
+    full = process(received, 1.345, 0.05)
+    return (
+        [a.tobytes() for a in sigma],
+        result.theta_hat.tobytes(), result.se.tobytes(), result.iterations, result.residual_norm,
+        theta_bar.tobytes(), sigma_bar.tobytes(),
+        csv_text(report),
+        encode_messages(received),
+        full[0].theta_hat.tobytes(), full[0].se.tobytes(), full[1].tobytes(), full[2].tobytes(),
+        csv_text(full[3]),
+    )
+
+
+@pytest.mark.parametrize("name", ["desk", "ragged"])
+def test_fits_are_read_as_the_listed_estimates(name):
+    fits = fitted_round(name)
+    assert fits.ordered == (name == "desk")
+    listed = [LocalEstimate(*row) for row in zip(fits.server_ids, fits.n_k, fits.thetas, fits.sigmas)]
+    for k, fit in enumerate(fits):
+        assert type(fit) is LocalEstimate and fit.server_id == listed[k].server_id
+        assert np.shares_memory(fit.theta_star, fits.thetas) and not fit.theta_star.flags.writeable
+    assert stage_bits(fits) == stage_bits(listed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_one_line_per_artifact(capsys):
     want = [(name, f) for name, _ in tool.STUDIES for f in ("metrics.csv", "detection_rates.csv")]
     want += [(name, f) for name in ("pipeline", "pipeline_trusted") for f in ("aggregate.csv", "detection.csv")]
     want.append(("unfittable", "stderr"))
-    assert len(tool.STUDIES) == 9 and tool.REPLICATES >= 20
+    assert len(tool.STUDIES) == 10 and tool.REPLICATES >= 20
     assert [tuple(line.split()[1:]) for line in lines] == want
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+ \S+", line) for line in lines)
     assert len({line.split()[0] for line in lines}) == len(lines)

@@ -1,6 +1,6 @@
 """Print the sha256 of the artifacts of a fixed set of seeded runs.
 
-Nine ``simulate`` studies (``--workers 1``, 20 replicates each) and three
+Ten ``simulate`` studies (``--workers 1``, 20 replicates each) and three
 ``fit-aggregate-detect`` runs over shards written from a fixed seed: plain,
 with ``--trusted-server``, and with one shard that cannot be fitted, whose
 run fails and whose stderr (the temporary directory masked) is hashed in
@@ -44,6 +44,9 @@ STUDIES = (
     ("K4", "--model logistic --theta0 2,1 --K 4 --n 300 --contamination omniscient --count 1 --seed 8"),
     ("omniscient_1e200", "--model linear --theta0 1,2 --K 10 --n 50 --contamination omniscient --count 1 "
      "--omniscient-value 1e200,1e200 --seed 9"),
+    # c = 0.1 takes Huber's damped fixed-point steps and step halving, and
+    # one of its replicates fails.
+    ("desk_c0.1", "--model logistic --theta0 2,1 --K 20 --n 1000 --c 0.1 --seed 20240501"),
 )
 
 # Ragged logistic shards with two pairs of equal size (stacked passes) and
